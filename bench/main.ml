@@ -17,7 +17,8 @@
      dune exec bench/main.exe -- --layout columnar scan_sweep
      # committed-baseline regeneration (see tools/check.sh): ONE run
      # writing every flavour — roster-only, roster+serve,
-     # roster+serve+io, roster+serve+io+pipeline, additionally
+     # roster+serve+io, roster+serve+io+pipeline (the executor's
+     # intermediate-table and partition-reuse counters), additionally
      # +telemetry, and additionally +columnar — so their shared entries
      # are byte-identical (BENCH_pr4.json is a copy of the regenerated
      # BENCH_pr5.json)

@@ -26,7 +26,6 @@ module Querysplit = Qs_core.Querysplit
 module Runner = Qs_harness.Runner
 module Algos = Qs_harness.Algos
 module Executor = Qs_exec.Executor
-module Trace = Qs_obs.Trace
 module Explain = Qs_obs.Explain
 module Profile = Qs_obs.Profile
 module Span = Qs_util.Span
@@ -218,22 +217,23 @@ let explain_arg =
   Arg.(value & flag
        & info [ "explain" ]
            ~doc:
-             "EXPLAIN ANALYZE: execute the optimizer's plan with tracing and \
-              print the tree annotated with per-node estimated vs. actual \
-              cardinality, Q-error, time and volume.")
+             "EXPLAIN ANALYZE: execute the optimizer's plan on the pipelined \
+              engine and print the tree annotated with per-node estimated \
+              vs. actual cardinality, Q-error and input volume, plus the \
+              pipeline and breaker times.")
 
 (* EXPLAIN ANALYZE one SPJ query: optimize it whole (the strategies execute
-   many plans; the annotated tree belongs to a single one), run with a
-   trace, render. *)
+   many plans; the annotated tree belongs to a single one), run it with a
+   span tracer, render from the run's stats and spans. *)
 let explain_query cat registry (q : Query.t) =
   let ctx = Strategy.make_ctx registry Estimator.default in
   let frag = Strategy.fragment_of_query ctx q in
   let plan = (Optimizer.optimize cat Estimator.default frag).Optimizer.plan in
-  let trace = Trace.create () in
-  let table, _ = Executor.run ~trace plan in
+  let spans = Span.create () in
+  let table, stats = Executor.run ~spans plan in
   Printf.printf "%s\n%s-- %s; %d result rows\n" (Query.to_sql q)
-    (Explain.render ~trace plan)
-    (Explain.summary ~trace plan) (Table.n_rows table)
+    (Explain.render ~stats ~spans plan)
+    (Explain.summary ~stats plan) (Table.n_rows table)
 
 let build_cinema ~scale ~seed ~index =
   let cat = Qs_workload.Cinema.build ~scale ~seed () in

@@ -1,4 +1,4 @@
-(* Observability: trace a plan's execution, render EXPLAIN ANALYZE, and
+(* Observability: record a plan's execution in spans, render EXPLAIN ANALYZE, and
    aggregate a workload run into a metrics report.
 
    Run with: dune exec examples/observability.exe *)
@@ -11,7 +11,6 @@ module Executor = Qs_exec.Executor
 module Strategy = Qs_core.Strategy
 module Runner = Qs_harness.Runner
 module Algos = Qs_harness.Algos
-module Trace = Qs_obs.Trace
 module Explain = Qs_obs.Explain
 module Metrics = Qs_obs.Metrics
 module Histogram = Qs_obs.Histogram
@@ -31,13 +30,14 @@ let () =
   print_endline "=== EXPLAIN (estimates only) ===";
   print_string (Explain.render plan);
 
-  (* 3. EXPLAIN ANALYZE: execute with a trace; every node now carries its
-     actual cardinality, Q-error, wall-clock and data volume *)
-  let trace = Trace.create () in
-  let table, _stats = Executor.run ~trace plan in
+  (* 3. EXPLAIN ANALYZE: execute with a span tracer; every node now carries
+     its actual cardinality, Q-error and input volume, and the pipeline
+     and its breakers their wall-clock *)
+  let spans = Qs_util.Span.create () in
+  let table, stats = Executor.run ~spans plan in
   print_endline "\n=== EXPLAIN ANALYZE ===";
-  print_string (Explain.render ~trace plan);
-  Printf.printf "-- %s; %d result rows\n" (Explain.summary ~trace plan)
+  print_string (Explain.render ~stats ~spans plan);
+  Printf.printf "-- %s; %d result rows\n" (Explain.summary ~stats plan)
     (Table.n_rows table);
 
   (* 4. a workload run aggregated into per-strategy metrics *)

@@ -45,7 +45,7 @@ let run ctx (q : Query.t) =
       (List.hd candidates) (List.tl candidates)
   in
   let table, _ =
-    Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel ?pool:ctx.Strategy.pool ?trace:ctx.Strategy.trace
+    Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel ?pool:ctx.Strategy.pool
       ?spans:ctx.Strategy.spans plan
   in
   let result = Executor.project ~name:q.Query.name table q.Query.output in

@@ -198,7 +198,7 @@ let run policy ?selector ctx (q : Query.t) =
     | None ->
         (* no executable join left: run the remaining plan to completion *)
         let table, _ =
-          Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel ?pool:ctx.Strategy.pool ?trace:ctx.Strategy.trace
+          Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel ?pool:ctx.Strategy.pool
             ?spans:ctx.Strategy.spans !plan
         in
         finished_table := Some table;
@@ -220,7 +220,7 @@ let run policy ?selector ctx (q : Query.t) =
           :: !iterations
     | Some node ->
         let table, _ =
-          Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel ?pool:ctx.Strategy.pool ?trace:ctx.Strategy.trace
+          Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel ?pool:ctx.Strategy.pool
             ?spans:ctx.Strategy.spans node
         in
         let actual = Table.n_rows table in

@@ -142,7 +142,7 @@ let run config ctx (q : Query.t) =
         (List.hd ranked) (List.tl ranked)
     in
     let table, _ =
-      Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel ?pool:ctx.Strategy.pool ?trace:ctx.Strategy.trace
+      Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel ?pool:ctx.Strategy.pool
         ?spans:ctx.Strategy.spans plan_res.Optimizer.plan
     in
     (* the re-optimization journal: one entry (flight step + span) per

@@ -16,7 +16,7 @@ let run_with ~name ?allowed ~estimator_of ctx (q : Query.t) =
       ?memo:ctx.Strategy.dp_memo (Strategy.catalog ctx) est frag
   in
   let table, _ =
-    Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel ?pool:ctx.Strategy.pool ?trace:ctx.Strategy.trace
+    Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel ?pool:ctx.Strategy.pool
       ?spans:ctx.Strategy.spans res.Optimizer.plan
   in
   let result = Executor.project ~name:q.Query.name table q.Query.output in

@@ -37,7 +37,6 @@ type ctx = {
   deadline : float option ref;
   seed : int;
   pseudo : (string, Table.t * Table_stats.t) Hashtbl.t;
-  trace : Qs_obs.Trace.t option;
   spans : Qs_util.Span.t option;
   pool : Pool.t option;
   dp_memo : Qs_plan.Dp_memo.t option;
@@ -50,11 +49,11 @@ type t = {
   run : ctx -> Query.t -> outcome;
 }
 
-let make_ctx ?(collect_stats = true) ?(deadline = None) ?(seed = 42) ?trace ?spans
+let make_ctx ?(collect_stats = true) ?(deadline = None) ?(seed = 42) ?spans
     ?pool ?dp_memo ?cancel ?flight registry estimator =
   {
     registry; estimator; collect_stats; deadline = ref deadline; seed;
-    pseudo = Hashtbl.create 8; trace; spans; pool; dp_memo; cancel; flight;
+    pseudo = Hashtbl.create 8; spans; pool; dp_memo; cancel; flight;
   }
 
 (* One re-optimization journal entry, fanned out to both sinks: the

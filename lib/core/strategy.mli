@@ -46,10 +46,6 @@ type ctx = {
   pseudo : (string, Table.t * Qs_stats.Table_stats.t) Hashtbl.t;
       (** outputs of already-executed non-SPJ operators, visible to SPJ
           segments as base relations (§3.3) *)
-  trace : Qs_obs.Trace.t option;
-      (** when set, every executor invocation records per-node execution
-          figures here (EXPLAIN ANALYZE); strategies that execute several
-          plans accumulate into the same trace *)
   spans : Qs_util.Span.t option;
       (** when set, optimizer calls, executed operators and each
           re-optimization iteration (the [reopt-step] journal: selected
@@ -83,7 +79,7 @@ type t = {
 }
 
 val make_ctx : ?collect_stats:bool -> ?deadline:float option -> ?seed:int ->
-  ?trace:Qs_obs.Trace.t -> ?spans:Qs_util.Span.t -> ?pool:Qs_util.Pool.t ->
+  ?spans:Qs_util.Span.t -> ?pool:Qs_util.Pool.t ->
   ?dp_memo:Qs_plan.Dp_memo.t -> ?cancel:Qs_util.Cancel.t ->
   ?flight:Qs_obs.Flight.t -> Stats_registry.t -> Estimator.t -> ctx
 

@@ -7,7 +7,6 @@ module Columnar = Qs_storage.Columnar
 module Index = Qs_storage.Index
 module Fragment = Qs_stats.Fragment
 module Expr = Qs_query.Expr
-module Trace = Qs_obs.Trace
 module Scratch = Qs_util.Scratch
 module Cancel = Qs_util.Cancel
 module Timer = Qs_util.Timer
@@ -19,18 +18,6 @@ exception Timeout
 let default_row_limit = 2_000_000
 
 type stats = (int, int) Hashtbl.t
-
-(* Execution model: [Materialize] is the original executor — every
-   operator builds its whole output table before the parent starts.
-   [Pipeline] is the morsel-driven engine below — filters and probes
-   fuse into chunk-sized morsel streams and only pipeline breakers
-   (hash builds, partition barriers, NL inners) buffer rows. Results
-   are multiset-identical; the global default is overridable per call. *)
-type mode = Materialize | Pipeline
-
-let default_mode = ref Pipeline
-let set_default_mode m = default_mode := m
-let execution_mode () = !default_mode
 
 (* Observability counters (cumulative, reset around experiments): how
    many intermediate tables the engine materialized, how often a
@@ -288,82 +275,10 @@ let key_of_row row positions = List.map (fun p -> row.(p)) positions
 
 let has_null = List.exists Value.is_null
 
-(* Partitioned parallel hash join: both sides are split by key hash into
-   one bucket per pool slot; every bucket is then an independent
-   build+probe pair. Rows of one key land in one partition, so the union
-   of the partition outputs is exactly the sequential join's multiset
-   (null keys never join and are dropped during partitioning, as in the
-   sequential path). Table order is restored within each partition so
-   per-key match order — and thus the output multiset — is deterministic
-   regardless of which domain runs which bucket. *)
-let partitioned_hash_join ?deadline ?cancel ~limit ~pool ~(build : Table.t)
-    ~(probe : Table.t) preds =
-  let tick = tick deadline cancel in
-  let out_schema = Schema.concat probe.Table.schema build.Table.schema in
-  let build_cols, residual = split_join_preds build.Table.schema preds in
-  let bpos = key_positions build.Table.schema (List.map fst build_cols) in
-  let ppos = key_positions probe.Table.schema (List.map snd build_cols) in
-  let k = Pool.size pool in
-  let partition tbl pos =
-    let parts = Array.make k [] in
-    Table.iteri
-      (fun i row ->
-        if i mod batch = 0 then tick ();
-        let key = key_of_row row pos in
-        if not (has_null key) then begin
-          let p = Hashtbl.hash key mod k in
-          parts.(p) <- row :: parts.(p)
-        end)
-      tbl;
-    Array.map List.rev parts
-  in
-  let bparts = partition build bpos in
-  let pparts = partition probe ppos in
-  let emitted = Atomic.make 0 in
-  let run_part pi =
-    let index : (Value.t list, Value.t array list) Hashtbl.t =
-      Hashtbl.create (max 16 (List.length bparts.(pi)))
-    in
-    List.iteri
-      (fun i row ->
-        if i mod batch = 0 then tick ();
-        let key = key_of_row row bpos in
-        Hashtbl.replace index key
-          (row :: Option.value (Hashtbl.find_opt index key) ~default:[]))
-      bparts.(pi);
-    let out = ref [] in
-    List.iteri
-      (fun i prow ->
-        if i mod batch = 0 then tick ();
-        let key = key_of_row prow ppos in
-        match Hashtbl.find_opt index key with
-        | None -> ()
-        | Some matches ->
-            List.iter
-              (fun brow ->
-                let n = 1 + Atomic.fetch_and_add emitted 1 in
-                if n mod batch = 0 then tick ();
-                let row = Array.append prow brow in
-                if List.for_all (Expr.eval out_schema row) residual then begin
-                  out := row :: !out;
-                  if n > limit then raise Timeout
-                end)
-              matches)
-      pparts.(pi);
-    List.rev !out
-  in
-  let parts = Pool.map pool run_part (List.init k Fun.id) in
-  built_intermediate ();
-  Table.create ~name:"join" ~schema:out_schema
-    (Array.concat (List.map Array.of_list parts))
-
-let hash_join ?deadline ?cancel ?(limit = max_int) ?pool ~(build : Table.t)
-    ~(probe : Table.t) preds =
-  match pool with
-  | Some pool when Pool.size pool > 1 ->
-      partitioned_hash_join ?deadline ?cancel ~limit ~pool ~build ~probe preds
-  | _ ->
-  let tick = tick deadline cancel in
+(* Sequential hash join over two materialized tables: the kernel [Naive]
+   evaluates its reference joins with. *)
+let hash_join ?deadline ~(build : Table.t) ~(probe : Table.t) preds =
+  let tick () = check_deadline deadline in
   let out_schema = Schema.concat probe.Table.schema build.Table.schema in
   (* orient keys wrt the build side *)
   let build_cols, residual = split_join_preds build.Table.schema preds in
@@ -380,7 +295,8 @@ let hash_join ?deadline ?cancel ?(limit = max_int) ?pool ~(build : Table.t)
         Hashtbl.replace index k (row :: Option.value (Hashtbl.find_opt index k) ~default:[]))
     build;
   let out = ref [] in
-  let emitted = ref 0 in
+  (* matched pairs, so a high fan-out probe row still polls the deadline *)
+  let pairs = ref 0 in
   Table.iteri
     (fun i prow ->
       if i mod batch = 0 then tick ();
@@ -391,121 +307,13 @@ let hash_join ?deadline ?cancel ?(limit = max_int) ?pool ~(build : Table.t)
         | Some matches ->
             List.iter
               (fun brow ->
-                incr emitted;
-                if !emitted mod batch = 0 then tick ();
+                incr pairs;
+                if !pairs mod batch = 0 then tick ();
                 let row = Array.append prow brow in
-                if List.for_all (Expr.eval out_schema row) residual then begin
-                  out := row :: !out;
-                  if !emitted > limit then raise Timeout
-                end)
+                if List.for_all (Expr.eval out_schema row) residual then
+                  out := row :: !out)
               matches)
     probe;
-  built_intermediate ();
-  Table.create ~name:"join" ~schema:out_schema (Array.of_list (List.rev !out))
-
-let hash_join_count ?deadline ?cancel ~(build : Table.t) ~(probe : Table.t)
-    preds =
-  let tick = tick deadline cancel in
-  let out_schema = Schema.concat probe.Table.schema build.Table.schema in
-  let build_cols, residual = split_join_preds build.Table.schema preds in
-  let bpos = key_positions build.Table.schema (List.map fst build_cols) in
-  let ppos = key_positions probe.Table.schema (List.map snd build_cols) in
-  let index : (Value.t list, Value.t array list) Hashtbl.t =
-    Hashtbl.create (max 16 (Table.n_rows build))
-  in
-  Table.iteri
-    (fun i row ->
-      if i mod batch = 0 then tick ();
-      let k = key_of_row row bpos in
-      if not (has_null k) then
-        Hashtbl.replace index k (row :: Option.value (Hashtbl.find_opt index k) ~default:[]))
-    build;
-  (* pre-count build groups so the residual-free case never walks pairs *)
-  let counts : (Value.t list, int) Hashtbl.t = Hashtbl.create (Hashtbl.length index) in
-  Hashtbl.iter (fun k rows -> Hashtbl.replace counts k (List.length rows)) index;
-  let total = ref 0 in
-  let steps = ref 0 in
-  Table.iteri
-    (fun i prow ->
-      if i mod batch = 0 then tick ();
-      let k = key_of_row prow ppos in
-      if not (has_null k) then
-        if residual = [] then
-          total := !total + Option.value (Hashtbl.find_opt counts k) ~default:0
-        else
-          match Hashtbl.find_opt index k with
-          | None -> ()
-          | Some matches ->
-              List.iter
-                (fun brow ->
-                  incr steps;
-                  if !steps mod batch = 0 then tick ();
-                  let row = Array.append prow brow in
-                  if List.for_all (Expr.eval out_schema row) residual then incr total)
-                matches)
-    probe;
-  !total
-
-let index_nl_join ?deadline ?cancel ?(limit = max_int) ?matched_rows
-    ~(outer : Table.t) ~(inner_input : Fragment.input) ~(index : Index.t)
-    ~(outer_key : Expr.colref) preds =
-  let tick = tick deadline cancel in
-  let inner_tbl = inner_input.Fragment.table in
-  let out_schema = Schema.concat outer.Table.schema inner_tbl.Table.schema in
-  let okpos =
-    Schema.find_exn outer.Table.schema ~rel:outer_key.Expr.rel ~name:outer_key.Expr.name
-  in
-  (* Residual predicates: everything except the indexed equality is checked
-     after the lookup, as are the inner input's filters. *)
-  let inner_schema = inner_tbl.Table.schema in
-  let out = ref [] in
-  let probes = ref 0 in
-  let matched = ref 0 in
-  Table.iter
-    (fun orow ->
-      incr probes;
-      if !probes mod 1024 = 0 then tick ();
-      let key = orow.(okpos) in
-      if not (Value.is_null key) then
-        List.iter
-          (fun rid ->
-            let irow = Table.row inner_tbl rid in
-            if List.for_all (Expr.eval inner_schema irow) inner_input.Fragment.filters
-            then begin
-              incr matched;
-              let row = Array.append orow irow in
-              if List.for_all (Expr.eval out_schema row) preds then begin
-                out := row :: !out;
-                if !matched > limit then raise Timeout
-              end
-            end)
-          (Index.lookup index key))
-    outer;
-  Option.iter (fun r -> r := !matched) matched_rows;
-  built_intermediate ();
-  Table.create ~name:"join" ~schema:out_schema (Array.of_list (List.rev !out))
-
-let nl_join ?deadline ?cancel ?(limit = max_int) ~(outer : Table.t)
-    ~(inner : Table.t) preds =
-  let tick = tick deadline cancel in
-  let out_schema = Schema.concat outer.Table.schema inner.Table.schema in
-  let out = ref [] in
-  let steps = ref 0 in
-  let kept = ref 0 in
-  Table.iter
-    (fun orow ->
-      Table.iter
-        (fun irow ->
-          incr steps;
-          if !steps mod batch = 0 then tick ();
-          let row = Array.append orow irow in
-          if List.for_all (Expr.eval out_schema row) preds then begin
-            out := row :: !out;
-            incr kept;
-            if !kept > limit then raise Timeout
-          end)
-        inner)
-    outer;
   built_intermediate ();
   Table.create ~name:"join" ~schema:out_schema (Array.of_list (List.rev !out))
 
@@ -520,124 +328,24 @@ let span_label (p : Physical.t) =
   | Physical.Join { method_ = Physical.Index_nl; _ } -> "index-nl-join"
   | Physical.Join { method_ = Physical.Nl; _ } -> "nl-join"
 
-(* The original fully-materializing engine: every operator output is a
-   whole table. Kept as the reference implementation (the pipelined
-   engine below must produce the same multiset — test_differential) and
-   as the only engine able to fill a per-operator [trace], which needs
-   materialized outputs for byte accounting. *)
-let run_materializing ?deadline ?cancel ~row_limit ?pool ?trace ?spans plan =
-  let stats : stats = Hashtbl.create 16 in
-  (* Tracing is the only consumer of wall-clock / byte figures; keep the
-     untraced path free of clock reads and byte-size walks. *)
-  let timed = trace <> None || spans <> None in
-  let now () = if timed then Timer.now () else 0.0 in
-  let children (p : Physical.t) =
-    match p.Physical.node with
-    | Physical.Scan _ -> []
-    | Physical.Join j -> [ j.Physical.left.Physical.id; j.Physical.right.Physical.id ]
-  in
-  let operator_span (p : Physical.t) ~t0 ~dur ~rows =
-    Span.add spans Span.Operator (span_label p) ~start:t0 ~dur
-      ~args:
-        [
-          ("node", string_of_int p.Physical.id);
-          ("est_rows", Printf.sprintf "%.0f" p.Physical.est_rows);
-          ("actual_rows", string_of_int rows);
-        ]
-  in
-  let record ?(scanned = 0) ?(built = 0) ?(probed = 0) (p : Physical.t) ~t0 result =
-    let rows = Table.n_rows result in
-    Hashtbl.replace stats p.Physical.id rows;
-    let elapsed = if timed then Timer.elapsed ~since:t0 else 0.0 in
-    (match trace with
-    | None -> ()
-    | Some tr ->
-        let n = Trace.node tr p.Physical.id in
-        n.Trace.est_rows <- p.Physical.est_rows;
-        n.Trace.actual_rows <- rows;
-        n.Trace.elapsed <- elapsed;
-        n.Trace.output_bytes <- Table.byte_size result;
-        n.Trace.rows_scanned <- scanned;
-        n.Trace.rows_built <- built;
-        n.Trace.rows_probed <- probed;
-        n.Trace.children <- children p);
-    if spans <> None then operator_span p ~t0 ~dur:elapsed ~rows
-  in
-  let rec go (p : Physical.t) =
-    let t0 = now () in
-    match p.Physical.node with
-    | Physical.Scan input ->
-        let result = filter_input ?deadline ?cancel ?pool input in
-        record p ~t0 ~scanned:(Table.n_rows input.Fragment.table) result;
-        result
-    | Physical.Join j -> (
-        match j.Physical.method_ with
-        | Physical.Hash ->
-            let build = go j.Physical.left in
-            let probe = go j.Physical.right in
-            let result =
-              hash_join ?deadline ?cancel ~limit:row_limit ?pool ~build ~probe
-                j.Physical.preds
-            in
-            record p ~t0 ~built:(Table.n_rows build) ~probed:(Table.n_rows probe)
-              result;
-            result
-        | Physical.Index_nl ->
-            let outer = go j.Physical.left in
-            let inner_input =
-              match j.Physical.right.Physical.node with
-              | Physical.Scan i -> i
-              | _ -> invalid_arg "Executor.run: index NL inner must be a scan"
-            in
-            let index, outer_key, inner_key =
-              match j.Physical.index with
-              | Some x -> x
-              | None -> invalid_arg "Executor.run: index NL without index"
-            in
-            (* The indexed equality is enforced by the lookup itself;
-               everything else is checked per matched row. *)
-            let indexed = Expr.eq (Expr.Col outer_key) (Expr.Col inner_key) in
-            let residual =
-              List.filter (fun pr -> not (Expr.equal_pred pr indexed)) j.Physical.preds
-            in
-            let matched = ref 0 in
-            let result =
-              index_nl_join ?deadline ?cancel ~limit:row_limit
-                ~matched_rows:matched ~outer ~inner_input ~index ~outer_key
-                residual
-            in
-            (* The inner scan is consumed through the index, never via [go];
-               record it explicitly so every node id of the plan is present
-               in the stats — its "output" is the rows surviving the index
-               lookups plus the input's own filters. *)
-            let inner = j.Physical.right in
-            Hashtbl.replace stats inner.Physical.id !matched;
-            (match trace with
-            | None -> ()
-            | Some tr ->
-                let n = Trace.node tr inner.Physical.id in
-                n.Trace.est_rows <- inner.Physical.est_rows;
-                n.Trace.actual_rows <- !matched;
-                n.Trace.rows_scanned <-
-                  Table.n_rows inner_input.Fragment.table);
-            if spans <> None then
-              (* zero duration: the inner side's work happens inside the
-                 index lookups and is part of the join span *)
-              operator_span inner ~t0:(now ()) ~dur:0.0 ~rows:!matched;
-            record p ~t0 ~probed:(Table.n_rows outer) result;
-            result
-        | Physical.Nl ->
-            let outer = go j.Physical.left in
-            let inner = go j.Physical.right in
-            let result =
-              nl_join ?deadline ?cancel ~limit:row_limit ~outer ~inner
-                j.Physical.preds
-            in
-            record p ~t0 ~probed:(Table.n_rows outer) result;
-            result)
-  in
-  let out = go plan in
-  (out, stats)
+(* [node] argument tying a pipeline or breaker span to its plan node, so
+   EXPLAIN ANALYZE can find the timings of one run in a shared tracer *)
+let node_args (p : Physical.t) = [ ("node", string_of_int p.Physical.id) ]
+
+(* One zero-duration [operator] marker per plan node: wall-clock lives in
+   the pipeline / breaker spans, since fused operators have no time of
+   their own. *)
+let operator_markers spans ~t0 plan stats =
+  List.iter
+    (fun (n : Physical.t) ->
+      Span.add spans Span.Operator (span_label n) ~start:t0 ~dur:0.0
+        ~args:
+          (node_args n
+          @ [
+              ("est_rows", Printf.sprintf "%.0f" n.Physical.est_rows);
+              ("actual_rows", string_of_int (Hashtbl.find stats n.Physical.id));
+            ]))
+    (Physical.nodes plan)
 
 (* ---------------------------------------------------------------------- *)
 (* Morsel-driven pipelined engine                                          *)
@@ -887,11 +595,11 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
                   ps_iter =
                     (fun emit ->
                       let bparts =
-                        Span.span spans Span.Breaker ("partition-build:" ^ bid p)
+                        Span.span spans Span.Breaker ~args:(node_args p) ("partition-build:" ^ bid p)
                           (fun () -> collect bstream bpos breuse)
                       in
                       let pparts =
-                        Span.span spans Span.Breaker ("partition-probe:" ^ bid p)
+                        Span.span spans Span.Breaker ~args:(node_args p) ("partition-probe:" ^ bid p)
                           (fun () -> collect prstream ppos preuse)
                       in
                       let emitted = Atomic.make 0 in
@@ -952,7 +660,7 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
                       let index : (Value.t list, Value.t array list) Hashtbl.t =
                         Hashtbl.create 1024
                       in
-                      Span.span spans Span.Breaker ("hash-build:" ^ bid p)
+                      Span.span spans Span.Breaker ~args:(node_args p) ("hash-build:" ^ bid p)
                         (fun () ->
                           bstream.ps_iter (fun _ m ->
                               (* batch build: key columns decoded
@@ -968,8 +676,8 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
                                       :: Option.value (Hashtbl.find_opt index k)
                                            ~default:[]))));
                       (* [emitted] counts matched pairs before the
-                         residual check, exactly like the materializing
-                         join, so ?limit trips at the same row *)
+                         residual check; the row limit is tested
+                         against it each time a row is kept *)
                       let emitted = ref 0 in
                       prstream.ps_iter (fun _ m ->
                           let kcols = List.map (morsel_col m) ppos in
@@ -1075,7 +783,7 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
                   (* the inner side is rescanned per outer row: buffer
                      it once (breaker), then stream the outer side *)
                   let buf = ref [] in
-                  Span.span spans Span.Breaker ("nl-inner:" ^ bid p) (fun () ->
+                  Span.span spans Span.Breaker ~args:(node_args p) ("nl-inner:" ^ bid p) (fun () ->
                       istream.ps_iter (fun _ m -> buf := morsel_rows m :: !buf));
                   let inner = Array.concat (List.rev !buf) in
                   let steps = ref 0 and kept = ref 0 in
@@ -1105,14 +813,10 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
   let root = stream plan in
   let t0 = if spans <> None then Timer.now () else 0.0 in
   let rev_tagged = ref [] in
-  Span.span spans Span.Pipeline ("pipeline:" ^ span_label plan) (fun () ->
+  Span.span spans Span.Pipeline ~args:(node_args plan)
+    ("pipeline:" ^ span_label plan) (fun () ->
       root.ps_iter (fun tag m -> rev_tagged := (tag, morsel_rows m) :: !rev_tagged));
   let tagged = List.rev !rev_tagged in
-  let name =
-    match plan.Physical.node with
-    | Physical.Scan i -> i.Fragment.table.Table.name
-    | Physical.Join _ -> "join"
-  in
   built_intermediate ();
   let out =
     match root.ps_parts with
@@ -1120,38 +824,30 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
       ->
         (* the sink keeps the per-partition layout, so a temp built
            from this result carries it into the next QuerySplit step *)
-        Table.of_tagged_chunks ~name ~schema:root.ps_schema ~part_keys:keys
+        Table.of_tagged_chunks ~name:"join" ~schema:root.ps_schema ~part_keys:keys
           ~parts:k tagged
-    | _ -> Table.of_chunks ~name ~schema:root.ps_schema (List.map snd tagged)
+    | _ -> Table.of_chunks ~name:"join" ~schema:root.ps_schema (List.map snd tagged)
   in
-  if spans <> None then
-    List.iter
-      (fun (n : Physical.t) ->
-        (* zero-duration markers: wall-clock lives in the pipeline /
-           breaker spans, since fused operators have no time of their
-           own *)
-        Span.add spans Span.Operator (span_label n) ~start:t0 ~dur:0.0
-          ~args:
-            [
-              ("node", string_of_int n.Physical.id);
-              ("est_rows", Printf.sprintf "%.0f" n.Physical.est_rows);
-              ("actual_rows", string_of_int (Hashtbl.find stats n.Physical.id));
-            ])
-      (Physical.nodes plan);
+  if spans <> None then operator_markers spans ~t0 plan stats;
   (out, stats)
 
-let run ?deadline ?cancel ?(row_limit = default_row_limit) ?pool ?trace ?spans
-    ?mode plan =
-  let mode = Option.value mode ~default:!default_mode in
-  match (mode, trace, plan.Physical.node) with
-  | Pipeline, None, Physical.Join _ ->
-      run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan
-  | _ ->
-      (* per-operator tracing needs materialized outputs for its byte /
-         volume accounting, and a bare scan gains nothing from
-         pipelining while losing the scratch filter cache — both run on
-         the materializing engine *)
-      run_materializing ?deadline ?cancel ~row_limit ?pool ?trace ?spans plan
+let run ?deadline ?cancel ?(row_limit = default_row_limit) ?pool ?spans plan =
+  match plan.Physical.node with
+  | Physical.Join _ -> run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan
+  | Physical.Scan input ->
+      (* a bare scan is just the leaf: [filter_input] keeps the scratch
+         filter cache and the parallel chunk scan, which streaming it into
+         a copy would lose *)
+      let t0 = if spans <> None then Timer.now () else 0.0 in
+      let out =
+        Span.span spans Span.Pipeline ~args:(node_args plan)
+          ("pipeline:" ^ span_label plan) (fun () ->
+            filter_input ?deadline ?cancel ?pool input)
+      in
+      let stats : stats = Hashtbl.create 1 in
+      Hashtbl.replace stats plan.Physical.id (Table.n_rows out);
+      if spans <> None then operator_markers spans ~t0 plan stats;
+      (out, stats)
 
 let project ?name (tbl : Table.t) cols =
   match cols with

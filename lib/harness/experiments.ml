@@ -1090,34 +1090,35 @@ let dp_sweep s =
     rate_rows
 
 (* ---------------------------------------------------------------------- *)
-(* Pipelined execution: morsel-driven executor vs. full materialization    *)
+(* Pipelined execution: the morsel-driven executor on chains and hubs      *)
 (* ---------------------------------------------------------------------- *)
 
-(* One strategy run of [q] under the given executor engine, restoring
-   the process-wide default on the way out. Returns the result digest,
-   wall-clock, and the executor's intermediate-table / partition-reuse
-   counter deltas for exactly this run. *)
-let engine_run ?pool ?spans ?strat ~mode registry q =
+(* One strategy run of [q]. Returns the result digest, wall-clock, and
+   the executor's intermediate-table / partition-reuse counter deltas
+   for exactly this run. *)
+let strategy_run ?pool ?spans ?strat registry q =
   let module Executor = Qs_exec.Executor in
   let strat =
     match strat with
     | Some st -> st
     | None -> Querysplit.strategy Querysplit.default_config
   in
-  let saved = Executor.execution_mode () in
-  Executor.set_default_mode mode;
   Executor.reset_counters ();
-  Fun.protect
-    ~finally:(fun () -> Executor.set_default_mode saved)
-    (fun () ->
-      let ctx = Strategy.make_ctx ?pool ?spans registry Estimator.default in
-      let t0 = Qs_util.Timer.now () in
-      let o = strat.Strategy.run ctx q in
-      let wall = Qs_util.Timer.elapsed ~since:t0 in
-      ( Qs_storage.Table.digest o.Strategy.result,
-        wall,
-        Executor.intermediate_tables (),
-        Executor.partition_reuses () ))
+  let ctx = Strategy.make_ctx ?pool ?spans registry Estimator.default in
+  let t0 = Qs_util.Timer.now () in
+  let o = strat.Strategy.run ctx q in
+  let wall = Qs_util.Timer.elapsed ~since:t0 in
+  ( Qs_storage.Table.digest o.Strategy.result,
+    wall,
+    Executor.intermediate_tables (),
+    Executor.partition_reuses () )
+
+(* The reference digest of [q]: naive execution, independent of plans,
+   engine and strategy. *)
+let naive_digest registry (q : Query.t) =
+  let frag = Qs_stats.Fragment.of_query registry q in
+  Qs_storage.Table.digest
+    (Qs_exec.Executor.project (Qs_exec.Naive.rows frag) q.Query.output)
 
 let span_category_time spans cat =
   List.fold_left
@@ -1127,14 +1128,11 @@ let span_category_time spans cat =
     (Qs_util.Span.spans spans)
 
 let pipeline_sweep s =
-  Report.section
-    "Pipelined execution: morsel-driven executor vs. full materialization";
-  let module Executor = Qs_exec.Executor in
+  Report.section "Pipelined execution: morsel-driven executor on chains and hubs";
   let module Table = Qs_storage.Table in
   let module Span = Qs_util.Span in
   let par_domains = max 2 s.domains in
   let identical = ref true in
-  let cross_layout = Hashtbl.create 16 in
   let shapes =
     [ ("chain", chain_catalog, chain_query); ("hub", hub_catalog, hub_query) ]
   in
@@ -1144,6 +1142,17 @@ let pipeline_sweep s =
       ("one-shot", Qs_core.Static.default);
     ]
   in
+  (* one naive reference per query, from an in-memory row-layout catalog *)
+  let references = Hashtbl.create 8 in
+  let reference shape catalog_of query_of n_rels =
+    match Hashtbl.find_opt references (shape, n_rels) with
+    | Some d -> d
+    | None ->
+        let registry = Qs_stats.Stats_registry.create (catalog_of s n_rels) in
+        let d = naive_digest registry (query_of n_rels) in
+        Hashtbl.replace references (shape, n_rels) d;
+        d
+  in
   let rows_out =
     List.concat_map
       (fun layout ->
@@ -1152,19 +1161,20 @@ let pipeline_sweep s =
             List.concat_map
               (fun (shape, catalog_of, query_of) ->
                 let q = query_of n_rels in
-                (* (layout, storage, strategy, mode) grid; the spilled
-                   cases rebuild the catalog inside the spill scope so
-                   base tables and temps alike live behind the buffer
-                   pool, and the layout scope wraps everything so base
-                   tables and temps share the chunk layout under test *)
-                let case ~spilled ~strat mode =
+                let expected = reference shape catalog_of query_of n_rels in
+                (* (layout, storage, strategy) grid; the spilled cases
+                   rebuild the catalog inside the spill scope so base
+                   tables and temps alike live behind the buffer pool,
+                   and the layout scope wraps everything so base tables
+                   and temps share the chunk layout under test *)
+                let case ~spilled ~strat =
                   let body () =
                     let cat = catalog_of s n_rels in
                     let registry = Qs_stats.Stats_registry.create cat in
                     Qs_util.Pool.with_pool ~domains:par_domains (fun pool ->
                         let spans = Span.create () in
                         let digest, wall, inter, reuses =
-                          engine_run ~pool ~spans ~strat ~mode registry q
+                          strategy_run ~pool ~spans ~strat registry q
                         in
                         ( digest,
                           wall,
@@ -1181,28 +1191,17 @@ let pipeline_sweep s =
                   (fun spilled ->
                     List.map
                       (fun (sname, strat) ->
-                        let d_mat, w_mat, i_mat, _, _, _ =
-                          case ~spilled ~strat Executor.Materialize
+                        let digest, wall, inter, reuses, pipe_t, brk_t =
+                          case ~spilled ~strat
                         in
-                        let d_pipe, w_pipe, i_pipe, reuses, pipe_t, brk_t =
-                          case ~spilled ~strat Executor.Pipeline
-                        in
-                        if d_mat <> d_pipe then identical := false;
-                        (* the same (query, storage, strategy) case must
-                           digest identically under both layouts *)
-                        let key = (n_rels, shape, spilled, sname) in
-                        (match Hashtbl.find_opt cross_layout key with
-                        | None -> Hashtbl.replace cross_layout key d_pipe
-                        | Some d -> if d <> d_pipe then identical := false);
+                        if digest <> expected then identical := false;
                         [
                           Printf.sprintf "%d %s" n_rels shape;
                           Table.layout_name layout;
                           (if spilled then "spilled" else "memory");
                           sname;
-                          Report.seconds w_mat;
-                          Report.seconds w_pipe;
-                          Printf.sprintf "%.2fx" (w_mat /. Float.max 1e-9 w_pipe);
-                          Printf.sprintf "%d/%d" i_mat i_pipe;
+                          Report.seconds wall;
+                          string_of_int inter;
                           string_of_int reuses;
                           Report.seconds pipe_t;
                           Report.seconds brk_t;
@@ -1214,27 +1213,22 @@ let pipeline_sweep s =
       [ Table.Row; Table.Columnar ]
   in
   Report.table
-    ~title:
-      (Printf.sprintf
-         "PK-FK chains and hubs, %d domains (intermediates: \
-          materializing/pipelined)"
-         par_domains)
+    ~title:(Printf.sprintf "PK-FK chains and hubs, %d domains" par_domains)
     ~headers:
-      [ "query"; "layout"; "storage"; "strategy"; "mat"; "pipe"; "speedup";
-        "intermediates"; "part reuse"; "pipe t"; "brk t" ]
+      [ "query"; "layout"; "storage"; "strategy"; "time"; "intermediates";
+        "part reuse"; "pipe t"; "brk t" ]
     rows_out;
   Printf.printf
-    "digests byte-identical across engines and layouts (resident and \
+    "digests equal to naive execution across layouts (resident and \
      spilled): %s\n"
     (if !identical then "yes" else "NO")
 
-(* The deterministic pipelined-execution entry of the metrics dump: one
-   QuerySplit run of a fixed PK-FK chain per engine. Counters only —
+(* The deterministic pipelined-execution entry of the metrics dump:
+   one-shot and QuerySplit runs of fixed PK-FK shapes. Counters only —
    plans, operator shapes and therefore every intermediate-table and
    partition-reuse count are exact for a fixed corpus; no wall-clock
    leaks into the entry. *)
 let pipeline_metrics_entry s =
-  let module Executor = Qs_exec.Executor in
   let module Metrics = Qs_obs.Metrics in
   let n_rels = 8 in
   let cat = chain_catalog s n_rels in
@@ -1243,35 +1237,30 @@ let pipeline_metrics_entry s =
   let frag = Qs_stats.Fragment.of_query registry q in
   let plan = (Optimizer.optimize cat Estimator.default frag).Optimizer.plan in
   (* full-plan execution: one sink instead of one table per join *)
-  let one_shot = Qs_core.Static.default in
-  let d_mat, _, i_mat, _ =
-    engine_run ~strat:one_shot ~mode:Executor.Materialize registry q
-  in
   let d_pipe, _, i_pipe, _ =
-    engine_run ~strat:one_shot ~mode:Executor.Pipeline registry q
+    strategy_run ~strat:Qs_core.Static.default registry q
   in
   (* multi-step QuerySplit over a hub, on a width-2 pool: every step
      re-joins the hub key, so materialized temps keep a reusable
      partition layout *)
   let hub = hub_catalog s n_rels in
   let hub_registry = Qs_stats.Stats_registry.create hub in
-  let d_qs_mat, _, i_qs_mat, _ =
-    engine_run ~mode:Executor.Materialize hub_registry (hub_query n_rels)
-  in
   let d_qs, _, i_qs, reuses =
     Qs_util.Pool.with_pool ~domains:2 (fun pool ->
-        engine_run ~pool ~mode:Executor.Pipeline hub_registry
-          (hub_query n_rels))
+        strategy_run ~pool hub_registry (hub_query n_rels))
   in
   let m = Metrics.create () in
-  Metrics.incr ~by:i_mat m "intermediates_materializing";
   Metrics.incr ~by:i_pipe m "intermediates_pipelined";
-  Metrics.incr ~by:i_qs_mat m "querysplit_intermediates_materializing";
   Metrics.incr ~by:i_qs m "querysplit_intermediates_pipelined";
   Metrics.incr ~by:reuses m "partition_reuses";
   Metrics.incr ~by:(Qs_plan.Physical.n_pipelines plan) m "plan_pipelines";
   Metrics.incr
-    ~by:(if d_mat = d_pipe && d_qs_mat = d_qs then 1 else 0)
+    ~by:
+      (if
+         d_pipe = naive_digest registry q
+         && d_qs = naive_digest hub_registry (hub_query n_rels)
+       then 1
+       else 0)
     m "digests_identical";
   m
 

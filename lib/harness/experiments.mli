@@ -70,8 +70,8 @@ val metrics_json : setup -> string
     end's deterministic counters (see {!serve_sweep}), one ["io"]
     entry with the buffer pool's deterministic fault counters and hit
     rate (see {!io_sweep}), one ["pipeline"] entry with the
-    executor engines' deterministic intermediate-table and
-    partition-reuse counters (see {!pipeline_sweep}), and one
+    executor's deterministic intermediate-table and partition-reuse
+    counters (see {!pipeline_sweep}), and one
     ["telemetry"] entry with the serving flight recorder's
     deterministic counters (see {!telemetry_sweep}), and one
     ["columnar"] entry with the chunk-layout comparison's deterministic
@@ -138,15 +138,14 @@ val dp_sweep : setup -> unit
     slice of the JOB-like workload. *)
 
 val pipeline_sweep : setup -> unit
-(** Beyond the paper: the morsel-driven pipelined executor vs. the
-    fully-materializing one, end to end. QuerySplit runs PK-FK chain
-    joins at 10 and 12 relations under both engines, in memory and
-    fully out-of-core (a 64-frame buffer pool), under both chunk
-    layouts, on a [max 2 domains] pool — reporting wall-clock, the
-    intermediate-table construction counts of each engine,
-    partition-layout reuses across steps, and where the pipelined time
-    went ([pipeline] vs [breaker] spans). Asserts the result digests
-    are byte-identical across engines × layouts × resident/spilled. *)
+(** Beyond the paper: the morsel-driven pipelined executor, end to end.
+    QuerySplit and one-shot execution run PK-FK chain and hub joins at
+    10 and 12 relations, in memory and fully out-of-core (a 64-frame
+    buffer pool), under both chunk layouts, on a [max 2 domains] pool —
+    reporting wall-clock, intermediate-table construction counts,
+    partition-layout reuses across steps, and where the time went
+    ([pipeline] vs [breaker] spans). Asserts every result digest equals
+    naive execution's. *)
 
 val serve_sweep : setup -> unit
 (** Beyond the paper: the concurrent serving front end under load.

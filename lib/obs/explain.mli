@@ -1,17 +1,24 @@
 (** EXPLAIN ANALYZE-style rendering: a physical plan tree annotated per
     node with the optimizer's estimate, the executed actual cardinality
-    and the resulting Q-error, plus (optionally) wall-clock and volume
-    figures from the trace.
+    and the resulting Q-error.
 
-    Without a trace this degrades to plain EXPLAIN (estimates only).
-    [timings:false] suppresses the non-deterministic columns (time,
-    bytes) so output can be compared verbatim in golden tests. *)
+    [stats] is the node id → actual rows table [Qs_exec.Executor.run]
+    returns; without it this degrades to plain EXPLAIN (estimates only).
+    [spans] is the tracer the same run recorded into. With both, each
+    executed node also shows its input volumes (rows [scanned] by a
+    leaf, [built] / [probed] by a hash join, [outer] rows of a
+    nested-loop join, all derived from leaf table sizes and the
+    children's actuals) and the timings the engine measures at pipeline
+    granularity: [pipeline=] on the root (the whole run) and [breaker=]
+    on joins that buffer an input. Fused operators have no time of their
+    own. Without [spans] the output is deterministic, for golden tests. *)
 
-val render : ?trace:Trace.t -> ?timings:bool -> Qs_plan.Physical.t -> string
-(** [timings] defaults to [true]. *)
+val render :
+  ?stats:(int, int) Hashtbl.t -> ?spans:Qs_util.Span.t -> Qs_plan.Physical.t -> string
 
-val summary : trace:Trace.t -> Qs_plan.Physical.t -> string
-(** One line: node count, max and mean Q-error over the plan's nodes,
-    and the fraction of nodes whose cardinality was {e under}estimated
-    (the dangerous direction, per {!Qerror.underestimated}) — the
-    headline a workload report aggregates. *)
+val summary : stats:(int, int) Hashtbl.t -> Qs_plan.Physical.t -> string
+(** One line: node count, max and mean Q-error over the plan's executed
+    nodes, and the fraction of nodes whose cardinality was
+    {e under}estimated (the dangerous direction, per
+    {!Qerror.underestimated}) — the headline a workload report
+    aggregates. *)

@@ -32,7 +32,7 @@ let busy_time spans =
   ignore last_end;
   total
 
-let summary ?(timings = true) ?trace t =
+let summary ?(timings = true) t =
   let spans = Span.spans t in
   let buf = Buffer.create 1024 in
   (* per-category breakdown *)
@@ -191,27 +191,4 @@ let summary ?(timings = true) ?trace t =
              (if timings then " (" ^ ms s.Span.dur ^ ")" else "")))
       steps
   end;
-  (* operator self-times from the executor trace *)
-  (match trace with
-  | Some tr when timings && Trace.size tr > 0 ->
-      let nodes = ref [] in
-      Trace.iter tr (fun n -> nodes := n :: !nodes);
-      let by_self =
-        List.sort
-          (fun (a : Trace.node) b ->
-            match Float.compare (Trace.self_time tr b) (Trace.self_time tr a) with
-            | 0 -> Int.compare a.Trace.id b.Trace.id
-            | c -> c)
-          !nodes
-      in
-      let top = List.filteri (fun i _ -> i < 8) by_self in
-      Buffer.add_string buf "operator self-times (top 8):\n";
-      List.iter
-        (fun (n : Trace.node) ->
-          Buffer.add_string buf
-            (Printf.sprintf "  node %-4d self=%s total=%s actual=%d\n" n.Trace.id
-               (ms (Trace.self_time tr n))
-               (ms n.Trace.elapsed) n.Trace.actual_rows))
-        top
-  | _ -> ());
   Buffer.contents buf

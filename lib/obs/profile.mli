@@ -5,13 +5,11 @@
     for spans carrying those counters), the DP-memo hit rate (from
     [dp-memo] markers), the re-optimization journal (one line per
     [reopt-step] span: selected subquery, score, est vs. actual rows,
-    whether the remaining plan was replanned), and — when an executor
-    {!Trace} is supplied — the top operator self-times via
-    {!Trace.self_time}.
+    whether the remaining plan was replanned).
 
     [timings:false] suppresses every wall-clock figure (durations,
-    utilization, percentiles, self-times), leaving output that is a pure
+    utilization, percentiles), leaving output that is a pure
     function of the recorded span sequence — golden-testable. *)
 
-val summary : ?timings:bool -> ?trace:Trace.t -> Qs_util.Span.t -> string
+val summary : ?timings:bool -> Qs_util.Span.t -> string
 (** [timings] defaults to [true]. *)

@@ -77,7 +77,7 @@ val join_leaf_sets : t -> string list list
 
 val nodes : t -> t list
 (** Every node of the tree (pre-order), scans included — the id universe
-    an execution trace must cover. *)
+    the executor's per-node stats must cover. *)
 
 val method_name : join_method -> string
 

@@ -154,9 +154,30 @@ let equal_pred a b = compare_pred a b = 0
 
 let arith_symbol = function Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
 
+(* Constants print as SQL literals: a string is single-quoted with
+   embedded quotes doubled, so a printed predicate parses back and
+   [x = '1'] never prints like [x = 1]. *)
+let quote s = "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
+
+(* A float prints with the fewest digits (15 to 17) that read back to
+   the same value, so two constants never share their text; an integral
+   one keeps a [.0] so it reads back as a float. *)
+let float_literal f =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || float_of_string s = f then s else go (p + 1)
+  in
+  let s = go 15 in
+  if Float.is_integer f && not (String.contains s 'e') then s ^ ".0" else s
+
+let literal = function
+  | Value.Str s -> quote s
+  | Value.Float f -> float_literal f
+  | v -> Value.to_string v
+
 let rec scalar_to_string = function
   | Col { rel; name } -> rel ^ "." ^ name
-  | Const v -> Value.to_string v
+  | Const v -> literal v
   | Arith (op, a, b) ->
       Printf.sprintf "(%s %s %s)" (scalar_to_string a) (arith_symbol op)
         (scalar_to_string b)
@@ -168,12 +189,12 @@ let rec to_string = function
   | Cmp (op, a, b) ->
       Printf.sprintf "%s %s %s" (scalar_to_string a) (cmp_symbol op) (scalar_to_string b)
   | Between (s, lo, hi) ->
-      Printf.sprintf "%s BETWEEN %s AND %s" (scalar_to_string s) (Value.to_string lo)
-        (Value.to_string hi)
+      Printf.sprintf "%s BETWEEN %s AND %s" (scalar_to_string s) (literal lo)
+        (literal hi)
   | In_list (s, vs) ->
       Printf.sprintf "%s IN (%s)" (scalar_to_string s)
-        (String.concat ", " (List.map Value.to_string vs))
-  | Like (s, pat) -> Printf.sprintf "%s LIKE '%s'" (scalar_to_string s) pat
+        (String.concat ", " (List.map literal vs))
+  | Like (s, pat) -> Printf.sprintf "%s LIKE %s" (scalar_to_string s) (quote pat)
   | Is_null s -> scalar_to_string s ^ " IS NULL"
   | Not_null s -> scalar_to_string s ^ " IS NOT NULL"
   | Or ps -> "(" ^ String.concat " OR " (List.map to_string ps) ^ ")"

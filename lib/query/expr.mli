@@ -77,5 +77,13 @@ val compare_pred : pred -> pred -> int
 val equal_pred : pred -> pred -> bool
 
 val to_string : pred -> string
+(** SQL text of the predicate. Constants print as SQL literals — string
+    constants, [BETWEEN] / [IN] bounds and [LIKE] patterns single-quoted
+    with [''] escaping, floats with enough digits to read back exactly —
+    so the text parses back with [Sql.parse], [x = '1'] never prints like
+    [x = 1] and two distinct float constants never share their text.
+    Fragment keys, filter-cache keys and plan-cache keys are built from
+    it. *)
+
 val pp : Format.formatter -> pred -> unit
 val scalar_to_string : scalar -> string

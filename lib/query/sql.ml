@@ -86,8 +86,23 @@ let lex input =
         if input.[!i] = '.' then saw_dot := true;
         incr i
       done;
+      let is_digit j = j < n && input.[j] >= '0' && input.[j] <= '9' in
+      (* exponent, as in 1e-07 *)
+      let saw_exp =
+        !i < n
+        && (input.[!i] = 'e' || input.[!i] = 'E')
+        && (is_digit (!i + 1)
+           || (!i + 1 < n && (input.[!i + 1] = '-' || input.[!i + 1] = '+')
+              && is_digit (!i + 2)))
+      in
+      if saw_exp then begin
+        i := !i + 2;
+        while is_digit !i do
+          incr i
+        done
+      end;
       let text = String.sub input start (!i - start) in
-      if !saw_dot then emit (Float_lit (float_of_string text))
+      if !saw_dot || saw_exp then emit (Float_lit (float_of_string text))
       else emit (Int_lit (int_of_string text))
     end
     else if is_ident_char c then begin

@@ -25,7 +25,11 @@ type category =
           vs. observed cardinality and whether the remaining plan
           changed *)
   | Execute  (** one query (or SPJ block) execution *)
-  | Operator  (** one plan operator, bridged from {!Qs_obs.Trace} *)
+  | Operator
+      (** a zero-duration marker per executed plan node, carrying its
+          node id and est/actual rows; operator time lives in the
+          {!Pipeline} and {!Breaker} spans, since fused operators have
+          no time of their own *)
   | Pool_task  (** a pool job running on a worker domain *)
   | Pool_wait  (** time a pool job spent queued before running *)
   | Analyze  (** statistics collection on materialized temps *)

@@ -172,3 +172,47 @@ let canonical_rows (t : Table.t) =
   |> List.sort compare
 
 let tables_equal a b = canonical_rows a = canonical_rows b
+
+(* Reference per-node cardinalities of a plan, from naive execution: each
+   scan and join node produces the rows of the sub-fragment over its
+   leaves. The inner scan of an index nested-loop join is consumed
+   through the index and counts matched (outer, inner) pairs, so its
+   reference is the outer sub-fragment joined with the inner input on
+   the indexed equality alone. *)
+let naive_node_rows frag plan =
+  let module Physical = Qs_plan.Physical in
+  let module Fragment = Qs_stats.Fragment in
+  let cache = Qs_exec.Naive.make_cache () in
+  let count f = Qs_exec.Naive.count ~cache f in
+  let sub (p : Physical.t) = Fragment.restrict frag (Physical.leaves p) in
+  let rec go acc (p : Physical.t) =
+    let acc = (p.Physical.id, count (sub p)) :: acc in
+    match p.Physical.node with
+    | Physical.Scan _ -> acc
+    | Physical.Join j -> (
+        let acc = go acc j.Physical.left in
+        match j.Physical.index with
+        | Some (_, outer_key, inner_key) ->
+            let indexed = Expr.eq (Expr.Col outer_key) (Expr.Col inner_key) in
+            let pairs =
+              {
+                (sub p) with
+                Fragment.preds = indexed :: (sub j.Physical.left).Fragment.preds;
+              }
+            in
+            (j.Physical.right.Physical.id, count pairs) :: acc
+        | None -> go acc j.Physical.right)
+  in
+  List.rev (go [] plan)
+
+(* every node's executed cardinality equals its naive reference *)
+let check_node_rows ~what frag plan (stats : (int, int) Hashtbl.t) =
+  List.iter
+    (fun (id, expected) ->
+      match Hashtbl.find_opt stats id with
+      | Some got when got = expected -> ()
+      | got ->
+          Alcotest.failf "%s: node %d has %s rows, naive has %d" what id
+            (Option.fold ~none:"no" ~some:string_of_int got)
+            expected)
+    (naive_node_rows frag plan)

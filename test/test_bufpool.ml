@@ -381,7 +381,7 @@ let pipelined_unwind_releases_pins layout =
           (* a deadline already in the past fires at the first poll *)
           (try
              ignore
-               (Executor.run ~mode:Executor.Pipeline
+               (Executor.run
                   ~deadline:(Timer.now () -. 1.0)
                   plan);
              Alcotest.fail "expired deadline did not fire"
@@ -389,7 +389,7 @@ let pipelined_unwind_releases_pins layout =
           Alcotest.(check int) "no pins after timeout" 0 (Buffer_pool.pinned bp);
           (* a tiny row limit fires mid-probe, with build and probe frames live *)
           (try
-             ignore (Executor.run ~mode:Executor.Pipeline ~row_limit:5 plan);
+             ignore (Executor.run ~row_limit:5 plan);
              Alcotest.fail "row limit did not fire"
            with Executor.Timeout -> ());
           Alcotest.(check int) "no pins after row limit" 0 (Buffer_pool.pinned bp);
@@ -397,12 +397,12 @@ let pipelined_unwind_releases_pins layout =
           let tok = Qs_util.Cancel.create () in
           Qs_util.Cancel.cancel tok;
           (try
-             ignore (Executor.run ~mode:Executor.Pipeline ~cancel:tok plan);
+             ignore (Executor.run ~cancel:tok plan);
              Alcotest.fail "cancellation did not fire"
            with Qs_util.Cancel.Cancelled -> ());
           Alcotest.(check int) "no pins after cancel" 0 (Buffer_pool.pinned bp);
           (* the pool is not poisoned: the same plan still completes *)
-          let tbl, _ = Executor.run ~mode:Executor.Pipeline plan in
+          let tbl, _ = Executor.run plan in
           Alcotest.(check bool) "rerun returns rows" true (Table.n_rows tbl > 0);
           Alcotest.(check int) "no pins after rerun" 0 (Buffer_pool.pinned bp)))
 
@@ -447,7 +447,7 @@ let max_result_rows = 60_000
    skipped), computed once per run of this file. *)
 let reference = ref None
 
-let corpus_digests ?mode () =
+let corpus_digests ?(against_naive = false) () =
   let cat = Fixtures.shop_catalog ~n_orders:400 () in
   let registry = Qs_stats.Stats_registry.create cat in
   let ctx = Strategy.make_ctx registry Estimator.default in
@@ -464,8 +464,10 @@ let corpus_digests ?mode () =
       else begin
         let frag = Strategy.fragment_of_query ctx q in
         let plan = (Optimizer.optimize cat Estimator.default frag).Optimizer.plan in
-        let tbl, _ = Executor.run ?mode plan in
+        let tbl, _ = Executor.run plan in
         let out = Executor.project ~name:q.Query.name tbl q.Query.output in
+        if against_naive && not (Fixtures.tables_equal (Naive.rows frag) out) then
+          Alcotest.failf "%s: pipelined result diverges from naive" q.Query.name;
         Some (q.Query.name, Table.digest out)
       end)
     queries
@@ -488,13 +490,14 @@ let compare_against_reference ~what got =
       if da <> db then Alcotest.failf "%s: %s digest differs" qa what)
     expected got
 
-let check_out_of_core_corpus ?mode ?(layout = Table.Row) ~capacity ?io_pool () =
+let check_out_of_core_corpus ?against_naive ?(layout = Table.Row) ~capacity
+    ?io_pool () =
   ignore (in_memory_reference ());
   let got =
     with_layout layout (fun () ->
         with_chunk_rows 64 (fun () ->
             with_spill ~capacity ?io_pool (fun bp ->
-                let digests = corpus_digests ?mode () in
+                let digests = corpus_digests ?against_naive () in
                 let s = Buffer_pool.stats bp in
                 Alcotest.(check bool) "corpus faulted" true (s.Buffer_pool.misses > 0);
                 Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp);
@@ -512,40 +515,27 @@ let test_corpus_width_4_prefetch () =
   Pool.with_pool ~domains:2 (fun io ->
       check_out_of_core_corpus ~capacity:4 ~io_pool:io ())
 
-(* the cross-engine differential, fully out-of-core: the materializing
-   engine at pool widths 1 and 4 must reproduce the pipelined in-memory
-   reference digests query for query *)
-let test_corpus_materialize_width_1 () =
-  check_out_of_core_corpus ~mode:Executor.Materialize ~capacity:1 ()
-
-let test_corpus_materialize_width_4 () =
-  Pool.with_pool ~domains:2 (fun io ->
-      check_out_of_core_corpus ~mode:Executor.Materialize ~capacity:4 ~io_pool:io ())
-
 (* the cross-layout differential: the whole corpus under the columnar
    layout — vectorized scans, batch join key decodes, columnar
    aggregation — must reproduce the row-layout reference digests query
-   for query, resident under both engines and fully out-of-core at pool
-   widths 1 (pipelined) and 4 (materializing, with prefetch) *)
+   for query, resident and fully out-of-core at pool widths 1 and 4
+   (with an I/O pool prefetching). The width-4 run is also cross-engine:
+   each query's result must equal the naive executor's, run over the same
+   spilled columnar tables. *)
 let test_corpus_columnar_resident () =
   ignore (in_memory_reference ());
-  List.iter
-    (fun (mode, mname) ->
-      let got =
-        with_layout Table.Columnar (fun () ->
-            with_chunk_rows 64 (fun () -> corpus_digests ?mode ()))
-      in
-      compare_against_reference
-        ~what:(Printf.sprintf "columnar resident (%s)" mname)
-        got)
-    [ (None, "pipelined"); (Some Executor.Materialize, "materializing") ]
+  let got =
+    with_layout Table.Columnar (fun () ->
+        with_chunk_rows 64 (fun () -> corpus_digests ()))
+  in
+  compare_against_reference ~what:"columnar resident" got
 
 let test_corpus_columnar_width_1 () =
   check_out_of_core_corpus ~layout:Table.Columnar ~capacity:1 ()
 
-let test_corpus_columnar_materialize_width_4 () =
+let test_corpus_columnar_cross_engine_width_4 () =
   Pool.with_pool ~domains:2 (fun io ->
-      check_out_of_core_corpus ~mode:Executor.Materialize ~layout:Table.Columnar
+      check_out_of_core_corpus ~against_naive:true ~layout:Table.Columnar
         ~capacity:4 ~io_pool:io ())
 
 (* --- Plan_cache: raising planner shared across two sessions ------------ *)
@@ -608,16 +598,12 @@ let suite =
     Alcotest.test_case "200-query corpus out-of-core, width 1" `Slow test_corpus_width_1;
     Alcotest.test_case "200-query corpus out-of-core, width 4 + prefetch" `Slow
       test_corpus_width_4_prefetch;
-    Alcotest.test_case "200-query corpus cross-engine out-of-core, width 1" `Slow
-      test_corpus_materialize_width_1;
-    Alcotest.test_case "200-query corpus cross-engine out-of-core, width 4" `Slow
-      test_corpus_materialize_width_4;
-    Alcotest.test_case "200-query corpus columnar resident, both engines" `Slow
+    Alcotest.test_case "200-query corpus columnar resident, 64-row chunks" `Slow
       test_corpus_columnar_resident;
     Alcotest.test_case "200-query corpus columnar out-of-core, width 1" `Slow
       test_corpus_columnar_width_1;
     Alcotest.test_case "200-query corpus columnar cross-engine, width 4" `Slow
-      test_corpus_columnar_materialize_width_4;
+      test_corpus_columnar_cross_engine_width_4;
     Alcotest.test_case "plan cache: raising planner, two sessions" `Quick
       test_plan_cache_raising_planner;
   ]

@@ -170,13 +170,12 @@ let test_parallel_join_corpus () =
           end)
         queries)
 
-(* --- the two execution engines ----------------------------------------- *)
+(* --- per-node cardinalities against naive execution ------------------ *)
 
-(* The morsel-driven pipelined engine against the materializing
-   reference over the whole corpus: identical result multisets and
-   identical per-node cardinalities, sequential and with a
-   partitioned-parallel pool. *)
-let test_engine_parity_corpus () =
+(* The morsel-driven engine over the whole corpus, sequential and with a
+   partitioned-parallel pool: the result multiset equals naive
+   execution's, and so does every plan node's cardinality. *)
+let test_node_cardinalities_corpus () =
   let cat, ctx = Fixtures.shop_ctx ~n_orders:400 () in
   let queries = Fuzz.queries cat ~seed:20230617 ~n:200 () in
   Pool.with_pool ~domains:4 (fun pool ->
@@ -187,30 +186,26 @@ let test_engine_parity_corpus () =
             let plan =
               (Optimizer.optimize cat Estimator.default frag).Optimizer.plan
             in
-            let mat, mstats = Executor.run ~mode:Executor.Materialize plan in
-            let pipe, pstats = Executor.run ~mode:Executor.Pipeline plan in
-            if not (Fixtures.tables_equal mat pipe) then
-              Alcotest.failf "%s: pipelined engine diverges (%d vs %d rows)"
-                q.Query.name (Table.n_rows mat) (Table.n_rows pipe);
-            let par, _ = Executor.run ~mode:Executor.Pipeline ~pool plan in
-            if not (Fixtures.tables_equal mat par) then
-              Alcotest.failf "%s: parallel pipelined engine diverges (%d vs %d rows)"
-                q.Query.name (Table.n_rows mat) (Table.n_rows par);
-            Hashtbl.iter
-              (fun id rows ->
-                Alcotest.(check int)
-                  (Printf.sprintf "%s: node %d cardinality" q.Query.name id)
-                  rows
-                  (Option.value (Hashtbl.find_opt pstats id) ~default:(-1)))
-              mstats
+            let expected = Naive.rows frag in
+            List.iter
+              (fun (label, pool) ->
+                let table, stats = Executor.run ?pool plan in
+                let got = Executor.project ~name:q.Query.name table q.Query.output in
+                if not (Fixtures.tables_equal expected got) then
+                  Alcotest.failf "%s: %s run diverges from naive (%d vs %d rows)"
+                    q.Query.name label (Table.n_rows expected) (Table.n_rows got);
+                Fixtures.check_node_rows
+                  ~what:(q.Query.name ^ " " ^ label)
+                  frag plan stats)
+              [ ("sequential", None); ("parallel", Some pool) ]
           end)
         queries)
 
-(* ?row_limit semantics on the pipelined path, with limit AND a parallel
-   partitioned join AND spilled tables at once: any join producing more
-   than [limit] rows must trip {!Executor.Timeout} in both engines, a
-   limit no operator reaches must trip in neither, and the surviving
-   runs must agree — with every pin released on the Timeout unwinds. *)
+(* ?row_limit semantics with limit AND a parallel partitioned join AND
+   spilled tables at once: any join producing more than [limit] rows
+   must trip {!Executor.Timeout}, a limit no operator reaches must not
+   trip, and the surviving run must agree with naive execution — with
+   every pin released on the Timeout unwinds. *)
 let test_limit_parallel_spill () =
   let saved = Table.default_chunk_rows () in
   Table.set_default_chunk_rows 32;
@@ -242,43 +237,40 @@ let test_limit_parallel_spill () =
                     let plan =
                       (Optimizer.optimize cat Estimator.default frag).Optimizer.plan
                     in
-                    let mat, stats =
-                      Executor.run ~mode:Executor.Materialize plan
-                    in
                     (* an explicit limit far above any operator output:
-                       the pipelined parallel run over spilled tables
-                       must not trip it *)
+                       the parallel run over spilled tables must not
+                       trip it *)
                     let relaxed, _ =
-                      Executor.run ~mode:Executor.Pipeline ~pool
-                        ~row_limit:Executor.default_row_limit plan
+                      Executor.run ~pool ~row_limit:Executor.default_row_limit
+                        plan
                     in
-                    if not (Fixtures.tables_equal mat relaxed) then
-                      Alcotest.failf "%s: pipelined diverges under a slack limit"
+                    let got =
+                      Executor.project ~name:q.Query.name relaxed q.Query.output
+                    in
+                    if not (Fixtures.tables_equal (Naive.rows frag) got) then
+                      Alcotest.failf "%s: diverges from naive under a slack limit"
                         q.Query.name;
-                    (* a limit strictly below some join's output: more
-                       than [limit] rows survive that join in any
-                       evaluation order, so both engines must raise *)
+                    (* a limit strictly below some join's naive output:
+                       more than [limit] rows survive that join in any
+                       evaluation order, so the run must raise *)
+                    let naive_rows = Fixtures.naive_node_rows frag plan in
                     let join_max =
                       List.fold_left
                         (fun m (n : Qs_plan.Physical.t) ->
                           match n.Qs_plan.Physical.node with
                           | Qs_plan.Physical.Join _ ->
-                              max m (Hashtbl.find stats n.Qs_plan.Physical.id)
+                              max m (List.assoc n.Qs_plan.Physical.id naive_rows)
                           | Qs_plan.Physical.Scan _ -> m)
                         0
                         (Qs_plan.Physical.nodes plan)
                     in
                     if join_max > 1 then begin
                       incr tripped;
-                      let expect_timeout label mode =
-                        match
-                          Executor.run ~mode ~pool ~row_limit:(join_max - 1) plan
-                        with
-                        | _ -> Alcotest.failf "%s: %s ignored the limit" q.Query.name label
-                        | exception Executor.Timeout -> ()
-                      in
-                      expect_timeout "materializing" Executor.Materialize;
-                      expect_timeout "pipelined" Executor.Pipeline;
+                      (match
+                         Executor.run ~pool ~row_limit:(join_max - 1) plan
+                       with
+                      | _ -> Alcotest.failf "%s: the run ignored the limit" q.Query.name
+                      | exception Executor.Timeout -> ());
                       Alcotest.(check int)
                         (q.Query.name ^ ": no pins leaked by limit unwind")
                         0
@@ -290,7 +282,7 @@ let test_limit_parallel_spill () =
             (!tripped > 5)))
 
 (* Tracing must be observation-only: running the corpus with a span
-   tracer (and an execution trace) attached yields result digests
+   tracer attached yields result digests
    byte-identical to the untraced run, for both the plain executor and
    the full QuerySplit loop. *)
 let test_traced_corpus_observation_only () =
@@ -305,8 +297,7 @@ let test_traced_corpus_observation_only () =
       if Naive.count frag <= max_result_rows then begin
         let plan = (Optimizer.optimize cat Estimator.default frag).Optimizer.plan in
         let plain, _ = Executor.run plan in
-        let trace = Qs_obs.Trace.create () in
-        let traced, _ = Executor.run ~trace ~spans:tracer plan in
+        let traced, _ = Executor.run ~spans:tracer plan in
         if Runner.result_digest plain <> Runner.result_digest traced then
           Alcotest.failf "%s: executor digest changes under tracing" q.Query.name;
         let a = (qs.Strategy.run ctx q).Strategy.result in
@@ -416,8 +407,8 @@ let suite =
       test_parallel_harness_corpus;
     Alcotest.test_case "parallel hash join over fuzz corpus" `Slow
       test_parallel_join_corpus;
-    Alcotest.test_case "engine parity: pipelined = materializing" `Slow
-      test_engine_parity_corpus;
+    Alcotest.test_case "node cardinalities = naive" `Slow
+      test_node_cardinalities_corpus;
     Alcotest.test_case "row limit: limit x parallel join x spill" `Slow
       test_limit_parallel_spill;
     Alcotest.test_case "traced corpus digests = untraced" `Slow

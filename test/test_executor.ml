@@ -44,20 +44,12 @@ let test_hash_join_basics () =
   (* x=2 matches twice on each side: 2*2 = 4 rows; nulls never join *)
   Alcotest.(check int) "4 rows" 4 (Table.n_rows out)
 
-let test_hash_join_count_matches () =
-  let a, b = mini_tables () in
-  let p = Expr.eq (Expr.col "a" "x") (Expr.col "b" "y") in
-  Alcotest.(check int) "count = materialized" 4
-    (Executor.hash_join_count ~build:a ~probe:b [ p ])
-
 let test_hash_join_residual () =
   let a, b = mini_tables () in
   let p = Expr.eq (Expr.col "a" "x") (Expr.col "b" "y") in
   let res = Expr.Cmp (Expr.Gt, Expr.col "b" "v", Expr.vint 10) in
   let out = Executor.hash_join ~build:a ~probe:b [ p; res ] in
-  Alcotest.(check int) "residual filters" 2 (Table.n_rows out);
-  Alcotest.(check int) "count agrees" 2
-    (Executor.hash_join_count ~build:a ~probe:b [ p; res ])
+  Alcotest.(check int) "residual filters" 2 (Table.n_rows out)
 
 let test_nulls_never_join () =
   let a, b = mini_tables () in
@@ -295,6 +287,13 @@ let test_filter_cache_keyed_by_predicates () =
 
 (* --- partitioned parallel hash join ------------------------------------ *)
 
+let hash_plan preds =
+  let a, b = mini_tables () in
+  Physical.join ~method_:Physical.Hash ()
+    ~left:(Physical.scan (fragment_input a) ~est_rows:4.0 ~est_cost:4.0)
+    ~right:(Physical.scan (fragment_input b) ~est_rows:4.0 ~est_cost:4.0)
+    ~preds ~est_rows:4.0 ~est_cost:20.0
+
 let test_parallel_hash_join_matches () =
   let a, b = mini_tables () in
   let p = Expr.eq (Expr.col "a" "x") (Expr.col "b" "y") in
@@ -303,8 +302,11 @@ let test_parallel_hash_join_matches () =
       List.iter
         (fun preds ->
           let seq = Executor.hash_join ~build:a ~probe:b preds in
-          let par = Executor.hash_join ~pool ~build:a ~probe:b preds in
-          Alcotest.(check bool) "same multiset" true (Fixtures.tables_equal seq par))
+          let plan = hash_plan preds in
+          let par, stats = Executor.run ~pool plan in
+          Alcotest.(check bool) "same multiset" true (Fixtures.tables_equal seq par);
+          Alcotest.(check (option int)) "root stats" (Some (Table.n_rows seq))
+            (Hashtbl.find_opt stats plan.Physical.id))
         [ [ p ]; [ p; res ] ])
 
 let test_parallel_hash_join_limit () =
@@ -316,11 +318,17 @@ let test_parallel_hash_join_limit () =
       (Array.init 2000 (fun _ -> [| Value.Int 1 |]))
   in
   let big2 = Table.rename big "d" in
-  let p = Expr.eq (Expr.col "c" "k") (Expr.col "d" "k") in
+  let plan =
+    Physical.join ~method_:Physical.Hash ()
+      ~left:(Physical.scan (fragment_input big) ~est_rows:2000.0 ~est_cost:1.0)
+      ~right:(Physical.scan (fragment_input big2) ~est_rows:2000.0 ~est_cost:1.0)
+      ~preds:[ Expr.eq (Expr.col "c" "k") (Expr.col "d" "k") ]
+      ~est_rows:1.0 ~est_cost:1.0
+  in
   Qs_util.Pool.with_pool ~domains:2 (fun pool ->
       Alcotest.(check bool) "timeout raised" true
         (try
-           ignore (Executor.hash_join ~limit:10_000 ~pool ~build:big ~probe:big2 [ p ]);
+           ignore (Executor.run ~row_limit:10_000 ~pool plan);
            false
          with Executor.Timeout -> true))
 
@@ -337,24 +345,17 @@ let test_run_with_pool_matches () =
 (* --- morsel-driven engine: intermediates and partition reuse ----------- *)
 
 let test_pipelined_intermediates_counter () =
-  (* the 4-way shop join, executed as one plan: the materializing engine
-     builds a table per operator output, the pipelined engine only its
-     sink *)
+  (* the 4-way shop join, executed as one plan: the pipelined engine
+     materializes only its sink, never an operator output *)
   let cat, ctx = Fixtures.shop_ctx ~n_orders:400 () in
   let frag = Strategy.fragment_of_query ctx (Fixtures.shop_query ()) in
   let res = Optimizer.optimize ~allowed:[ Physical.Hash ] cat Estimator.default frag in
-  let count mode =
-    Executor.reset_counters ();
-    let tbl, _ = Executor.run ~mode res.Optimizer.plan in
-    (Executor.intermediate_tables (), tbl)
-  in
-  let mats, mat_tbl = count Executor.Materialize in
-  let pipes, pipe_tbl = count Executor.Pipeline in
-  Alcotest.(check bool) "same multiset" true (Fixtures.tables_equal mat_tbl pipe_tbl);
-  Alcotest.(check int) "pipelined materializes only the sink" 1 pipes;
-  Alcotest.(check bool)
-    (Printf.sprintf "materializing builds more (%d)" mats)
-    true (mats > pipes)
+  Executor.reset_counters ();
+  let tbl, _ = Executor.run res.Optimizer.plan in
+  Alcotest.(check int) "pipelined materializes only the sink" 1
+    (Executor.intermediate_tables ());
+  Alcotest.(check int) "sink holds the naive result" (Naive.count frag)
+    (Table.n_rows tbl)
 
 let test_partition_reuse_across_steps () =
   (* products.id is a hub: orders and reviews both join it. QuerySplit
@@ -392,7 +393,6 @@ let test_naive_count_matches_rows () =
 let suite =
   [
     Alcotest.test_case "hash join basics" `Quick test_hash_join_basics;
-    Alcotest.test_case "hash join count" `Quick test_hash_join_count_matches;
     Alcotest.test_case "hash join residual" `Quick test_hash_join_residual;
     Alcotest.test_case "nulls never join" `Quick test_nulls_never_join;
     Alcotest.test_case "filter input" `Quick test_filter_input;

@@ -1,11 +1,11 @@
 (* The observability layer: Q-error conventions, histogram quantiles
-   against a sorted-array reference, trace capture, metrics JSON, and a
-   golden EXPLAIN ANALYZE rendering. *)
+   against a sorted-array reference, metrics JSON, and EXPLAIN ANALYZE
+   rendered from an executed run's stats and spans (golden included). *)
 
 module Qerror = Qs_obs.Qerror
 module Histogram = Qs_obs.Histogram
 module Metrics = Qs_obs.Metrics
-module Trace = Qs_obs.Trace
+module Span = Qs_util.Span
 module Explain = Qs_obs.Explain
 module Catalog = Qs_storage.Catalog
 module Table = Qs_storage.Table
@@ -178,56 +178,82 @@ let test_metrics_merge () =
   (* src registries are untouched *)
   Alcotest.(check int) "src unchanged" 1 (Metrics.counter (List.hd parts) "runs")
 
-(* --- trace + explain -------------------------------------------------- *)
+(* --- EXPLAIN ANALYZE from stats + spans ---------------------------- *)
 
-let traced_shop_plan () =
+let explained_shop_plan ?allowed () =
   let cat, ctx = Fixtures.shop_ctx ~n_orders:600 () in
   let q = Fixtures.shop_query () in
   let frag = Strategy.fragment_of_query ctx q in
-  let plan = (Optimizer.optimize cat Estimator.default frag).Optimizer.plan in
-  let trace = Trace.create () in
-  let table, stats = Executor.run ~trace plan in
-  (plan, trace, table, stats)
+  let plan = (Optimizer.optimize ?allowed cat Estimator.default frag).Optimizer.plan in
+  let spans = Span.create () in
+  let table, stats = Executor.run ~spans plan in
+  (frag, plan, spans, table, stats)
+
+(* plan nodes in rendering order: node, then left, then right subtree *)
+let rec preorder (p : Physical.t) =
+  p
+  ::
+  (match p.Physical.node with
+  | Physical.Scan _ -> []
+  | Physical.Join j -> preorder j.Physical.left @ preorder j.Physical.right)
+
+(* one rendered line per plan node, paired with its node *)
+let rendered_lines ?spans stats plan =
+  let lines =
+    String.split_on_char '\n' (Explain.render ~stats ?spans plan)
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check int) "one line per node" (List.length (Physical.nodes plan))
+    (List.length lines);
+  List.combine (preorder plan) lines
 
 let test_trace_covers_all_nodes () =
-  let plan, trace, _, stats = traced_shop_plan () in
+  let frag, plan, _, _, stats = explained_shop_plan () in
+  Fixtures.check_node_rows ~what:"shop plan" frag plan stats;
   List.iter
-    (fun (n : Physical.t) ->
-      (match Trace.find trace n.Physical.id with
-      | None -> Alcotest.failf "node %d missing from trace" n.Physical.id
-      | Some tn ->
-          Alcotest.(check int)
-            (Printf.sprintf "trace/stats agree on node %d" n.Physical.id)
-            (Hashtbl.find stats n.Physical.id)
-            tn.Trace.actual_rows;
-          feq
-            (Printf.sprintf "estimate recorded for node %d" n.Physical.id)
-            n.Physical.est_rows tn.Trace.est_rows);
-      ())
-    (Physical.nodes plan);
-  Alcotest.(check int) "trace size = plan size"
-    (List.length (Physical.nodes plan))
-    (Trace.size trace)
+    (fun ((n : Physical.t), line) ->
+      let expected =
+        Printf.sprintf "(est=%.0f actual=%d " n.Physical.est_rows
+          (Hashtbl.find stats n.Physical.id)
+      in
+      if not (Str_helpers.contains line expected) then
+        Alcotest.failf "node %d renders %S, expected %S" n.Physical.id line expected)
+    (rendered_lines stats plan)
 
 let test_trace_volumes () =
-  let plan, trace, table, _ = traced_shop_plan () in
-  let root = Option.get (Trace.find trace plan.Physical.id) in
-  Alcotest.(check int) "root actual = result rows" (Table.n_rows table)
-    root.Trace.actual_rows;
-  Alcotest.(check bool) "root produced bytes" true (root.Trace.output_bytes > 0);
-  (* every leaf scanned at least as many rows as it output *)
+  let _, plan, spans, table, stats = explained_shop_plan () in
+  Alcotest.(check (option int)) "root actual = result rows" (Some (Table.n_rows table))
+    (Hashtbl.find_opt stats plan.Physical.id);
+  let actual (p : Physical.t) = Hashtbl.find stats p.Physical.id in
+  let index_inners =
+    List.filter_map
+      (fun (p : Physical.t) ->
+        match p.Physical.node with
+        | Physical.Join { method_ = Physical.Index_nl; right; _ } ->
+            Some right.Physical.id
+        | _ -> None)
+      (Physical.nodes plan)
+  in
   List.iter
-    (fun (n : Physical.t) ->
-      match (n.Physical.node, Trace.find trace n.Physical.id) with
-      | Physical.Scan _, Some tn ->
-          Alcotest.(check bool)
-            (Printf.sprintf "scan %d: scanned >= actual" n.Physical.id)
-            true
-            (tn.Trace.rows_scanned >= tn.Trace.actual_rows)
-      | _ -> ())
-    (Physical.nodes plan);
-  Alcotest.(check bool) "total bytes positive" true
-    (Trace.total_output_bytes trace > 0)
+    (fun ((n : Physical.t), line) ->
+      let volume =
+        match n.Physical.node with
+        | Physical.Scan i ->
+            let scanned = Table.n_rows i.Qs_stats.Fragment.table in
+            (* an ordinary scan outputs at most what it read; an
+               index-NL inner counts matched pairs instead *)
+            if not (List.mem n.Physical.id index_inners) then
+              Alcotest.(check bool)
+                (Printf.sprintf "scan %d: scanned >= actual" n.Physical.id)
+                true (scanned >= actual n);
+            Printf.sprintf " scanned=%d" scanned
+        | Physical.Join { method_ = Physical.Hash; left; right; _ } ->
+            Printf.sprintf " built=%d probed=%d" (actual left) (actual right)
+        | Physical.Join { left; _ } -> Printf.sprintf " outer=%d" (actual left)
+      in
+      if not (Str_helpers.contains line volume) then
+        Alcotest.failf "node %d renders %S, expected %S" n.Physical.id line volume)
+    (rendered_lines ~spans stats plan)
 
 (* The golden test pins the renderer's exact output for a hand-built plan
    executed on a hand-built table — timings suppressed, so the string is
@@ -264,8 +290,7 @@ let test_explain_golden () =
       ~preds:[ Expr.eq (Expr.col "e" "dept_id") (Expr.col "d" "id") ]
       ~est_rows:8.0 ~est_cost:20.0
   in
-  let trace = Trace.create () in
-  let _ = Executor.run ~trace join in
+  let _, stats = Executor.run join in
   let golden =
     Printf.sprintf
       "HashJoin on e.dept_id = d.id  (est=8 actual=3 q=2.67)\n\
@@ -273,71 +298,105 @@ let test_explain_golden () =
       \  Scan e  (est=4 actual=4 q=1.00)\n"
   in
   Alcotest.(check string) "explain analyze golden" golden
-    (Explain.render ~trace ~timings:false join);
+    (Explain.render ~stats join);
   Alcotest.(check string) "summary" "3 nodes, q-error max=2.67 mean=1.56, underest=0%"
-    (Explain.summary ~trace join);
-  (* force the join's estimate under its observation: 1 of 3 nodes is now
-     underestimated per Qerror.underestimated *)
-  (Option.get (Trace.find trace join.Physical.id)).Trace.est_rows <- 1.0;
+    (Explain.summary ~stats join);
+  (* force the join's observation to 3x over its estimate: 1 of 3 nodes
+     is now underestimated per Qerror.underestimated *)
+  Hashtbl.replace stats join.Physical.id 24;
   Alcotest.(check string) "summary with underestimates"
     "3 nodes, q-error max=3.00 mean=1.67, underest=33%"
-    (Explain.summary ~trace join);
-  (* without a trace: plain EXPLAIN, estimates only *)
+    (Explain.summary ~stats join);
+  (* without stats: plain EXPLAIN, estimates only *)
   Alcotest.(check string) "explain golden"
     "HashJoin on e.dept_id = d.id  (est=8)\n\
     \  Scan d  (est=2)\n\
     \  Scan e  (est=4)\n"
-    (Explain.render ~timings:false join)
+    (Explain.render join)
 
-(* self time = elapsed minus recorded children, clamped at 0 — checked on
-   a hand-built 3-deep trace where every figure is exact *)
-let test_trace_self_time () =
-  let t = Trace.create () in
-  let set id elapsed children =
-    let n = Trace.node t id in
-    n.Trace.elapsed <- elapsed;
-    n.Trace.children <- children;
-    n
+(* timings come only from the spans tied to a node: the pipeline span
+   on the root, summed breaker spans on a join, none on a fused scan —
+   checked on a hand-built tracer where every figure is exact *)
+let test_explain_timings_hand_built () =
+  let cat, ctx = Fixtures.shop_ctx ~n_orders:200 () in
+  let frag = Strategy.fragment_of_query ctx (Fixtures.shop_query ()) in
+  let plan =
+    (Optimizer.optimize ~allowed:[ Physical.Hash ] cat Estimator.default frag)
+      .Optimizer.plan
   in
-  let root = set 1 1.0 [ 2; 3 ] in
-  let mid = set 2 0.3 [ 4 ] in
-  let sib = set 3 0.2 [] in
-  let leaf = set 4 0.25 [] in
-  feq "root self" 0.5 (Trace.self_time t root);
-  feq "mid self" 0.05 (Trace.self_time t mid);
-  feq "sibling self (no children)" 0.2 (Trace.self_time t sib);
-  feq "leaf self" 0.25 (Trace.self_time t leaf);
-  (* a child that (through clock skew) out-measures its parent clamps *)
-  leaf.Trace.elapsed <- 0.9;
-  feq "clamped at 0" 0.0 (Trace.self_time t mid);
-  (* unrecorded children are ignored, not counted as 0-cost *)
-  sib.Trace.children <- [ 99 ];
-  feq "missing child ignored" 0.2 (Trace.self_time t sib)
-
-(* on a real executed plan: children lists mirror the plan shape and
-   elapsed is inclusive, so self times are non-negative and bounded *)
-let test_trace_self_time_executed () =
-  let plan, trace, _, _ = traced_shop_plan () in
-  Alcotest.(check bool) "plan is at least 3 deep" true
-    (List.length (Physical.nodes plan) >= 3);
+  let stats = Hashtbl.create 16 in
+  List.iter (fun (n : Physical.t) -> Hashtbl.replace stats n.Physical.id 1)
+    (Physical.nodes plan);
+  let tr = Span.create () in
+  let node (p : Physical.t) = [ ("node", string_of_int p.Physical.id) ] in
+  let t0 = Qs_util.Timer.now () in
+  Span.add (Some tr) Span.Pipeline "pipeline:hash-join" ~args:(node plan) ~start:t0
+    ~dur:0.004;
+  Span.add (Some tr) Span.Breaker "hash-build" ~args:(node plan) ~start:t0
+    ~dur:0.001;
+  Span.add (Some tr) Span.Breaker "hash-build" ~args:(node plan) ~start:t0
+    ~dur:0.0015;
+  (* a span of another category or another node is ignored *)
+  Span.add (Some tr) Span.Operator "hash-join" ~args:(node plan) ~start:t0 ~dur:1.0;
+  Span.add (Some tr) Span.Breaker "hash-build" ~args:[ ("node", "-1") ] ~start:t0
+    ~dur:1.0;
   List.iter
-    (fun (p : Physical.t) ->
-      let n = Option.get (Trace.find trace p.Physical.id) in
-      let plan_children =
+    (fun ((n : Physical.t), line) ->
+      let has k = Str_helpers.contains line k in
+      if n == plan then begin
+        Alcotest.(check bool) ("root pipeline: " ^ line) true (has " pipeline=4.00ms");
+        Alcotest.(check bool) ("root breakers summed: " ^ line) true
+          (has " breaker=2.50ms")
+      end
+      else
+        Alcotest.(check bool) ("no timing below the root: " ^ line) false
+          (has "pipeline=" || has "breaker="))
+    (rendered_lines ~spans:tr stats plan)
+
+(* on a real executed plan: one pipeline span on the root, every breaker
+   span on a hash join of the plan and nested inside the pipeline, and
+   the rendering shows exactly those *)
+let test_explain_timings_executed () =
+  let _, plan, spans, _, stats = explained_shop_plan ~allowed:[ Physical.Hash ] () in
+  let all = Span.spans spans in
+  let node_of (s : Span.span) = List.assoc_opt "node" s.Span.args in
+  let pipelines = List.filter (fun (s : Span.span) -> s.Span.cat = Span.Pipeline) all in
+  let pipe =
+    match pipelines with
+    | [ p ] -> p
+    | l -> Alcotest.failf "expected one pipeline span, got %d" (List.length l)
+  in
+  Alcotest.(check (option string)) "pipeline span on the root"
+    (Some (string_of_int plan.Physical.id))
+    (node_of pipe);
+  let joins =
+    List.filter_map
+      (fun (p : Physical.t) ->
         match p.Physical.node with
-        | Physical.Scan _ -> []
-        | Physical.Join { left; right; _ } ->
-            [ left.Physical.id; right.Physical.id ]
-      in
-      Alcotest.(check (list int))
-        (Printf.sprintf "children of node %d" p.Physical.id)
-        plan_children n.Trace.children;
-      let self = Trace.self_time trace n in
-      Alcotest.(check bool)
-        (Printf.sprintf "0 <= self <= elapsed for node %d" p.Physical.id)
-        true
-        (self >= 0.0 && self <= n.Trace.elapsed +. 1e-12))
-    (Physical.nodes plan)
+        | Physical.Join _ -> Some (string_of_int p.Physical.id)
+        | Physical.Scan _ -> None)
+      (Physical.nodes plan)
+  in
+  let breakers = List.filter (fun (s : Span.span) -> s.Span.cat = Span.Breaker) all in
+  Alcotest.(check int) "one build per hash join" (List.length joins)
+    (List.length breakers);
+  List.iter
+    (fun (b : Span.span) ->
+      Alcotest.(check bool) "breaker on a join" true
+        (match node_of b with Some id -> List.mem id joins | None -> false);
+      Alcotest.(check bool) "breaker nested in the pipeline" true
+        (b.Span.start >= pipe.Span.start -. 1e-9
+        && b.Span.start +. b.Span.dur <= pipe.Span.start +. pipe.Span.dur +. 1e-9))
+    breakers;
+  List.iter
+    (fun ((n : Physical.t), line) ->
+      let has k = Str_helpers.contains line k in
+      Alcotest.(check bool) ("pipeline= only on the root: " ^ line) (n == plan)
+        (has " pipeline=");
+      Alcotest.(check bool) ("breaker= exactly on joins: " ^ line)
+        (List.mem (string_of_int n.Physical.id) joins)
+        (has " breaker="))
+    (rendered_lines ~spans stats plan)
 
 (* satellite: Metrics.to_json must be byte-identical whatever order
    per-domain registries are merged in (values picked binary-exact so
@@ -379,12 +438,12 @@ let test_explain_never_executed () =
   let q = Fixtures.shop_query () in
   let frag = Strategy.fragment_of_query ctx q in
   let plan = (Optimizer.optimize cat Estimator.default frag).Optimizer.plan in
-  let empty = Trace.create () in
-  let rendered = Explain.render ~trace:empty ~timings:false plan in
+  let empty = Hashtbl.create 1 in
+  let rendered = Explain.render ~stats:empty plan in
   Alcotest.(check bool) "marks unexecuted nodes" true
     (Str_helpers.contains rendered "never executed");
-  Alcotest.(check string) "summary of empty trace" "0 nodes traced"
-    (Explain.summary ~trace:empty plan)
+  Alcotest.(check string) "summary of empty stats" "0 nodes traced"
+    (Explain.summary ~stats:empty plan)
 
 let suite =
   [
@@ -402,9 +461,10 @@ let suite =
     Alcotest.test_case "trace covers all nodes" `Quick test_trace_covers_all_nodes;
     Alcotest.test_case "trace volumes" `Quick test_trace_volumes;
     Alcotest.test_case "explain analyze golden" `Quick test_explain_golden;
-    Alcotest.test_case "trace self time (hand-built)" `Quick test_trace_self_time;
-    Alcotest.test_case "trace self time (executed plan)" `Quick
-      test_trace_self_time_executed;
+    Alcotest.test_case "explain timings (hand-built spans)" `Quick
+      test_explain_timings_hand_built;
+    Alcotest.test_case "explain timings (executed plan)" `Quick
+      test_explain_timings_executed;
     Alcotest.test_case "metrics json merge-order determinism" `Quick
       test_metrics_json_merge_order;
     Alcotest.test_case "explain of unexecuted plan" `Quick test_explain_never_executed;

@@ -96,6 +96,62 @@ let test_roundtrip_through_to_sql () =
     (fun a b -> Alcotest.(check bool) "pred equal" true (Expr.equal_pred a b))
     q0.Query.preds q1.Query.preds
 
+(* Every generated SPJ statement of both SQL-shaped workloads prints to
+   SQL that parses back into the identical query: string constants,
+   BETWEEN / IN bounds and LIKE patterns are quoted literals. *)
+let test_workload_statements_roundtrip () =
+  let cinema = Qs_workload.Cinema.build ~scale:0.05 ~seed:2023 () in
+  let dsb = Qs_workload.Dsb.build ~scale:0.05 ~seed:2023 () in
+  let statements =
+    Qs_workload.Cinema.queries cinema ~seed:2024
+      ~n:Qs_workload.Cinema.default_query_count
+    @ Qs_workload.Dsb.spj_queries dsb ~seed:2024
+  in
+  Alcotest.(check int) "every statement" 106 (List.length statements);
+  List.iter
+    (fun (q : Query.t) ->
+      let sql = Query.to_sql q in
+      match Sql.parse_result ~name:q.Query.name sql with
+      | Error m -> Alcotest.failf "%s does not parse (%s):\n%s" q.Query.name m sql
+      | Ok back ->
+          if back <> q then
+            Alcotest.failf "%s parses into a different query:\n%s\n%s" q.Query.name
+              sql (Query.to_sql back))
+    statements
+
+(* Regression: a string constant used to print exactly like the number
+   of the same spelling, so [x = 1] and [x = '1'] shared their SQL text
+   (the plan-cache key) and their fragment key. *)
+let test_string_literal_is_not_a_number () =
+  let _, ctx = Fixtures.shop_ctx ~n_orders:50 () in
+  let query v =
+    Query.make ~name:"lit"
+      [ { Query.alias = "c"; table = "customers" } ]
+      [ Expr.Cmp (Expr.Eq, Expr.col "c" "city", Expr.Const v) ]
+  in
+  let num = query (Value.Int 1) and str = query (Value.Str "1") in
+  Alcotest.(check bool) "to_sql differs" false (Query.to_sql num = Query.to_sql str);
+  let key q =
+    Qs_stats.Fragment.key (Qs_core.Strategy.fragment_of_query ctx q)
+  in
+  Alcotest.(check bool) "fragment key differs" false (key num = key str);
+  Alcotest.(check string) "quotes doubled" "c.city = 'it''s'"
+    (Expr.to_string (List.hd (query (Value.Str "it's")).Query.preds));
+  Alcotest.(check string) "LIKE pattern escaped" "c.city LIKE 'o''%'"
+    (Expr.to_string (Expr.Like (Expr.col "c" "city", "o'%")));
+  (* close float constants get distinct text, and every float reads back *)
+  let f1 = query (Value.Float 0.1234561) and f2 = query (Value.Float 0.1234562) in
+  Alcotest.(check bool) "float to_sql differs" false (Query.to_sql f1 = Query.to_sql f2);
+  Alcotest.(check bool) "float fragment key differs" false (key f1 = key f2);
+  List.iter
+    (fun f ->
+      let q = query (Value.Float f) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%h reads back" f)
+        true
+        (Sql.parse ~name:"lit" (Query.to_sql q) = q))
+    [ 0.1234561; 0.1; 3.0; -2.5; 1e-7; 1e20; 1. /. 3. ]
+
 let test_case_insensitive_keywords () =
   let q = parse "SeLeCt a.x FrOm t As a WhErE a.x Is NoT nUlL" in
   Alcotest.(check int) "parsed" 1 (List.length q.Query.preds)
@@ -142,6 +198,10 @@ let suite =
     Alcotest.test_case "or group" `Quick test_or_group;
     Alcotest.test_case "operators" `Quick test_operators;
     Alcotest.test_case "to_sql roundtrip" `Quick test_roundtrip_through_to_sql;
+    Alcotest.test_case "workload statements roundtrip" `Quick
+      test_workload_statements_roundtrip;
+    Alcotest.test_case "string literal is not a number" `Quick
+      test_string_literal_is_not_a_number;
     Alcotest.test_case "case insensitivity" `Quick test_case_insensitive_keywords;
     Alcotest.test_case "errors" `Quick test_errors;
     Alcotest.test_case "parse + execute" `Quick test_parse_executes;

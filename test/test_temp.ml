@@ -109,7 +109,7 @@ let two_step_digest ~pool ~drop_layout () =
       ~preds:[ Expr.eq (Expr.col "r1" "fk") (Expr.col "r0" "id") ]
       ~est_rows:1.0 ~est_cost:1.0
   in
-  let t1, _ = Executor.run ~mode:Executor.Pipeline ?pool plan1 in
+  let t1, _ = Executor.run ?pool plan1 in
   let temp = Temp.materialize ~name:"T1" ~keep:[] t1 in
   let temp = if drop_layout then Table.without_partitioning temp else temp in
   let plan2 =
@@ -118,7 +118,7 @@ let two_step_digest ~pool ~drop_layout () =
       ~preds:[ Expr.eq (Expr.col "r2" "fk") (Expr.col "r0" "id") ]
       ~est_rows:1.0 ~est_cost:1.0
   in
-  let out, _ = Executor.run ~mode:Executor.Pipeline ?pool plan2 in
+  let out, _ = Executor.run ?pool plan2 in
   Table.digest out
 
 (* The property behind partition-aware temps: whether or not the next

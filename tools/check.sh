@@ -72,9 +72,10 @@ done
 # shared entries are byte-identical across the stack and every diff —
 # histograms included — runs full.
 # Each later baseline is a superset: pr6 adds the "serve" entry, pr7
-# the "io" buffer-pool entry, pr8 the "pipeline" engine-comparison
-# entry, pr9 the "telemetry" serving entry, pr10 the "columnar"
-# layout entry.
+# the "io" buffer-pool entry, pr8 the "pipeline" executor entry (the
+# pipelined engine's intermediate-table and partition-reuse counters;
+# its materializing-engine counterparts went with that engine), pr9
+# the "telemetry" serving entry, pr10 the "columnar" layout entry.
 # The exe is a declared dep of the runtest rule; when running by hand it
 # lives under _build.
 bench_diff=tools/bench_diff/bench_diff.exe
@@ -109,7 +110,7 @@ if [ -x "$bench_diff" ] && [ -f BENCH_pr7.json ] && [ -f BENCH_pr8.json ]; then
     status=1
   }
   grep -q '"pipeline"' BENCH_pr8.json || {
-    echo "check: BENCH_pr8.json is missing the \"pipeline\" engine entry" >&2
+    echo "check: BENCH_pr8.json is missing the \"pipeline\" executor entry" >&2
     status=1
   }
 fi
