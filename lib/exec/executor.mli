@@ -52,7 +52,8 @@ val vectorized_chunks : unit -> int
 (** Cumulative count of columnar chunks whose filter conjunction ran (at
     least partially) through the vectorized selection-vector kernels
     ({!Qs_storage.Columnar.eval_cmp}) instead of row-at-a-time
-    [Expr.eval]. Always 0 under the [Row] layout. *)
+    [Expr.eval]. Always 0 over resident tables built from rows; spilled
+    tables fault back columnar. *)
 
 val reset_counters : unit -> unit
 

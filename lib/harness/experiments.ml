@@ -623,16 +623,8 @@ let par_sweep s =
 (* Sharded storage: chunked scan/filter/aggregate wall-clock vs domains    *)
 (* ---------------------------------------------------------------------- *)
 
-(* Scoped layout override: [f] runs with the global default chunk layout
-   set to [layout]; the previous default is restored on the way out. *)
-let with_layout layout f =
-  let module Table = Qs_storage.Table in
-  let saved = Table.default_layout () in
-  Table.set_default_layout layout;
-  Fun.protect ~finally:(fun () -> Table.set_default_layout saved) f
-
 let scan_sweep s =
-  Report.section "Columnar storage: per-layout scan throughput";
+  Report.section "Sharded storage: chunked scan throughput";
   let module Table = Qs_storage.Table in
   let module Schema = Qs_storage.Schema in
   let module Value = Qs_storage.Value in
@@ -641,10 +633,8 @@ let scan_sweep s =
   let module Relop = Qs_exec.Relop in
   let module Logical = Qs_plan.Logical in
   let n = int_of_float (2_000_000.0 *. s.scale) in
-  (* wide fact table: the selective filter touches one column out of
-     thirteen, so the row layout hauls whole boxed rows through the scan
-     while the columnar kernel reads one unboxed int array and gathers
-     only the survivors *)
+  (* wide resident fact table: the selective filter touches one column
+     out of thirteen and hauls whole boxed rows through the scan *)
   let n_pad = 8 in
   let cats = [| "alpha"; "beta"; "gamma"; "delta" |] in
   let schema =
@@ -667,7 +657,7 @@ let scan_sweep s =
           |]
           (Array.init n_pad (fun k -> Value.Int (h lxor k))))
   in
-  (* ~2% selectivity: the vectorized path's best case *)
+  (* ~2% selectivity *)
   let filters = [ Expr.Cmp (Expr.Lt, Expr.col "f" "amount", Expr.vint 20) ] in
   let group_by = [ { Expr.rel = "f"; name = "grp" } ] in
   let aggs =
@@ -689,60 +679,40 @@ let scan_sweep s =
   in
   let par_domains = max 2 s.domains in
   let mrows wall = float_of_int n /. Float.max 1e-9 wall /. 1e6 in
-  let all_identical = ref true in
-  let rates = Hashtbl.create 4 in
-  let rows_out =
-    List.map
-      (fun layout ->
-        with_layout layout (fun () ->
-            let tbl = Table.create ~chunk_rows:65_536 ~name:"f" ~schema rows in
-            let v0 = Executor.vectorized_chunks () in
-            let seq_wall, filtered =
-              best_of_3 (fun () -> Executor.filter_table tbl filters)
-            in
-            let vec = (Executor.vectorized_chunks () - v0) / 3 in
-            let par_wall, par_filtered =
-              Qs_util.Pool.with_pool ~domains:par_domains (fun p ->
-                  best_of_3 (fun () -> Executor.filter_table ~pool:p tbl filters))
-            in
-            let agg_wall, agged =
-              best_of_3 (fun () -> Relop.aggregate ~name:"g" ~group_by ~aggs tbl)
-            in
-            let digest =
-              Runner.result_digest filtered ^ Runner.result_digest agged
-            in
-            if Runner.result_digest par_filtered <> Runner.result_digest filtered
-            then all_identical := false;
-            Hashtbl.replace rates (Table.layout_name layout)
-              (digest, mrows seq_wall);
-            [
-              Table.layout_name layout;
-              Report.seconds seq_wall;
-              Printf.sprintf "%.1f" (mrows seq_wall);
-              Report.seconds par_wall;
-              Printf.sprintf "%.1f" (mrows par_wall);
-              Report.seconds agg_wall;
-              string_of_int vec;
-            ]))
-      [ Table.Row; Table.Columnar ]
+  let tbl = Table.create ~chunk_rows:65_536 ~name:"f" ~schema rows in
+  let seq_wall, filtered =
+    best_of_3 (fun () -> Executor.filter_table tbl filters)
+  in
+  let par_wall, par_filtered =
+    Qs_util.Pool.with_pool ~domains:par_domains (fun p ->
+        best_of_3 (fun () -> Executor.filter_table ~pool:p tbl filters))
+  in
+  let agg_wall, _ =
+    best_of_3 (fun () -> Relop.aggregate ~name:"g" ~group_by ~aggs tbl)
   in
   Report.table
     ~title:
       (Printf.sprintf
-         "selective filter over %d rows x %d cols (seq and %d domains), \
-          group-by aggregate"
-         n (5 + n_pad) par_domains)
+         "selective filter over %d resident rows x %d cols in %d chunks \
+          (seq and %d domains), group-by aggregate"
+         n (5 + n_pad) (Table.n_chunks tbl) par_domains)
     ~headers:
-      [ "layout"; "filter seq"; "Mrows/s"; Printf.sprintf "par(%d)" par_domains;
-        "Mrows/s"; "aggregate"; "vec chunks" ]
-    rows_out;
-  let d_row, r_row = Hashtbl.find rates "row" in
-  let d_col, r_col = Hashtbl.find rates "columnar" in
-  if d_row <> d_col then all_identical := false;
-  Printf.printf "columnar vs row filter throughput: %.2fx (sequential)\n"
-    (r_col /. Float.max 1e-9 r_row);
-  Printf.printf "filter+aggregate digests byte-identical across layouts: %s\n"
-    (if !all_identical then "yes" else "NO")
+      [ "filter seq"; "Mrows/s"; Printf.sprintf "par(%d)" par_domains;
+        "Mrows/s"; "speedup"; "aggregate" ]
+    [
+      [
+        Report.seconds seq_wall;
+        Printf.sprintf "%.1f" (mrows seq_wall);
+        Report.seconds par_wall;
+        Printf.sprintf "%.1f" (mrows par_wall);
+        Printf.sprintf "%.2fx" (seq_wall /. Float.max 1e-9 par_wall);
+        Report.seconds agg_wall;
+      ];
+    ];
+  Printf.printf "filter digests byte-identical across pool widths: %s\n"
+    (if Runner.result_digest par_filtered = Runner.result_digest filtered then
+       "yes"
+     else "NO")
 
 (* ---------------------------------------------------------------------- *)
 (* Out-of-core: buffer-pool execution under memory pressure                *)
@@ -1129,7 +1099,6 @@ let span_category_time spans cat =
 
 let pipeline_sweep s =
   Report.section "Pipelined execution: morsel-driven executor on chains and hubs";
-  let module Table = Qs_storage.Table in
   let module Span = Qs_util.Span in
   let par_domains = max 2 s.domains in
   let identical = ref true in
@@ -1142,7 +1111,7 @@ let pipeline_sweep s =
       ("one-shot", Qs_core.Static.default);
     ]
   in
-  (* one naive reference per query, from an in-memory row-layout catalog *)
+  (* one naive reference per query, from an in-memory catalog *)
   let references = Hashtbl.create 8 in
   let reference shape catalog_of query_of n_rels =
     match Hashtbl.find_opt references (shape, n_rels) with
@@ -1155,72 +1124,66 @@ let pipeline_sweep s =
   in
   let rows_out =
     List.concat_map
-      (fun layout ->
+      (fun n_rels ->
         List.concat_map
-          (fun n_rels ->
+          (fun (shape, catalog_of, query_of) ->
+            let q = query_of n_rels in
+            let expected = reference shape catalog_of query_of n_rels in
+            (* (storage, strategy) grid; the spilled cases rebuild the
+               catalog inside the spill scope so base tables and temps
+               alike live behind the buffer pool — and fault back in
+               column-major, so the storage axis is also the layout
+               axis *)
+            let case ~spilled ~strat =
+              let body () =
+                let cat = catalog_of s n_rels in
+                let registry = Qs_stats.Stats_registry.create cat in
+                Qs_util.Pool.with_pool ~domains:par_domains (fun pool ->
+                    let spans = Span.create () in
+                    let digest, wall, inter, reuses =
+                      strategy_run ~pool ~spans ~strat registry q
+                    in
+                    ( digest,
+                      wall,
+                      inter,
+                      reuses,
+                      span_category_time spans Span.Pipeline,
+                      span_category_time spans Span.Breaker ))
+              in
+              if spilled then with_spill ~capacity:64 (fun _bp -> body ())
+              else body ()
+            in
             List.concat_map
-              (fun (shape, catalog_of, query_of) ->
-                let q = query_of n_rels in
-                let expected = reference shape catalog_of query_of n_rels in
-                (* (layout, storage, strategy) grid; the spilled cases
-                   rebuild the catalog inside the spill scope so base
-                   tables and temps alike live behind the buffer pool,
-                   and the layout scope wraps everything so base tables
-                   and temps share the chunk layout under test *)
-                let case ~spilled ~strat =
-                  let body () =
-                    let cat = catalog_of s n_rels in
-                    let registry = Qs_stats.Stats_registry.create cat in
-                    Qs_util.Pool.with_pool ~domains:par_domains (fun pool ->
-                        let spans = Span.create () in
-                        let digest, wall, inter, reuses =
-                          strategy_run ~pool ~spans ~strat registry q
-                        in
-                        ( digest,
-                          wall,
-                          inter,
-                          reuses,
-                          span_category_time spans Span.Pipeline,
-                          span_category_time spans Span.Breaker ))
-                  in
-                  with_layout layout (fun () ->
-                      if spilled then with_spill ~capacity:64 (fun _bp -> body ())
-                      else body ())
-                in
-                List.concat_map
-                  (fun spilled ->
-                    List.map
-                      (fun (sname, strat) ->
-                        let digest, wall, inter, reuses, pipe_t, brk_t =
-                          case ~spilled ~strat
-                        in
-                        if digest <> expected then identical := false;
-                        [
-                          Printf.sprintf "%d %s" n_rels shape;
-                          Table.layout_name layout;
-                          (if spilled then "spilled" else "memory");
-                          sname;
-                          Report.seconds wall;
-                          string_of_int inter;
-                          string_of_int reuses;
-                          Report.seconds pipe_t;
-                          Report.seconds brk_t;
-                        ])
-                      strategies)
-                  [ false; true ])
-              shapes)
-          [ 10; 12 ])
-      [ Table.Row; Table.Columnar ]
+              (fun spilled ->
+                List.map
+                  (fun (sname, strat) ->
+                    let digest, wall, inter, reuses, pipe_t, brk_t =
+                      case ~spilled ~strat
+                    in
+                    if digest <> expected then identical := false;
+                    [
+                      Printf.sprintf "%d %s" n_rels shape;
+                      (if spilled then "spilled (columnar)" else "memory (rows)");
+                      sname;
+                      Report.seconds wall;
+                      string_of_int inter;
+                      string_of_int reuses;
+                      Report.seconds pipe_t;
+                      Report.seconds brk_t;
+                    ])
+                  strategies)
+              [ false; true ])
+          shapes)
+      [ 10; 12 ]
   in
   Report.table
     ~title:(Printf.sprintf "PK-FK chains and hubs, %d domains" par_domains)
     ~headers:
-      [ "query"; "layout"; "storage"; "strategy"; "time"; "intermediates";
-        "part reuse"; "pipe t"; "brk t" ]
+      [ "query"; "storage"; "strategy"; "time"; "intermediates"; "part reuse";
+        "pipe t"; "brk t" ]
     rows_out;
   Printf.printf
-    "digests equal to naive execution across layouts (resident and \
-     spilled): %s\n"
+    "digests equal to naive execution (resident and spilled): %s\n"
     (if !identical then "yes" else "NO")
 
 (* The deterministic pipelined-execution entry of the metrics dump:
@@ -1670,13 +1633,14 @@ let telemetry_metrics_entry s =
       Server.drain server;
       Telemetry.metrics (Server.telemetry server))
 
-(* The deterministic columnar-layout entry of the metrics dump: a fixed
+(* The deterministic columnar entry of the metrics dump: a fixed
    synthetic table (ints with NULLs, floats, dictionary-friendly
-   strings) is built, filtered and aggregated sequentially under both
-   layouts. Chunk counts, vectorized-kernel invocations, survivor
-   counts, exact serialized chunk sizes (Chunk_file.ser_chunk_size)
-   and digest equality are integer-exact for a fixed
-   corpus; no wall-clock leaks into the entry. *)
+   strings) is built, filtered and aggregated sequentially resident
+   (row chunks) and spilled (column-major frames, through a pool large
+   enough to hold every frame). Chunk counts, vectorized-kernel
+   invocations, survivor counts, exact serialized frame sizes
+   (Chunk_file.ser_chunk_size) and digest equality are integer-exact
+   for a fixed corpus; no wall-clock leaks into the entry. *)
 let columnar_metrics_entry _s =
   let module Table = Qs_storage.Table in
   let module Schema = Qs_storage.Schema in
@@ -1711,60 +1675,35 @@ let columnar_metrics_entry _s =
       { Logical.fn = Logical.Count_star; arg = None; label = "n" };
     ]
   in
-  let run layout =
-    with_layout layout (fun () ->
-        let tbl = Table.create ~chunk_rows:1024 ~name:"c" ~schema rows in
-        let v0 = Executor.vectorized_chunks () in
-        let filtered = Executor.filter_table tbl filters in
-        let agged = Relop.aggregate ~name:"g" ~group_by ~aggs tbl in
-        let vec = Executor.vectorized_chunks () - v0 in
-        let ser = ref 0 in
-        Table.iter_chunk_data
-          (fun _ c -> ser := !ser + Chunk_file.ser_chunk_size c)
-          tbl;
-        ( Runner.result_digest filtered ^ Runner.result_digest agged,
-          Table.n_rows filtered,
-          vec,
-          !ser,
-          Table.n_chunks tbl ))
+  let run () =
+    let tbl = Table.create ~chunk_rows:1024 ~name:"c" ~schema rows in
+    let v0 = Executor.vectorized_chunks () in
+    let filtered = Executor.filter_table tbl filters in
+    let agged = Relop.aggregate ~name:"g" ~group_by ~aggs tbl in
+    let vec = Executor.vectorized_chunks () - v0 in
+    let ser = ref 0 in
+    Table.iter_chunk_data
+      (fun _ c -> ser := !ser + Chunk_file.ser_chunk_size c)
+      tbl;
+    ( Runner.result_digest filtered ^ Runner.result_digest agged,
+      Table.n_rows filtered,
+      vec,
+      !ser,
+      Table.n_chunks tbl )
   in
-  let d_row, kept_row, _, ser_row, chunks = run Table.Row in
-  let d_col, kept_col, vec, ser_col, _ = run Table.Columnar in
+  let d_res, kept_res, _, _, chunks = run () in
+  let d_spill, kept_spill, vec, ser, _ =
+    with_spill ~capacity:64 (fun _bp -> run ())
+  in
   let m = Qs_obs.Metrics.create () in
   let c name v = Qs_obs.Metrics.incr ~by:v m name in
   c "columnar_chunks" chunks;
   c "vectorized_chunks" vec;
-  c "filter_survivors" kept_col;
-  c "ser_bytes_row" ser_row;
-  c "ser_bytes_columnar" ser_col;
-  c "digests_identical" (if d_row = d_col && kept_row = kept_col then 1 else 0);
+  c "filter_survivors" kept_spill;
+  c "ser_bytes_columnar" ser;
+  c "digests_identical"
+    (if d_res = d_spill && kept_res = kept_spill then 1 else 0);
   m
-
-(* All committed-baseline flavours from ONE harness run: the
-   fig11-roster-only dump (the PR-5-era content, [--baseline-out]), the
-   same plus the ["serve"] entry (PR 6, [--serve-out]), additionally the
-   ["io"] buffer-pool entry (PR 7, [--io-out]), additionally the
-   ["pipeline"] executor-engine entry (PR 8, [--pipeline-out]),
-   additionally the ["telemetry"] serving-recorder entry (PR 9,
-   [--telemetry-out]) and additionally the ["columnar"] layout entry
-   (PR 10, [--metrics-out]). Shared entries are byte-identical across
-   the six, so full — histograms included — bench_diffs between the
-   committed files are meaningful. *)
-let metrics_json_flavors s =
-  let labelled = metrics_results s in
-  let serve = ("serve", serve_metrics_entry s) in
-  let io = ("io", io_metrics_entry s) in
-  let pipeline = ("pipeline", pipeline_metrics_entry s) in
-  let telemetry = ("telemetry", telemetry_metrics_entry s) in
-  let columnar = ("columnar", columnar_metrics_entry s) in
-  ( json_of_labelled s labelled,
-    json_of_labelled ~extra:[ serve ] s labelled,
-    json_of_labelled ~extra:[ serve; io ] s labelled,
-    json_of_labelled ~extra:[ serve; io; pipeline ] s labelled,
-    json_of_labelled ~extra:[ serve; io; pipeline; telemetry ] s labelled,
-    json_of_labelled
-      ~extra:[ serve; io; pipeline; telemetry; columnar ]
-      s labelled )
 
 let metrics_json s =
   json_of_labelled

@@ -74,26 +74,14 @@ val metrics_json : setup -> string
     counters (see {!pipeline_sweep}), and one
     ["telemetry"] entry with the serving flight recorder's
     deterministic counters (see {!telemetry_sweep}), and one
-    ["columnar"] entry with the chunk-layout comparison's deterministic
-    counters (vectorized-kernel invocations, exact serialized sizes and
-    digest equality across layouts; see {!scan_sweep}): the
+    ["columnar"] entry with a fixed table's deterministic counters run
+    resident (row chunks) and spilled (column-major frames):
+    vectorized-kernel invocations, exact serialized frame sizes and
+    digest equality between the two: the
     [Metrics.json_of_many] dump the bench tool writes with
     [--metrics-out] and [tools/bench_diff] compares. When
     [setup.tracer] is set, a synthetic ["phases"] entry carries the
     per-category span counts and time histograms. *)
-
-val metrics_json_flavors :
-  setup -> string * string * string * string * string * string
-(** All committed-baseline flavours from ONE harness run: the
-    fig11-roster-only dump (the PR-5-era content, written by
-    [bench --baseline-out]), the same plus the ["serve"] entry (PR 6,
-    [--serve-out]), additionally the ["io"] entry (PR 7, [--io-out]),
-    additionally the ["pipeline"] entry (PR 8, [--pipeline-out]),
-    additionally the ["telemetry"] entry (PR 9, [--telemetry-out]) and
-    additionally the ["columnar"] entry (PR 10, [--metrics-out]).
-    Generating them together keeps shared entries byte-identical, so
-    full — histograms included — [bench_diff]s between the committed
-    files are meaningful. *)
 
 val metrics : setup -> unit
 (** Beyond the paper: the observability layer's per-strategy metrics
@@ -109,14 +97,11 @@ val par_sweep : setup -> unit
     run (they must). *)
 
 val scan_sweep : setup -> unit
-(** Beyond the paper: per-layout scan throughput. A selective filter
-    and a group-by aggregation run over a wide synthetic fact table
-    under the [Row] and [Columnar] chunk layouts, sequentially and on
-    a domain pool, reporting rows/sec side by side plus the
-    vectorized-kernel chunk count — the columnar layout is expected to
-    beat the row layout by ≥2× on the sequential selective scan.
-    Verifies all results are digest-identical across layouts and
-    pool widths. *)
+(** Beyond the paper: chunked scan throughput. A selective filter and
+    a group-by aggregation run over a wide resident synthetic fact
+    table, sequentially and on a domain pool, reporting rows/sec and
+    the parallel speedup. Verifies the filter result is
+    digest-identical across pool widths. *)
 
 val io_sweep : setup -> unit
 (** Beyond the paper: out-of-core execution through the buffer pool. A
@@ -140,8 +125,9 @@ val dp_sweep : setup -> unit
 val pipeline_sweep : setup -> unit
 (** Beyond the paper: the morsel-driven pipelined executor, end to end.
     QuerySplit and one-shot execution run PK-FK chain and hub joins at
-    10 and 12 relations, in memory and fully out-of-core (a 64-frame
-    buffer pool), under both chunk layouts, on a [max 2 domains] pool —
+    10 and 12 relations, in memory (row chunks) and fully out-of-core
+    (a 64-frame buffer pool, column-major frames), on a
+    [max 2 domains] pool —
     reporting wall-clock, intermediate-table construction counts,
     partition-layout reuses across steps, and where the time went
     ([pipeline] vs [breaker] spans). Asserts every result digest equals

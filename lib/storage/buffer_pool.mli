@@ -1,7 +1,7 @@
 (** Bounded buffer pool of resident chunk frames.
 
     The faulting read path of spilled tables: {!get} returns a chunk
-    (in whichever layout it was spilled with), reading it from the
+    (always column-major, see {!Chunk_file}), reading it from the
     {!Chunk_file} on a miss and caching it in one of [capacity] frames
     under CLOCK (second-chance) eviction. Pinned frames ({!with_pin}) are never evicted; when every
     frame is pinned or mid-read, a miss bypasses the pool and reads

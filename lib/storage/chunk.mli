@@ -1,5 +1,10 @@
 (** One table chunk, row-major or column-major.
 
+    Which one a table holds is the store's choice: resident tables built
+    from rows keep [Rows], chunk-file frames always fault back in as
+    [Cols] (see {!Table}), and operators that gather columns emit [Cols]
+    directly.
+
     The constructors are exported for lib/storage internals (spill
     serialization, table stores) but lint-banned outside it; other code
     uses [rows] for the row view or [columnar] to detect and exploit the

@@ -3,23 +3,23 @@
    chunk, so a frame's offset is a multiplication away and faulting a
    chunk is a single seek + read.
 
-     header  : magic "QSCF0002" | n_frames | frame_size | arity   (32 B)
-     frame i : n_rows | used_bytes | layout byte | payload,
+     header  : magic "QSCF0003" | n_frames | frame_size | arity   (32 B)
+     frame i : n_rows | used_bytes | payload,
                zero-padded to frame_size                          (16 B hdr)
 
    All integers are 8-byte big-endian unless noted. A frame's payload
-   starts with a layout byte — 0 for a row-major chunk (tagged values,
-   row-major order), 1 for a column-major chunk (per-column blocks, see
-   below) — so either layout round-trips exactly through the same file
-   and a spilled columnar table faults back in columnar. Floats ship as
-   their IEEE bits, so a reloaded chunk is value-for-value identical to
-   the spilled one (digest parity).
+   is always column-major — one block per column, see below: the
+   writer encodes every row-major chunk it is given with
+   [Columnar.of_rows], so a spilled table always faults back in
+   columnar, whatever layout it was built in. Floats ship as their
+   IEEE bits, so a reloaded chunk is value-for-value identical to the
+   spilled one (digest parity).
 
-   The frame size is computed from the largest *serialized* chunk under
-   its own layout ([ser_chunk_size], exact by construction): a
-   dictionary-heavy string column can serialize larger than its row
-   form (dict entries + 4-byte codes vs inline strings), so sizing from
-   the row form would overflow frames.
+   The frame size is computed from the largest *serialized* chunk
+   ([ser_chunk_size], exact by construction): a dictionary-heavy string
+   column can serialize larger than its row form (dict entries + 4-byte
+   codes vs inline strings), so sizing from the row form would overflow
+   frames.
 
    Reads open/seek/read/close per fault: no persistent file descriptors
    means no fd-per-table exhaustion and nothing to guard across domains
@@ -33,7 +33,7 @@ type t = {
   arity : int;
 }
 
-let magic = "QSCF0002"
+let magic = "QSCF0003"
 let header_size = 32
 let frame_header_size = 16
 let next_id = Atomic.make 0
@@ -123,24 +123,20 @@ let ser_col_size n (c : Columnar.column) =
   | Columnar.CGen vs ->
       1 + 1 + Array.fold_left (fun acc v -> acc + ser_size v) 0 vs
 
-(* Exact serialized payload size of a chunk under its own layout,
-   layout byte included. This — not the row-form size — drives the
-   frame size: a dictionary-heavy string column (many distinct values,
-   so dict entries + 4-byte codes exceed the inline strings) serializes
-   larger columnar than row-major. *)
-let ser_chunk_size (chunk : Chunk.t) =
-  match chunk with
-  | Chunk.Rows rows ->
-      1
-      + Array.fold_left
-          (fun acc row ->
-            Array.fold_left (fun acc v -> acc + ser_size v) acc row)
-          0 rows
-  | Chunk.Cols c ->
-      let n = Columnar.n_rows c in
-      Array.fold_left
-        (fun acc col -> acc + ser_col_size n col)
-        1 (Columnar.columns c)
+(* The column blocks a chunk is written as: a row-major chunk is
+   encoded here, a column-major one is written as it is. *)
+let columns_of (chunk : Chunk.t) =
+  match chunk with Chunk.Rows rows -> Columnar.of_rows rows | Chunk.Cols c -> c
+
+let ser_columns_size c =
+  let n = Columnar.n_rows c in
+  Array.fold_left (fun acc col -> acc + ser_col_size n col) 0 (Columnar.columns c)
+
+(* Exact serialized payload size of a chunk. This — not the row-form
+   size — drives the frame size: a dictionary-heavy string column (many
+   distinct values, so dict entries + 4-byte codes exceed the inline
+   strings) serializes larger columnar than its row form. *)
+let ser_chunk_size chunk = ser_columns_size (columns_of chunk)
 
 let put_nulls buf n nl =
   match nl with
@@ -178,15 +174,9 @@ let put_column buf n (c : Columnar.column) =
       Buffer.add_char buf '\000';
       Array.iter (put_value buf) vs
 
-let put_chunk buf (chunk : Chunk.t) =
-  match chunk with
-  | Chunk.Rows rows ->
-      Buffer.add_char buf '\000';
-      Array.iter (fun row -> Array.iter (put_value buf) row) rows
-  | Chunk.Cols c ->
-      Buffer.add_char buf '\001';
-      let n = Columnar.n_rows c in
-      Array.iter (put_column buf n) (Columnar.columns c)
+let put_columns buf c =
+  let n = Columnar.n_rows c in
+  Array.iter (put_column buf n) (Columnar.columns c)
 
 let get_nulls path b pos n =
   let flag = Bytes.get b !pos in
@@ -272,21 +262,22 @@ let put_i64 oc v =
 let write ~dir ~name ~arity chunks =
   let n = Array.length chunks in
   if n = 0 then invalid_arg "Chunk_file.write: no chunks";
-  (* pass 1: serialized + logical sizes; a zero-row frame would make the
-     offset table ambiguous under faulting, so the writer rejects what
-     Table.of_chunk_array should already have normalized away *)
-  let logical = Array.make n 0 in
-  let max_ser = ref 0 in
-  Array.iteri
-    (fun i chunk ->
-      if Chunk.n_rows chunk = 0 then
-        invalid_arg
-          (Printf.sprintf "Chunk_file.write %s: empty chunk %d" name i);
-      logical.(i) <- Chunk.byte_size chunk;
-      let ser = ser_chunk_size chunk in
-      if ser > !max_ser then max_ser := ser)
-    chunks;
-  let frame_size = frame_header_size + !max_ser in
+  (* pass 1: encode, then serialized + logical sizes; a zero-row frame
+     would make the offset table ambiguous under faulting, so the writer
+     rejects what Table.of_chunk_array should already have normalized
+     away *)
+  let cols =
+    Array.mapi
+      (fun i chunk ->
+        if Chunk.n_rows chunk = 0 then
+          invalid_arg
+            (Printf.sprintf "Chunk_file.write %s: empty chunk %d" name i);
+        columns_of chunk)
+      chunks
+  in
+  let logical = Array.map Columnar.byte_size cols in
+  let max_ser = Array.fold_left (fun m c -> max m (ser_columns_size c)) 0 cols in
+  let frame_size = frame_header_size + max_ser in
   let id = Atomic.fetch_and_add next_id 1 in
   let path = Filename.concat dir (Printf.sprintf "t%06d-%s.qsc" id (sanitize name)) in
   Out_channel.with_open_bin path (fun oc ->
@@ -296,16 +287,16 @@ let write ~dir ~name ~arity chunks =
       put_i64 oc arity;
       (* pass 2: serialize each chunk into its frame; seeking to the next
          frame start zero-extends, so short frames need no explicit pad *)
-      let buf = Buffer.create (min !max_ser 65536) in
+      let buf = Buffer.create (min max_ser 65536) in
       Array.iteri
-        (fun i chunk ->
+        (fun i c ->
           Out_channel.seek oc (Int64.of_int (header_size + (i * frame_size)));
           Buffer.clear buf;
-          put_chunk buf chunk;
-          put_i64 oc (Chunk.n_rows chunk);
+          put_columns buf c;
+          put_i64 oc (Columnar.n_rows c);
           put_i64 oc (Buffer.length buf);
           Out_channel.output_string oc (Buffer.contents buf))
-        chunks);
+        cols);
   ({ id; path; n_frames = n; frame_size; arity }, logical)
 
 (* --- reading ------------------------------------------------------------ *)
@@ -324,27 +315,17 @@ let read t i =
       let n_rows = get_i64 hdr 0 in
       let used = get_i64 hdr 8 in
       if n_rows <= 0 then corrupt t.path "zero-row frame";
-      if used < 1 || used > t.frame_size - frame_header_size then
+      if used < 0 || used > t.frame_size - frame_header_size then
         corrupt t.path "frame payload size";
       let payload = Bytes.create used in
       (match In_channel.really_input ic payload 0 used with
       | Some () -> ()
       | None -> corrupt t.path "truncated frame payload");
-      let pos = ref 1 in
-      let chunk =
-        match Bytes.get payload 0 with
-        | '\000' ->
-            Chunk.of_rows
-              (Array.init n_rows (fun _ ->
-                   Array.init t.arity (fun _ -> get_value t.path payload pos)))
-        | '\001' ->
-            let cols =
-              Array.init t.arity (fun _ -> get_column t.path payload pos n_rows)
-            in
-            Chunk.of_columnar (Columnar.of_parts ~len:n_rows cols)
-        | _ -> corrupt t.path "layout byte"
+      let pos = ref 0 in
+      let cols =
+        Array.init t.arity (fun _ -> get_column t.path payload pos n_rows)
       in
       if !pos <> used then corrupt t.path "frame payload trailer";
-      chunk)
+      Chunk.of_columnar (Columnar.of_parts ~len:n_rows cols))
 
 let remove t = try Sys.remove t.path with Sys_error _ -> ()

@@ -2,11 +2,12 @@
 
     One write-once binary file per spilled table: a header plus one
     fixed-size frame per chunk, so faulting chunk [i] is a single
-    seek + read at [header + i * frame_size]. Each frame is tagged with
-    its chunk's layout (row-major or column-major) and round-trips it
-    exactly — floats through their IEEE bits, string dictionaries
-    entry-for-entry — which keeps out-of-core result digests
-    byte-identical to in-memory execution under either layout.
+    seek + read at [header + i * frame_size]. Every frame holds column
+    blocks: a row-major chunk is encoded with {!Columnar.of_rows} on the
+    way out, so a spilled table always faults back in column-major.
+    Values round-trip exactly — floats through their IEEE bits, string
+    dictionaries entry-for-entry — which keeps out-of-core result
+    digests byte-identical to in-memory execution.
 
     Reads open and close the file per call: no persistent descriptors,
     so concurrent faults from several domains need no coordination here
@@ -15,16 +16,16 @@
 type t
 
 val ser_chunk_size : Chunk.t -> int
-(** Exact serialized payload size of a chunk under its own layout
-    (layout tag byte included). [write] sizes frames from the maximum of
-    this over all chunks — not from the row-form size, which a
-    dictionary-heavy string column (dict entries + 4-byte codes larger
-    than the inline strings) can exceed. Exposed for the frame-sizing
-    regression test. *)
+(** Exact serialized payload size of a chunk's column blocks (a
+    row-major chunk is encoded first, as {!write} would). [write] sizes
+    frames from the maximum of this over all chunks — not from the
+    row-form size, which a dictionary-heavy string column (dict entries
+    + 4-byte codes larger than the inline strings) can exceed. Exposed
+    for the frame-sizing regression test and the bench metrics. *)
 
 val write : dir:string -> name:string -> arity:int -> Chunk.t array -> t * int array
-(** [write ~dir ~name ~arity chunks] spills the chunks (in whichever
-    layout each one is) to a fresh uniquely-named file under [dir] and
+(** [write ~dir ~name ~arity chunks] spills the chunks (row-major ones
+    encoded column-major) to a fresh uniquely-named file under [dir] and
     returns the handle plus each chunk's logical byte size
     ({!Chunk.byte_size}, computed during the serialization walk so
     {!Table.byte_size} never faults). Raises [Invalid_argument] on an
@@ -33,9 +34,8 @@ val write : dir:string -> name:string -> arity:int -> Chunk.t array -> t * int a
     frame. *)
 
 val read : t -> int -> Chunk.t
-(** [read t i] faults frame [i] back in (open, seek, read, close) in
-    the layout it was written with. Safe to call concurrently from any
-    domain. *)
+(** [read t i] faults frame [i] back in (open, seek, read, close) as a
+    column-major chunk. Safe to call concurrently from any domain. *)
 
 val id : t -> int
 (** Process-unique id, the buffer pool's cache key. *)

@@ -11,7 +11,14 @@
    the consumer's CPU work. Which store a new table gets is decided at
    construction by the global spill mode: when enabled, *every* table
    built (base data, join outputs, QuerySplit temps) spills, so the
-   engine runs fully out-of-core. *)
+   engine runs fully out-of-core.
+
+   The store also decides the chunk layout: a resident table holds the
+   row arrays it was built from (no encode on the write path of a temp
+   that is read once or twice), while a chunk-file frame always holds
+   column blocks (a fault decodes into unboxed arrays instead of one
+   boxed value per cell). Hand-built columnar chunks ([of_chunk_data])
+   stay columnar in either store. *)
 
 type store =
   | Resident of Chunk.t array
@@ -49,25 +56,6 @@ let default_chunk = ref 65_536
 
 let default_chunk_rows () = !default_chunk
 let set_default_chunk_rows n = default_chunk := max 1 n
-
-(* Global chunk layout. [Row] keeps the classic boxed row arrays;
-   [Columnar] stores every subsequently built table column-major
-   (unboxed int/float arrays, dictionary strings, validity bitsets),
-   which the executor's vectorized kernels exploit. Like the chunk-row
-   default this is set once at startup (--layout) or toggled around a
-   test body; construction reads it once per table, and tables built
-   under different settings coexist (the layout is per chunk). *)
-type layout = Row | Columnar
-
-let default_layout_ref = ref Row
-let default_layout () = !default_layout_ref
-let set_default_layout l = default_layout_ref := l
-let layout_name = function Row -> "row" | Columnar -> "columnar"
-
-let layout_of_string = function
-  | "row" -> Some Row
-  | "columnar" | "col" -> Some Columnar
-  | _ -> None
 
 (* Global spill mode: a scratch directory and the buffer pool shared by
    every spilled table. Set once at startup (--spill-dir) or toggled
@@ -133,16 +121,11 @@ let of_chunk_data_array ~name ~schema (chunks : Chunk.t array) =
 let of_chunk_data ~name ~schema chunks =
   of_chunk_data_array ~name ~schema (Array.of_list chunks)
 
-(* Row-chunk construction: each chunk is (re)encoded per the global
-   layout default, so flipping [--layout columnar] columnarizes every
-   subsequently built table without touching any call site. *)
-let encode_chunk rows =
-  match !default_layout_ref with
-  | Row -> Chunk.of_rows rows
-  | Columnar -> Chunk.of_columnar (Columnar.of_rows rows)
-
+(* Row-chunk construction: resident tables keep the row arrays as they
+   are; under spill mode the chunk-file writer encodes them column-major,
+   so the storage, not the caller, picks the layout. *)
 let of_chunk_array ~name ~schema chunks =
-  of_chunk_data_array ~name ~schema (Array.map encode_chunk chunks)
+  of_chunk_data_array ~name ~schema (Array.map Chunk.of_rows chunks)
 
 let create ?chunk_rows ~name ~schema rows =
   check_arity ~name ~schema rows;

@@ -1,5 +1,5 @@
-(** Tables sharded into fixed-size chunks — row-major or column-major
-    per the global {!layout} — resident in memory or spilled to disk.
+(** Tables sharded into fixed-size chunks, resident in memory or
+    spilled to disk.
 
     Tables are immutable after construction; the engine materializes
     intermediate results as fresh tables. Rows live in chunks of at most
@@ -7,11 +7,16 @@
     table), so very large tables are never one allocation and scans,
     filters and aggregations can run per-chunk on a domain pool. Row
     order is chunk order: iterating chunks in index order visits exactly
-    the row order [create] was given. Under the [Columnar] layout each
-    chunk is stored one unboxed array per column ({!Columnar.t});
-    the row-oriented API below still works (it decodes on access), while
-    layout-aware consumers use {!chunk_data} / {!iter_chunk_data} to
-    reach the columns directly.
+    the row order [create] was given.
+
+    The store picks the chunk layout. A resident table built from rows
+    keeps them as row arrays; a spilled table's chunks fault back in
+    column-major, one unboxed array per column ({!Columnar.t}), because
+    the {!Chunk_file} writer encodes every frame that way. Chunks built
+    columnar by an operator ({!of_chunk_data}) stay columnar in either
+    store. The row-oriented API below works on both layouts (it decodes
+    on access), while layout-aware consumers use {!chunk_data} /
+    {!iter_chunk_data} to reach the columns directly.
 
     With spill mode enabled ({!set_spill}), every newly built table
     writes its chunks to a {!Chunk_file} and the chunk API becomes a
@@ -65,25 +70,6 @@ val default_chunk_rows : unit -> int
 val set_default_chunk_rows : int -> unit
 (** Set the global default (clamped to >= 1). Intended to be called once
     at startup (the [--chunk-rows] flag), before tables are built. *)
-
-type layout = Row | Columnar
-(** Chunk layout for newly built tables. [Row]: boxed row arrays
-    (the classic representation). [Columnar]: column-major chunks with
-    unboxed scalar arrays, dictionary-encoded strings and validity
-    bitsets, exploited by the executor's vectorized kernels. Results
-    are value-identical either way ({!digest} is layout-invariant). *)
-
-val default_layout : unit -> layout
-
-val set_default_layout : layout -> unit
-(** Set the global layout for subsequently built tables (the [--layout]
-    flag). Tables built under different settings coexist — the layout
-    is recorded per chunk, including through spill files. *)
-
-val layout_name : layout -> string
-
-val layout_of_string : string -> layout option
-(** ["row"] / ["columnar"] (or ["col"]); [None] otherwise. *)
 
 val set_spill : (string * Buffer_pool.t) option -> unit
 (** [set_spill (Some (dir, pool))] turns on out-of-core mode: every
@@ -159,8 +145,9 @@ val of_chunk_data : name:string -> schema:Schema.t -> Chunk.t list -> t
 (** Concatenation of pre-built chunks in whichever layout each already
     has — the constructor for operator outputs that want to preserve
     their input's layout (a columnar filter keeps its gathered columns
-    columnar) rather than re-encode per the global default. Empty
-    chunks are dropped; chunk arity is the caller's obligation. *)
+    columnar) rather than decode to rows. Under spill mode row-major
+    chunks are written column-major like any other. Empty chunks are
+    dropped; chunk arity is the caller's obligation. *)
 
 val iter_chunk_data : (int -> Chunk.t -> unit) -> t -> unit
 (** {!iter_chunks} without the row decode: visit every chunk in its

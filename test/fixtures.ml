@@ -5,6 +5,8 @@
 module Value = Qs_storage.Value
 module Schema = Qs_storage.Schema
 module Table = Qs_storage.Table
+module Chunk = Qs_storage.Chunk
+module Columnar = Qs_storage.Columnar
 module Catalog = Qs_storage.Catalog
 module Query = Qs_query.Query
 module Expr = Qs_query.Expr
@@ -13,17 +15,35 @@ module Strategy = Qs_core.Strategy
 module Estimator = Qs_stats.Estimator
 module Rng = Qs_util.Rng
 
+(* A resident table over the same rows and chunk boundaries as
+   [Table.create ?chunk_rows], but with every chunk column-major: a
+   resident table built from rows is row-major, so the columnar side of
+   a layout comparison is built by hand. *)
+let columnar_table ?(chunk_rows = Table.default_chunk_rows ()) ~name ~schema rows =
+  let n = Array.length rows in
+  Table.of_chunk_data ~name ~schema
+    (List.init
+       ((n + chunk_rows - 1) / chunk_rows)
+       (fun ci ->
+         let start = ci * chunk_rows in
+         Chunk.of_columnar
+           (Columnar.of_rows (Array.sub rows start (min chunk_rows (n - start))))))
+
 (* --- a small shop schema with skew and correlation ------------------- *)
 (* customers(id, city, vip) ; products(id, kind, price) ;
    orders(id, customer_id, product_id, qty) ; reviews(id, product_id, stars) *)
 
-let shop_catalog ?(n_orders = 2000) () =
+let shop_catalog ?(n_orders = 2000) ?(columnar = false) () =
   let rng = Rng.create 77 in
+  let create ~name ~schema rows =
+    if columnar then columnar_table ~name ~schema rows
+    else Table.create ~name ~schema rows
+  in
   let cat = Catalog.create () in
   let n_cust = 120 and n_prod = 80 and n_rev = 600 in
   let cities = [| "oslo"; "lima"; "pune"; "kiel" |] in
   let customers =
-    Table.create ~name:"customers"
+    create ~name:"customers"
       ~schema:
         (Schema.make "customers"
            [ ("id", Value.TInt); ("city", Value.TStr); ("vip", Value.TBool) ])
@@ -36,7 +56,7 @@ let shop_catalog ?(n_orders = 2000) () =
   in
   let kinds = [| "book"; "game"; "tool" |] in
   let products =
-    Table.create ~name:"products"
+    create ~name:"products"
       ~schema:
         (Schema.make "products"
            [ ("id", Value.TInt); ("kind", Value.TStr); ("price", Value.TInt) ])
@@ -48,7 +68,7 @@ let shop_catalog ?(n_orders = 2000) () =
            |]))
   in
   let orders =
-    Table.create ~name:"orders"
+    create ~name:"orders"
       ~schema:
         (Schema.make "orders"
            [
@@ -62,7 +82,7 @@ let shop_catalog ?(n_orders = 2000) () =
            [| Value.Int (i + 1); Value.Int c; Value.Int p; Value.Int (1 + Rng.int rng 9) |]))
   in
   let reviews =
-    Table.create ~name:"reviews"
+    create ~name:"reviews"
       ~schema:
         (Schema.make "reviews"
            [ ("id", Value.TInt); ("product_id", Value.TInt); ("stars", Value.TInt) ])

@@ -58,11 +58,6 @@ let with_chunk_rows n f =
   Table.set_default_chunk_rows n;
   Fun.protect ~finally:(fun () -> Table.set_default_chunk_rows saved) f
 
-let with_layout layout f =
-  let saved = Table.default_layout () in
-  Table.set_default_layout layout;
-  Fun.protect ~finally:(fun () -> Table.set_default_layout saved) f
-
 let schema2 name = Schema.make name [ ("id", Value.TInt); ("v", Value.TStr) ]
 
 let mk_rows n = Array.init n (fun i -> [| Value.Int i; Value.Str (string_of_int (i * 7)) |])
@@ -166,6 +161,18 @@ let test_spilled_table_equals_resident () =
         "column_values" true
         (Table.column_values resident 1 = Table.column_values spilled 1);
       Alcotest.(check int) "byte_size" (Table.byte_size resident) (Table.byte_size spilled);
+      (* the store picks the layout: the rows stay row-major resident
+         and fault back column-major from the chunk file *)
+      for ci = 0 to Table.n_chunks resident - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "resident chunk %d row-major" ci)
+          true
+          (Chunk.columnar (Table.chunk_data resident ci) = None);
+        Alcotest.(check bool)
+          (Printf.sprintf "spilled chunk %d column-major" ci)
+          true
+          (Chunk.columnar (Table.chunk_data spilled ci) <> None)
+      done;
       (* iteration faulted well more chunks than fit in the pool *)
       let s = Buffer_pool.stats bp in
       Alcotest.(check bool) "misses happened" true (s.Buffer_pool.misses > 0);
@@ -366,11 +373,12 @@ let test_prefetch_clamped_on_ragged () =
 (* mid-pipeline unwinds: the pipelined engine polls deadline/cancel at
    every morsel boundary while the morsel's frame is pinned, and counts
    emitted rows against the row limit inside the probe fan-out — all
-   three exits must release every pin on the way out *)
-let pipelined_unwind_releases_pins layout =
-  with_layout layout @@ fun () ->
-  with_chunk_rows 16 (fun () ->
-      with_spill ~capacity:2 (fun bp ->
+   three exits must release every pin on the way out. Spilled frames
+   fault back column-major, so the morsels run the selection-vector
+   scans and batch key decodes. *)
+let pipelined_unwind_releases_pins ~chunk_rows ~capacity =
+  with_chunk_rows chunk_rows (fun () ->
+      with_spill ~capacity (fun bp ->
           let cat = Fixtures.shop_catalog ~n_orders:300 () in
           let registry = Qs_stats.Stats_registry.create cat in
           let ctx = Strategy.make_ctx registry Estimator.default in
@@ -404,15 +412,21 @@ let pipelined_unwind_releases_pins layout =
           (* the pool is not poisoned: the same plan still completes *)
           let tbl, _ = Executor.run plan in
           Alcotest.(check bool) "rerun returns rows" true (Table.n_rows tbl > 0);
-          Alcotest.(check int) "no pins after rerun" 0 (Buffer_pool.pinned bp)))
+          Alcotest.(check int) "no pins after rerun" 0 (Buffer_pool.pinned bp);
+          Buffer_pool.stats bp))
 
+(* 16-row chunks through a 2-frame pool: every morsel evicts *)
 let test_pipelined_unwind_releases_pins () =
-  pipelined_unwind_releases_pins Table.Row
+  let s = pipelined_unwind_releases_pins ~chunk_rows:16 ~capacity:2 in
+  Alcotest.(check bool) "frames evicted" true (s.Buffer_pool.evictions > 0)
 
-(* the same unwinds with columnar morsels: selection-vector scans and
-   batch key decodes must not change pin discipline *)
+(* the same unwinds over 7-row ragged chunks through a pool that never
+   evicts: a pinned frame stays resident after the unwind, and the
+   rerun must find it unpinned *)
 let test_pipelined_unwind_releases_pins_columnar () =
-  pipelined_unwind_releases_pins Table.Columnar
+  let s = pipelined_unwind_releases_pins ~chunk_rows:7 ~capacity:4096 in
+  Alcotest.(check int) "nothing evicted" 0 s.Buffer_pool.evictions;
+  Alcotest.(check bool) "reruns hit resident frames" true (s.Buffer_pool.hits > 0)
 
 (* spilled execution produces byte-identical results for every strategy,
    covering Temp materialization writing through the pool *)
@@ -447,8 +461,8 @@ let max_result_rows = 60_000
    skipped), computed once per run of this file. *)
 let reference = ref None
 
-let corpus_digests ?(against_naive = false) () =
-  let cat = Fixtures.shop_catalog ~n_orders:400 () in
+let corpus_digests ?(against_naive = false) ?columnar () =
+  let cat = Fixtures.shop_catalog ~n_orders:400 ?columnar () in
   let registry = Qs_stats.Stats_registry.create cat in
   let ctx = Strategy.make_ctx registry Estimator.default in
   let queries = Fuzz.queries cat ~seed:20230617 ~n:200 () in
@@ -490,22 +504,21 @@ let compare_against_reference ~what got =
       if da <> db then Alcotest.failf "%s: %s digest differs" qa what)
     expected got
 
-let check_out_of_core_corpus ?against_naive ?(layout = Table.Row) ~capacity
-    ?io_pool () =
+let check_out_of_core_corpus ?against_naive ?(chunk_rows = 64) ~capacity ?io_pool
+    () =
   ignore (in_memory_reference ());
   let got =
-    with_layout layout (fun () ->
-        with_chunk_rows 64 (fun () ->
-            with_spill ~capacity ?io_pool (fun bp ->
-                let digests = corpus_digests ?against_naive () in
-                let s = Buffer_pool.stats bp in
-                Alcotest.(check bool) "corpus faulted" true (s.Buffer_pool.misses > 0);
-                Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp);
-                digests)))
+    with_chunk_rows chunk_rows (fun () ->
+        with_spill ~capacity ?io_pool (fun bp ->
+            let digests = corpus_digests ?against_naive () in
+            let s = Buffer_pool.stats bp in
+            Alcotest.(check bool) "corpus faulted" true (s.Buffer_pool.misses > 0);
+            Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp);
+            digests))
   in
   compare_against_reference
     ~what:
-      (Printf.sprintf "out-of-core (%s, capacity %d)" (Table.layout_name layout)
+      (Printf.sprintf "out-of-core (%d-row chunks, capacity %d)" chunk_rows
          capacity)
     got
 
@@ -515,28 +528,28 @@ let test_corpus_width_4_prefetch () =
   Pool.with_pool ~domains:2 (fun io ->
       check_out_of_core_corpus ~capacity:4 ~io_pool:io ())
 
-(* the cross-layout differential: the whole corpus under the columnar
-   layout — vectorized scans, batch join key decodes, columnar
-   aggregation — must reproduce the row-layout reference digests query
-   for query, resident and fully out-of-core at pool widths 1 and 4
-   (with an I/O pool prefetching). The width-4 run is also cross-engine:
-   each query's result must equal the naive executor's, run over the same
-   spilled columnar tables. *)
+(* the cross-layout differential. Spilled frames fault back
+   column-major, so every out-of-core run above already drives the
+   vectorized scans, batch join key decodes and columnar aggregation
+   against the resident row-major reference digests. The cases below
+   cover what those do not: resident base tables built column-major by
+   hand (intermediates then mix both layouts), 7-row ragged chunks at
+   one frame, and a cross-engine run — at width 4 with an I/O pool
+   prefetching, each query's result must equal the naive executor's,
+   run over the same spilled tables. *)
 let test_corpus_columnar_resident () =
   ignore (in_memory_reference ());
   let got =
-    with_layout Table.Columnar (fun () ->
-        with_chunk_rows 64 (fun () -> corpus_digests ()))
+    with_chunk_rows 64 (fun () -> corpus_digests ~columnar:true ())
   in
   compare_against_reference ~what:"columnar resident" got
 
 let test_corpus_columnar_width_1 () =
-  check_out_of_core_corpus ~layout:Table.Columnar ~capacity:1 ()
+  check_out_of_core_corpus ~chunk_rows:7 ~capacity:1 ()
 
 let test_corpus_columnar_cross_engine_width_4 () =
   Pool.with_pool ~domains:2 (fun io ->
-      check_out_of_core_corpus ~against_naive:true ~layout:Table.Columnar
-        ~capacity:4 ~io_pool:io ())
+      check_out_of_core_corpus ~against_naive:true ~capacity:4 ~io_pool:io ())
 
 (* --- Plan_cache: raising planner shared across two sessions ------------ *)
 

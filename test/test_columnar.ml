@@ -1,10 +1,13 @@
-(* Columnar chunk layout: exact of_rows/to_rows round-trips, columnar
-   Chunk_file frames (NaN, -0.0, min_int, NUL-in-string), the
-   frame-sizing regression for dictionary-heavy string columns,
-   selection-vector kernel semantics and edge cases (empty, full,
-   ragged last chunk), layout preservation through filter/project,
-   vectorized vs row-fallback filter parity, columnar aggregation
-   parity, and ANALYZE stats parity across layouts. *)
+(* Columnar chunk layout: exact of_rows/to_rows round-trips, Chunk_file
+   frames (always column-major, whatever the writer is handed; NaN,
+   -0.0, min_int, NUL-in-string), the frame-sizing regression for
+   dictionary-heavy string columns, selection-vector kernel semantics
+   and edge cases (empty, full, ragged last chunk), layout preservation
+   through filter/project, vectorized vs row-fallback filter parity,
+   columnar aggregation parity, and ANALYZE stats parity across
+   layouts. The columnar side of each parity test is built by hand
+   ([Fixtures.columnar_table]): resident tables built from rows are
+   row-major. *)
 
 module Value = Qs_storage.Value
 module Schema = Qs_storage.Schema
@@ -19,11 +22,6 @@ module Logical = Qs_plan.Logical
 module Analyze = Qs_stats.Analyze
 module Table_stats = Qs_stats.Table_stats
 module Pool = Qs_util.Pool
-
-let with_layout layout f =
-  let saved = Table.default_layout () in
-  Table.set_default_layout layout;
-  Fun.protect ~finally:(fun () -> Table.set_default_layout saved) f
 
 let temp_dir () =
   let f = Filename.temp_file "qs_columnar" "" in
@@ -103,7 +101,8 @@ let test_of_rows_roundtrip () =
 let test_chunk_file_columnar_roundtrip () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  (* the same tricky chunk spilled in both layouts through one file *)
+  (* the same tricky chunk handed to the writer column-major and
+     row-major, through one file *)
   let chunks =
     [| Chunk.of_columnar (Columnar.of_rows tricky_rows); Chunk.of_rows tricky_rows |]
   in
@@ -111,36 +110,78 @@ let test_chunk_file_columnar_roundtrip () =
   Alcotest.(check int) "frames" 2 (Chunk_file.n_frames file);
   let c0 = Chunk_file.read file 0 in
   let c1 = Chunk_file.read file 1 in
-  (* frames come back in the layout they were written with *)
+  (* every frame comes back column-major: the writer encodes a row
+     chunk with Columnar.of_rows *)
   Alcotest.(check bool) "frame 0 is columnar" true (Chunk.columnar c0 <> None);
-  Alcotest.(check bool) "frame 1 is row-major" true (Chunk.columnar c1 = None);
+  Alcotest.(check bool) "row-input frame 1 is columnar" true
+    (Chunk.columnar c1 <> None);
   check_cells "columnar frame" tricky_rows (Chunk.rows c0);
-  check_cells "row frame" tricky_rows (Chunk.rows c1);
+  check_cells "row-input frame" tricky_rows (Chunk.rows c1);
   (* logical byte accounting is layout-invariant too *)
-  Alcotest.(check int) "logical sizes equal" logical.(1) logical.(0)
+  Alcotest.(check int) "logical sizes equal" logical.(1) logical.(0);
+  Alcotest.(check int)
+    "logical size of the row input"
+    (Chunk.byte_size (Chunk.of_rows tricky_rows))
+    logical.(1);
+  (* the rows input path end to end: a table built from the tricky rows
+     under spill mode faults every chunk back column-major with every
+     value intact *)
+  let schema =
+    Schema.make "k"
+      [ ("i", Value.TInt); ("f", Value.TFloat); ("s", Value.TStr); ("b", Value.TBool) ]
+  in
+  let build () = Table.create ~chunk_rows:3 ~name:"k" ~schema tricky_rows in
+  let resident = build () in
+  let saved = Table.spill_config () in
+  Table.set_spill (Some (dir, Qs_storage.Buffer_pool.create ~capacity:1 ()));
+  let spilled = Fun.protect ~finally:(fun () -> Table.set_spill saved) build in
+  Alcotest.(check bool) "table spilled" true (Table.spilled spilled);
+  Alcotest.(check int) "3 chunks" 3 (Table.n_chunks spilled);
+  Table.iter_chunk_data
+    (fun ci c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "spilled chunk %d columnar" ci)
+        true
+        (Chunk.columnar c <> None))
+    spilled;
+  check_cells "spilled table" tricky_rows (Table.to_rows spilled);
+  Alcotest.(check string) "digest" (Table.digest resident) (Table.digest spilled)
 
 (* the frame-sizing regression: a dictionary-heavy string column (every
-   value distinct and long) serializes LARGER columnar than row-major —
-   dict entries plus 4-byte codes exceed the inline strings — so frame
-   size must come from the serialized size under each chunk's own
-   layout, not from the row form *)
+   value distinct and long) serializes LARGER column-major than the
+   tagged row form — dict entries plus 4-byte codes exceed the inline
+   strings — so frame size must come from the serialized column blocks,
+   not from the row form the writer was handed *)
 let test_frame_sizing_dict_heavy () =
   let rows = Array.init 64 (fun i -> [| Value.Str (String.make 48 'a' ^ string_of_int i) |]) in
   let row_chunk = Chunk.of_rows rows in
   let col_chunk = Chunk.of_columnar (Columnar.of_rows rows) in
+  (* tagged inline form: tag byte + 4-byte length + bytes per value *)
+  let row_form =
+    Array.fold_left
+      (fun acc r ->
+        match r.(0) with Value.Str s -> acc + 5 + String.length s | _ -> acc)
+      0 rows
+  in
   let ser_row = Chunk_file.ser_chunk_size row_chunk in
   let ser_col = Chunk_file.ser_chunk_size col_chunk in
+  Alcotest.(check int) "row input sized as its column blocks" ser_col ser_row;
   Alcotest.(check bool)
-    (Printf.sprintf "columnar serializes larger (%d > %d)" ser_col ser_row)
-    true (ser_col > ser_row);
-  (* a file whose largest *serialized* chunk is the columnar one still
-     round-trips exactly — sizing frames from the row form would write
-     the columnar frame out of bounds *)
+    (Printf.sprintf "columnar serializes larger (%d > %d)" ser_col row_form)
+    true (ser_col > row_form);
+  (* a file whose largest frame is the dict-heavy chunk, handed in
+     row-major behind a small chunk, still round-trips exactly — sizing
+     frames from the row form would write it out of bounds *)
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let file, _ = Chunk_file.write ~dir ~name:"dict" ~arity:1 [| row_chunk; col_chunk |] in
-  check_cells "row frame" rows (Chunk.rows (Chunk_file.read file 0));
-  check_cells "dict frame" rows (Chunk.rows (Chunk_file.read file 1))
+  let small = [| [| Value.Str "x" |] |] in
+  let file, _ =
+    Chunk_file.write ~dir ~name:"dict" ~arity:1
+      [| Chunk.of_rows small; row_chunk; col_chunk |]
+  in
+  check_cells "small frame" small (Chunk.rows (Chunk_file.read file 0));
+  check_cells "row-input dict frame" rows (Chunk.rows (Chunk_file.read file 1));
+  check_cells "dict frame" rows (Chunk.rows (Chunk_file.read file 2))
 
 (* --- selection-vector kernels ------------------------------------------ *)
 
@@ -250,9 +291,11 @@ let wide_rows =
         Value.Bool (i mod 2 = 0);
       |])
 
-let mk_table layout =
-  with_layout layout (fun () ->
-      Table.create ~chunk_rows:8 ~name:"t" ~schema:wide_schema wide_rows)
+let mk_row_table () =
+  Table.create ~chunk_rows:8 ~name:"t" ~schema:wide_schema wide_rows
+
+let mk_col_table () =
+  Fixtures.columnar_table ~chunk_rows:8 ~name:"t" ~schema:wide_schema wide_rows
 
 let filter_parity_cases =
   [
@@ -280,8 +323,8 @@ let filter_parity_cases =
   ]
 
 let test_filter_parity_across_layouts () =
-  let row_tbl = mk_table Table.Row in
-  let col_tbl = mk_table Table.Columnar in
+  let row_tbl = mk_row_table () in
+  let col_tbl = mk_col_table () in
   List.iter
     (fun (what, preds) ->
       let a = Executor.filter_table row_tbl preds in
@@ -295,8 +338,13 @@ let test_filter_parity_across_layouts () =
     "full filter = identity"
     (Table.digest col_tbl)
     (Table.digest (Executor.filter_table col_tbl keep_all));
+  (* the hand-built tables really differ in layout *)
+  Alcotest.(check bool)
+    "row side is row-major" true
+    (Chunk.columnar (Table.chunk_data row_tbl 0) = None);
+  Alcotest.(check int) "same chunking" (Table.n_chunks row_tbl) (Table.n_chunks col_tbl);
   (* a columnar filter output stays columnar (layout preserved, not
-     re-encoded through the global default) *)
+     decoded to rows) *)
   let filtered =
     Executor.filter_table col_tbl
       [ Expr.Cmp (Expr.Lt, Expr.col "t" "amount", Expr.vint 50) ]
@@ -315,8 +363,8 @@ let test_filter_parity_across_layouts () =
     (Executor.vectorized_chunks () > v0)
 
 let test_project_parity_across_layouts () =
-  let row_tbl = mk_table Table.Row in
-  let col_tbl = mk_table Table.Columnar in
+  let row_tbl = mk_row_table () in
+  let col_tbl = mk_col_table () in
   let cols = [ { Expr.rel = "t"; name = "cat" }; { Expr.rel = "t"; name = "id" } ] in
   let a = Executor.project row_tbl cols in
   let b = Executor.project col_tbl cols in
@@ -335,8 +383,8 @@ let test_aggregate_parity_across_layouts () =
       { Logical.fn = Logical.Max; arg = Some (Expr.col "t" "id"); label = "hi" };
     ]
   in
-  let row_tbl = mk_table Table.Row in
-  let col_tbl = mk_table Table.Columnar in
+  let row_tbl = mk_row_table () in
+  let col_tbl = mk_col_table () in
   let a = Relop.aggregate ~name:"g" ~group_by ~aggs row_tbl in
   let b = Relop.aggregate ~name:"g" ~group_by ~aggs col_tbl in
   Alcotest.(check string) "agg digest" (Table.digest a) (Table.digest b);
@@ -376,13 +424,11 @@ let test_analyze_parity_across_layouts () =
           Value.Str ("s" ^ string_of_int (h mod 50));
         |])
   in
-  let build layout =
-    with_layout layout (fun () ->
-        Table.create ~chunk_rows:256 ~name:"s" ~schema rows)
-  in
   let check ~sample =
-    let a = Analyze.of_table ~sample (build Table.Row) in
-    let b = Analyze.of_table ~sample (build Table.Columnar) in
+    let a = Analyze.of_table ~sample (Table.create ~chunk_rows:256 ~name:"s" ~schema rows) in
+    let b =
+      Analyze.of_table ~sample (Fixtures.columnar_table ~chunk_rows:256 ~name:"s" ~schema rows)
+    in
     Alcotest.(check int) "n_rows" (Table_stats.n_rows a) (Table_stats.n_rows b);
     List.iter2
       (fun ((ca : Schema.column), sa) ((_ : Schema.column), sb) ->

@@ -6,7 +6,9 @@
 #   2. span-bridging lint     — every Physical operator constructor has an
 #                               arm in Executor.span_label, so new operators
 #                               cannot silently vanish from traces
-#   3. dune build @fmt        — formatting, skipped when already running
+#   3. committed baseline     — BENCH.json exists and carries every
+#                               metrics entry the harness emits
+#   4. dune build @fmt        — formatting, skipped when already running
 #                               under dune (INSIDE_DUNE is set): dune
 #                               cannot re-enter itself, and the runtest
 #                               rule depends on the fmt alias instead.
@@ -63,83 +65,30 @@ for c in $span_constructors; do
   fi
 done
 
-# --- bench baseline drift ----------------------------------------------
-# The committed BENCH_*.json dumps all come from ONE harness run
-# (`bench --queries 12 --baseline-out BENCH_pr5.json --serve-out
-# BENCH_pr6.json --io-out BENCH_pr7.json --pipeline-out BENCH_pr8.json
-# --telemetry-out BENCH_pr9.json --metrics-out BENCH_pr10.json`, then
-# BENCH_pr4.json is a copy of the regenerated BENCH_pr5.json), so
-# shared entries are byte-identical across the stack and every diff —
-# histograms included — runs full.
-# Each later baseline is a superset: pr6 adds the "serve" entry, pr7
-# the "io" buffer-pool entry, pr8 the "pipeline" executor entry (the
-# pipelined engine's intermediate-table and partition-reuse counters;
-# its materializing-engine counterparts went with that engine), pr9
-# the "telemetry" serving entry, pr10 the "columnar" layout entry.
-# The exe is a declared dep of the runtest rule; when running by hand it
-# lives under _build.
-bench_diff=tools/bench_diff/bench_diff.exe
-[ -x "$bench_diff" ] || bench_diff=_build/default/tools/bench_diff/bench_diff.exe
-if [ -x "$bench_diff" ] && [ -f BENCH_pr4.json ] && [ -f BENCH_pr5.json ]; then
-  "$bench_diff" BENCH_pr4.json BENCH_pr5.json || {
-    echo "check: BENCH_pr5.json regresses against BENCH_pr4.json" >&2
-    status=1
-  }
+# --- committed baseline ------------------------------------------------
+# BENCH.json is the one committed metrics dump (`bench --queries 12
+# --metrics-out BENCH.json`). Every entry the harness emits must be in
+# it: the fig11 roster plus the "serve", "io" (buffer pool), "pipeline"
+# (executor), "telemetry" (serving recorder) and "columnar" (resident
+# vs spilled frames) entries. Compare two dumps with tools/bench_diff.
+if [ -f BENCH.json ]; then
+  for entry in serve io pipeline telemetry columnar; do
+    grep -q "\"$entry\"" BENCH.json || {
+      echo "check: BENCH.json is missing the \"$entry\" entry" >&2
+      status=1
+    }
+  done
 else
-  echo "check: bench_diff not built — skipping baseline diff" >&2
-fi
-if [ -x "$bench_diff" ] && [ -f BENCH_pr5.json ] && [ -f BENCH_pr6.json ]; then
-  "$bench_diff" BENCH_pr5.json BENCH_pr6.json || {
-    echo "check: BENCH_pr6.json regresses against BENCH_pr5.json" >&2
-    status=1
-  }
-fi
-if [ -x "$bench_diff" ] && [ -f BENCH_pr6.json ] && [ -f BENCH_pr7.json ]; then
-  "$bench_diff" BENCH_pr6.json BENCH_pr7.json || {
-    echo "check: BENCH_pr7.json regresses against BENCH_pr6.json" >&2
-    status=1
-  }
-  grep -q '"io"' BENCH_pr7.json || {
-    echo "check: BENCH_pr7.json is missing the \"io\" buffer-pool entry" >&2
-    status=1
-  }
-fi
-if [ -x "$bench_diff" ] && [ -f BENCH_pr7.json ] && [ -f BENCH_pr8.json ]; then
-  "$bench_diff" BENCH_pr7.json BENCH_pr8.json || {
-    echo "check: BENCH_pr8.json regresses against BENCH_pr7.json" >&2
-    status=1
-  }
-  grep -q '"pipeline"' BENCH_pr8.json || {
-    echo "check: BENCH_pr8.json is missing the \"pipeline\" executor entry" >&2
-    status=1
-  }
-fi
-if [ -x "$bench_diff" ] && [ -f BENCH_pr8.json ] && [ -f BENCH_pr9.json ]; then
-  "$bench_diff" BENCH_pr8.json BENCH_pr9.json || {
-    echo "check: BENCH_pr9.json regresses against BENCH_pr8.json" >&2
-    status=1
-  }
-  grep -q '"telemetry"' BENCH_pr9.json || {
-    echo "check: BENCH_pr9.json is missing the \"telemetry\" serving entry" >&2
-    status=1
-  }
-fi
-if [ -x "$bench_diff" ] && [ -f BENCH_pr9.json ] && [ -f BENCH_pr10.json ]; then
-  "$bench_diff" BENCH_pr9.json BENCH_pr10.json || {
-    echo "check: BENCH_pr10.json regresses against BENCH_pr9.json" >&2
-    status=1
-  }
-  grep -q '"columnar"' BENCH_pr10.json || {
-    echo "check: BENCH_pr10.json is missing the \"columnar\" layout entry" >&2
-    status=1
-  }
+  echo "check: BENCH.json is missing" >&2
+  status=1
 fi
 
 # --- formatting + out-of-core fuzz corpus ------------------------------
 # Both already covered by `dune runtest` (which cannot re-enter dune);
 # when invoked by hand, also re-run the buffer-pool suite — it replays
-# the 200-query differential corpus fully out-of-core through 1- and
-# 4-frame pools and checks digests against in-memory execution.
+# the 200-query differential corpus fully out-of-core (column-major
+# frames) through 1- and 4-frame pools and checks digests against
+# in-memory (row-major) execution.
 if [ -z "${INSIDE_DUNE:-}" ]; then
   dune build @fmt || {
     echo "check: dune build @fmt failed — run 'dune fmt'" >&2

@@ -25,12 +25,15 @@
 #      else goes through Telemetry.complete / Telemetry.snapshot.
 #   6. Columnar field constructors (CInt/CFloat/CBool/CStr/CGen) or
 #      Chunk layout constructors (Chunk.Rows / Chunk.Cols) outside
-#      lib/storage — the columnar invariants (dummy values in NULL
-#      slots, shared dictionaries, validity-bitset collapse) live in
+#      lib/storage — the storage picks a chunk's layout (resident
+#      tables keep row arrays, chunk-file frames fault back column-major)
+#      and the columnar invariants (dummy values in NULL slots, shared
+#      dictionaries, validity-bitset collapse) live in
 #      Columnar.of_rows/of_parts; building or matching the raw
 #      representation elsewhere would let a consumer skip them.
 #      Everyone else uses the typed kernels (eval_cmp, take, project,
-#      column_values) and Chunk.of_rows/of_columnar/columnar.
+#      column_values) and Chunk.of_rows/of_columnar/columnar, and must
+#      work on whichever layout a chunk arrives in.
 #
 # Allow-list entries:
 #   lib/util/scratch.ml / .mli — only *mention* Obj in documentation
