@@ -8,14 +8,13 @@
      dune exec bench/main.exe -- micro        # substrate micro-benchmarks
      dune exec bench/main.exe -- --scale 0.2 --queries 40 --timeout 5 all
      dune exec bench/main.exe -- --domains 4 par_sweep   # parallel harness
-     dune exec bench/main.exe -- --domains 4 --chunk-rows 16384 scan_sweep
-     dune exec bench/main.exe -- --domains 4 --dp-limit 14 dp_sweep
      dune exec bench/main.exe -- --trace-out trace.json fig11  # Chrome trace
      dune exec bench/main.exe -- --metrics-out BENCH.json      # bench_diff dump
      dune exec bench/main.exe -- serve_sweep --metrics-out BENCH.json
-     dune exec bench/main.exe -- --spill-dir /tmp/qs --buffer-chunks 8 io_sweep
-     # (the storage picks the chunk layout: resident tables hold rows,
-     # spilled frames fault back column-major)
+     dune exec bench/main.exe -- --spill-dir /tmp/qs --buffer-chunks 8 fig13
+     # (--domains fans whole queries out across domains; each query runs
+     # on one. The storage picks the chunk layout: resident tables hold
+     # rows, spilled frames fault back column-major)
      # committed-baseline regeneration (see tools/check.sh)
      dune exec bench/main.exe -- --queries 12 --metrics-out BENCH.json *)
 
@@ -38,10 +37,6 @@ let experiments : (string * (Experiments.setup -> unit)) list =
     ("ablation", Experiments.ablation);
     ("metrics", Experiments.metrics);
     ("par_sweep", Experiments.par_sweep);
-    ("scan_sweep", Experiments.scan_sweep);
-    ("io_sweep", Experiments.io_sweep);
-    ("dp_sweep", Experiments.dp_sweep);
-    ("pipeline_sweep", Experiments.pipeline_sweep);
     ("serve_sweep", Experiments.serve_sweep);
     ("telemetry_sweep", Experiments.telemetry_sweep);
   ]
@@ -181,22 +176,16 @@ let () =
   (* --spill-dir: run the whole harness out-of-core — every table built
      from here on (base data included) spills its chunks under the
      given directory and reads them back through one shared buffer pool
-     of --buffer-chunks frames, with a 2-domain I/O pool prefetching *)
-  let io_pool =
-    match !spill_dir with
-    | None -> None
-    | Some dir ->
-        (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-        let bp = Qs_storage.Buffer_pool.create ~capacity:!buffer_chunks () in
-        let io = Qs_util.Pool.create ~domains:2 () in
-        Qs_storage.Buffer_pool.set_io_pool bp (Some io);
-        Qs_storage.Buffer_pool.set_tracer bp !setup.Experiments.tracer;
-        Qs_storage.Table.set_spill (Some (dir, bp));
-        Printf.printf
-          "spill mode: chunks under %s, buffer pool of %d frames\n" dir
-          (Qs_storage.Buffer_pool.capacity bp);
-        Some io
-  in
+     of --buffer-chunks frames *)
+  Option.iter
+    (fun dir ->
+      (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+      let bp = Qs_storage.Buffer_pool.create ~capacity:!buffer_chunks () in
+      Qs_storage.Buffer_pool.set_tracer bp !setup.Experiments.tracer;
+      Qs_storage.Table.set_spill (Some (dir, bp));
+      Printf.printf "spill mode: chunks under %s, buffer pool of %d frames\n" dir
+        (Qs_storage.Buffer_pool.capacity bp))
+    !spill_dir;
   (* no arguments: run everything, micro-benchmarks included — unless the
      invocation is a pure --metrics-out dump *)
   let default_run = !chosen = [] && (not !want_micro) && !metrics_out = None in
@@ -224,7 +213,6 @@ let () =
           output_char oc '\n');
       Printf.printf "wrote metrics JSON to %s\n%!" path)
     !metrics_out;
-  Option.iter Qs_util.Pool.shutdown io_pool;
   match (!trace_out, s.Experiments.tracer) with
   | Some path, Some tr ->
       Qs_obs.Chrome_trace.write path tr;

@@ -72,22 +72,16 @@ let algo_arg =
 let domains_arg =
   Arg.(value & opt int 1
        & info [ "domains" ]
-           ~doc:"Fan queries across this many domains (1 = sequential).")
-
-let join_par_arg =
-  Arg.(value & opt int 1
-       & info [ "parallel-join" ]
            ~doc:
-             "Partition executor hash joins across this many domains \
-              (1 = off; results are identical either way).")
+             "Fan queries across this many domains (1 = sequential); each \
+              query runs on one domain.")
 
 let chunk_rows_arg =
   Arg.(value & opt int 0
        & info [ "chunk-rows" ]
            ~doc:
              "Rows per storage chunk (0 = keep the default, 64k). Applied \
-              before the catalog is built; smaller chunks expose more scan \
-              parallelism.")
+              before the catalog is built.")
 
 (* applied before any table is built, so every table of the run is chunked
    at the requested size *)
@@ -115,17 +109,13 @@ let buffer_chunks_arg =
               just with more I/O.")
 
 (* applied before any table is built, so the whole run — catalog
-   included — goes through the chunk files; the 2-domain I/O pool
-   prefetches ahead of sequential scans and is shut down at exit *)
+   included — goes through the chunk files *)
 let apply_spill tracer spill_dir buffer_chunks =
   match spill_dir with
   | None -> ()
   | Some dir ->
       (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
       let bp = Buffer_pool.create ~capacity:buffer_chunks () in
-      let io = Qs_util.Pool.create ~domains:2 () in
-      at_exit (fun () -> Qs_util.Pool.shutdown io);
-      Buffer_pool.set_io_pool bp (Some io);
       Buffer_pool.set_tracer bp tracer;
       Table.set_spill (Some (dir, bp))
 
@@ -316,7 +306,7 @@ let serve_demo ~scale ~seed ~n ~index ~domains ~policy ~stats_out ~prom_out
         (Server.peak_queue server))
 
 let run_cmd workload scale seed n timeout index algo collect_stats domains
-    join_parallelism explain profile serve policy stats_out prom_out chunk_rows
+    explain profile serve policy stats_out prom_out chunk_rows
     dp_limit spill_dir buffer_chunks =
   apply_chunk_rows chunk_rows;
   apply_dp_limit dp_limit;
@@ -353,8 +343,7 @@ let run_cmd workload scale seed n timeout index algo collect_stats domains
       Printf.printf "%s on %d cinema queries (scale %.2f)\n" algo.Runner.label
         (List.length queries) scale;
       let rs =
-        Runner.run_spj ~collect_stats ~timeout ~domains ~join_parallelism ?tracer
-          env algo queries
+        Runner.run_spj ~collect_stats ~timeout ~domains ?tracer env algo queries
       in
       List.iter
         (fun (r : Runner.qresult) ->
@@ -382,8 +371,7 @@ let run_cmd workload scale seed n timeout index algo collect_stats domains
       let env = Runner.make_env ~seed cat in
       Printf.printf "%s on %d non-SPJ queries\n" algo.Runner.label (List.length trees);
       let rs =
-        Runner.run_logical ~collect_stats ~timeout ~domains ~join_parallelism
-          ?tracer env algo trees
+        Runner.run_logical ~collect_stats ~timeout ~domains ?tracer env algo trees
       in
       List.iter
         (fun (r : Runner.qresult) ->
@@ -489,7 +477,7 @@ let top_cmd file interval iterations =
 let run_term =
   Term.(
     const run_cmd $ workload_arg $ scale_arg $ seed_arg $ queries_arg $ timeout_arg
-    $ index_arg $ algo_arg $ stats_arg $ domains_arg $ join_par_arg $ explain_arg
+    $ index_arg $ algo_arg $ stats_arg $ domains_arg $ explain_arg
     $ profile_arg $ serve_arg $ policy_arg $ stats_out_arg $ prom_out_arg
     $ chunk_rows_arg $ dp_limit_arg $ spill_dir_arg
     $ buffer_chunks_arg)

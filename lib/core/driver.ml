@@ -16,7 +16,7 @@ let rec eval (strategy : Strategy.t) ctx node =
       (o.Strategy.result, o.Strategy.iterations)
   | Logical.Agg { name; group_by; aggs; input } ->
       let tbl, iters = eval strategy ctx input in
-      (Relop.aggregate ?pool:ctx.Strategy.pool ~name ~group_by ~aggs tbl, iters)
+      (Relop.aggregate ~name ~group_by ~aggs tbl, iters)
   | Logical.Union_all { name; inputs } ->
       let results = List.map (eval strategy ctx) inputs in
       let tables = List.map fst results in

@@ -29,7 +29,7 @@ let run ctx (q : Query.t) =
   let candidates =
     List.map
       (fun est ->
-        (Optimizer.optimize ?spans:ctx.Strategy.spans ?pool:ctx.Strategy.pool
+        (Optimizer.optimize ?spans:ctx.Strategy.spans
            ?memo:ctx.Strategy.dp_memo cat est frag)
           .Optimizer.plan)
       scenarios
@@ -45,7 +45,7 @@ let run ctx (q : Query.t) =
       (List.hd candidates) (List.tl candidates)
   in
   let table, _ =
-    Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel ?pool:ctx.Strategy.pool
+    Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel
       ?spans:ctx.Strategy.spans plan
   in
   let result = Executor.project ~name:q.Query.name table q.Query.output in

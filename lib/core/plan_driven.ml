@@ -181,7 +181,7 @@ let run policy ?selector ctx (q : Query.t) =
   Strategy.guard ctx @@ fun () ->
   let cat = Strategy.catalog ctx in
   let optimize frag =
-    (Optimizer.optimize ?spans:ctx.Strategy.spans ?pool:ctx.Strategy.pool
+    (Optimizer.optimize ?spans:ctx.Strategy.spans
        ?memo:ctx.Strategy.dp_memo cat ctx.Strategy.estimator frag)
       .Optimizer.plan
   in
@@ -198,7 +198,7 @@ let run policy ?selector ctx (q : Query.t) =
     | None ->
         (* no executable join left: run the remaining plan to completion *)
         let table, _ =
-          Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel ?pool:ctx.Strategy.pool
+          Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel
             ?spans:ctx.Strategy.spans !plan
         in
         finished_table := Some table;
@@ -220,7 +220,7 @@ let run policy ?selector ctx (q : Query.t) =
           :: !iterations
     | Some node ->
         let table, _ =
-          Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel ?pool:ctx.Strategy.pool
+          Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel
             ?spans:ctx.Strategy.spans node
         in
         let actual = Table.n_rows table in

@@ -34,7 +34,7 @@ let optimize_cached ~enabled cache ctx frag =
   | true, Some r -> r
   | _ ->
       let r =
-        Optimizer.optimize ?spans:ctx.Strategy.spans ?pool:ctx.Strategy.pool
+        Optimizer.optimize ?spans:ctx.Strategy.spans
           ?memo:ctx.Strategy.dp_memo (Strategy.catalog ctx) ctx.Strategy.estimator
           frag
       in
@@ -47,7 +47,7 @@ let global_deep_order ctx (q : Query.t) (frags : Fragment.t list) =
   let rng = Rng.create ctx.Strategy.seed in
   let global = Strategy.fragment_of_query ctx q in
   let plan =
-    (Optimizer.optimize ?spans:ctx.Strategy.spans ?pool:ctx.Strategy.pool
+    (Optimizer.optimize ?spans:ctx.Strategy.spans
        ?memo:ctx.Strategy.dp_memo (Strategy.catalog ctx) ctx.Strategy.estimator
        global)
       .plan
@@ -142,7 +142,7 @@ let run config ctx (q : Query.t) =
         (List.hd ranked) (List.tl ranked)
     in
     let table, _ =
-      Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel ?pool:ctx.Strategy.pool
+      Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel
         ?spans:ctx.Strategy.spans plan_res.Optimizer.plan
     in
     (* the re-optimization journal: one entry (flight step + span) per
@@ -260,7 +260,7 @@ let subquery_plans ctx q config =
     (fun sq ->
       let frag = Strategy.fragment_of_query ctx sq in
       let r =
-        Optimizer.optimize ?spans:ctx.Strategy.spans ?pool:ctx.Strategy.pool
+        Optimizer.optimize ?spans:ctx.Strategy.spans
           ?memo:ctx.Strategy.dp_memo (Strategy.catalog ctx) ctx.Strategy.estimator
           frag
       in

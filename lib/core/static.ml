@@ -12,11 +12,11 @@ let run_with ~name ?allowed ~estimator_of ctx (q : Query.t) =
   let frag = Strategy.fragment_of_query ctx q in
   let est = estimator_of ctx in
   let res =
-    Optimizer.optimize ?allowed ?spans:ctx.Strategy.spans ?pool:ctx.Strategy.pool
+    Optimizer.optimize ?allowed ?spans:ctx.Strategy.spans
       ?memo:ctx.Strategy.dp_memo (Strategy.catalog ctx) est frag
   in
   let table, _ =
-    Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel ?pool:ctx.Strategy.pool
+    Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel
       ?spans:ctx.Strategy.spans res.Optimizer.plan
   in
   let result = Executor.project ~name:q.Query.name table q.Query.output in

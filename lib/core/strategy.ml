@@ -10,7 +10,6 @@ module Analyze = Qs_stats.Analyze
 module Table_stats = Qs_stats.Table_stats
 module Executor = Qs_exec.Executor
 module Timer = Qs_util.Timer
-module Pool = Qs_util.Pool
 
 type iteration = {
   index : int;
@@ -38,7 +37,6 @@ type ctx = {
   seed : int;
   pseudo : (string, Table.t * Table_stats.t) Hashtbl.t;
   spans : Qs_util.Span.t option;
-  pool : Pool.t option;
   dp_memo : Qs_plan.Dp_memo.t option;
   cancel : Qs_util.Cancel.t option;
   flight : Qs_obs.Flight.t option;
@@ -50,10 +48,10 @@ type t = {
 }
 
 let make_ctx ?(collect_stats = true) ?(deadline = None) ?(seed = 42) ?spans
-    ?pool ?dp_memo ?cancel ?flight registry estimator =
+    ?dp_memo ?cancel ?flight registry estimator =
   {
     registry; estimator; collect_stats; deadline = ref deadline; seed;
-    pseudo = Hashtbl.create 8; spans; pool; dp_memo; cancel; flight;
+    pseudo = Hashtbl.create 8; spans; dp_memo; cancel; flight;
   }
 
 (* One re-optimization journal entry, fanned out to both sinks: the

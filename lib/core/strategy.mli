@@ -51,10 +51,6 @@ type ctx = {
           re-optimization iteration (the [reopt-step] journal: selected
           subquery, score, est vs. actual rows, replanned or not) are
           recorded as time-ordered spans *)
-  pool : Qs_util.Pool.t option;
-      (** when set (size > 1), executor hash joins run partitioned across
-          the pool's domains, and the optimizer's DP levels fan out over
-          the same pool; plans and results are unchanged *)
   dp_memo : Qs_plan.Dp_memo.t option;
       (** when set, every optimizer call threads this cross-step DP memo:
           after a re-optimization step, only subsets whose cardinality
@@ -79,7 +75,7 @@ type t = {
 }
 
 val make_ctx : ?collect_stats:bool -> ?deadline:float option -> ?seed:int ->
-  ?spans:Qs_util.Span.t -> ?pool:Qs_util.Pool.t ->
+  ?spans:Qs_util.Span.t ->
   ?dp_memo:Qs_plan.Dp_memo.t -> ?cancel:Qs_util.Cancel.t ->
   ?flight:Qs_obs.Flight.t -> Stats_registry.t -> Estimator.t -> ctx
 

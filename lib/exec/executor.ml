@@ -10,7 +10,6 @@ module Expr = Qs_query.Expr
 module Scratch = Qs_util.Scratch
 module Cancel = Qs_util.Cancel
 module Timer = Qs_util.Timer
-module Pool = Qs_util.Pool
 module Span = Qs_util.Span
 
 exception Timeout
@@ -20,33 +19,25 @@ let default_row_limit = 2_000_000
 type stats = (int, int) Hashtbl.t
 
 (* Observability counters (cumulative, reset around experiments): how
-   many intermediate tables the engine materialized, how often a
-   partitioned join consumed a side through its preserved partition
-   layout instead of re-hashing every row, and how many chunks were
-   filtered through the vectorized columnar kernels rather than
+   many intermediate tables the engine materialized, and how many chunks
+   were filtered through the vectorized columnar kernels rather than
    row-at-a-time predicate evaluation. *)
 let intermediates = Atomic.make 0
-let partition_reuse_count = Atomic.make 0
 let vectorized_chunk_count = Atomic.make 0
 
 let reset_counters () =
   Atomic.set intermediates 0;
-  Atomic.set partition_reuse_count 0;
   Atomic.set vectorized_chunk_count 0
 
 let intermediate_tables () = Atomic.get intermediates
-let partition_reuses () = Atomic.get partition_reuse_count
+let partition_reuses () = 0
 let vectorized_chunks () = Atomic.get vectorized_chunk_count
 
-(* Both global counters also feed the ambient per-query flight record
+(* The intermediate count also feeds the ambient per-query flight record
    (serving telemetry), when one is installed on this domain. *)
 let built_intermediate () =
   Atomic.incr intermediates;
   Qs_obs.Flight.on_intermediate_table ()
-
-let note_partition_reuse () =
-  Atomic.incr partition_reuse_count;
-  Qs_obs.Flight.on_partition_reuse ()
 
 let check_deadline = function
   | Some d when Timer.now () > d -> raise Timeout
@@ -213,34 +204,23 @@ let filter_chunk_data ?deadline ?cancel schema filters (chunk : Chunk.t) =
         let rows = Chunk.rows chunk in
         Chunk.of_rows (Array.map (fun i -> rows.(i)) sel)
 
-(* Chunked scan+filter. With [pool], chunks are filtered in parallel;
-   Pool.map returns per-chunk outputs in chunk order, so the surviving
-   rows come back in exactly the sequential scan's row order. The
-   output preserves each input chunk's layout. *)
-let filter_table ?deadline ?cancel ?pool (tbl : Table.t) filters =
+(* Chunked scan+filter through the chunk walker, one pinned frame at a
+   time over a spilled table. The output preserves each input chunk's
+   layout. *)
+let filter_table ?deadline ?cancel (tbl : Table.t) filters =
   match filters with
   | [] -> tbl
   | filters ->
       let schema = tbl.Table.schema in
-      let nc = Table.n_chunks tbl in
-      let job chunk = filter_chunk_data ?deadline ?cancel schema filters chunk in
-      let chunks =
-        match pool with
-        | Some pool when Pool.size pool > 1 && nc > 1 ->
-            Pool.map pool
-              (fun ci -> job (Table.chunk_data tbl ci))
-              (List.init nc Fun.id)
-        | _ ->
-            (* sequential scan through the chunk walker, so spilled
-               inputs prefetch upcoming chunks while this one filters *)
-            let out = ref [] in
-            Table.iter_chunk_data (fun _ chunk -> out := job chunk :: !out) tbl;
-            List.rev !out
-      in
+      let out = ref [] in
+      Table.iter_chunk_data
+        (fun _ chunk ->
+          out := filter_chunk_data ?deadline ?cancel schema filters chunk :: !out)
+        tbl;
       built_intermediate ();
-      Table.of_chunk_data ~name:tbl.Table.name ~schema chunks
+      Table.of_chunk_data ~name:tbl.Table.name ~schema (List.rev !out)
 
-let filter_input ?deadline ?cancel ?pool (input : Fragment.input) =
+let filter_input ?deadline ?cancel (input : Fragment.input) =
   let tbl = input.Fragment.table in
   match input.Fragment.filters with
   | [] -> tbl
@@ -254,7 +234,7 @@ let filter_input ?deadline ?cancel ?pool (input : Fragment.input) =
          the next query refilters from scratch. *)
       Scratch.find_or_add input.Fragment.scratch table_slot
         ("filtered:" ^ filters_key filters)
-        (fun () -> filter_table ?deadline ?cancel ?pool tbl filters)
+        (fun () -> filter_table ?deadline ?cancel tbl filters)
 
 (* Join-key extraction: positions of the equi-join columns on each side,
    plus the residual predicates evaluated on the concatenated row. *)
@@ -426,34 +406,12 @@ let morsel_rows m =
 
 (* A stream of chunk-sized morsels. [ps_iter] drives the whole operator
    subtree synchronously: each morsel handed to the consumer is
-   non-empty and, when [ps_parts] is set, tagged with the partition its
-   rows hash into (tag [-1] = untagged). A morsel sourced from a
-   spilled table is exactly one pinned buffer-pool frame, released
-   before the next is pinned, so a pipeline touches O(1) frames no
-   matter how large its inputs are. *)
-type pstream = {
-  ps_schema : Schema.t;
-  ps_parts : ((string * string) list list * int) option;
-      (* value-equivalent partition keys (ordered (rel, name) pairs)
-         and modulus when every emitted morsel is tagged *)
-  ps_iter : (int -> morsel -> unit) -> unit;
-}
+   non-empty. A morsel sourced from a spilled table is exactly one
+   pinned buffer-pool frame, released before the next is pinned, so a
+   pipeline touches O(1) frames no matter how large its inputs are. *)
+type pstream = { ps_schema : Schema.t; ps_iter : (morsel -> unit) -> unit }
 
-let colref_pair (c : Expr.colref) = (c.Expr.rel, c.Expr.name)
-
-(* split one partition's row buffer into default-sized chunks so
-   downstream morsels stay bounded *)
-let chunk_up rows =
-  let cr = Table.default_chunk_rows () in
-  let n = Array.length rows in
-  if n = 0 then []
-  else if n <= cr then [ rows ]
-  else
-    List.init
-      ((n + cr - 1) / cr)
-      (fun ci -> Array.sub rows (ci * cr) (min cr (n - ci * cr)))
-
-let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
+let run_pipelined ?deadline ?cancel ~row_limit ?spans plan =
   let stats : stats = Hashtbl.create 16 in
   (* every node id present even when nothing streams through it *)
   List.iter
@@ -466,7 +424,7 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
       (n + Option.value (Hashtbl.find_opt stats p.Physical.id) ~default:0)
   in
   let bid (p : Physical.t) = string_of_int p.Physical.id in
-  let emit_chunks p emit tag out =
+  let emit_chunks p emit out =
     match out with
     | [] -> ()
     | l ->
@@ -474,7 +432,7 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
         bump p (Array.length rows);
         (* operator outputs are freshly assembled rows: a dense
            row-major morsel *)
-        emit tag { m_chunk = Chunk.of_rows rows; m_sel = None }
+        emit { m_chunk = Chunk.of_rows rows; m_sel = None }
   in
   let rec stream (p : Physical.t) : pstream =
     match p.Physical.node with
@@ -488,17 +446,12 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
         let tbl = input.Fragment.table in
         let schema = tbl.Table.schema in
         let filters = input.Fragment.filters in
-        let pt = Table.partitioning tbl in
         {
           ps_schema = schema;
-          ps_parts =
-            Option.map
-              (fun (q : Table.partitioning) -> (q.Table.part_keys, q.Table.parts))
-              pt;
           ps_iter =
             (fun emit ->
               Table.iter_chunk_data
-                (fun ci chunk ->
+                (fun _ chunk ->
                   tick ();
                   let sel =
                     if filters = [] then None
@@ -510,15 +463,12 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
                   | _ ->
                       let m = morsel_of ~chunk ~sel in
                       bump p (morsel_count m);
-                      let tag =
-                        match pt with Some q -> q.Table.tags.(ci) | None -> -1
-                      in
-                      emit tag m)
+                      emit m)
                 tbl);
         }
     | Physical.Join j -> (
         match j.Physical.method_ with
-        | Physical.Hash -> (
+        | Physical.Hash ->
             let bstream = stream j.Physical.left in
             let prstream = stream j.Physical.right in
             let out_schema = Schema.concat prstream.ps_schema bstream.ps_schema in
@@ -527,185 +477,61 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
             in
             let bpos = key_positions bstream.ps_schema (List.map fst build_cols) in
             let ppos = key_positions prstream.ps_schema (List.map snd build_cols) in
-            match pool with
-            | Some pl when Pool.size pl > 1 ->
-                (* Partitioned parallel join. Both sides are barriers
-                   here (the probe work is distributed by partition),
-                   but the output streams per-partition chunk batches,
-                   tagged so a downstream join — possibly in a later
-                   QuerySplit step, via a preserved temp layout — can
-                   group them by tag instead of re-hashing. *)
-                let k = Pool.size pl in
-                let bkey = List.map (fun (c, _) -> colref_pair c) build_cols in
-                let pkey = List.map (fun (_, c) -> colref_pair c) build_cols in
-                (* a producer's layout is reusable when it was hashed by
-                   this join's key (any of the producer's equivalent
-                   keys) with the same modulus; decided up front so the
-                   output can advertise the inherited keys too *)
-                let reusable (s : pstream) key =
-                  match s.ps_parts with
-                  | Some (keys, kk) when kk = k && List.mem key keys ->
-                      Some keys
-                  | _ -> None
-                in
-                let breuse = reusable bstream bkey
-                and preuse = reusable prstream pkey in
-                let collect (s : pstream) pos reuse =
-                  let parts = Array.make k [] in
-                  (match reuse with
-                  | Some _ ->
-                      (* the producer already partitioned by this exact
-                         key and modulus: group chunks by tag. Tagged
-                         rows joined on this key upstream, so none has
-                         a null key — dropping nulls is a no-op. *)
-                      note_partition_reuse ();
-                      s.ps_iter (fun tag m ->
-                          parts.(tag) <-
-                            Array.fold_left
-                              (fun acc r -> r :: acc)
-                              parts.(tag) (morsel_rows m))
-                  | None ->
-                      s.ps_iter (fun _ m ->
-                          (* batch key extraction: the key columns are
-                             decoded column-at-a-time off a columnar
-                             morsel, then hashed per surviving ordinal *)
-                          let kcols = List.map (morsel_col m) pos in
+            (* the build side is the pipeline breaker, the probe side
+               streams morsel by morsel *)
+            {
+              ps_schema = out_schema;
+              ps_iter =
+                (fun emit ->
+                  let index : (Value.t list, Value.t array list) Hashtbl.t =
+                    Hashtbl.create 1024
+                  in
+                  Span.span spans Span.Breaker ~args:(node_args p) ("hash-build:" ^ bid p)
+                    (fun () ->
+                      bstream.ps_iter (fun m ->
+                          (* batch build: key columns decoded
+                             column-at-a-time per morsel, rows
+                             fetched lazily only for live keys *)
+                          let kcols = List.map (morsel_col m) bpos in
                           let fetch = morsel_fetch m in
-                          morsel_ordinals m (fun i ->
-                              let key = List.map (fun g -> g i) kcols in
-                              if not (has_null key) then begin
-                                let pi = Hashtbl.hash key mod k in
-                                parts.(pi) <- fetch i :: parts.(pi)
-                              end)));
-                  Array.map List.rev parts
-                in
-                (* output rows hold equal values on the probe and build
-                   key columns, so both keys describe the layout; a
-                   reused producer's other equivalent keys still hash to
-                   the same tags and survive into the concatenated rows *)
-                let out_keys =
-                  List.sort_uniq compare
-                    ([ pkey; bkey ]
-                    @ Option.value preuse ~default:[]
-                    @ Option.value breuse ~default:[])
-                in
-                {
-                  ps_schema = out_schema;
-                  ps_parts = Some (out_keys, k);
-                  ps_iter =
-                    (fun emit ->
-                      let bparts =
-                        Span.span spans Span.Breaker ~args:(node_args p) ("partition-build:" ^ bid p)
-                          (fun () -> collect bstream bpos breuse)
-                      in
-                      let pparts =
-                        Span.span spans Span.Breaker ~args:(node_args p) ("partition-probe:" ^ bid p)
-                          (fun () -> collect prstream ppos preuse)
-                      in
-                      let emitted = Atomic.make 0 in
-                      let run_part pi =
-                        let index : (Value.t list, Value.t array list) Hashtbl.t =
-                          Hashtbl.create (max 16 (List.length bparts.(pi)))
-                        in
-                        List.iteri
-                          (fun i row ->
-                            if i mod batch = 0 then tick ();
-                            let key = key_of_row row bpos in
-                            Hashtbl.replace index key
-                              (row
-                              :: Option.value (Hashtbl.find_opt index key)
-                                   ~default:[]))
-                          bparts.(pi);
-                        let out = ref [] in
-                        List.iteri
-                          (fun i prow ->
-                            if i mod batch = 0 then tick ();
-                            let key = key_of_row prow ppos in
-                            match Hashtbl.find_opt index key with
-                            | None -> ()
-                            | Some matches ->
-                                List.iter
-                                  (fun brow ->
-                                    let n = 1 + Atomic.fetch_and_add emitted 1 in
-                                    if n mod batch = 0 then tick ();
-                                    let row = Array.append prow brow in
-                                    if List.for_all (Expr.eval out_schema row) residual
-                                    then begin
-                                      out := row :: !out;
-                                      if n > limit then raise Timeout
-                                    end)
-                                  matches)
-                          pparts.(pi);
-                        List.rev !out
-                      in
-                      let parts_out = Pool.map pl run_part (List.init k Fun.id) in
-                      List.iteri
-                        (fun pi rows ->
-                          List.iter
-                            (fun chunk ->
-                              tick ();
-                              bump p (Array.length chunk);
-                              emit pi { m_chunk = Chunk.of_rows chunk; m_sel = None })
-                            (chunk_up (Array.of_list rows)))
-                        parts_out);
-                }
-            | _ ->
-                (* sequential: the build side is the pipeline breaker,
-                   the probe side streams morsel by morsel *)
-                {
-                  ps_schema = out_schema;
-                  ps_parts = None;
-                  ps_iter =
-                    (fun emit ->
-                      let index : (Value.t list, Value.t array list) Hashtbl.t =
-                        Hashtbl.create 1024
-                      in
-                      Span.span spans Span.Breaker ~args:(node_args p) ("hash-build:" ^ bid p)
-                        (fun () ->
-                          bstream.ps_iter (fun _ m ->
-                              (* batch build: key columns decoded
-                                 column-at-a-time per morsel, rows
-                                 fetched lazily only for live keys *)
-                              let kcols = List.map (morsel_col m) bpos in
-                              let fetch = morsel_fetch m in
-                              morsel_ordinals m (fun i ->
-                                  let k = List.map (fun g -> g i) kcols in
-                                  if not (has_null k) then
-                                    Hashtbl.replace index k
-                                      (fetch i
-                                      :: Option.value (Hashtbl.find_opt index k)
-                                           ~default:[]))));
-                      (* [emitted] counts matched pairs before the
-                         residual check; the row limit is tested
-                         against it each time a row is kept *)
-                      let emitted = ref 0 in
-                      prstream.ps_iter (fun _ m ->
-                          let kcols = List.map (morsel_col m) ppos in
-                          let fetch = morsel_fetch m in
-                          let out = ref [] in
                           morsel_ordinals m (fun i ->
                               let k = List.map (fun g -> g i) kcols in
                               if not (has_null k) then
-                                match Hashtbl.find_opt index k with
-                                | None -> ()
-                                | Some matches ->
-                                    let prow = fetch i in
-                                    List.iter
-                                      (fun brow ->
-                                        incr emitted;
-                                        if !emitted mod batch = 0 then tick ();
-                                        let row = Array.append prow brow in
-                                        if
-                                          List.for_all
-                                            (Expr.eval out_schema row)
-                                            residual
-                                        then begin
-                                          out := row :: !out;
-                                          if !emitted > limit then raise Timeout
-                                        end)
-                                      matches);
-                          emit_chunks p emit (-1) !out));
-                })
+                                Hashtbl.replace index k
+                                  (fetch i
+                                  :: Option.value (Hashtbl.find_opt index k)
+                                       ~default:[]))));
+                  (* [emitted] counts matched pairs before the
+                     residual check; the row limit is tested
+                     against it each time a row is kept *)
+                  let emitted = ref 0 in
+                  prstream.ps_iter (fun m ->
+                      let kcols = List.map (morsel_col m) ppos in
+                      let fetch = morsel_fetch m in
+                      let out = ref [] in
+                      morsel_ordinals m (fun i ->
+                          let k = List.map (fun g -> g i) kcols in
+                          if not (has_null k) then
+                            match Hashtbl.find_opt index k with
+                            | None -> ()
+                            | Some matches ->
+                                let prow = fetch i in
+                                List.iter
+                                  (fun brow ->
+                                    incr emitted;
+                                    if !emitted mod batch = 0 then tick ();
+                                    let row = Array.append prow brow in
+                                    if
+                                      List.for_all
+                                        (Expr.eval out_schema row)
+                                        residual
+                                    then begin
+                                      out := row :: !out;
+                                      if !emitted > limit then raise Timeout
+                                    end)
+                                  matches);
+                      emit_chunks p emit !out));
+            }
         | Physical.Index_nl ->
             let ostream = stream j.Physical.left in
             let inner_node = j.Physical.right in
@@ -734,11 +560,10 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
             in
             {
               ps_schema = out_schema;
-              ps_parts = None;
               ps_iter =
                 (fun emit ->
                   let probes = ref 0 and matched = ref 0 in
-                  ostream.ps_iter (fun _ m ->
+                  ostream.ps_iter (fun m ->
                       let okey = morsel_col m okpos in
                       let fetch = morsel_fetch m in
                       let out = ref [] in
@@ -769,7 +594,7 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
                          its stats entry is the rows surviving the
                          lookups plus the input's own filters *)
                       Hashtbl.replace stats inner_node.Physical.id !matched;
-                      emit_chunks p emit (-1) !out));
+                      emit_chunks p emit !out));
             }
         | Physical.Nl ->
             let ostream = stream j.Physical.left in
@@ -777,17 +602,16 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
             let out_schema = Schema.concat ostream.ps_schema istream.ps_schema in
             {
               ps_schema = out_schema;
-              ps_parts = None;
               ps_iter =
                 (fun emit ->
                   (* the inner side is rescanned per outer row: buffer
                      it once (breaker), then stream the outer side *)
                   let buf = ref [] in
                   Span.span spans Span.Breaker ~args:(node_args p) ("nl-inner:" ^ bid p) (fun () ->
-                      istream.ps_iter (fun _ m -> buf := morsel_rows m :: !buf));
+                      istream.ps_iter (fun m -> buf := morsel_rows m :: !buf));
                   let inner = Array.concat (List.rev !buf) in
                   let steps = ref 0 and kept = ref 0 in
-                  ostream.ps_iter (fun _ m ->
+                  ostream.ps_iter (fun m ->
                       let fetch = morsel_fetch m in
                       let out = ref [] in
                       morsel_ordinals m (fun oi ->
@@ -807,42 +631,31 @@ let run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan =
                                 if !kept > limit then raise Timeout
                               end)
                             inner);
-                      emit_chunks p emit (-1) !out));
+                      emit_chunks p emit !out));
             })
   in
   let root = stream plan in
   let t0 = if spans <> None then Timer.now () else 0.0 in
-  let rev_tagged = ref [] in
+  let rev_chunks = ref [] in
   Span.span spans Span.Pipeline ~args:(node_args plan)
     ("pipeline:" ^ span_label plan) (fun () ->
-      root.ps_iter (fun tag m -> rev_tagged := (tag, morsel_rows m) :: !rev_tagged));
-  let tagged = List.rev !rev_tagged in
+      root.ps_iter (fun m -> rev_chunks := morsel_rows m :: !rev_chunks));
   built_intermediate ();
-  let out =
-    match root.ps_parts with
-    | Some (keys, k) when tagged <> [] && List.for_all (fun (t, _) -> t >= 0) tagged
-      ->
-        (* the sink keeps the per-partition layout, so a temp built
-           from this result carries it into the next QuerySplit step *)
-        Table.of_tagged_chunks ~name:"join" ~schema:root.ps_schema ~part_keys:keys
-          ~parts:k tagged
-    | _ -> Table.of_chunks ~name:"join" ~schema:root.ps_schema (List.map snd tagged)
-  in
+  let out = Table.of_chunks ~name:"join" ~schema:root.ps_schema (List.rev !rev_chunks) in
   if spans <> None then operator_markers spans ~t0 plan stats;
   (out, stats)
 
-let run ?deadline ?cancel ?(row_limit = default_row_limit) ?pool ?spans plan =
+let run ?deadline ?cancel ?(row_limit = default_row_limit) ?spans plan =
   match plan.Physical.node with
-  | Physical.Join _ -> run_pipelined ?deadline ?cancel ~row_limit ?pool ?spans plan
+  | Physical.Join _ -> run_pipelined ?deadline ?cancel ~row_limit ?spans plan
   | Physical.Scan input ->
       (* a bare scan is just the leaf: [filter_input] keeps the scratch
-         filter cache and the parallel chunk scan, which streaming it into
-         a copy would lose *)
+         filter cache, which streaming it into a copy would lose *)
       let t0 = if spans <> None then Timer.now () else 0.0 in
       let out =
         Span.span spans Span.Pipeline ~args:(node_args plan)
           ("pipeline:" ^ span_label plan) (fun () ->
-            filter_input ?deadline ?cancel ?pool input)
+            filter_input ?deadline ?cancel input)
       in
       let stats : stats = Hashtbl.create 1 in
       Hashtbl.replace stats plan.Physical.id (Table.n_rows out);
@@ -884,11 +697,7 @@ let project ?name (tbl : Table.t) cols =
                        Array.of_list (List.map (fun p -> row.(p)) positions))
                      (Table.chunk tbl ci)))
       in
-      (* chunk-for-chunk rewrite: the source's partition layout still
-         holds if every key column survived the projection *)
-      Table.copy_partitioning ~from:tbl
-        (Table.of_chunk_data ~name:(Option.value name ~default:tbl.Table.name)
-           ~schema chunks)
+      Table.of_chunk_data ~name:(Option.value name ~default:tbl.Table.name) ~schema chunks
 
 let cartesian ~name tables =
   match tables with

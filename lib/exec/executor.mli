@@ -3,10 +3,10 @@
     One morsel-driven engine runs every join plan: filters and join
     probes fuse into streams of chunk-sized morsels — a morsel over a
     spilled table is exactly one pinned buffer-pool frame — and rows are
-    buffered only at pipeline breakers (hash builds, partition barriers,
-    NL inners; see {!Qs_plan.Physical.breaker_children}). The fully
-    materialized model re-optimization converts execution into (§2.2)
-    lives one level up, in [Temp], where a strategy materializes a
+    buffered only at pipeline breakers (hash builds and NL inners; see
+    {!Qs_plan.Physical.breaker_children}). A run stays on the calling
+    domain. The fully materialized model re-optimization converts
+    execution into (§2.2) lives one level up, in [Temp], where a strategy materializes a
     subquery's result; the engine itself materializes only a plan's
     sink. Per-node actual cardinalities are reported so the
     re-optimization strategies can compare them with the optimizer's
@@ -44,9 +44,10 @@ val intermediate_tables : unit -> int
     {!reset_counters} around a measured region. *)
 
 val partition_reuses : unit -> int
-(** How many times a partitioned join consumed a side through its
-    preserved partition layout (a temp carrying its {!Qs_storage.Table.
-    partitioning}) instead of re-hashing every row. *)
+(** Always 0. The partitioned parallel hash join, whose reuse of a
+    preserved partition layout this counted, is gone: every query runs
+    on its caller's domain. Kept only because the repository benchmark
+    still reports it as a per-layer metric. *)
 
 val vectorized_chunks : unit -> int
 (** Cumulative count of columnar chunks whose filter conjunction ran (at
@@ -63,18 +64,14 @@ val span_label : Physical.t -> string
     operator constructor — tools/check.sh lints for completeness. *)
 
 val run : ?deadline:float -> ?cancel:Qs_util.Cancel.t -> ?row_limit:int ->
-  ?pool:Qs_util.Pool.t -> ?spans:Qs_util.Span.t -> Physical.t -> Table.t * stats
+  ?spans:Qs_util.Span.t -> Physical.t -> Table.t * stats
 (** Evaluate the plan. The output schema is the concatenation of the
     leaf schemas (alias-qualified); apply {!project} for the query's
     final projection.
 
     Join plans run on the pipelined engine. A bare scan is the leaf on
     its own and runs through {!filter_input}, keeping the scratch filter
-    cache and the parallel chunk scan. A result whose root was a
-    partitioned parallel join carries its partition layout
-    ({!Qs_storage.Table.partitioning}), which {!project} and temp
-    materialization preserve — the next step's join over the same key
-    and modulus skips re-partitioning.
+    cache.
 
     Every node id of the plan — including the inner scan of an index
     nested-loop join, which is consumed through the index rather than
@@ -83,31 +80,24 @@ val run : ?deadline:float -> ?cancel:Qs_util.Cancel.t -> ?row_limit:int ->
     filters, i.e. matched (outer, inner) pairs.
 
     With [spans], the run records one [pipeline] span (the whole run,
-    on the root) and one [breaker] span per hash build, partition
-    barrier or NL inner; both carry the plan node id in a [node]
-    argument. Each plan node additionally gets a zero-duration
+    on the root) and one [breaker] span per hash build or NL inner;
+    both carry the plan node id in a [node] argument. Each plan node additionally gets a zero-duration
     [operator] marker with its est/actual rows, since fused operators
     have no exclusive time of their own. {!Qs_obs.Explain} renders
     EXPLAIN ANALYZE from the stats and these spans. Without [spans] no
-    clock is read.
-
-    With [pool] (of size > 1), hash joins run partitioned across the
-    pool's domains and a bare scan filters its table chunks in
-    parallel; plans, costs and the result multiset are unchanged — only
-    wall-clock is affected. Off by default. *)
+    clock is read. *)
 
 val project : ?name:string -> Table.t -> Expr.colref list -> Table.t
 (** Keep only the named columns (in the given order, duplicates removed);
     an empty list keeps everything. *)
 
 val filter_table : ?deadline:float -> ?cancel:Qs_util.Cancel.t ->
-  ?pool:Qs_util.Pool.t -> Table.t -> Expr.pred list -> Table.t
-(** Chunked scan+filter of one table. With [pool] (size > 1) chunks are
-    scanned in parallel; per-chunk outputs are merged in chunk order, so
-    the result is row-for-row identical to the sequential scan. *)
+  Table.t -> Expr.pred list -> Table.t
+(** Chunked scan+filter of one table, chunk by chunk in order; each
+    output chunk keeps its input chunk's layout. *)
 
 val filter_input : ?deadline:float -> ?cancel:Qs_util.Cancel.t ->
-  ?pool:Qs_util.Pool.t -> Fragment.input -> Table.t
+  Fragment.input -> Table.t
 (** Scan one input applying its filters (the executor's leaf operator,
     exposed for the naive counter and tests). The result is cached on the
     input's scratch, keyed by the filter predicates. *)

@@ -5,7 +5,6 @@ module Chunk = Qs_storage.Chunk
 module Columnar = Qs_storage.Columnar
 module Expr = Qs_query.Expr
 module Logical = Qs_plan.Logical
-module Pool = Qs_util.Pool
 
 let flatten ~name (tbl : Table.t) =
   let seen = Hashtbl.create 8 in
@@ -73,21 +72,7 @@ let agg_out_ty (fn : Logical.agg_fn) v =
   | Logical.Avg -> Value.TFloat
   | _ -> ( match Value.type_of v with Some ty -> ty | None -> Value.TInt)
 
-let merge_acc ~into:a b =
-  a.count <- a.count + b.count;
-  a.sum <- a.sum +. b.sum;
-  a.sum_is_int <- a.sum_is_int && b.sum_is_int;
-  a.non_null <- a.non_null + b.non_null;
-  if
-    (not (Value.is_null b.min_v))
-    && (Value.is_null a.min_v || Value.compare b.min_v a.min_v < 0)
-  then a.min_v <- b.min_v;
-  if
-    (not (Value.is_null b.max_v))
-    && (Value.is_null a.max_v || Value.compare b.max_v a.max_v > 0)
-  then a.max_v <- b.max_v
-
-let aggregate ?pool ~name ~group_by ~aggs (tbl : Table.t) =
+let aggregate ~name ~group_by ~aggs (tbl : Table.t) =
   let schema = tbl.Table.schema in
   let gpos =
     List.map
@@ -157,46 +142,9 @@ let aggregate ?pool ~name ~group_by ~aggs (tbl : Table.t) =
         done
     | _ -> Array.iter (feed_row groups order) (Chunk.rows chunk)
   in
-  let groups, order =
-    match pool with
-    | Some pool when Pool.size pool > 1 && Table.n_chunks tbl > 1 ->
-        (* per-chunk partial aggregation, then an ordered merge: a group's
-           first appearance globally is in the earliest chunk where it
-           appears, so walking partials in chunk order reproduces the
-           sequential group order (and exact sums on integer columns;
-           float sums may differ from sequential in the last ulp, but the
-           merge order is fixed, so the result is deterministic) *)
-        let feed_chunk ci =
-          let groups = Hashtbl.create 64 in
-          let order = ref [] in
-          feed_chunk_data groups order (Table.chunk_data tbl ci);
-          (groups, List.rev !order)
-        in
-        let parts =
-          Pool.map pool feed_chunk (List.init (Table.n_chunks tbl) Fun.id)
-        in
-        let groups : (Value.t list, acc array) Hashtbl.t = Hashtbl.create 64 in
-        let order = ref [] in
-        List.iter
-          (fun (part, part_order) ->
-            List.iter
-              (fun key ->
-                let accs = Hashtbl.find part key in
-                match Hashtbl.find_opt groups key with
-                | None ->
-                    Hashtbl.replace groups key accs;
-                    order := key :: !order
-                | Some into ->
-                    Array.iteri (fun i b -> merge_acc ~into:into.(i) b) accs)
-              part_order)
-          parts;
-        (groups, order)
-    | _ ->
-        let groups : (Value.t list, acc array) Hashtbl.t = Hashtbl.create 64 in
-        let order = ref [] in
-        Table.iter_chunk_data (fun _ c -> feed_chunk_data groups order c) tbl;
-        (groups, order)
-  in
+  let groups : (Value.t list, acc array) Hashtbl.t = Hashtbl.create 64 in
+  let order = ref [] in
+  Table.iter_chunk_data (fun _ c -> feed_chunk_data groups order c) tbl;
   (* a global aggregate over an empty input still yields one row *)
   if Hashtbl.length groups = 0 && group_by = [] then begin
     Hashtbl.replace groups []
@@ -241,56 +189,8 @@ let union_all ~name tables =
           if Schema.arity t.Table.schema <> arity then
             invalid_arg "Relop.union_all: arity mismatch")
         tables;
-      (* When every input carries the same partition layout over the same
-         schema, concatenation is still partition-pure chunk by chunk: keep
-         the layout, with the key columns translated through the flattening
-         so they resolve in the requalified output schema. Same-schema
-         matters — equal arity alone doesn't put the key values at the
-         same positions. *)
-      let shared_layout =
-        match Table.partitioning first with
-        | Some p
-          when List.for_all
-                 (fun (t : Table.t) ->
-                   t.Table.schema = first.Table.schema
-                   &&
-                   match Table.partitioning t with
-                   | Some q ->
-                       q.Table.part_keys = p.Table.part_keys
-                       && q.Table.parts = p.Table.parts
-                   | None -> false)
-                 tables ->
-            Some p
-        | _ -> None
-      in
-      match shared_layout with
-      | None ->
-          let chunks = List.concat_map Table.chunk_list tables in
-          Table.of_chunks ~name ~schema:template.Table.schema chunks
-      | Some p ->
-          let part_keys =
-            List.map
-              (List.map (fun (rel, col) ->
-                   let pos =
-                     Schema.find_exn first.Table.schema ~rel ~name:col
-                   in
-                   let c = template.Table.schema.(pos) in
-                   (c.Schema.rel, c.Schema.name)))
-              p.Table.part_keys
-          in
-          let tagged =
-            List.concat_map
-              (fun (t : Table.t) ->
-                match Table.partitioning t with
-                | Some q ->
-                    List.mapi
-                      (fun i c -> (q.Table.tags.(i), c))
-                      (Table.chunk_list t)
-                | None -> assert false)
-              tables
-          in
-          Table.of_tagged_chunks ~name ~schema:template.Table.schema
-            ~part_keys ~parts:p.Table.parts tagged
+      let chunks = List.concat_map Table.chunk_list tables in
+      Table.of_chunks ~name ~schema:template.Table.schema chunks
 
 let semi_join ~name ~anti ~(left : Table.t) ~(right : Table.t) ~on =
   let lschema = left.Table.schema in

@@ -7,20 +7,15 @@ module Table = Qs_storage.Table
 module Expr = Qs_query.Expr
 module Logical = Qs_plan.Logical
 
-val aggregate : ?pool:Qs_util.Pool.t -> name:string -> group_by:Expr.colref list ->
+val aggregate : name:string -> group_by:Expr.colref list ->
   aggs:Logical.agg list -> Table.t -> Table.t
-(** Hash aggregation. With an empty [group_by] a single row is produced
-    even for empty input (COUNT = 0, other aggregates NULL). With [pool]
-    (size > 1), chunks aggregate in parallel and the partials merge in
-    chunk order: group order and integer aggregates are identical to the
-    sequential path; float sums merge per-chunk, deterministically, but
-    may differ from the sequential rounding in the last ulp. *)
+(** Hash aggregation, chunk by chunk in order; groups come out in order
+    of first appearance. With an empty [group_by] a single row is
+    produced even for empty input (COUNT = 0, other aggregates NULL). *)
 
 val union_all : name:string -> Table.t list -> Table.t
 (** Inputs must have equal arity; the first input's column names (flattened)
-    define the output schema. If every input carries the same partition
-    layout ({!Qs_storage.Table.partitioning}) over the same schema, the
-    output keeps it (key columns renamed through the flattening). *)
+    define the output schema. *)
 
 val semi_join : name:string -> anti:bool -> left:Table.t -> right:Table.t ->
   on:Expr.pred list -> Table.t

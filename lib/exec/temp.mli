@@ -14,10 +14,7 @@ val namer : unit -> unit -> string
 val materialize : name:string -> keep:Expr.colref list -> Table.t -> Table.t
 (** Copy (and project to [keep]; empty keeps everything) the result into a
     temp table. The schema keeps its original alias qualifiers so pending
-    predicates still resolve — and so a partition layout carried by the
-    result ({!Qs_storage.Table.partitioning}) survives the projection
-    when [keep] retains the key columns: the next step's partitioned
-    join over this temp skips re-hashing its rows. *)
+    predicates still resolve. *)
 
 val stats_of : collect:bool -> Table.t -> Table_stats.t
 (** ANALYZE when [collect], row count only otherwise. *)

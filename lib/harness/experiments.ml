@@ -620,101 +620,6 @@ let par_sweep s =
     (if metrics_ok then "yes" else "NO")
 
 (* ---------------------------------------------------------------------- *)
-(* Sharded storage: chunked scan/filter/aggregate wall-clock vs domains    *)
-(* ---------------------------------------------------------------------- *)
-
-let scan_sweep s =
-  Report.section "Sharded storage: chunked scan throughput";
-  let module Table = Qs_storage.Table in
-  let module Schema = Qs_storage.Schema in
-  let module Value = Qs_storage.Value in
-  let module Expr = Qs_query.Expr in
-  let module Executor = Qs_exec.Executor in
-  let module Relop = Qs_exec.Relop in
-  let module Logical = Qs_plan.Logical in
-  let n = int_of_float (2_000_000.0 *. s.scale) in
-  (* wide resident fact table: the selective filter touches one column
-     out of thirteen and hauls whole boxed rows through the scan *)
-  let n_pad = 8 in
-  let cats = [| "alpha"; "beta"; "gamma"; "delta" |] in
-  let schema =
-    Schema.make "f"
-      ([
-         ("id", Value.TInt); ("grp", Value.TInt); ("amount", Value.TInt);
-         ("price", Value.TFloat); ("cat", Value.TStr);
-       ]
-      @ List.init n_pad (fun k -> (Printf.sprintf "pad%d" k, Value.TInt)))
-  in
-  (* deterministic synthetic fact table: LCG-ish values, no Rng needed *)
-  let rows =
-    Array.init n (fun i ->
-        let h = (i * 2654435761) land 0x3fffffff in
-        Array.append
-          [|
-            Value.Int i; Value.Int (h mod 97); Value.Int (h mod 1000);
-            Value.Float (float_of_int (h mod 500) /. 8.0);
-            Value.Str cats.(h mod 4);
-          |]
-          (Array.init n_pad (fun k -> Value.Int (h lxor k))))
-  in
-  (* ~2% selectivity *)
-  let filters = [ Expr.Cmp (Expr.Lt, Expr.col "f" "amount", Expr.vint 20) ] in
-  let group_by = [ { Expr.rel = "f"; name = "grp" } ] in
-  let aggs =
-    [
-      { Logical.fn = Logical.Sum; arg = Some (Expr.col "f" "amount"); label = "total" };
-      { Logical.fn = Logical.Count_star; arg = None; label = "n" };
-    ]
-  in
-  let best_of_3 f =
-    let best = ref Float.infinity and out = ref None in
-    for _ = 1 to 3 do
-      let t0 = Qs_util.Timer.now () in
-      let r = f () in
-      let dt = Qs_util.Timer.elapsed ~since:t0 in
-      if dt < !best then best := dt;
-      out := Some r
-    done;
-    (!best, Option.get !out)
-  in
-  let par_domains = max 2 s.domains in
-  let mrows wall = float_of_int n /. Float.max 1e-9 wall /. 1e6 in
-  let tbl = Table.create ~chunk_rows:65_536 ~name:"f" ~schema rows in
-  let seq_wall, filtered =
-    best_of_3 (fun () -> Executor.filter_table tbl filters)
-  in
-  let par_wall, par_filtered =
-    Qs_util.Pool.with_pool ~domains:par_domains (fun p ->
-        best_of_3 (fun () -> Executor.filter_table ~pool:p tbl filters))
-  in
-  let agg_wall, _ =
-    best_of_3 (fun () -> Relop.aggregate ~name:"g" ~group_by ~aggs tbl)
-  in
-  Report.table
-    ~title:
-      (Printf.sprintf
-         "selective filter over %d resident rows x %d cols in %d chunks \
-          (seq and %d domains), group-by aggregate"
-         n (5 + n_pad) (Table.n_chunks tbl) par_domains)
-    ~headers:
-      [ "filter seq"; "Mrows/s"; Printf.sprintf "par(%d)" par_domains;
-        "Mrows/s"; "speedup"; "aggregate" ]
-    [
-      [
-        Report.seconds seq_wall;
-        Printf.sprintf "%.1f" (mrows seq_wall);
-        Report.seconds par_wall;
-        Printf.sprintf "%.1f" (mrows par_wall);
-        Printf.sprintf "%.2fx" (seq_wall /. Float.max 1e-9 par_wall);
-        Report.seconds agg_wall;
-      ];
-    ];
-  Printf.printf "filter digests byte-identical across pool widths: %s\n"
-    (if Runner.result_digest par_filtered = Runner.result_digest filtered then
-       "yes"
-     else "NO")
-
-(* ---------------------------------------------------------------------- *)
 (* Out-of-core: buffer-pool execution under memory pressure                *)
 (* ---------------------------------------------------------------------- *)
 
@@ -723,13 +628,11 @@ module Buffer_pool = Qs_storage.Buffer_pool
 (* Scoped spill mode: a scratch directory and a fresh buffer pool around
    [f]; the previous global spill config is restored (and the directory
    removed) on the way out, even on exception. *)
-let with_spill ?io_pool ?tracer ?(prefetch = 2) ~capacity f =
+let with_spill ~capacity f =
   let dir = Filename.temp_file "qs_bench_spill" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o700;
-  let bp = Buffer_pool.create ~prefetch ~capacity () in
-  Buffer_pool.set_io_pool bp io_pool;
-  Buffer_pool.set_tracer bp tracer;
+  let bp = Buffer_pool.create ~capacity () in
   let saved = Qs_storage.Table.spill_config () in
   Qs_storage.Table.set_spill (Some (dir, bp));
   Fun.protect
@@ -746,10 +649,8 @@ let with_spill ?io_pool ?tracer ?(prefetch = 2) ~capacity f =
 
 (* The deterministic out-of-core entry of the metrics dump: a fixed
    synthetic table is scanned twice and randomly probed, sequentially,
-   through a 4-frame pool with no I/O workers attached — the fault
-   sequence, and with it every counter and the hit rate, is exact for a
-   fixed corpus. The prefetch counters are pinned at 0 by construction
-   (no pool, so reads never race a background worker). *)
+   through a 4-frame pool — the fault sequence, and with it every
+   counter and the hit rate, is exact for a fixed corpus. *)
 let io_metrics_entry _s =
   let module Table = Qs_storage.Table in
   let module Schema = Qs_storage.Schema in
@@ -777,132 +678,14 @@ let io_metrics_entry _s =
       c "buffer_coalesced" st.Buffer_pool.coalesced;
       c "buffer_bypasses" st.Buffer_pool.bypasses;
       c "buffer_evictions" st.Buffer_pool.evictions;
-      c "prefetch_issued" st.Buffer_pool.prefetch_issued;
-      c "prefetch_used" st.Buffer_pool.prefetch_used;
-      c "prefetch_wasted" st.Buffer_pool.prefetch_wasted;
       c "spilled_chunks" (Table.n_chunks tbl);
       Qs_obs.Metrics.observe m "hit_rate"
         (float_of_int st.Buffer_pool.hits
         /. float_of_int (max 1 (st.Buffer_pool.hits + st.Buffer_pool.misses)));
       m)
 
-let io_sweep s =
-  Report.section "Out-of-core: buffer pool under memory pressure, prefetch overlap";
-  let module Table = Qs_storage.Table in
-  let module Schema = Qs_storage.Schema in
-  let module Value = Qs_storage.Value in
-  let module Expr = Qs_query.Expr in
-  let module Executor = Qs_exec.Executor in
-  let module Relop = Qs_exec.Relop in
-  let module Logical = Qs_plan.Logical in
-  let n = max 100_000 (int_of_float (1_000_000.0 *. s.scale)) in
-  let schema =
-    Schema.make "f"
-      [ ("id", Value.TInt); ("grp", Value.TInt); ("amount", Value.TInt) ]
-  in
-  let rows =
-    Array.init n (fun i ->
-        let h = (i * 2654435761) land 0x3fffffff in
-        [| Value.Int i; Value.Int (h mod 97); Value.Int (h mod 1000) |])
-  in
-  let filters = [ Expr.Cmp (Expr.Lt, Expr.col "f" "amount", Expr.vint 500) ] in
-  let group_by = [ { Expr.rel = "f"; name = "grp" } ] in
-  let aggs =
-    [
-      { Logical.fn = Logical.Sum; arg = Some (Expr.col "f" "amount"); label = "total" };
-      { Logical.fn = Logical.Count_star; arg = None; label = "n" };
-    ]
-  in
-  (* sequential consumer: the only asynchrony is the pool's prefetch,
-     so any io-span time on other tracks inside the Execute interval is
-     disk I/O genuinely overlapped with the scan's CPU work *)
-  let run_once tbl =
-    let t0 = Qs_util.Timer.now () in
-    let filtered = Executor.filter_table tbl filters in
-    let agged = Relop.aggregate ~name:"g" ~group_by ~aggs tbl in
-    let wall = Qs_util.Timer.elapsed ~since:t0 in
-    (wall, Runner.result_digest filtered ^ Runner.result_digest agged)
-  in
-  let chunk_rows = 16_384 in
-  let resident_tbl = Table.create ~chunk_rows ~name:"f" ~schema rows in
-  let n_chunks = Table.n_chunks resident_tbl in
-  ignore (run_once resident_tbl) (* warm *);
-  let res_wall, res_digest = run_once resident_tbl in
-  let tr = match s.tracer with Some t -> t | None -> Qs_util.Span.create () in
-  let all_identical = ref true in
-  let max_overlap = ref 0.0 in
-  let caps =
-    List.sort_uniq compare [ 1; 4; max 2 (n_chunks / 4); n_chunks + 2 ]
-    |> List.rev
-  in
-  let rows_out =
-    List.map
-      (fun capacity ->
-        Qs_util.Pool.with_pool ~domains:2 (fun io ->
-            with_spill ~io_pool:io ~tracer:tr ~prefetch:3 ~capacity (fun bp ->
-                let tbl = Table.create ~chunk_rows ~name:"f" ~schema rows in
-                let label = Printf.sprintf "io_sweep cap=%d" capacity in
-                let wall, digest =
-                  Qs_util.Span.span (Some tr) Qs_util.Span.Execute label
-                    (fun () -> run_once tbl)
-                in
-                if digest <> res_digest then all_identical := false;
-                let st = Buffer_pool.stats bp in
-                (* overlap: io spans on *other* domains' tracks
-                   intersected with this run's Execute interval *)
-                let spans = Qs_util.Span.spans tr in
-                let exec =
-                  List.find
-                    (fun (sp : Qs_util.Span.span) -> sp.name = label)
-                    spans
-                in
-                let ends (sp : Qs_util.Span.span) = sp.start +. sp.dur in
-                let overlap =
-                  List.fold_left
-                    (fun acc (sp : Qs_util.Span.span) ->
-                      if sp.cat = Qs_util.Span.Io && sp.track <> exec.track
-                      then
-                        acc
-                        +. Float.max 0.0
-                             (Float.min (ends sp) (ends exec)
-                             -. Float.max sp.start exec.start)
-                      else acc)
-                    0.0 spans
-                in
-                max_overlap := Float.max !max_overlap overlap;
-                [
-                  string_of_int capacity;
-                  Printf.sprintf "%d/%d" (min capacity n_chunks) n_chunks;
-                  Report.seconds wall;
-                  Printf.sprintf "%.2fx" (wall /. Float.max 1e-9 res_wall);
-                  string_of_int st.Buffer_pool.hits;
-                  string_of_int st.Buffer_pool.misses;
-                  string_of_int st.Buffer_pool.evictions;
-                  Printf.sprintf "%d/%d" st.Buffer_pool.prefetch_used
-                    st.Buffer_pool.prefetch_issued;
-                  Printf.sprintf "%.1fms" (1000.0 *. overlap);
-                  (if digest = res_digest then "ok" else "MISMATCH");
-                ])))
-      caps
-  in
-  Report.table
-    ~title:
-      (Printf.sprintf
-         "filter + group-by over %d rows out-of-core (resident: %s)" n
-         (Report.seconds res_wall))
-    ~headers:
-      [
-        "frames"; "of chunks"; "wall"; "vs resident"; "hits"; "misses";
-        "evicted"; "pf used/issued"; "async io overlap"; "digest";
-      ]
-    rows_out;
-  Printf.printf "out-of-core digests byte-identical to in-memory: %s\n"
-    (if !all_identical then "yes" else "NO");
-  Printf.printf "prefetch I/O overlapped with execution: %s\n"
-    (if !max_overlap > 0.0 then "yes" else "NO")
-
 (* ---------------------------------------------------------------------- *)
-(* Parallel optimizer: DP wall-clock vs join count vs domains, plus memo   *)
+(* Pipelined execution: counters of the morsel-driven executor            *)
 (* ---------------------------------------------------------------------- *)
 
 (* A PK-FK chain of [n_rels] relations: r0 <- r1 <- ... — the worst case
@@ -942,8 +725,7 @@ let chain_query n_rels =
            (Expr.Eq, Expr.col (alias (i + 1)) "fk", Expr.col (alias i) "id")))
 
 (* A hub join: every relation joins the same hub key (r0.id), so every
-   step of a multi-step run re-joins on one column — the shape where a
-   materialized temp's partition layout is reusable step after step. *)
+   step of a multi-step run re-joins on one column. *)
 let hub_catalog s n_rels =
   let module Value = Qs_storage.Value in
   let module Schema = Qs_storage.Schema in
@@ -975,98 +757,9 @@ let hub_query n_rels =
     (List.init (n_rels - 1) (fun i ->
          Expr.Cmp (Expr.Eq, Expr.col (alias (i + 1)) "fk", Expr.col "r0" "id")))
 
-let dp_sweep s =
-  Report.section
-    "Parallel optimizer: DP wall-clock vs join count vs domains, plus memo";
-  let par_domains = max 2 s.domains in
-  let identical = ref true in
-  let time_best ?pool ?memo cat frag =
-    (* best of 3 absorbs first-call warmup (estimator scratch fills) *)
-    let best = ref Float.infinity and plan = ref "" in
-    for _ = 1 to 3 do
-      let t0 = Qs_util.Timer.now () in
-      let r = Optimizer.optimize ?pool ?memo cat Estimator.default frag in
-      let dt = Qs_util.Timer.elapsed ~since:t0 in
-      if dt < !best then best := dt;
-      plan := Qs_plan.Physical.to_string r.Optimizer.plan
-    done;
-    (!best, !plan)
-  in
-  let rows =
-    List.map
-      (fun n_rels ->
-        let cat = chain_catalog s n_rels in
-        let registry = Qs_stats.Stats_registry.create cat in
-        let frag = Qs_stats.Fragment.of_query registry (chain_query n_rels) in
-        let seq_t, seq_p = time_best cat frag in
-        let par_t, par_p =
-          Qs_util.Pool.with_pool ~domains:par_domains (fun p ->
-              time_best ~pool:p cat frag)
-        in
-        (* memo replay: populate once, then time the all-hits call *)
-        let memo = Qs_plan.Dp_memo.create () in
-        ignore (Optimizer.optimize ~memo cat Estimator.default frag);
-        let memo_t, memo_p = time_best ~memo cat frag in
-        if seq_p <> par_p || seq_p <> memo_p then identical := false;
-        [
-          string_of_int n_rels;
-          Report.seconds seq_t;
-          Report.seconds par_t;
-          Printf.sprintf "%.2fx" (seq_t /. Float.max 1e-9 par_t);
-          Report.seconds memo_t;
-          string_of_int (Qs_plan.Dp_memo.hits memo);
-        ])
-      [ 6; 9; 12 ]
-  in
-  Report.table
-    ~title:
-      (Printf.sprintf "chain-join optimize time, %d domains" par_domains)
-    ~headers:
-      [ "joins"; "seq"; Printf.sprintf "par(%d)" par_domains; "speedup";
-        "memo replay"; "memo hits" ]
-    rows;
-  Printf.printf "plans byte-identical across domains and memo: %s\n"
-    (if !identical then "yes" else "NO");
-  (* memo hit-rates of the re-optimizing strategies over the JOB-like
-     workload: every query gets a fresh memo, so hits come purely from
-     re-optimization steps inside a query *)
-  let env, queries = cinema_env s in
-  let queries = List.filteri (fun i _ -> i mod 3 = 0) queries in
-  let rate_rows =
-    List.map
-      (fun algo ->
-        let rs =
-          Runner.run_spj ?tracer:s.tracer ~domains:s.domains ~timeout:s.timeout
-            env algo queries
-        in
-        let hits = List.fold_left (fun a r -> a + r.Runner.dp_memo_hits) 0 rs in
-        let misses =
-          List.fold_left (fun a r -> a + r.Runner.dp_memo_misses) 0 rs
-        in
-        [
-          algo.Runner.label;
-          string_of_int hits;
-          string_of_int misses;
-          (if hits + misses = 0 then "-"
-           else pct hits (hits + misses));
-        ])
-      Algos.reopt_roster
-  in
-  Report.table
-    ~title:
-      (Printf.sprintf "cross-step DP-memo hit rate over %d JOB-like queries"
-         (List.length queries))
-    ~headers:[ "algorithm"; "hits"; "misses"; "hit rate" ]
-    rate_rows
-
-(* ---------------------------------------------------------------------- *)
-(* Pipelined execution: the morsel-driven executor on chains and hubs      *)
-(* ---------------------------------------------------------------------- *)
-
-(* One strategy run of [q]. Returns the result digest, wall-clock, and
-   the executor's intermediate-table / partition-reuse counter deltas
-   for exactly this run. *)
-let strategy_run ?pool ?spans ?strat registry q =
+(* One strategy run of [q]. Returns the result digest and the executor's
+   intermediate-table counter delta for exactly this run. *)
+let strategy_run ?strat registry q =
   let module Executor = Qs_exec.Executor in
   let strat =
     match strat with
@@ -1074,14 +767,9 @@ let strategy_run ?pool ?spans ?strat registry q =
     | None -> Querysplit.strategy Querysplit.default_config
   in
   Executor.reset_counters ();
-  let ctx = Strategy.make_ctx ?pool ?spans registry Estimator.default in
-  let t0 = Qs_util.Timer.now () in
+  let ctx = Strategy.make_ctx registry Estimator.default in
   let o = strat.Strategy.run ctx q in
-  let wall = Qs_util.Timer.elapsed ~since:t0 in
-  ( Qs_storage.Table.digest o.Strategy.result,
-    wall,
-    Executor.intermediate_tables (),
-    Executor.partition_reuses () )
+  (Qs_storage.Table.digest o.Strategy.result, Executor.intermediate_tables ())
 
 (* The reference digest of [q]: naive execution, independent of plans,
    engine and strategy. *)
@@ -1090,107 +778,10 @@ let naive_digest registry (q : Query.t) =
   Qs_storage.Table.digest
     (Qs_exec.Executor.project (Qs_exec.Naive.rows frag) q.Query.output)
 
-let span_category_time spans cat =
-  List.fold_left
-    (fun a (sp : Qs_util.Span.span) ->
-      if sp.Qs_util.Span.cat = cat then a +. sp.Qs_util.Span.dur else a)
-    0.0
-    (Qs_util.Span.spans spans)
-
-let pipeline_sweep s =
-  Report.section "Pipelined execution: morsel-driven executor on chains and hubs";
-  let module Span = Qs_util.Span in
-  let par_domains = max 2 s.domains in
-  let identical = ref true in
-  let shapes =
-    [ ("chain", chain_catalog, chain_query); ("hub", hub_catalog, hub_query) ]
-  in
-  let strategies =
-    [
-      ("querysplit", Querysplit.strategy Querysplit.default_config);
-      ("one-shot", Qs_core.Static.default);
-    ]
-  in
-  (* one naive reference per query, from an in-memory catalog *)
-  let references = Hashtbl.create 8 in
-  let reference shape catalog_of query_of n_rels =
-    match Hashtbl.find_opt references (shape, n_rels) with
-    | Some d -> d
-    | None ->
-        let registry = Qs_stats.Stats_registry.create (catalog_of s n_rels) in
-        let d = naive_digest registry (query_of n_rels) in
-        Hashtbl.replace references (shape, n_rels) d;
-        d
-  in
-  let rows_out =
-    List.concat_map
-      (fun n_rels ->
-        List.concat_map
-          (fun (shape, catalog_of, query_of) ->
-            let q = query_of n_rels in
-            let expected = reference shape catalog_of query_of n_rels in
-            (* (storage, strategy) grid; the spilled cases rebuild the
-               catalog inside the spill scope so base tables and temps
-               alike live behind the buffer pool — and fault back in
-               column-major, so the storage axis is also the layout
-               axis *)
-            let case ~spilled ~strat =
-              let body () =
-                let cat = catalog_of s n_rels in
-                let registry = Qs_stats.Stats_registry.create cat in
-                Qs_util.Pool.with_pool ~domains:par_domains (fun pool ->
-                    let spans = Span.create () in
-                    let digest, wall, inter, reuses =
-                      strategy_run ~pool ~spans ~strat registry q
-                    in
-                    ( digest,
-                      wall,
-                      inter,
-                      reuses,
-                      span_category_time spans Span.Pipeline,
-                      span_category_time spans Span.Breaker ))
-              in
-              if spilled then with_spill ~capacity:64 (fun _bp -> body ())
-              else body ()
-            in
-            List.concat_map
-              (fun spilled ->
-                List.map
-                  (fun (sname, strat) ->
-                    let digest, wall, inter, reuses, pipe_t, brk_t =
-                      case ~spilled ~strat
-                    in
-                    if digest <> expected then identical := false;
-                    [
-                      Printf.sprintf "%d %s" n_rels shape;
-                      (if spilled then "spilled (columnar)" else "memory (rows)");
-                      sname;
-                      Report.seconds wall;
-                      string_of_int inter;
-                      string_of_int reuses;
-                      Report.seconds pipe_t;
-                      Report.seconds brk_t;
-                    ])
-                  strategies)
-              [ false; true ])
-          shapes)
-      [ 10; 12 ]
-  in
-  Report.table
-    ~title:(Printf.sprintf "PK-FK chains and hubs, %d domains" par_domains)
-    ~headers:
-      [ "query"; "storage"; "strategy"; "time"; "intermediates"; "part reuse";
-        "pipe t"; "brk t" ]
-    rows_out;
-  Printf.printf
-    "digests equal to naive execution (resident and spilled): %s\n"
-    (if !identical then "yes" else "NO")
-
 (* The deterministic pipelined-execution entry of the metrics dump:
    one-shot and QuerySplit runs of fixed PK-FK shapes. Counters only —
-   plans, operator shapes and therefore every intermediate-table and
-   partition-reuse count are exact for a fixed corpus; no wall-clock
-   leaks into the entry. *)
+   plans, operator shapes and therefore every intermediate-table count
+   are exact for a fixed corpus; no wall-clock leaks into the entry. *)
 let pipeline_metrics_entry s =
   let module Metrics = Qs_obs.Metrics in
   let n_rels = 8 in
@@ -1200,22 +791,14 @@ let pipeline_metrics_entry s =
   let frag = Qs_stats.Fragment.of_query registry q in
   let plan = (Optimizer.optimize cat Estimator.default frag).Optimizer.plan in
   (* full-plan execution: one sink instead of one table per join *)
-  let d_pipe, _, i_pipe, _ =
-    strategy_run ~strat:Qs_core.Static.default registry q
-  in
-  (* multi-step QuerySplit over a hub, on a width-2 pool: every step
-     re-joins the hub key, so materialized temps keep a reusable
-     partition layout *)
+  let d_pipe, i_pipe = strategy_run ~strat:Qs_core.Static.default registry q in
+  (* multi-step QuerySplit over a hub: every step re-joins the hub key *)
   let hub = hub_catalog s n_rels in
   let hub_registry = Qs_stats.Stats_registry.create hub in
-  let d_qs, _, i_qs, reuses =
-    Qs_util.Pool.with_pool ~domains:2 (fun pool ->
-        strategy_run ~pool hub_registry (hub_query n_rels))
-  in
+  let d_qs, i_qs = strategy_run hub_registry (hub_query n_rels) in
   let m = Metrics.create () in
   Metrics.incr ~by:i_pipe m "intermediates_pipelined";
   Metrics.incr ~by:i_qs m "querysplit_intermediates_pipelined";
-  Metrics.incr ~by:reuses m "partition_reuses";
   Metrics.incr ~by:(Qs_plan.Physical.n_pipelines plan) m "plan_pipelines";
   Metrics.incr
     ~by:
@@ -1253,13 +836,10 @@ let costed_corpus env queries =
    relation (joins and the other relations' filters kept), so the
    analytical class is 1-2 orders of magnitude more expensive in actual
    execution time — not just in the estimate — while remaining plain
-   digest-checkable SPJ statements. The straggler threshold sits at the
-   cheapest heavy: exactly the heavy class gets the pooled join/DP
-   paths. *)
+   digest-checkable SPJ statements. *)
 type serve_classes = {
   lights : Query.t array;
   heavies : (Query.t * float) array;  (** statement, estimated cost *)
-  straggler : float;
 }
 
 let serve_classes env costed =
@@ -1288,7 +868,6 @@ let serve_classes env costed =
   {
     lights = Array.init (max 1 (n * 3 / 5)) (fun i -> fst arr.(i));
     heavies;
-    straggler = Array.fold_left (fun acc (_, c) -> min acc c) infinity heavies;
   }
 
 (* Arrival order adversarial for FIFO: a burst of heavy queries is
@@ -1325,7 +904,6 @@ let expected_digests env costed =
 let serve_run s ?(telemetry = Qs_obs.Telemetry.default_config) ~domains
     ~policy ~load env classes =
   let stream = serve_workload ~load classes in
-  let straggler_cost = classes.straggler in
   Qs_util.Pool.with_pool ?tracer:s.tracer ~domains (fun pool ->
       (* The queue holds the whole stream when feasible so measured
          latency reflects the scheduling policy, not admission
@@ -1342,7 +920,6 @@ let serve_run s ?(telemetry = Qs_obs.Telemetry.default_config) ~domains
           queue_limit = min load 2048;
           policy;
           aging_rounds = 2 * load;
-          straggler_cost;
           telemetry;
         }
       in
@@ -1591,11 +1168,11 @@ let telemetry_sweep s =
         Option.value (List.assoc_opt name snap.Telemetry.s_counters) ~default:0
       in
       Printf.printf
-        "flight counters: journal steps=%d intermediates=%d \
-         partition-reuses=%d bufpool faults=%d bypasses=%d\n"
+        "flight counters: journal steps=%d intermediates=%d bufpool faults=%d \
+         bypasses=%d\n"
         (counter "journal_steps")
         (counter "intermediate_tables")
-        (counter "partition_reuses") (counter "faults") (counter "bypasses"))
+        (counter "faults") (counter "bypasses"))
 
 (* The deterministic telemetry entry of the metrics dump: a fixed
    QuerySplit-served workload through a telemetry-enabled server on a
@@ -1733,9 +1310,5 @@ let all s =
   ablation s;
   metrics s;
   par_sweep s;
-  scan_sweep s;
-  io_sweep s;
-  dp_sweep s;
-  pipeline_sweep s;
   serve_sweep s;
   telemetry_sweep s

@@ -69,9 +69,9 @@ val metrics_json : setup -> string
     (fig. 11 roster) plus one ["serve"] entry with the serving front
     end's deterministic counters (see {!serve_sweep}), one ["io"]
     entry with the buffer pool's deterministic fault counters and hit
-    rate (see {!io_sweep}), one ["pipeline"] entry with the
-    executor's deterministic intermediate-table and partition-reuse
-    counters (see {!pipeline_sweep}), and one
+    rate over a fixed spilled table, one ["pipeline"] entry with the
+    executor's deterministic intermediate-table counters over fixed
+    PK-FK chain and hub joins, and one
     ["telemetry"] entry with the serving flight recorder's
     deterministic counters (see {!telemetry_sweep}), and one
     ["columnar"] entry with a fixed table's deterministic counters run
@@ -95,43 +95,6 @@ val par_sweep : setup -> unit
     [max 2 domains] domains, reporting wall-clock, speedup, and whether
     result digests and merged metric counters match the sequential
     run (they must). *)
-
-val scan_sweep : setup -> unit
-(** Beyond the paper: chunked scan throughput. A selective filter and
-    a group-by aggregation run over a wide resident synthetic fact
-    table, sequentially and on a domain pool, reporting rows/sec and
-    the parallel speedup. Verifies the filter result is
-    digest-identical across pool widths. *)
-
-val io_sweep : setup -> unit
-(** Beyond the paper: out-of-core execution through the buffer pool. A
-    synthetic fact table is spilled to disk and a sequential filter +
-    group-by runs at several pool capacities — from comfortably above
-    the working set down to a single frame — with a 2-domain I/O pool
-    prefetching ahead of the scan. Reports wall-clock vs the resident
-    run, fault/eviction counters, and the async-I/O overlap (io-span
-    time on I/O-worker tracks inside the run's Execute interval), and
-    checks every out-of-core digest against the in-memory run. *)
-
-val dp_sweep : setup -> unit
-(** Beyond the paper: optimizer-focused sweep. A PK-FK chain join at 6,
-    9 and 12 relations is optimized sequentially, with a [max 2 domains]
-    pool, and replayed through a warm cross-step DP memo — reporting
-    best-of-3 wall-clock, parallel speedup and memo hits, and asserting
-    all three plans are byte-identical. A second table reports the
-    cross-step memo hit rate of every re-optimizing strategy over a
-    slice of the JOB-like workload. *)
-
-val pipeline_sweep : setup -> unit
-(** Beyond the paper: the morsel-driven pipelined executor, end to end.
-    QuerySplit and one-shot execution run PK-FK chain and hub joins at
-    10 and 12 relations, in memory (row chunks) and fully out-of-core
-    (a 64-frame buffer pool, column-major frames), on a
-    [max 2 domains] pool —
-    reporting wall-clock, intermediate-table construction counts,
-    partition-layout reuses across steps, and where the time went
-    ([pipeline] vs [breaker] spans). Asserts every result digest equals
-    naive execution's. *)
 
 val serve_sweep : setup -> unit
 (** Beyond the paper: the concurrent serving front end under load.

@@ -91,8 +91,7 @@ let instrumented (est : Estimator.t) ~deadline =
   in
   (wrapped, spent)
 
-let run_one ~collect_stats ~timeout ?pool ?(span_args = []) ?tracer env algo
-    runner name =
+let run_one ~collect_stats ~timeout ?tracer env algo runner name =
   if algo.warm then begin
     (* populate the oracle memo so the timed pass measures engine work;
        the warm pass is untimed and deliberately untraced. Its DP memo is
@@ -101,7 +100,7 @@ let run_one ~collect_stats ~timeout ?pool ?(span_args = []) ?tracer env algo
     let wctx =
       Strategy.make_ctx ~collect_stats
         ~deadline:(Some (Timer.now () +. (4.0 *. timeout)))
-        ~seed:env.seed ?pool ~dp_memo:(Qs_plan.Dp_memo.create ()) env.registry
+        ~seed:env.seed ~dp_memo:(Qs_plan.Dp_memo.create ()) env.registry
         (algo.estimator env)
     in
     (try ignore (runner wctx) with _ -> ());
@@ -112,15 +111,15 @@ let run_one ~collect_stats ~timeout ?pool ?(span_args = []) ?tracer env algo
      query share it, distinct queries never do *)
   let dp_memo = Qs_plan.Dp_memo.create () in
   let ctx0 =
-    Strategy.make_ctx ~collect_stats ~deadline ~seed:env.seed ?spans:tracer ?pool
-      ~dp_memo env.registry Estimator.default
+    Strategy.make_ctx ~collect_stats ~deadline ~seed:env.seed ?spans:tracer ~dp_memo
+      env.registry Estimator.default
   in
   let est, est_time = instrumented (algo.estimator env) ~deadline:ctx0.Strategy.deadline in
   let ctx = { ctx0 with Strategy.estimator = est } in
   let qstart = match tracer with Some _ -> Timer.now () | None -> 0.0 in
   let outcome =
     Span.span tracer Span.Execute
-      ~args:(("algo", algo.label) :: span_args)
+      ~args:[ ("algo", algo.label) ]
       ("query:" ^ name)
       (fun () -> runner ctx)
   in
@@ -153,78 +152,36 @@ let run_one ~collect_stats ~timeout ?pool ?(span_args = []) ?tracer env algo
 
 (* Fan the per-query cells across a fresh pool. Each cell builds its own
    ctx (and thus its own fragments, scratch caches and temp-table
-   namespace) exactly as in the sequential path; the only state shared
-   across domains is the registry, the oracle memo and the optional join
-   pool, all lock-guarded. Pool.map keeps results in query order, so the
-   output is indistinguishable from the sequential List.map. *)
+   namespace) exactly as in the sequential path and runs on the domain
+   that picked it up; the only state shared across domains is the
+   registry and the oracle memo, both lock-guarded. Pool.map keeps
+   results in query order, so the output is indistinguishable from the
+   sequential List.map. *)
 let run_cells ?tracer ~domains cells =
-  if domains <= 1 then List.map (fun cell -> cell None) cells
+  if domains <= 1 then List.map (fun cell -> cell ()) cells
   else
     Pool.with_pool ?tracer ~domains (fun pool ->
-        Pool.map pool (fun cell -> cell (Some pool)) cells)
+        Pool.map pool (fun cell -> cell ()) cells)
 
-let with_join_pool ?tracer ~join_parallelism f =
-  if join_parallelism <= 1 then f None
-  else Pool.with_pool ?tracer ~domains:join_parallelism (fun p -> f (Some p))
+let run_spj ?(collect_stats = true) ?(timeout = 30.0) ?(domains = 1) ?tracer env algo
+    queries =
+  run_cells ?tracer ~domains
+    (List.map
+       (fun (q : Query.t) () ->
+         run_one ~collect_stats ~timeout ?tracer env algo
+           (fun ctx -> algo.strategy.Strategy.run ctx q)
+           q.Query.name)
+       queries)
 
-(* Optimizer's cost of the query's global plan under the default
-   estimator — the straggler heuristic's ranking signal. Untimed (runs
-   before any cell starts) and deliberately cheap: no oracle, no spans. *)
-let estimated_cost env (q : Query.t) =
-  try
-    let ctx = Strategy.make_ctx env.registry Estimator.default in
-    let frag = Strategy.fragment_of_query ctx q in
-    (Qs_plan.Optimizer.optimize env.catalog Estimator.default frag)
-      .Qs_plan.Optimizer.est_cost
-  with _ -> 0.0
-
-(* A cell is a straggler when its estimated cost dominates everything
-   else in the queue combined, normalized by the parallelism left for
-   the rest: with [d] domains, the other cells can overlap on [d - 1]
-   domains while the straggler runs, so it bounds the makespan as soon
-   as [cost * (d - 1) > total - cost]. *)
-let straggler_flags ~domains costs =
-  let total = List.fold_left ( +. ) 0.0 costs in
-  List.map
-    (fun c -> c > 0.0 && c *. float_of_int (domains - 1) > total -. c)
-    costs
-
-let run_spj ?(collect_stats = true) ?(timeout = 30.0) ?(domains = 1)
-    ?(join_parallelism = 1) ?tracer env algo queries =
-  (* Straggler heuristic: under --domains (and no explicit join pool), a
-     cell whose estimated cost dominates the remaining queue gets the
-     cell pool as its join/DP pool — the other domains have nothing left
-     to do but help it. Digests and plans are unchanged. *)
-  let stragglers =
-    if domains > 1 && join_parallelism <= 1 && List.length queries > 1 then
-      straggler_flags ~domains (List.map (estimated_cost env) queries)
-    else List.map (fun _ -> false) queries
-  in
-  with_join_pool ?tracer ~join_parallelism (fun pool ->
-      run_cells ?tracer ~domains
-        (List.map2
-           (fun (q : Query.t) straggler cell_pool ->
-             let pool, span_args =
-               match (pool, cell_pool) with
-               | None, Some _ when straggler ->
-                   (cell_pool, [ ("parallel-join", "auto") ])
-               | _ -> (pool, [])
-             in
-             run_one ~collect_stats ~timeout ?pool ~span_args ?tracer env algo
-               (fun ctx -> algo.strategy.Strategy.run ctx q)
-               q.Query.name)
-           queries stragglers))
-
-let run_logical ?(collect_stats = true) ?(timeout = 30.0) ?(domains = 1)
-    ?(join_parallelism = 1) ?tracer env algo trees =
-  with_join_pool ?tracer ~join_parallelism (fun pool ->
-      run_cells ?tracer ~domains
-        (List.map
-           (fun tree _cell_pool ->
-             run_one ~collect_stats ~timeout ?pool ?tracer env algo
-               (fun ctx -> Driver.run algo.strategy ctx tree)
-               (Logical.name tree))
-           trees))
+let run_logical ?(collect_stats = true) ?(timeout = 30.0) ?(domains = 1) ?tracer env
+    algo trees =
+  run_cells ?tracer ~domains
+    (List.map
+       (fun tree () ->
+         run_one ~collect_stats ~timeout ?tracer env algo
+           (fun ctx -> Driver.run algo.strategy ctx tree)
+           (Logical.name tree))
+       trees)
 
 let total_time results = List.fold_left (fun a r -> a +. r.time) 0.0 results
 

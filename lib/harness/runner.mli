@@ -56,28 +56,20 @@ type qresult = {
 
 val result_digest : Qs_storage.Table.t -> string
 (** The canonical multiset digest used for [qresult.digest] (exposed for
-    the chunked-scan sweep and differential tests). *)
+    the differential tests). *)
 
 val run_spj : ?collect_stats:bool -> ?timeout:float -> ?domains:int ->
-  ?join_parallelism:int -> ?tracer:Qs_util.Span.t -> env -> algo ->
+  ?tracer:Qs_util.Span.t -> env -> algo ->
   Query.t list -> qresult list
 (** [timeout] (default 30 s) is the per-query monotonic-clock cap; a
     timed-out query contributes the full timeout to aggregate times, as
     in the paper.
 
     [domains] (default 1) fans the per-query cells across that many
-    domains; results come back in query order with identical digests and
+    domains; each query runs on the one domain that picked it up.
+    Results come back in query order with identical digests and
     counters — only per-query wall-clock (and thus time histograms)
-    varies. [join_parallelism] (default 1) additionally runs each hash
-    join partitioned across its own pool; keep it at 1 when measuring
-    per-query latency comparatively.
-
-    Straggler heuristic: with [domains > 1] and [join_parallelism <= 1],
-    a query whose estimated plan cost (default estimator, untimed)
-    dominates the remaining queue combined — [cost * (domains - 1) >
-    total - cost] — automatically gets the cell pool as its join/DP
-    pool, and its [execute] span carries [parallel-join=auto]. Results
-    and plans are unchanged.
+    varies.
 
     [tracer] records time-ordered spans for the timed pass (never the
     warm pass): one [execute] span per query, one aggregate [estimate]
@@ -85,7 +77,7 @@ val run_spj : ?collect_stats:bool -> ?timeout:float -> ?domains:int ->
     pools emit. Results are unchanged — tracing is observation-only. *)
 
 val run_logical : ?collect_stats:bool -> ?timeout:float -> ?domains:int ->
-  ?join_parallelism:int -> ?tracer:Qs_util.Span.t -> env -> algo ->
+  ?tracer:Qs_util.Span.t -> env -> algo ->
   Logical.t list -> qresult list
 
 val total_time : qresult list -> float

@@ -29,7 +29,6 @@ type step = {
 
 type counters = {
   intermediate_tables : int;
-  partition_reuses : int;
   faults : int;
   bypasses : int;
 }
@@ -45,7 +44,6 @@ type t = {
   mutable dispatched : float; (* 0.0 until dispatch *)
   steps_rev : step list Atomic.t; (* newest first; single writer *)
   intermediates : int Atomic.t;
-  reuses : int Atomic.t;
   tracer : Span.t option;
 }
 
@@ -75,7 +73,6 @@ let create ?(tracer = false) ~id ~session ~statement ~strategy ~cache_hit
     dispatched = 0.0;
     steps_rev = Atomic.make [];
     intermediates = Atomic.make 0;
-    reuses = Atomic.make 0;
     tracer = (if tracer then Some (Span.create ()) else None);
   }
 
@@ -102,10 +99,9 @@ let step t ?score ~subquery ~est_rows ~actual_rows ~replanned ~remaining () =
 
 (* The flight the current domain is executing for, if any. Set around
    one query's execution; instrumented code (the executor's
-   intermediate-table and partition-reuse accounting) bumps the active
-   flight without any parameter threading. Work fanned out to *other*
-   pool domains inside a query is not attributed — acceptable for
-   telemetry, exact for single-domain execution (the serving default). *)
+   intermediate-table accounting) bumps the active flight without any
+   parameter threading. A query runs on one domain, so the attribution
+   is exact. *)
 let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let with_current fl f =
@@ -116,11 +112,6 @@ let with_current fl f =
 let on_intermediate_table () =
   match Domain.DLS.get current with
   | Some fl -> Atomic.incr fl.intermediates
-  | None -> ()
-
-let on_partition_reuse () =
-  match Domain.DLS.get current with
-  | Some fl -> Atomic.incr fl.reuses
   | None -> ()
 
 (* --- completion -------------------------------------------------------- *)
@@ -165,7 +156,6 @@ let finish t ~status ~row_count ~queue_wait ~exec_time ~faults ~bypasses
     r_counters =
       {
         intermediate_tables = Atomic.get t.intermediates;
-        partition_reuses = Atomic.get t.reuses;
         faults;
         bypasses;
       };

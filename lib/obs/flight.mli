@@ -34,7 +34,6 @@ type step = {
 
 type counters = {
   intermediate_tables : int;  (** temps the executor materialized *)
-  partition_reuses : int;  (** partition layouts consumed without re-hash *)
   faults : int;  (** buffer-pool misses attributed to this flight *)
   bypasses : int;  (** uncached buffer-pool reads *)
 }
@@ -121,16 +120,13 @@ val step :
 
 val with_current : t option -> (unit -> 'a) -> 'a
 (** Run a thunk with the flight installed as the calling domain's
-    ambient collector, so {!on_intermediate_table} /
-    {!on_partition_reuse} from anywhere below attribute to it. Restores
-    the previous ambient flight on return and on exception. Work the
-    thunk fans out to {e other} pool domains is not attributed. *)
+    ambient collector, so {!on_intermediate_table} from anywhere below
+    attributes to it. Restores the previous ambient flight on return
+    and on exception. *)
 
 val on_intermediate_table : unit -> unit
 (** Called by the executor whenever an intermediate table is built; a
     no-op (one domain-local read) when no flight is ambient. *)
-
-val on_partition_reuse : unit -> unit
 
 val finish :
   t ->

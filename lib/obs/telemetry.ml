@@ -168,7 +168,6 @@ let complete t fl ~status ~row_count ~queue_wait ~exec_time ~faults ~bypasses
   with_lock t.stats_lock (fun () ->
       let c = record.Flight.r_counters in
       bump t ~by:c.Flight.intermediate_tables "intermediate_tables";
-      bump t ~by:c.Flight.partition_reuses "partition_reuses";
       bump t ~by:c.Flight.faults "faults";
       bump t ~by:c.Flight.bypasses "bypasses");
   ring_push t record;
@@ -293,13 +292,12 @@ let render_record ?(timings = true) buf (r : Flight.record) =
   end;
   let c = r.r_counters in
   if
-    c.intermediate_tables > 0 || c.partition_reuses > 0 || c.faults > 0
-    || c.bypasses > 0
+    c.intermediate_tables > 0 || c.faults > 0 || c.bypasses > 0
   then
     Buffer.add_string buf
       (Printf.sprintf
-         "        counters: intermediates=%d reuses=%d faults=%d bypasses=%d\n"
-         c.intermediate_tables c.partition_reuses c.faults c.bypasses)
+         "        counters: intermediates=%d faults=%d bypasses=%d\n"
+         c.intermediate_tables c.faults c.bypasses)
 
 let render ?(timings = true) ?(slowest = 8) snap =
   let buf = Buffer.create 2048 in
@@ -313,11 +311,10 @@ let render ?(timings = true) ?(slowest = 8) snap =
        (counter snap "failed"));
   Buffer.add_string buf
     (Printf.sprintf
-       "journal steps=%d intermediates=%d partition-reuses=%d bufpool \
-        faults=%d bypasses=%d sampled=%d\n"
+       "journal steps=%d intermediates=%d bufpool faults=%d bypasses=%d \
+        sampled=%d\n"
        (counter snap "journal_steps")
        (counter snap "intermediate_tables")
-       (counter snap "partition_reuses")
        (counter snap "faults") (counter snap "bypasses")
        (counter snap "sampled"));
   let running, queued =
@@ -398,8 +395,6 @@ let to_prometheus t =
   line "qs_journal_steps_total %d" (counter snap "journal_steps");
   line "# TYPE qs_intermediate_tables_total counter";
   line "qs_intermediate_tables_total %d" (counter snap "intermediate_tables");
-  line "# TYPE qs_partition_reuses_total counter";
-  line "qs_partition_reuses_total %d" (counter snap "partition_reuses");
   line "# TYPE qs_bufpool_faults_total counter";
   line "qs_bufpool_faults_total %d" (counter snap "faults");
   line "# TYPE qs_bufpool_bypasses_total counter";

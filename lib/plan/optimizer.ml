@@ -7,7 +7,6 @@ module Table_stats = Qs_stats.Table_stats
 module Column_stats = Qs_stats.Column_stats
 module Span = Qs_util.Span
 module Timer = Qs_util.Timer
-module Pool = Qs_util.Pool
 
 type result = {
   plan : Physical.t;
@@ -16,10 +15,9 @@ type result = {
 }
 
 (* Above this input count the exact DP (3^n partition sweep) gives way to
-   the greedy fallback. Configurable ([--dp-limit] on bench and qsdemo):
-   with the pooled DP the exact path stays affordable well past the
-   historical hard-coded 13. Atomic because harness cells on separate
-   domains read it concurrently. *)
+   the greedy fallback. Configurable ([--dp-limit] on bench and qsdemo).
+   Atomic because harness cells on separate domains read it
+   concurrently. *)
 let dp_limit = Atomic.make 13
 let dp_input_limit () = Atomic.get dp_limit
 let set_dp_input_limit n = Atomic.set dp_limit (max 1 n)
@@ -170,33 +168,7 @@ let popcount m =
   let rec go acc m = if m = 0 then acc else go (acc + (m land 1)) (m lsr 1) in
   go 0 m
 
-(* k nearly-equal contiguous chunks, order-preserving; at most [k] and
-   never more than [List.length lst] chunks. *)
-let chunk_list k lst =
-  let len = List.length lst in
-  let k = max 1 (min k len) in
-  let base = len / k and extra = len mod k in
-  let rec take n lst acc =
-    if n = 0 then (List.rev acc, lst)
-    else
-      match lst with
-      | [] -> (List.rev acc, [])
-      | x :: tl -> take (n - 1) tl (x :: acc)
-  in
-  let rec go i lst =
-    if i >= k then []
-    else
-      let sz = base + if i < extra then 1 else 0 in
-      let c, rest = take sz lst [] in
-      c :: go (i + 1) rest
-  in
-  go 0 lst
-
-(* Fan a level out only when the partition sweep dwarfs the dispatch
-   overhead; below this many subsets the sequential loop wins. *)
-let par_level_threshold = 16
-
-let dp_plan ?spans ?pool ?memo ~allowed catalog (est : Estimator.t) (frag : Fragment.t) =
+let dp_plan ?spans ?memo ~allowed catalog (est : Estimator.t) (frag : Fragment.t) =
   let inputs = Array.of_list frag.inputs in
   let n = Array.length inputs in
   let full = (1 lsl n) - 1 in
@@ -227,9 +199,8 @@ let dp_plan ?spans ?pool ?memo ~allowed catalog (est : Estimator.t) (frag : Frag
   (* Flat views of the predicates for the partition sweep. [cross] above
      materializes a list per partition — fine for [build], which runs once
      per chosen node, but the sweep visits ~3^n partitions and a list (plus
-     closure) per partition floods the minor heap; under a domain pool the
-     resulting stop-the-world minor collections serialize the workers. The
-     sweep therefore scans these arrays in place, allocating nothing.
+     closure) per partition floods the minor heap. The sweep therefore
+     scans these arrays in place, allocating nothing.
      Order matters for byte-identical plans: [pmask_arr]/[sides_arr] keep
      [pred_masks] order, which is the order [cross] yields. *)
   let pmask_arr = Array.of_list (List.map snd pred_masks) in
@@ -284,13 +255,7 @@ let dp_plan ?spans ?pool ?memo ~allowed catalog (est : Estimator.t) (frag : Frag
           in
           go 0
   in
-  (* Cardinalities live in a flat array (nan = unknown) so pool workers
-     can read them without synchronization. Every value a worker might
-     read is computed on the calling domain first — singletons below,
-     each level's masks in a pre-pass before that level's sweep — because
-     the estimator mutates per-input scratch Hashtbls ([input.memo]) that
-     are not safe to share across domains. The lazy branch only runs
-     sequentially (or as a defensive fallback). *)
+  (* Cardinalities, memoized per subset in a flat array (nan = unknown). *)
   let card_arr = Array.make (full + 1) Float.nan in
   let card mask =
     let c = card_arr.(mask) in
@@ -336,9 +301,9 @@ let dp_plan ?spans ?pool ?memo ~allowed catalog (est : Estimator.t) (frag : Frag
                ~inner_rows:inner_raw ~matches ~out_rows
   in
   (* [process] only writes [best_cost.(mask)] / [best_spec.(mask)] and
-     reads strictly smaller masks, so distinct masks of one level can run
-     on distinct pool workers. [em]/[pr] count candidates that improved
-     the subset's best vs. candidates dominated at evaluation time. *)
+     reads strictly smaller masks. [em]/[pr] count candidates that
+     improved the subset's best vs. candidates dominated at evaluation
+     time. *)
   let process ~em ~pr mask =
     begin
       let out_rows = card mask in
@@ -414,7 +379,7 @@ let dp_plan ?spans ?pool ?memo ~allowed catalog (est : Estimator.t) (frag : Frag
   (* Level-wise enumeration (DPsize order): a subset only ever combines
      two strictly smaller subsets, so grouping masks by popcount leaves
      the DP unchanged — and gives the tracer one [dp-level] span per
-     level, the natural unit for the planned parallel-DP work. *)
+     level. *)
   let levels = Array.make (n + 1) [] in
   for mask = full downto 1 do
     let k = popcount mask in
@@ -500,49 +465,22 @@ let dp_plan ?spans ?pool ?memo ~allowed catalog (est : Estimator.t) (frag : Frag
             | None -> ())
           levels.(level)
       done);
-  let sweep masks =
-    let em = ref 0 and pr = ref 0 in
-    List.iter (process ~em ~pr) masks;
-    (!em, !pr)
-  in
   for level = 2 to n do
     match levels.(level) with
     | [] -> ()
     | lmasks ->
         let t0 = Timer.now () in
-        let n_subsets = List.length lmasks in
-        (* cardinalities on the calling domain only: the estimator's
-           per-input memo tables are not safe to share across workers *)
-        List.iter (fun m -> ignore (card m)) lmasks;
-        let misses = List.filter (fun m -> not hit.(m)) lmasks in
-        let n_miss = List.length misses in
-        let par =
-          match pool with
-          | Some p
-            when Pool.size p > 1
-                 && n_miss >= par_level_threshold
-                 && n_miss >= 2 * Pool.size p ->
-              Some p
-          | _ -> None
-        in
-        let em, pr =
-          match par with
-          | Some p ->
-              List.fold_left
-                (fun (ea, pa) (e, pr') -> (ea + e, pa + pr'))
-                (0, 0)
-                (Pool.map p sweep (chunk_list (4 * Pool.size p) misses))
-          | None -> sweep misses
-        in
+        let em = ref 0 and pr = ref 0 and hits = ref 0 in
+        List.iter
+          (fun m -> if hit.(m) then incr hits else process ~em ~pr m)
+          lmasks;
         Span.add spans Span.Dp_level
           ~args:
             [
-              ("subsets", string_of_int n_subsets);
-              ("emitted", string_of_int em);
-              ("pruned", string_of_int pr);
-              ("memo-hits", string_of_int (n_subsets - n_miss));
-              ( "workers",
-                string_of_int (match par with Some p -> Pool.size p | None -> 1) );
+              ("subsets", string_of_int (List.length lmasks));
+              ("emitted", string_of_int !em);
+              ("pruned", string_of_int !pr);
+              ("memo-hits", string_of_int !hits);
             ]
           (Printf.sprintf "dp-level-%d" level)
           ~start:t0
@@ -677,7 +615,7 @@ let greedy_plan ~allowed catalog (est : Estimator.t) (frag : Fragment.t) =
   snd (List.hd !planned)
 
 let optimize ?(allowed = [ Physical.Hash; Physical.Index_nl; Physical.Nl ]) ?spans
-    ?pool ?memo catalog est frag =
+    ?memo catalog est frag =
   if frag.Fragment.inputs = [] then invalid_arg "Optimizer.optimize: empty fragment";
   let n = List.length frag.Fragment.inputs in
   let plan =
@@ -685,7 +623,7 @@ let optimize ?(allowed = [ Physical.Hash; Physical.Index_nl; Physical.Nl ]) ?spa
       Span.span spans Span.Optimize
         ~args:[ ("inputs", string_of_int n) ]
         (Printf.sprintf "dp n=%d" n)
-        (fun () -> dp_plan ?spans ?pool ?memo ~allowed catalog est frag)
+        (fun () -> dp_plan ?spans ?memo ~allowed catalog est frag)
     else
       Span.span spans Span.Optimize
         ~args:[ ("inputs", string_of_int n) ]

@@ -22,7 +22,7 @@ type result = {
 }
 
 val optimize : ?allowed:Physical.join_method list -> ?spans:Qs_util.Span.t ->
-  ?pool:Qs_util.Pool.t -> ?memo:Dp_memo.t ->
+  ?memo:Dp_memo.t ->
   Catalog.t -> Estimator.t -> Fragment.t -> result
 (** Raises [Invalid_argument] on an empty fragment. [allowed] restricts
     the join methods considered (default: all three) — the USE baseline
@@ -30,13 +30,6 @@ val optimize : ?allowed:Physical.join_method list -> ?spans:Qs_util.Span.t ->
     than [dp_input_limit ()] inputs are planned greedily (cheapest-pair
     agglomeration) instead of by exact DP. Disconnected fragments get
     Cartesian (nested-loop) joins between their components, planned last.
-
-    [pool] parallelizes the DP level-by-level: within a popcount level
-    the subset masks are partitioned into contiguous chunks across the
-    pool's domains (each worker fills best-plan entries for its own
-    masks against the immutable lower levels), so the chosen plan is
-    byte-identical to the sequential enumeration. Cardinality estimation
-    stays on the calling domain. The greedy path ignores [pool].
 
     [memo] is a cross-step DP memo ({!Dp_memo}): subsets whose key —
     input provenances, stats / alias epochs, internal predicates,
@@ -48,7 +41,7 @@ val optimize : ?allowed:Physical.join_method list -> ?spans:Qs_util.Span.t ->
     [spans] records one [optimize] span per call and, for the DP path,
     one nested [dp-level] span per popcount level of the subset
     enumeration carrying per-level candidate counts ([subsets],
-    [emitted], [pruned], [memo-hits], [workers]), plus a [dp-memo]
+    [emitted], [pruned], [memo-hits]), plus a [dp-memo]
     instant marker with the call's memo hit / miss counts when [memo]
     is given. *)
 

@@ -24,11 +24,11 @@ and join = {
   index : (Index.t * Expr.colref * Expr.colref) option;
 }
 
-let next_id = ref 0
+(* Shared by every planning domain (harness cells, serving sessions):
+   an atomic counter, so no two nodes ever get the same id. *)
+let next_id = Atomic.make 1
 
-let fresh_id () =
-  incr next_id;
-  !next_id
+let fresh_id () = Atomic.fetch_and_add next_id 1
 
 let scan input ~est_rows ~est_cost =
   {

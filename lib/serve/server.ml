@@ -21,7 +21,6 @@ type config = {
   queue_limit : int;
   policy : Scheduler.policy;
   aging_rounds : int;
-  straggler_cost : float;
   autostart : bool;
   telemetry : Telemetry.config;
 }
@@ -32,7 +31,6 @@ let default_config =
     queue_limit = 64;
     policy = Scheduler.Cost_aware;
     aging_rounds = 4;
-    straggler_cost = infinity;
     autostart = true;
     telemetry = Telemetry.default_config;
   }
@@ -133,11 +131,6 @@ let with_lock t f =
 
 let expired deadline = match deadline with Some d -> Timer.now () > d | None -> false
 
-let pool_for t (p : pending) =
-  if Pool.size t.pool > 1 && p.p_plan.Optimizer.est_cost >= t.config.straggler_cost
-  then Some t.pool
-  else None
-
 (* An explicitly attached server tracer wins; otherwise the flight's
    own always-on tracer records phase spans for rollups/tail samples. *)
 let spans_for t (p : pending) =
@@ -148,17 +141,16 @@ let spans_for t (p : pending) =
 (* Execute one query on the current domain (a pool worker, or a caller
    helping via [help_until]). Either the cached physical plan directly,
    or a full re-optimization strategy with a fresh per-query ctx — the
-   only cross-query state is the registry, the plan cache and the
-   optional pool, all lock-guarded. The flight rides along as this
-   domain's ambient collector so executor counters attribute to it. *)
+   only cross-query state is the registry and the plan cache, both
+   lock-guarded. The flight rides along as this domain's ambient
+   collector so executor counters attribute to it. *)
 let execute t (p : pending) =
   let q = p.p_query in
   Flight.with_current p.p_flight (fun () ->
       match t.strategy with
       | None ->
           let tbl, _ =
-            Executor.run ?deadline:p.p_deadline ?cancel:p.p_cancel
-              ?pool:(pool_for t p) ?spans:(spans_for t p)
+            Executor.run ?deadline:p.p_deadline ?cancel:p.p_cancel ?spans:(spans_for t p)
               p.p_plan.Optimizer.plan
           in
           `Done (Executor.project ~name:q.Query.name tbl q.Query.output)
@@ -166,7 +158,7 @@ let execute t (p : pending) =
           let dp_memo = Dp_memo.create () in
           let ctx =
             Strategy.make_ctx ~deadline:p.p_deadline ?cancel:p.p_cancel
-              ?pool:(pool_for t p) ?spans:(spans_for t p) ~dp_memo
+              ?spans:(spans_for t p) ~dp_memo
               ?flight:p.p_flight t.registry t.estimator
           in
           let outcome = strat.Strategy.run ctx q in
@@ -187,11 +179,7 @@ let bufpool_stats () =
   match Qs_storage.Table.spill_config () with
   | Some (_, pool) -> Buffer_pool.stats pool
   | None ->
-      {
-        Buffer_pool.hits = 0; misses = 0; coalesced = 0; bypasses = 0;
-        evictions = 0; prefetch_issued = 0; prefetch_used = 0;
-        prefetch_wasted = 0;
-      }
+      { Buffer_pool.hits = 0; misses = 0; coalesced = 0; bypasses = 0; evictions = 0 }
 
 let finish t (p : pending) (entry : pending Scheduler.entry) ~started
     ~bp_before ~status ~digest ~row_count =

@@ -42,10 +42,9 @@
     Execution mode: with [?strategy] every query runs that
     re-optimization strategy (fresh per-query ctx and [Dp_memo], shared
     registry); without it the cached physical plan is executed directly
-    — the statement-cache fast path. Queries whose estimated cost is at
-    least [straggler_cost] additionally get the pooled join/DP paths
-    ([ctx.pool]); results are unchanged either way, and completed
-    digests are byte-identical to single-session execution. *)
+    — the statement-cache fast path. Each query runs on the one domain
+    that picked it up; completed digests are byte-identical to
+    single-session execution. *)
 
 module Query = Qs_query.Query
 module Estimator = Qs_stats.Estimator
@@ -59,9 +58,6 @@ type config = {
   queue_limit : int;  (** admission-queue bound; {!submit} blocks at it *)
   policy : Scheduler.policy;
   aging_rounds : int;  (** bypasses before promotion to the aged class *)
-  straggler_cost : float;
-      (** estimated plan cost at/above which a query gets the shared
-          pool for partitioned joins / parallel DP ([infinity] = never) *)
   autostart : bool;
       (** dispatch on submit (default). [false] queues everything until
           {!start} — used by the scheduler tests to fix the decision
@@ -72,7 +68,7 @@ type config = {
 }
 
 val default_config : config
-(** concurrency 2, queue limit 64, cost-aware, aging 4, no stragglers,
+(** concurrency 2, queue limit 64, cost-aware, aging 4,
     autostart, default telemetry. *)
 
 type status =

@@ -1,27 +1,21 @@
-(* Bounded cache of resident chunk frames with CLOCK eviction and
-   asynchronous prefetch.
+(* Bounded cache of resident chunk frames with CLOCK eviction.
 
    One mutex guards the whole pool: lookups, victim search and counter
    updates are short critical sections; the actual disk reads happen
-   outside the lock. A frame moves through three states:
+   outside the lock, on the faulting domain. A frame moves through two
+   states:
 
-     Queued   — reserved by a prefetch request, read not started. A
-                foreground miss *steals* the frame (becomes the loader
-                itself) and the prefetch job later finds the state
-                changed and does nothing, so a queued-but-never-run
-                prefetch job (size-1 pool, nobody helping) can never
-                wedge a reader.
      Loading  — some domain is actively reading the frame from disk.
-                Waiters block on the condition variable; the loader is
+                Waiters (concurrent serving sessions faulting the same
+                chunk) block on the condition variable; the loader is
                 running, so it will complete and broadcast.
      Loaded   — rows resident; hits set the CLOCK reference bit.
 
-   Eviction only considers unpinned Loaded (or cancellable Queued)
-   frames; when every frame is pinned or in flight the read bypasses
-   the pool entirely (correct, just uncached), so the pool can be
-   arbitrarily small — capacity 1 still executes every query. *)
+   Eviction only considers unpinned Loaded frames; when every frame is
+   pinned or in flight the read bypasses the pool entirely (correct,
+   just uncached), so the pool can be arbitrarily small — capacity 1
+   still executes every query. *)
 
-module Pool = Qs_util.Pool
 module Span = Qs_util.Span
 
 type stats = {
@@ -30,12 +24,9 @@ type stats = {
   coalesced : int;
   bypasses : int;
   evictions : int;
-  prefetch_issued : int;
-  prefetch_used : int;
-  prefetch_wasted : int;
 }
 
-type state = Queued | Loading | Loaded of Chunk.t
+type state = Loading | Loaded of Chunk.t
 
 type frame = {
   file : Chunk_file.t;
@@ -43,55 +34,41 @@ type frame = {
   mutable state : state;
   mutable pins : int;
   mutable refbit : bool;
-  mutable prefetched : bool;  (* installed by a prefetch request *)
-  mutable referenced : bool;  (* hit by a consumer since install *)
 }
 
 type t = {
   mutex : Mutex.t;
   cond : Condition.t;
   capacity : int;
-  prefetch_depth : int;
   slots : frame option array;
   index : (int * int, int) Hashtbl.t;  (* (file id, chunk idx) -> slot *)
   mutable hand : int;
-  mutable io_pool : Pool.t option;
   mutable tracer : Span.t option;
   mutable hits : int;
   mutable misses : int;
   mutable coalesced : int;
   mutable bypasses : int;
   mutable evictions : int;
-  mutable prefetch_issued : int;
-  mutable prefetch_used : int;
-  mutable prefetch_wasted : int;
 }
 
-let create ?(prefetch = 2) ~capacity () =
+let create ~capacity () =
   let capacity = max 1 capacity in
   {
     mutex = Mutex.create ();
     cond = Condition.create ();
     capacity;
-    prefetch_depth = max 0 prefetch;
     slots = Array.make capacity None;
     index = Hashtbl.create (4 * capacity);
     hand = 0;
-    io_pool = None;
     tracer = None;
     hits = 0;
     misses = 0;
     coalesced = 0;
     bypasses = 0;
     evictions = 0;
-    prefetch_issued = 0;
-    prefetch_used = 0;
-    prefetch_wasted = 0;
   }
 
 let capacity t = t.capacity
-let prefetch_depth t = t.prefetch_depth
-let set_io_pool t p = t.io_pool <- p
 let set_tracer t tr = t.tracer <- tr
 
 let stats t =
@@ -103,9 +80,6 @@ let stats t =
       coalesced = t.coalesced;
       bypasses = t.bypasses;
       evictions = t.evictions;
-      prefetch_issued = t.prefetch_issued;
-      prefetch_used = t.prefetch_used;
-      prefetch_wasted = t.prefetch_wasted;
     }
   in
   Mutex.unlock t.mutex;
@@ -118,9 +92,6 @@ let reset_stats t =
   t.coalesced <- 0;
   t.bypasses <- 0;
   t.evictions <- 0;
-  t.prefetch_issued <- 0;
-  t.prefetch_used <- 0;
-  t.prefetch_wasted <- 0;
   Mutex.unlock t.mutex
 
 let pinned t =
@@ -145,20 +116,19 @@ let resident t =
   Mutex.unlock t.mutex;
   n
 
-let read_frame t ~what file idx =
+let read_frame t file idx =
   Span.span
     ~args:
       [
         ("file", Filename.basename (Chunk_file.path file));
         ("chunk", string_of_int idx);
       ]
-    t.tracer Span.Io what
+    t.tracer Span.Io "fault"
     (fun () -> Chunk_file.read file idx)
 
 (* Victim slot under the mutex: a free slot if any, else CLOCK
-   second-chance over unpinned Loaded frames; an unpinned Queued frame
-   is a cancellable reservation and is taken in preference to evicting
-   data. Returns [None] when everything is pinned or in flight. *)
+   second-chance over unpinned Loaded frames. Returns [None] when
+   everything is pinned or in flight. *)
 let find_slot t =
   let free = ref None in
   Array.iteri
@@ -176,15 +146,7 @@ let find_slot t =
         match t.slots.(i) with
         | Some fr when fr.pins = 0 -> (
             match fr.state with
-            | Queued ->
-                (* cancel the reservation; the prefetch job will find the
-                   frame gone and no-op *)
-                Hashtbl.remove t.index (Chunk_file.id fr.file, fr.idx);
-                t.slots.(i) <- None;
-                victim := Some i
             | Loaded _ when not fr.refbit ->
-                if fr.prefetched && not fr.referenced then
-                  t.prefetch_wasted <- t.prefetch_wasted + 1;
                 t.evictions <- t.evictions + 1;
                 Hashtbl.remove t.index (Chunk_file.id fr.file, fr.idx);
                 t.slots.(i) <- None;
@@ -198,9 +160,9 @@ let find_slot t =
 (* Load a frame this caller owns (state already set to Loading, mutex
    NOT held). On failure the frame is torn down so waiters retry and
    observe the exception on their own read. *)
-let load_owned t fr ~what ~pin =
+let load_owned t fr ~pin =
   let chunk =
-    try read_frame t ~what fr.file fr.idx
+    try read_frame t fr.file fr.idx
     with e ->
       let bt = Printexc.get_raw_backtrace () in
       Mutex.lock t.mutex;
@@ -250,9 +212,6 @@ let rec acquire t file idx ~pin =
       match fr.state with
       | Loaded chunk ->
           t.hits <- t.hits + 1;
-          if fr.prefetched && not fr.referenced then
-            t.prefetch_used <- t.prefetch_used + 1;
-          fr.referenced <- true;
           fr.refbit <- true;
           if pin then fr.pins <- fr.pins + 1;
           Mutex.unlock t.mutex;
@@ -264,40 +223,21 @@ let rec acquire t file idx ~pin =
           t.coalesced <- t.coalesced + 1;
           Condition.wait t.cond t.mutex;
           Mutex.unlock t.mutex;
-          acquire t file idx ~pin
-      | Queued ->
-          (* steal the reservation: do the read ourselves rather than
-             wait on a prefetch job that may never be scheduled *)
-          fr.state <- Loading;
-          fr.prefetched <- false;
-          fr.referenced <- true;
-          t.misses <- t.misses + 1;
-          Mutex.unlock t.mutex;
-          (load_owned t fr ~what:"fault" ~pin, pin))
+          acquire t file idx ~pin)
   | None -> (
       match find_slot t with
       | Some si ->
-          let fr =
-            {
-              file;
-              idx;
-              state = Loading;
-              pins = 0;
-              refbit = false;
-              prefetched = false;
-              referenced = true;
-            }
-          in
+          let fr = { file; idx; state = Loading; pins = 0; refbit = false } in
           t.slots.(si) <- Some fr;
           Hashtbl.replace t.index key si;
           t.misses <- t.misses + 1;
           Mutex.unlock t.mutex;
-          (load_owned t fr ~what:"fault" ~pin, pin)
+          (load_owned t fr ~pin, pin)
       | None ->
           (* every frame pinned or in flight: read around the pool *)
           t.bypasses <- t.bypasses + 1;
           Mutex.unlock t.mutex;
-          (read_frame t ~what:"fault" file idx, false))
+          (read_frame t file idx, false))
 
 let get t file idx = fst (acquire t file idx ~pin:false)
 
@@ -306,62 +246,3 @@ let with_pin t file idx f =
   if pinned then
     Fun.protect ~finally:(fun () -> unpin t file idx) (fun () -> f chunk)
   else f chunk
-
-(* Asynchronous prefetch: reserve Queued frames under the mutex, then
-   hand the reads to the I/O pool. Without an attached pool this is a
-   no-op — the foreground fault path is always sufficient. Reservation
-   stops at the first chunk for which no evictable slot exists: refusing
-   to prefetch beats thrashing the frames a scan is about to revisit. *)
-let prefetch t file idxs =
-  match t.io_pool with
-  | None -> ()
-  | Some pool ->
-      let jobs = ref [] in
-      Mutex.lock t.mutex;
-      (try
-         List.iter
-           (fun idx ->
-             if idx >= 0 && idx < Chunk_file.n_frames file then begin
-               let key = (Chunk_file.id file, idx) in
-               if not (Hashtbl.mem t.index key) then
-                 match find_slot t with
-                 | None -> raise Exit
-                 | Some si ->
-                     let fr =
-                       {
-                         file;
-                         idx;
-                         state = Queued;
-                         pins = 0;
-                         refbit = false;
-                         prefetched = true;
-                         referenced = false;
-                       }
-                     in
-                     t.slots.(si) <- Some fr;
-                     Hashtbl.replace t.index key si;
-                     t.prefetch_issued <- t.prefetch_issued + 1;
-                     jobs := fr :: !jobs
-             end)
-           idxs
-       with Exit -> ());
-      Mutex.unlock t.mutex;
-      List.iter
-        (fun fr ->
-          Pool.submit pool (fun () ->
-              Mutex.lock t.mutex;
-              let mine =
-                match
-                  Hashtbl.find_opt t.index (Chunk_file.id fr.file, fr.idx)
-                with
-                | Some si -> (
-                    match t.slots.(si) with
-                    | Some fr' when fr' == fr && fr.state = Queued ->
-                        fr.state <- Loading;
-                        true
-                    | _ -> false (* stolen by a fault *))
-                | None -> false (* reservation evicted *)
-              in
-              Mutex.unlock t.mutex;
-              if mine then ignore (load_owned t fr ~what:"prefetch" ~pin:false)))
-        (List.rev !jobs)

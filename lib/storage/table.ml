@@ -1,14 +1,13 @@
 (* Rows are sharded into fixed-size chunks so very large tables are not
-   one allocation and scans can fan out per-chunk on a domain pool. The
+   one allocation and a spilled table pages one frame at a time. The
    chunk layout is invisible to readers that go through the iteration
    API: row order is always chunk order.
 
    A table's chunks live in one of two stores. [Resident] is the plain
    in-memory array-of-chunks. [Spilled] keeps the rows in a chunk file
    on disk and reads them back through a shared buffer pool — the chunk
-   API below is then a faulting read path, and sequential iteration
-   prefetches upcoming chunks through the pool so disk reads overlap
-   the consumer's CPU work. Which store a new table gets is decided at
+   API below is then a faulting read path, one pinned frame at a time
+   for sequential iteration. Which store a new table gets is decided at
    construction by the global spill mode: when enabled, *every* table
    built (base data, join outputs, QuerySplit temps) spills, so the
    engine runs fully out-of-core.
@@ -24,22 +23,6 @@ type store =
   | Resident of Chunk.t array
   | Spilled of { file : Chunk_file.t; bp : Buffer_pool.t }
 
-(* Hash-partition layout carried by tables whose chunks were emitted
-   per-partition (parallel join outputs, partition-preserving temps):
-   for EVERY key in [part_keys], every row of chunk [i] satisfies
-   [Hashtbl.hash (key values in column order) mod parts = tags.(i)].
-   Multiple keys arise from join equalities — the build and probe key
-   columns hold equal values on every output row, so one hash describes
-   both. Purely advisory — readers that ignore it see an ordinary
-   table — but a consumer hashing any listed key with the same modulus
-   can group chunks by tag instead of re-partitioning row by row. *)
-type partitioning = {
-  part_keys : (string * string) list list;
-  (* value-equivalent ordered (rel, name) key column lists; non-empty *)
-  parts : int; (* the partition count / hash modulus *)
-  tags : int array; (* per-chunk partition id, in [0, parts) *)
-}
-
 type t = {
   name : string;
   schema : Schema.t;
@@ -47,7 +30,6 @@ type t = {
   offsets : int array; (* offsets.(i) = global row id of chunk i's row 0;
                           offsets.(n_chunks) = total rows *)
   chunk_bytes : int array; (* memoized per-chunk byte sizes; -1 = unknown *)
-  partitioning : partitioning option;
 }
 
 (* Default rows per chunk. Set once at startup (--chunk-rows); ints are
@@ -100,14 +82,7 @@ let of_chunk_data_array ~name ~schema (chunks : Chunk.t array) =
       let file, chunk_bytes =
         Chunk_file.write ~dir ~name ~arity:(Schema.arity schema) chunks
       in
-      {
-        name;
-        schema;
-        store = Spilled { file; bp };
-        offsets;
-        chunk_bytes;
-        partitioning = None;
-      }
+      { name; schema; store = Spilled { file; bp }; offsets; chunk_bytes }
   | _ ->
       {
         name;
@@ -115,7 +90,6 @@ let of_chunk_data_array ~name ~schema (chunks : Chunk.t array) =
         store = Resident chunks;
         offsets;
         chunk_bytes = Array.make (Array.length chunks) (-1);
-        partitioning = None;
       }
 
 let of_chunk_data ~name ~schema chunks =
@@ -155,73 +129,6 @@ let of_chunks ~name ~schema chunks =
   Array.iter (fun c -> check_arity ~name ~schema c) chunks;
   of_chunk_array ~name ~schema chunks
 
-let check_partitioning ~name ~schema ~n_chunks (p : partitioning) =
-  if p.parts < 1 then
-    invalid_arg (Printf.sprintf "Table %s: partition count %d" name p.parts);
-  if p.part_keys = [] || List.mem [] p.part_keys then
-    invalid_arg (Printf.sprintf "Table %s: empty partition key" name);
-  List.iter
-    (List.iter (fun (rel, col) ->
-         if not (Schema.mem schema ~rel ~name:col) then
-           invalid_arg
-             (Printf.sprintf "Table %s: partition key %s.%s not in schema"
-                name rel col)))
-    p.part_keys;
-  if Array.length p.tags <> n_chunks then
-    invalid_arg
-      (Printf.sprintf "Table %s: %d partition tags for %d chunks" name
-         (Array.length p.tags) n_chunks);
-  Array.iter
-    (fun tag ->
-      if tag < 0 || tag >= p.parts then
-        invalid_arg
-          (Printf.sprintf "Table %s: partition tag %d outside [0,%d)" name tag
-             p.parts))
-    p.tags
-
-let of_tagged_chunks ~name ~schema ~part_keys ~parts tagged =
-  (* per-partition operator output: each batch carries the partition id
-     its rows hashed into. Empty batches are dropped here, tags in sync,
-     so [of_chunk_array] below sees no empties and chunk/tag indices
-     stay aligned. *)
-  let kept = List.filter (fun (_, c) -> Array.length c > 0) tagged in
-  List.iter (fun (_, c) -> check_arity ~name ~schema c) kept;
-  let t =
-    of_chunk_array ~name ~schema (Array.of_list (List.map snd kept))
-  in
-  let p =
-    { part_keys; parts; tags = Array.of_list (List.map fst kept) }
-  in
-  check_partitioning ~name ~schema ~n_chunks:(Array.length t.offsets - 1) p;
-  { t with partitioning = Some p }
-
-let partitioning t = t.partitioning
-let without_partitioning t = { t with partitioning = None }
-
-let copy_partitioning ~from t =
-  (* re-attach [from]'s layout to a chunk-for-chunk derivative (a
-     projection): valid only when the chunk structure is unchanged and
-     every key column survives in the new schema; silently a no-op
-     otherwise, since the layout is advisory *)
-  match from.partitioning with
-  | None -> t
-  | Some p ->
-      if
-        Array.length t.offsets = Array.length from.offsets
-        && Array.length p.tags = Array.length t.offsets - 1
-      then
-        (* keep only the equivalent keys whose columns all survive in
-           the new schema; no surviving key means no layout *)
-        match
-          List.filter
-            (List.for_all (fun (rel, col) ->
-                 Schema.mem t.schema ~rel ~name:col))
-            p.part_keys
-        with
-        | [] -> t
-        | keys -> { t with partitioning = Some { p with part_keys = keys } }
-      else t
-
 let n_chunks t = Array.length t.offsets - 1
 let n_rows t = t.offsets.(n_chunks t)
 let spilled t = match t.store with Spilled _ -> true | Resident _ -> false
@@ -240,19 +147,12 @@ let chunk_list t = List.init (n_chunks t) (chunk t)
 
 (* Sequential chunk walk: the shared scan loop of iter/iteri/fold. On a
    spilled table each chunk is pinned while the consumer runs (pins
-   release on exception, so cancellation mid-scan leaks nothing) and the
-   next chunks are prefetched through the pool's I/O workers so disk
-   reads overlap the consumer's CPU work. *)
+   release on exception, so cancellation mid-scan leaks nothing). *)
 let scan_chunk_data t f =
   match t.store with
   | Resident chunks -> Array.iteri f chunks
   | Spilled { file; bp } ->
-      let n = n_chunks t in
-      let depth = Buffer_pool.prefetch_depth bp in
-      for ci = 0 to n - 1 do
-        if depth > 0 && ci + 1 < n then
-          Buffer_pool.prefetch bp file
-            (List.init (min depth (n - ci - 1)) (fun k -> ci + 1 + k));
+      for ci = 0 to n_chunks t - 1 do
         Buffer_pool.with_pin bp file ci (fun chunk -> f ci chunk)
       done
 
@@ -324,12 +224,7 @@ let byte_size t =
   done;
   !total
 
-(* [rename]/[reschema] change the column qualifiers, so a partition key
-   expressed as (rel, name) pairs no longer resolves — the layout is
-   dropped. [with_name] keeps the schema (temps keep alias qualifiers)
-   and therefore the layout. *)
-let rename t name =
-  { t with name; schema = Schema.requalify name t.schema; partitioning = None }
+let rename t name = { t with name; schema = Schema.requalify name t.schema }
 
 let with_name t name = { t with name }
 
@@ -338,11 +233,11 @@ let reschema ~name ~schema t =
     invalid_arg
       (Printf.sprintf "Table.reschema %s: arity %d, had %d" name
          (Schema.arity schema) (Schema.arity t.schema));
-  { t with name; schema; partitioning = None }
+  { t with name; schema }
 
 (* Canonical multiset digest: rows rendered with columns in sorted-id
    order, then sorted — invariant under row and column order, so
-   sequential, pooled, served and out-of-core runs of the same query
+   harness, served and out-of-core runs of the same query
    compare byte-for-byte (chunk-file serialization round-trips values
    exactly, floats through their IEEE bits). *)
 let digest t =

@@ -4,10 +4,10 @@
     Tables are immutable after construction; the engine materializes
     intermediate results as fresh tables. Rows live in chunks of at most
     [chunk_rows] rows ({!default_chunk_rows} unless overridden per
-    table), so very large tables are never one allocation and scans,
-    filters and aggregations can run per-chunk on a domain pool. Row
-    order is chunk order: iterating chunks in index order visits exactly
-    the row order [create] was given.
+    table), so very large tables are never one allocation and a spilled
+    table pages one frame at a time. Row order is chunk order:
+    iterating chunks in index order visits exactly the row order
+    [create] was given.
 
     The store picks the chunk layout. A resident table built from rows
     keeps them as row arrays; a spilled table's chunks fault back in
@@ -22,31 +22,14 @@
     writes its chunks to a {!Chunk_file} and the chunk API becomes a
     faulting read path through the shared {!Buffer_pool}: {!chunk} and
     {!row} fault frames in on demand, and {!iter}/{!iteri}/{!fold} pin
-    the chunk being consumed while prefetching the next ones through
-    the pool's I/O workers. Results are value-identical either way —
+    the chunk being consumed, one frame at a time on the caller's
+    domain. Results are value-identical either way —
     {!digest} is invariant across resident and spilled execution. *)
 
 type store
 (** Where a table's chunks live: resident in memory, or in a chunk file
     read through a buffer pool. Not exposed — all access goes through
     the chunk API below, which faults as needed. *)
-
-type partitioning = {
-  part_keys : (string * string) list list;
-      (** value-equivalent ordered (rel, name) hash-key column lists —
-          order matters within a key, the hash is over the key values in
-          that order. Multiple keys arise from join equalities: the
-          build and probe key columns hold equal values on every output
-          row, so one hash describes both *)
-  parts : int;  (** partition count (the hash modulus) *)
-  tags : int array;  (** per-chunk partition id, in [\[0, parts)] *)
-}
-(** Advisory hash-partition layout: for every key in [part_keys], every
-    row of chunk [i] satisfies [Hashtbl.hash key mod parts = tags.(i)]
-    for the key values read off that key's columns in order. Carried by
-    per-partition operator outputs ({!of_tagged_chunks}) so a later
-    partitioned join over any listed key and the same modulus can group
-    chunks by tag instead of re-hashing rows. *)
 
 type t = private {
   name : string;
@@ -60,8 +43,6 @@ type t = private {
           increasing: construction drops zero-row chunks, so no offset
           can map into an empty frame. *)
   chunk_bytes : int array;  (** memoized per-chunk byte sizes, -1 = unknown *)
-  partitioning : partitioning option;
-      (** advisory partition layout; read through {!partitioning} *)
 }
 
 val default_chunk_rows : unit -> int
@@ -80,8 +61,8 @@ val set_spill : (string * Buffer_pool.t) option -> unit
     body must restore the previous config ({!spill_config}). *)
 
 val spill_config : unit -> (string * Buffer_pool.t) option
-(** The current spill mode (for save/restore and for attaching I/O
-    pools or tracers to the active buffer pool). *)
+(** The current spill mode (for save/restore and for attaching a
+    tracer to the active buffer pool). *)
 
 val spilled : t -> bool
 (** Whether this table's chunks live on disk. *)
@@ -100,32 +81,6 @@ val of_chunks : name:string -> schema:Schema.t -> Value.t array array list -> t
     empty batches are dropped, so the resulting offsets are strictly
     increasing. The batch arrays are shared, not copied (unless spill
     mode rewrites them to disk). *)
-
-val of_tagged_chunks : name:string -> schema:Schema.t ->
-  part_keys:(string * string) list list -> parts:int ->
-  (int * Value.t array array) list -> t
-(** Per-partition construction: each batch carries the partition id its
-    rows hashed into ([Hashtbl.hash key mod parts] over every key in
-    [part_keys] — the caller's obligation). Empty batches are dropped
-    with their tags, so chunk and tag indices stay aligned. Raises
-    [Invalid_argument] on an empty or unresolvable key, [parts < 1], or
-    a tag outside [\[0, parts)]. *)
-
-val partitioning : t -> partitioning option
-(** The advisory partition layout, if this table was built
-    per-partition and nothing invalidated the key since. *)
-
-val without_partitioning : t -> t
-(** Same chunks with the layout dropped — forces consumers back onto
-    the row-hashing path (layout-invariance testing). *)
-
-val copy_partitioning : from:t -> t -> t
-(** Re-attach [from]'s layout to a chunk-for-chunk derivative of it
-    (e.g. a column projection). Keys whose columns are gone from [t]'s
-    schema are dropped; a no-op when [from] has no layout, when the
-    chunk counts differ, or when no key survives — the layout is
-    advisory, so an inapplicable copy is dropped rather than an
-    error. *)
 
 val n_rows : t -> int
 
@@ -151,7 +106,7 @@ val of_chunk_data : name:string -> schema:Schema.t -> Chunk.t list -> t
 
 val iter_chunk_data : (int -> Chunk.t -> unit) -> t -> unit
 (** {!iter_chunks} without the row decode: visit every chunk in its
-    stored layout. Same pinning and prefetching behaviour. *)
+    stored layout. Same pinning behaviour. *)
 
 val chunk_offset : t -> int -> int
 (** Global row id of the first row of the given chunk. *)
@@ -168,13 +123,12 @@ val get : t -> row:int -> col:int -> Value.t
 val iter_chunks : (int -> Value.t array array -> unit) -> t -> unit
 (** Visit every chunk in index order with its chunk index. On a spilled
     table each chunk is pinned while [f] runs (released on exception)
-    and upcoming chunks are prefetched asynchronously — the building
-    block for sequential operators that consume whole chunks. *)
+    — the building block for sequential operators that consume whole
+    chunks. *)
 
 val iter : (Value.t array -> unit) -> t -> unit
 (** Visit every row in row order. On a spilled table the chunk being
-    consumed is pinned (released even if [f] raises) and upcoming
-    chunks are prefetched asynchronously. *)
+    consumed is pinned (released even if [f] raises). *)
 
 val iteri : (int -> Value.t array -> unit) -> t -> unit
 (** [iter] with the global row id. *)
@@ -201,25 +155,22 @@ val chunk_byte_size : t -> int -> int
 
 val rename : t -> string -> t
 (** New table sharing chunks (and byte-size memo), with the given name
-    and columns requalified to it. Requalifying invalidates a
-    (rel, name) partition key, so any partition layout is dropped. *)
+    and columns requalified to it. *)
 
 val with_name : t -> string -> t
 (** New table sharing chunks, renamed without requalifying the schema
-    (temp materialization keeps alias-qualified columns). The partition
-    layout, whose key still resolves, is kept. *)
+    (temp materialization keeps alias-qualified columns). *)
 
 val reschema : name:string -> schema:Schema.t -> t -> t
 (** New table sharing chunks under a same-arity replacement schema
-    (column flattening). Drops any partition layout — the key columns
-    no longer resolve under the new qualifiers. *)
+    (column flattening). *)
 
 val digest : t -> string
 (** Canonical multiset digest (hex MD5): rows rendered with columns in
     sorted-id order, then sorted, so the digest is invariant under row
     and column order. Two tables holding the same multiset of rows over
     the same column ids digest identically regardless of how they were
-    produced (sequential, pooled, or served execution). *)
+    produced (harness, served or out-of-core execution). *)
 
 val pp_sample : ?limit:int -> Format.formatter -> t -> unit
 (** Debug/demo printer: schema plus the first [limit] rows (default 10). *)

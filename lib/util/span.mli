@@ -40,14 +40,15 @@ type category =
       (** serving-front-end events: queue wait, scheduling decisions,
           deadline margin — emitted by [Qs_serve] *)
   | Io
-      (** disk I/O of the out-of-core storage layer: chunk-frame faults
-          and asynchronous prefetch reads issued by {!Buffer_pool} *)
+      (** disk I/O of the out-of-core storage layer: one [fault] span
+          per chunk-frame read by {!Buffer_pool}, on the faulting
+          domain *)
   | Pipeline
       (** one pipeline segment of the morsel-driven executor: the time
           rows stream from a source through fused operators into the
           segment's sink *)
   | Breaker
-      (** a pipeline breaker: hash-build, partition barrier or inner
+      (** a pipeline breaker: hash-build or inner
           materialization that must consume its whole input before the
           parent pipeline can start *)
 

@@ -1,8 +1,9 @@
 (* Out-of-core storage: chunk-file round-trips, buffer-pool behavior
-   (eviction, pinning, bypass, prefetch), degenerate chunk inputs, the
-   200-query differential corpus run fully out-of-core at pool widths
-   {1,4}, pin-leak checks under cancellation, eviction under concurrent
-   scans, and the plan-cache raising-computation regression. *)
+   (eviction, pinning, bypass), degenerate chunk inputs, the 200-query
+   differential corpus run fully out-of-core one query at a time and as
+   a 4-domain harness run over one shared pool, pin-leak checks under
+   cancellation, eviction under concurrent scans, and the plan-cache
+   raising-computation regression. *)
 
 module Value = Qs_storage.Value
 module Schema = Qs_storage.Schema
@@ -20,6 +21,7 @@ module Naive = Qs_exec.Naive
 module Strategy = Qs_core.Strategy
 module Fuzz = Qs_workload.Fuzz
 module Pool = Qs_util.Pool
+module Runner = Qs_harness.Runner
 module Timer = Qs_util.Timer
 
 (* --- spill-mode scaffolding ------------------------------------------- *)
@@ -41,10 +43,9 @@ let rm_rf dir =
 (* Run [f bp] with spill mode on (fresh scratch dir, fresh pool) and the
    previous global config restored afterwards — tests must not leak
    spill mode into each other. *)
-let with_spill ?(prefetch = 2) ?io_pool ~capacity f =
+let with_spill ~capacity f =
   let dir = temp_dir () in
-  let bp = Buffer_pool.create ~prefetch ~capacity () in
-  Buffer_pool.set_io_pool bp io_pool;
+  let bp = Buffer_pool.create ~capacity () in
   let saved = Table.spill_config () in
   Table.set_spill (Some (dir, bp));
   Fun.protect
@@ -314,62 +315,6 @@ let test_eviction_under_concurrent_scans () =
             "pool stayed bounded" true
             (Buffer_pool.resident bp <= 2)))
 
-let test_prefetch_overlaps () =
-  Pool.with_pool ~domains:2 (fun io ->
-      with_spill ~prefetch:3 ~io_pool:io ~capacity:8 (fun bp ->
-          let t =
-            Table.create ~chunk_rows:8 ~name:"t" ~schema:(schema2 "t") (mk_rows 256)
-          in
-          (* a sequential scan with lookahead 3 on a wide-enough pool:
-             prefetches are issued, and whatever the race outcome, the
-             scan sees every row exactly once *)
-          let n = ref 0 in
-          Table.iter (fun _ -> incr n) t;
-          Alcotest.(check int) "rows" 256 !n;
-          let s = Buffer_pool.stats bp in
-          Alcotest.(check bool) "prefetches issued" true (s.Buffer_pool.prefetch_issued > 0);
-          (* every chunk was obtained exactly once per scan pass:
-             misses + hits covers all 32 chunks of the pass *)
-          Alcotest.(check bool)
-            "fault accounting" true
-            (s.Buffer_pool.hits + s.Buffer_pool.misses + s.Buffer_pool.coalesced >= 32);
-          Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp)))
-
-let test_prefetch_clamped_on_ragged () =
-  (* a ragged table (of_chunks with uneven batches): lookahead from the
-     tail chunks must be clamped to the file — an unclamped prefetch
-     would either read past the last frame or inflate [prefetch_issued]
-     beyond the n-1 chunks that can ever be prefetched (chunk 0 is the
-     scan's own foreground fault). Capacity covers every chunk, so no
-     frame is evicted and a wasted prefetch can only mean an issue
-     against a chunk the scan never consumes. *)
-  Pool.with_pool ~domains:2 (fun io ->
-      with_spill ~prefetch:3 ~io_pool:io ~capacity:16 (fun bp ->
-          let batches =
-            List.map
-              (fun n -> Array.init n (fun i -> row1 (100 * n + i)))
-              [ 5; 1; 9; 3; 17; 2; 7; 1 ]
-          in
-          let ragged =
-            [ [||] ] @ batches @ [ [||] ]
-            |> List.concat_map (fun b -> [ b; [||] ])
-          in
-          let t = Table.of_chunks ~name:"rag" ~schema:(schema2 "rag") ragged in
-          Alcotest.(check int) "8 ragged chunks" 8 (Table.n_chunks t);
-          let rows = ref 0 in
-          Table.iter_chunks (fun _ c -> rows := !rows + Array.length c) t;
-          Alcotest.(check int) "all rows scanned" 45 !rows;
-          let s = Buffer_pool.stats bp in
-          Alcotest.(check bool)
-            "prefetches issued" true
-            (s.Buffer_pool.prefetch_issued > 0);
-          Alcotest.(check bool)
-            "issue count clamped to the file" true
-            (s.Buffer_pool.prefetch_issued <= Table.n_chunks t - 1);
-          Alcotest.(check int) "nothing evicted" 0 s.Buffer_pool.evictions;
-          Alcotest.(check int) "no prefetch wasted" 0 s.Buffer_pool.prefetch_wasted;
-          Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp)))
-
 (* mid-pipeline unwinds: the pipelined engine polls deadline/cancel at
    every morsel boundary while the morsel's frame is pinned, and counts
    emitted rows against the row limit inside the probe fan-out — all
@@ -504,12 +449,11 @@ let compare_against_reference ~what got =
       if da <> db then Alcotest.failf "%s: %s digest differs" qa what)
     expected got
 
-let check_out_of_core_corpus ?against_naive ?(chunk_rows = 64) ~capacity ?io_pool
-    () =
+let check_out_of_core_corpus ?against_naive ?(chunk_rows = 64) ~capacity () =
   ignore (in_memory_reference ());
   let got =
     with_chunk_rows chunk_rows (fun () ->
-        with_spill ~capacity ?io_pool (fun bp ->
+        with_spill ~capacity (fun bp ->
             let digests = corpus_digests ?against_naive () in
             let s = Buffer_pool.stats bp in
             Alcotest.(check bool) "corpus faulted" true (s.Buffer_pool.misses > 0);
@@ -524,9 +468,47 @@ let check_out_of_core_corpus ?against_naive ?(chunk_rows = 64) ~capacity ?io_poo
 
 let test_corpus_width_1 () = check_out_of_core_corpus ~capacity:1 ()
 
-let test_corpus_width_4_prefetch () =
-  Pool.with_pool ~domains:2 (fun io ->
-      check_out_of_core_corpus ~capacity:4 ~io_pool:io ())
+(* The corpus as a harness run: [Runner.run_spj ~domains:4] fans the
+   queries across four domains, each query on the domain that picked it
+   up, all faulting through one shared 4-frame pool — concurrent
+   faults, coalescing and eviction on real queries. With
+   [against_naive], each query's result must also equal the naive
+   executor's, run over the same spilled tables. *)
+let check_harness_corpus ?(against_naive = false) () =
+  let names, _ = in_memory_reference () in
+  let got =
+    with_chunk_rows 64 (fun () ->
+        with_spill ~capacity:4 (fun bp ->
+            let cat = Fixtures.shop_catalog ~n_orders:400 () in
+            let env = Runner.make_env cat in
+            let queries =
+              List.filter
+                (fun (q : Query.t) -> List.mem q.Query.name names)
+                (Fuzz.queries cat ~seed:20230617 ~n:200 ())
+            in
+            let digests =
+              List.map
+                (fun (r : Runner.qresult) -> (r.Runner.query, r.Runner.digest))
+                (Runner.run_spj ~domains:4 ~timeout:60.0 env Qs_harness.Algos.default
+                   queries)
+            in
+            if against_naive then begin
+              let ctx = Strategy.make_ctx env.Runner.registry Estimator.default in
+              List.iter2
+                (fun (q : Query.t) (name, digest) ->
+                  let naive = Table.digest (Naive.rows (Strategy.fragment_of_query ctx q)) in
+                  if naive <> digest then
+                    Alcotest.failf "%s: harness result diverges from naive" name)
+                queries digests
+            end;
+            let s = Buffer_pool.stats bp in
+            Alcotest.(check bool) "corpus faulted" true (s.Buffer_pool.misses > 0);
+            Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp);
+            digests))
+  in
+  compare_against_reference ~what:"4-domain harness, out-of-core" got
+
+let test_corpus_harness_width_4 () = check_harness_corpus ()
 
 (* the cross-layout differential. Spilled frames fault back
    column-major, so every out-of-core run above already drives the
@@ -534,9 +516,8 @@ let test_corpus_width_4_prefetch () =
    against the resident row-major reference digests. The cases below
    cover what those do not: resident base tables built column-major by
    hand (intermediates then mix both layouts), 7-row ragged chunks at
-   one frame, and a cross-engine run — at width 4 with an I/O pool
-   prefetching, each query's result must equal the naive executor's,
-   run over the same spilled tables. *)
+   one frame, and a cross-engine run — the 4-domain harness run, with
+   each query's result checked against the naive executor's. *)
 let test_corpus_columnar_resident () =
   ignore (in_memory_reference ());
   let got =
@@ -548,8 +529,7 @@ let test_corpus_columnar_width_1 () =
   check_out_of_core_corpus ~chunk_rows:7 ~capacity:1 ()
 
 let test_corpus_columnar_cross_engine_width_4 () =
-  Pool.with_pool ~domains:2 (fun io ->
-      check_out_of_core_corpus ~against_naive:true ~capacity:4 ~io_pool:io ())
+  check_harness_corpus ~against_naive:true ()
 
 (* --- Plan_cache: raising planner shared across two sessions ------------ *)
 
@@ -600,22 +580,19 @@ let suite =
     Alcotest.test_case "bypass when all frames pinned" `Quick test_bypass_when_all_pinned;
     Alcotest.test_case "pins released on cancellation" `Quick test_pin_released_on_cancellation;
     Alcotest.test_case "eviction under concurrent scans" `Quick test_eviction_under_concurrent_scans;
-    Alcotest.test_case "prefetch issues and accounts" `Quick test_prefetch_overlaps;
-    Alcotest.test_case "prefetch clamped on ragged tables" `Quick
-      test_prefetch_clamped_on_ragged;
     Alcotest.test_case "pipelined unwind releases pins" `Quick
       test_pipelined_unwind_releases_pins;
     Alcotest.test_case "pipelined unwind releases pins (columnar)" `Quick
       test_pipelined_unwind_releases_pins_columnar;
     Alcotest.test_case "strategies out-of-core" `Quick test_strategies_out_of_core;
     Alcotest.test_case "200-query corpus out-of-core, width 1" `Slow test_corpus_width_1;
-    Alcotest.test_case "200-query corpus out-of-core, width 4 + prefetch" `Slow
-      test_corpus_width_4_prefetch;
+    Alcotest.test_case "200-query corpus out-of-core, width 4 harness" `Slow
+      test_corpus_harness_width_4;
     Alcotest.test_case "200-query corpus columnar resident, 64-row chunks" `Slow
       test_corpus_columnar_resident;
     Alcotest.test_case "200-query corpus columnar out-of-core, width 1" `Slow
       test_corpus_columnar_width_1;
-    Alcotest.test_case "200-query corpus columnar cross-engine, width 4" `Slow
+    Alcotest.test_case "200-query corpus columnar cross-engine, width 4 harness" `Slow
       test_corpus_columnar_cross_engine_width_4;
     Alcotest.test_case "plan cache: raising planner, two sessions" `Quick
       test_plan_cache_raising_planner;

@@ -21,7 +21,6 @@ module Relop = Qs_exec.Relop
 module Logical = Qs_plan.Logical
 module Analyze = Qs_stats.Analyze
 module Table_stats = Qs_stats.Table_stats
-module Pool = Qs_util.Pool
 
 let temp_dir () =
   let f = Filename.temp_file "qs_columnar" "" in
@@ -390,10 +389,6 @@ let test_aggregate_parity_across_layouts () =
   Alcotest.(check string) "agg digest" (Table.digest a) (Table.digest b);
   (* group order is first-appearance under both layouts (NaN-safe) *)
   check_cells "row order identical" (Table.to_rows a) (Table.to_rows b);
-  (* the pooled per-chunk merge path over columnar chunks *)
-  Pool.with_pool ~domains:2 (fun pool ->
-      let c = Relop.aggregate ~pool ~name:"g" ~group_by ~aggs col_tbl in
-      Alcotest.(check string) "pooled agg digest" (Table.digest a) (Table.digest c));
   (* an arithmetic agg argument takes the row path under both layouts *)
   let arith_aggs =
     [

@@ -86,12 +86,11 @@ let test_fuzz_varies () =
   in
   Alcotest.(check bool) "corpus is not degenerate" true (distinct > 20)
 
-(* --- parallel execution paths ----------------------------------------- *)
+(* --- parallel harness ------------------------------------------------- *)
 
 module Runner = Qs_harness.Runner
 module Algos = Qs_harness.Algos
 module Metrics = Qs_obs.Metrics
-module Pool = Qs_util.Pool
 
 let counters_equal label a b =
   Alcotest.(check (list string)) (label ^ ": counter names") (Metrics.counter_names a)
@@ -151,62 +150,34 @@ let test_parallel_harness_corpus () =
       | _ -> Alcotest.fail "qerror histogram present in only one run")
     [ 2; 4 ]
 
-(* the partitioned parallel hash join must be plan-for-plan identical to
-   the sequential hash join across the whole fuzz corpus *)
-let test_parallel_join_corpus () =
-  let cat, ctx = Fixtures.shop_ctx ~n_orders:400 () in
-  let queries = Fuzz.queries cat ~seed:20230617 ~n:200 () in
-  Pool.with_pool ~domains:4 (fun pool ->
-      List.iter
-        (fun (q : Query.t) ->
-          let frag = Strategy.fragment_of_query ctx q in
-          if Naive.count frag <= max_result_rows then begin
-            let plan = (Optimizer.optimize cat Estimator.default frag).Optimizer.plan in
-            let seq, _ = Executor.run plan in
-            let par, _ = Executor.run ~pool plan in
-            if not (Fixtures.tables_equal seq par) then
-              Alcotest.failf "%s: partitioned join diverges (%d vs %d rows)"
-                q.Query.name (Table.n_rows seq) (Table.n_rows par)
-          end)
-        queries)
-
 (* --- per-node cardinalities against naive execution ------------------ *)
 
-(* The morsel-driven engine over the whole corpus, sequential and with a
-   partitioned-parallel pool: the result multiset equals naive
-   execution's, and so does every plan node's cardinality. *)
+(* The morsel-driven engine over the whole corpus: the result multiset
+   equals naive execution's, and so does every plan node's
+   cardinality. *)
 let test_node_cardinalities_corpus () =
   let cat, ctx = Fixtures.shop_ctx ~n_orders:400 () in
   let queries = Fuzz.queries cat ~seed:20230617 ~n:200 () in
-  Pool.with_pool ~domains:4 (fun pool ->
-      List.iter
-        (fun (q : Query.t) ->
-          let frag = Strategy.fragment_of_query ctx q in
-          if Naive.count frag <= max_result_rows then begin
-            let plan =
-              (Optimizer.optimize cat Estimator.default frag).Optimizer.plan
-            in
-            let expected = Naive.rows frag in
-            List.iter
-              (fun (label, pool) ->
-                let table, stats = Executor.run ?pool plan in
-                let got = Executor.project ~name:q.Query.name table q.Query.output in
-                if not (Fixtures.tables_equal expected got) then
-                  Alcotest.failf "%s: %s run diverges from naive (%d vs %d rows)"
-                    q.Query.name label (Table.n_rows expected) (Table.n_rows got);
-                Fixtures.check_node_rows
-                  ~what:(q.Query.name ^ " " ^ label)
-                  frag plan stats)
-              [ ("sequential", None); ("parallel", Some pool) ]
-          end)
-        queries)
+  List.iter
+    (fun (q : Query.t) ->
+      let frag = Strategy.fragment_of_query ctx q in
+      if Naive.count frag <= max_result_rows then begin
+        let plan = (Optimizer.optimize cat Estimator.default frag).Optimizer.plan in
+        let expected = Naive.rows frag in
+        let table, stats = Executor.run plan in
+        let got = Executor.project ~name:q.Query.name table q.Query.output in
+        if not (Fixtures.tables_equal expected got) then
+          Alcotest.failf "%s: run diverges from naive (%d vs %d rows)" q.Query.name
+            (Table.n_rows expected) (Table.n_rows got);
+        Fixtures.check_node_rows ~what:q.Query.name frag plan stats
+      end)
+    queries
 
-(* ?row_limit semantics with limit AND a parallel partitioned join AND
-   spilled tables at once: any join producing more than [limit] rows
-   must trip {!Executor.Timeout}, a limit no operator reaches must not
-   trip, and the surviving run must agree with naive execution — with
+(* ?row_limit semantics over spilled tables: any join producing more
+   than [limit] rows must trip {!Executor.Timeout}, a limit no operator
+   reaches must not trip, and the surviving run must agree with naive execution — with
    every pin released on the Timeout unwinds. *)
-let test_limit_parallel_spill () =
+let test_limit_spill () =
   let saved = Table.default_chunk_rows () in
   Table.set_default_chunk_rows 32;
   Fun.protect
@@ -229,55 +200,46 @@ let test_limit_parallel_spill () =
           let cat, ctx = Fixtures.shop_ctx ~n_orders:400 () in
           let queries = Fuzz.queries cat ~seed:7 ~n:40 () in
           let tripped = ref 0 in
-          Pool.with_pool ~domains:4 (fun pool ->
-              List.iter
-                (fun (q : Query.t) ->
-                  let frag = Strategy.fragment_of_query ctx q in
-                  if Naive.count frag <= max_result_rows then begin
-                    let plan =
-                      (Optimizer.optimize cat Estimator.default frag).Optimizer.plan
-                    in
-                    (* an explicit limit far above any operator output:
-                       the parallel run over spilled tables must not
-                       trip it *)
-                    let relaxed, _ =
-                      Executor.run ~pool ~row_limit:Executor.default_row_limit
-                        plan
-                    in
-                    let got =
-                      Executor.project ~name:q.Query.name relaxed q.Query.output
-                    in
-                    if not (Fixtures.tables_equal (Naive.rows frag) got) then
-                      Alcotest.failf "%s: diverges from naive under a slack limit"
-                        q.Query.name;
-                    (* a limit strictly below some join's naive output:
-                       more than [limit] rows survive that join in any
-                       evaluation order, so the run must raise *)
-                    let naive_rows = Fixtures.naive_node_rows frag plan in
-                    let join_max =
-                      List.fold_left
-                        (fun m (n : Qs_plan.Physical.t) ->
-                          match n.Qs_plan.Physical.node with
-                          | Qs_plan.Physical.Join _ ->
-                              max m (List.assoc n.Qs_plan.Physical.id naive_rows)
-                          | Qs_plan.Physical.Scan _ -> m)
-                        0
-                        (Qs_plan.Physical.nodes plan)
-                    in
-                    if join_max > 1 then begin
-                      incr tripped;
-                      (match
-                         Executor.run ~pool ~row_limit:(join_max - 1) plan
-                       with
-                      | _ -> Alcotest.failf "%s: the run ignored the limit" q.Query.name
-                      | exception Executor.Timeout -> ());
-                      Alcotest.(check int)
-                        (q.Query.name ^ ": no pins leaked by limit unwind")
-                        0
-                        (Qs_storage.Buffer_pool.pinned bp)
-                    end
-                  end)
-                queries);
+          List.iter
+            (fun (q : Query.t) ->
+              let frag = Strategy.fragment_of_query ctx q in
+              if Naive.count frag <= max_result_rows then begin
+                let plan =
+                  (Optimizer.optimize cat Estimator.default frag).Optimizer.plan
+                in
+                (* an explicit limit far above any operator output:
+                   the run over spilled tables must not trip it *)
+                let relaxed, _ = Executor.run ~row_limit:Executor.default_row_limit plan in
+                let got = Executor.project ~name:q.Query.name relaxed q.Query.output in
+                if not (Fixtures.tables_equal (Naive.rows frag) got) then
+                  Alcotest.failf "%s: diverges from naive under a slack limit"
+                    q.Query.name;
+                (* a limit strictly below some join's naive output:
+                   more than [limit] rows survive that join in any
+                   evaluation order, so the run must raise *)
+                let naive_rows = Fixtures.naive_node_rows frag plan in
+                let join_max =
+                  List.fold_left
+                    (fun m (n : Qs_plan.Physical.t) ->
+                      match n.Qs_plan.Physical.node with
+                      | Qs_plan.Physical.Join _ ->
+                          max m (List.assoc n.Qs_plan.Physical.id naive_rows)
+                      | Qs_plan.Physical.Scan _ -> m)
+                    0
+                    (Qs_plan.Physical.nodes plan)
+                in
+                if join_max > 1 then begin
+                  incr tripped;
+                  (match Executor.run ~row_limit:(join_max - 1) plan with
+                  | _ -> Alcotest.failf "%s: the run ignored the limit" q.Query.name
+                  | exception Executor.Timeout -> ());
+                  Alcotest.(check int)
+                    (q.Query.name ^ ": no pins leaked by limit unwind")
+                    0
+                    (Qs_storage.Buffer_pool.pinned bp)
+                end
+              end)
+            queries;
           Alcotest.(check bool) "some queries exercised the tight limit" true
             (!tripped > 5)))
 
@@ -317,10 +279,8 @@ module Expr = Qs_query.Expr
 module Relop = Qs_exec.Relop
 module Logical = Qs_plan.Logical
 
-(* Chunked parallel scan/filter/aggregate must be *row-for-row* identical
-   to the flat sequential path, for every chunk size x domain count.
-   Aggregation columns are integers, so per-chunk partial sums are exact
-   and even the merged aggregates must match bit-for-bit. *)
+(* Chunked scan/filter/aggregate must be *row-for-row* identical to the
+   flat path, for every chunk size. *)
 let test_chunked_scan_property () =
   let n = 200 in
   let schema =
@@ -346,24 +306,17 @@ let test_chunked_scan_property () =
   List.iter
     (fun chunk_rows ->
       let tbl = Table.create ~chunk_rows ~name:"f" ~schema rows in
-      List.iter
-        (fun domains ->
-          let label what =
-            Printf.sprintf "%s (chunk_rows=%d domains=%d)" what chunk_rows domains
-          in
-          Pool.with_pool ~domains (fun pool ->
-              let filtered = Executor.filter_table ~pool tbl filters in
-              Alcotest.(check bool) (label "filter row-identical") true
-                (Table.to_rows base_filtered = Table.to_rows filtered);
-              let agged = Relop.aggregate ~pool ~name:"g" ~group_by ~aggs tbl in
-              Alcotest.(check bool) (label "aggregate row-identical") true
-                (Table.to_rows base_agg = Table.to_rows agged)))
-        [ 1; 2; 4 ])
+      let label what = Printf.sprintf "%s (chunk_rows=%d)" what chunk_rows in
+      let filtered = Executor.filter_table tbl filters in
+      Alcotest.(check bool) (label "filter row-identical") true
+        (Table.to_rows base_filtered = Table.to_rows filtered);
+      let agged = Relop.aggregate ~name:"g" ~group_by ~aggs tbl in
+      Alcotest.(check bool) (label "aggregate row-identical") true
+        (Table.to_rows base_agg = Table.to_rows agged))
     [ 1; 7; 64; n ]
 
 (* the full differential corpus with the catalog sharded into small chunks:
-   optimized plans over chunked tables (with a pool) must equal the flat
-   sequential results *)
+   optimized plans over chunked tables must equal the flat results *)
 let test_chunked_corpus () =
   let saved = Table.default_chunk_rows () in
   Fun.protect
@@ -373,27 +326,26 @@ let test_chunked_corpus () =
       Table.set_default_chunk_rows 64;
       let _, ctx_chunked = Fixtures.shop_ctx ~n_orders:400 () in
       let queries = Fuzz.queries cat_flat ~seed:20230617 ~n:200 () in
-      Pool.with_pool ~domains:4 (fun pool ->
-          List.iter
-            (fun (q : Query.t) ->
-              let frag = Strategy.fragment_of_query ctx_flat q in
-              if Naive.count frag <= max_result_rows then begin
-                let plan =
-                  (Optimizer.optimize cat_flat Estimator.default frag).Optimizer.plan
-                in
-                let seq, _ = Executor.run plan in
-                let frag_c = Strategy.fragment_of_query ctx_chunked q in
-                let plan_c =
-                  (Optimizer.optimize (Strategy.catalog ctx_chunked) Estimator.default
-                     frag_c)
-                    .Optimizer.plan
-                in
-                let par, _ = Executor.run ~pool plan_c in
-                if not (Fixtures.tables_equal seq par) then
-                  Alcotest.failf "%s: chunked parallel scan diverges (%d vs %d rows)"
-                    q.Query.name (Table.n_rows seq) (Table.n_rows par)
-              end)
-            queries))
+      List.iter
+        (fun (q : Query.t) ->
+          let frag = Strategy.fragment_of_query ctx_flat q in
+          if Naive.count frag <= max_result_rows then begin
+            let plan =
+              (Optimizer.optimize cat_flat Estimator.default frag).Optimizer.plan
+            in
+            let seq, _ = Executor.run plan in
+            let frag_c = Strategy.fragment_of_query ctx_chunked q in
+            let plan_c =
+              (Optimizer.optimize (Strategy.catalog ctx_chunked) Estimator.default
+                 frag_c)
+                .Optimizer.plan
+            in
+            let chunked, _ = Executor.run plan_c in
+            if not (Fixtures.tables_equal seq chunked) then
+              Alcotest.failf "%s: chunked scan diverges (%d vs %d rows)"
+                q.Query.name (Table.n_rows seq) (Table.n_rows chunked)
+          end)
+        queries)
 
 let suite =
   [
@@ -405,16 +357,12 @@ let suite =
       test_cinema_corpus;
     Alcotest.test_case "parallel harness: digests + counters invariant" `Slow
       test_parallel_harness_corpus;
-    Alcotest.test_case "parallel hash join over fuzz corpus" `Slow
-      test_parallel_join_corpus;
     Alcotest.test_case "node cardinalities = naive" `Slow
       test_node_cardinalities_corpus;
-    Alcotest.test_case "row limit: limit x parallel join x spill" `Slow
-      test_limit_parallel_spill;
+    Alcotest.test_case "row limit: limit x spill" `Slow test_limit_spill;
     Alcotest.test_case "traced corpus digests = untraced" `Slow
       test_traced_corpus_observation_only;
-    Alcotest.test_case "chunked scan row-identical across chunk sizes x domains"
-      `Quick test_chunked_scan_property;
-    Alcotest.test_case "chunked parallel corpus = flat sequential" `Slow
-      test_chunked_corpus;
+    Alcotest.test_case "chunked scan row-identical across chunk sizes" `Quick
+      test_chunked_scan_property;
+    Alcotest.test_case "chunked corpus = flat" `Slow test_chunked_corpus;
   ]

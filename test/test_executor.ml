@@ -285,64 +285,7 @@ let test_filter_cache_keyed_by_predicates () =
   Alcotest.(check int) "original entry intact" 2
     (Table.n_rows (Executor.filter_input input))
 
-(* --- partitioned parallel hash join ------------------------------------ *)
-
-let hash_plan preds =
-  let a, b = mini_tables () in
-  Physical.join ~method_:Physical.Hash ()
-    ~left:(Physical.scan (fragment_input a) ~est_rows:4.0 ~est_cost:4.0)
-    ~right:(Physical.scan (fragment_input b) ~est_rows:4.0 ~est_cost:4.0)
-    ~preds ~est_rows:4.0 ~est_cost:20.0
-
-let test_parallel_hash_join_matches () =
-  let a, b = mini_tables () in
-  let p = Expr.eq (Expr.col "a" "x") (Expr.col "b" "y") in
-  let res = Expr.Cmp (Expr.Gt, Expr.col "b" "v", Expr.vint 10) in
-  Qs_util.Pool.with_pool ~domains:4 (fun pool ->
-      List.iter
-        (fun preds ->
-          let seq = Executor.hash_join ~build:a ~probe:b preds in
-          let plan = hash_plan preds in
-          let par, stats = Executor.run ~pool plan in
-          Alcotest.(check bool) "same multiset" true (Fixtures.tables_equal seq par);
-          Alcotest.(check (option int)) "root stats" (Some (Table.n_rows seq))
-            (Hashtbl.find_opt stats plan.Physical.id))
-        [ [ p ]; [ p; res ] ])
-
-let test_parallel_hash_join_limit () =
-  (* the row limit must still convert explosive joins into Timeout, even
-     when the counting is spread across domains *)
-  let big =
-    Table.create ~name:"c"
-      ~schema:(Schema.make "c" [ ("k", Value.TInt) ])
-      (Array.init 2000 (fun _ -> [| Value.Int 1 |]))
-  in
-  let big2 = Table.rename big "d" in
-  let plan =
-    Physical.join ~method_:Physical.Hash ()
-      ~left:(Physical.scan (fragment_input big) ~est_rows:2000.0 ~est_cost:1.0)
-      ~right:(Physical.scan (fragment_input big2) ~est_rows:2000.0 ~est_cost:1.0)
-      ~preds:[ Expr.eq (Expr.col "c" "k") (Expr.col "d" "k") ]
-      ~est_rows:1.0 ~est_cost:1.0
-  in
-  Qs_util.Pool.with_pool ~domains:2 (fun pool ->
-      Alcotest.(check bool) "timeout raised" true
-        (try
-           ignore (Executor.run ~row_limit:10_000 ~pool plan);
-           false
-         with Executor.Timeout -> true))
-
-let test_run_with_pool_matches () =
-  let cat, ctx = Fixtures.shop_ctx ~n_orders:400 () in
-  let frag = Strategy.fragment_of_query ctx (Fixtures.shop_query ()) in
-  let res = Optimizer.optimize ~allowed:[ Physical.Hash ] cat Estimator.default frag in
-  let seq, _ = Executor.run res.Optimizer.plan in
-  Qs_util.Pool.with_pool ~domains:3 (fun pool ->
-      let par, stats = Executor.run ~pool res.Optimizer.plan in
-      Alcotest.(check bool) "same multiset" true (Fixtures.tables_equal seq par);
-      check_stats_complete res.Optimizer.plan stats)
-
-(* --- morsel-driven engine: intermediates and partition reuse ----------- *)
+(* --- morsel-driven engine: intermediates ------------------------------- *)
 
 let test_pipelined_intermediates_counter () =
   (* the 4-way shop join, executed as one plan: the pipelined engine
@@ -356,28 +299,6 @@ let test_pipelined_intermediates_counter () =
     (Executor.intermediate_tables ());
   Alcotest.(check int) "sink holds the naive result" (Naive.count frag)
     (Table.n_rows tbl)
-
-let test_partition_reuse_across_steps () =
-  (* products.id is a hub: orders and reviews both join it. QuerySplit
-     runs the shop query in single-join steps over a pool, so at some
-     step a temp produced by a parallel partitioned join is joined again
-     on a key it is already partitioned by — the join must consume it
-     by tag instead of re-hashing, and the result must not change *)
-  let cat = Fixtures.shop_catalog ~n_orders:400 () in
-  let registry = Qs_stats.Stats_registry.create cat in
-  let qs = Qs_core.Querysplit.strategy Qs_core.Querysplit.default_config in
-  let q = Fixtures.shop_query () in
-  let seq =
-    let ctx = Strategy.make_ctx registry Estimator.default in
-    Table.digest (qs.Strategy.run ctx q).Strategy.result
-  in
-  Qs_util.Pool.with_pool ~domains:2 (fun pool ->
-      let ctx = Strategy.make_ctx ~pool registry Estimator.default in
-      Executor.reset_counters ();
-      let out = (qs.Strategy.run ctx q).Strategy.result in
-      Alcotest.(check bool) "a temp layout was reused" true
-        (Executor.partition_reuses () > 0);
-      Alcotest.(check string) "pooled digest unchanged" seq (Table.digest out))
 
 let test_naive_count_matches_rows () =
   let _, ctx = Fixtures.shop_ctx ~n_orders:400 () in
@@ -410,13 +331,6 @@ let suite =
     Alcotest.test_case "naive count = rows" `Quick test_naive_count_matches_rows;
     Alcotest.test_case "filter cache keyed by predicates" `Quick
       test_filter_cache_keyed_by_predicates;
-    Alcotest.test_case "parallel hash join = sequential" `Quick
-      test_parallel_hash_join_matches;
-    Alcotest.test_case "parallel hash join row limit" `Quick
-      test_parallel_hash_join_limit;
-    Alcotest.test_case "run with pool = sequential" `Quick test_run_with_pool_matches;
     Alcotest.test_case "pipelined intermediates counter" `Quick
       test_pipelined_intermediates_counter;
-    Alcotest.test_case "partition reuse across QuerySplit steps" `Quick
-      test_partition_reuse_across_steps;
   ]

@@ -119,18 +119,6 @@ let test_parallel_run_matches_sequential () =
         (Metrics.counter mp name))
     (Metrics.counter_names ms)
 
-let test_join_parallelism_matches () =
-  let qs = queries () in
-  let seq = Runner.run_spj ~timeout:20.0 (small_env ()) Algos.default qs in
-  let par =
-    Runner.run_spj ~timeout:20.0 ~join_parallelism:4 (small_env ()) Algos.default qs
-  in
-  List.iter2
-    (fun (a : Runner.qresult) (b : Runner.qresult) ->
-      Alcotest.(check string) ("digest of " ^ a.Runner.query) a.Runner.digest
-        b.Runner.digest)
-    seq par
-
 let suite =
   [
     Alcotest.test_case "run_spj metrics" `Quick test_run_spj_metrics;
@@ -143,5 +131,4 @@ let suite =
     Alcotest.test_case "warm flags" `Quick test_warm_flags;
     Alcotest.test_case "parallel run matches sequential" `Quick
       test_parallel_run_matches_sequential;
-    Alcotest.test_case "join parallelism matches" `Quick test_join_parallelism_matches;
   ]

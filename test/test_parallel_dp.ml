@@ -1,7 +1,7 @@
-(* Parallel DP enumeration and the cross-step DP memo: both are pure
-   optimizations — every test here is a determinism proof, asserting that
-   pooled enumeration and memo replay pick plans byte-identical to the
-   sequential, memo-free optimizer. *)
+(* Planning on concurrent domains and the cross-step DP memo: every test
+   here is a determinism proof, asserting that plans picked while other
+   domains plan other queries, and memo replay, are byte-identical to
+   the sequential, memo-free optimizer. *)
 
 module Catalog = Qs_storage.Catalog
 module Table = Qs_storage.Table
@@ -22,12 +22,11 @@ module Fuzz = Qs_workload.Fuzz
 module Pool = Qs_util.Pool
 module Span = Qs_util.Span
 
-let plan_of ?pool ?memo cat frag =
-  Physical.to_string (Optimizer.optimize ?pool ?memo cat Estimator.default frag).Optimizer.plan
+let plan_of ?memo cat frag =
+  Physical.to_string (Optimizer.optimize ?memo cat Estimator.default frag).Optimizer.plan
 
 (* A PK-FK chain r0 <- r1 <- ... <- r{n-1}: single connected component, so
-   every DP level is fully populated — the widest levels comfortably clear
-   the optimizer's parallel fan-out threshold. *)
+   every DP level is fully populated. *)
 let chain_catalog n_rels =
   let cat = Catalog.create () in
   for i = 0 to n_rels - 1 do
@@ -61,37 +60,29 @@ let chain_frag n_rels =
   let registry = Stats_registry.create cat in
   (cat, registry, Fragment.of_query registry (chain_query n_rels))
 
-(* 200 seeded random queries: the parallel optimizer must pick the same
-   plan as the sequential one at every pool width, including width 1 (the
-   pool's inline path). *)
+(* 200 seeded random queries planned the way harness cells plan them:
+   each query on the one domain that picked it up, with its own ctx, over
+   one shared registry, while other domains plan other queries. Every
+   plan must equal the sequential one at every pool width, including
+   width 1 (the pool's inline path). *)
 let test_parallel_corpus () =
   let cat, ctx = Fixtures.shop_ctx ~n_orders:400 () in
+  let registry = ctx.Strategy.registry in
   let queries = Fuzz.queries cat ~seed:20230617 ~n:200 () in
-  let frags = List.map (Strategy.fragment_of_query ctx) queries in
-  let expected = List.map (plan_of cat) frags in
+  let plan_in_own_ctx q =
+    let ctx = Strategy.make_ctx registry Estimator.default in
+    plan_of cat (Strategy.fragment_of_query ctx q)
+  in
+  let expected = List.map plan_in_own_ctx queries in
   List.iter
     (fun domains ->
       Pool.with_pool ~domains (fun pool ->
           List.iter2
-            (fun frag exp ->
-              Alcotest.(check string)
-                (Printf.sprintf "domains=%d" domains)
-                exp (plan_of ~pool cat frag))
-            frags expected))
+            (fun exp got ->
+              Alcotest.(check string) (Printf.sprintf "domains=%d" domains) exp got)
+            expected
+            (Pool.map pool plan_in_own_ctx queries)))
     [ 1; 2; 4 ]
-
-(* a 10-relation chain drives level widths up to C(10,5) = 252 subsets, so
-   the pooled sweep genuinely fans out (threshold is 16 misses) *)
-let test_parallel_chain () =
-  let cat, _, frag = chain_frag 10 in
-  let expected = plan_of cat frag in
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          Alcotest.(check string)
-            (Printf.sprintf "chain domains=%d" domains)
-            expected (plan_of ~pool cat frag)))
-    [ 2; 4 ]
 
 (* memo property over the corpus: first call populates, second call
    replays — both must match the memo-free plan, and the replay must
@@ -197,47 +188,10 @@ let test_dp_limit_greedy_fallback () =
       in
       Alcotest.(check (list string)) "greedy span" [ "greedy n=4" ] names)
 
-(* straggler heuristic: a query whose estimated cost dominates the queue
-   gets the cell pool as its join/DP pool — flagged on its execute span,
-   with digests identical to the sequential run *)
-let test_straggler_autoparallel () =
-  let cat, _ = Fixtures.shop_ctx ~n_orders:400 () in
-  let env = Runner.make_env cat in
-  let small name table =
-    Query.make ~name [ { Query.alias = "t"; table } ] []
-  in
-  let queries =
-    [ Fixtures.shop_query (); small "just_cust" "customers"; small "just_prod" "products" ]
-  in
-  let seq = Runner.run_spj ~timeout:20.0 env Algos.default queries in
-  let tr = Span.create () in
-  let par =
-    Runner.run_spj ~timeout:20.0 ~domains:2 ~tracer:tr env Algos.default queries
-  in
-  List.iter2
-    (fun (a : Runner.qresult) (b : Runner.qresult) ->
-      Alcotest.(check string) ("digest " ^ a.Runner.query) a.Runner.digest
-        b.Runner.digest)
-    seq par;
-  let flagged =
-    List.filter
-      (fun (s : Span.span) ->
-        s.Span.cat = Span.Execute
-        && List.assoc_opt "parallel-join" s.Span.args = Some "auto")
-      (Span.spans tr)
-  in
-  match flagged with
-  | [ s ] ->
-      Alcotest.(check string) "straggler is the join query" "query:shopq"
-        s.Span.name
-  | [] -> Alcotest.fail "no execute span carried parallel-join=auto"
-  | _ -> Alcotest.fail "straggler flag should single out the dominant query"
-
 let suite =
   [
     Alcotest.test_case "parallel corpus 200q domains {1,2,4}" `Slow
       test_parallel_corpus;
-    Alcotest.test_case "parallel 10-relation chain" `Quick test_parallel_chain;
     Alcotest.test_case "memo property corpus" `Slow test_memo_property_corpus;
     Alcotest.test_case "memo bump invalidates aliases" `Quick
       test_memo_bump_invalidates;
@@ -247,6 +201,4 @@ let suite =
       test_memo_strategy_equivalence;
     Alcotest.test_case "dp limit greedy fallback" `Quick
       test_dp_limit_greedy_fallback;
-    Alcotest.test_case "straggler auto-parallel" `Quick
-      test_straggler_autoparallel;
   ]

@@ -106,6 +106,35 @@ let test_fresh_ids () =
   let a = scan "a" and b = scan "b" in
   Alcotest.(check bool) "distinct ids" true (a.Physical.id <> b.Physical.id)
 
+(* Every planning domain allocates node ids from one counter; the
+   executor keys its per-run stats by them, so two nodes of one plan
+   must never share an id. In each round two domains allocate 100k
+   nodes each, released together by a spin barrier so the allocations
+   overlap; a lost update shows as a repeated id. One round catches a
+   racy counter only sometimes, so the test runs ten. *)
+let test_fresh_ids_across_domains () =
+  let per_domain = 100_000 in
+  let inp = input "a" in
+  for _ = 1 to 10 do
+    let ready = Atomic.make 0 in
+    let alloc () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      let ids = Array.make per_domain 0 in
+      for i = 0 to per_domain - 1 do
+        ids.(i) <- (Physical.scan inp ~est_rows:1.0 ~est_cost:1.0).Physical.id
+      done;
+      ids
+    in
+    let d1 = Domain.spawn alloc and d2 = Domain.spawn alloc in
+    let ids = Array.append (Domain.join d1) (Domain.join d2) in
+    let seen = Hashtbl.create (2 * per_domain) in
+    Array.iter (fun id -> Hashtbl.replace seen id ()) ids;
+    Alcotest.(check int) "every id distinct" (2 * per_domain) (Hashtbl.length seen)
+  done
+
 let suite =
   [
     Alcotest.test_case "leaves order" `Quick test_leaves_in_order;
@@ -117,4 +146,5 @@ let suite =
     Alcotest.test_case "join leaf sets" `Quick test_join_leaf_sets;
     Alcotest.test_case "rendering" `Quick test_rendering;
     Alcotest.test_case "fresh ids" `Quick test_fresh_ids;
+    Alcotest.test_case "fresh ids across domains" `Quick test_fresh_ids_across_domains;
   ]

@@ -6,9 +6,11 @@
 #   2. span-bridging lint     — every Physical operator constructor has an
 #                               arm in Executor.span_label, so new operators
 #                               cannot silently vanish from traces
-#   3. committed baseline     — BENCH.json exists and carries every
+#   3. one domain per query   — lib/core, lib/plan, lib/exec and
+#                               lib/storage never reference Qs_util.Pool
+#   4. committed baseline     — BENCH.json exists and carries every
 #                               metrics entry the harness emits
-#   4. dune build @fmt        — formatting, skipped when already running
+#   5. dune build @fmt        — formatting, skipped when already running
 #                               under dune (INSIDE_DUNE is set): dune
 #                               cannot re-enter itself, and the runtest
 #                               rule depends on the fmt alias instead.
@@ -61,6 +63,19 @@ fi
 for c in $span_constructors; do
   if ! printf '%s\n' "$cat_region" | grep -qE "\b$c\b"; then
     echo "lint: Span.$c is missing from Span.all_categories — profiles and flight rollups would drop it" >&2
+    status=1
+  fi
+done
+
+# --- one domain per query ---------------------------------------------
+# Parallelism lives only across queries: harness cells fan out under
+# --domains and the server runs sessions on its pool. A query runs on
+# the domain that picked it up, so the engine layers below must not
+# reach for a domain pool (no per-query pooled DP, join, scan or I/O).
+for dir in lib/core lib/plan lib/exec lib/storage; do
+  if grep -rnE '(Qs_util\.Pool|(^|[^A-Za-z0-9_])Pool\.)' "$dir" \
+       --include='*.ml' --include='*.mli' >&2; then
+    echo "lint: $dir references Qs_util.Pool — queries run on one domain" >&2
     status=1
   fi
 done

@@ -11,7 +11,7 @@
 #      (`Naive.rows` and `Chunk.rows` are function calls, not field
 #      accesses, and are excluded.)
 #   3. Direct Chunk_file access — spilled chunks are read through the
-#      Buffer_pool (pinning, eviction, prefetch coalescing); a raw
+#      Buffer_pool (pinning, eviction, fault coalescing); a raw
 #      Chunk_file.read outside lib/storage would bypass all of it.
 #      (Chunk_file.ser_chunk_size is a pure size computation with no
 #      I/O and is exempt — the bench metrics report it.)
