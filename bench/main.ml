@@ -7,15 +7,9 @@
      dune exec bench/main.exe -- table3 fig11 # selected experiments
      dune exec bench/main.exe -- micro        # substrate micro-benchmarks
      dune exec bench/main.exe -- --scale 0.2 --queries 40 --timeout 5 all
-     dune exec bench/main.exe -- --domains 4 par_sweep   # parallel harness
      dune exec bench/main.exe -- --trace-out trace.json fig11  # Chrome trace
-     dune exec bench/main.exe -- --metrics-out BENCH.json      # bench_diff dump
-     dune exec bench/main.exe -- serve_sweep --metrics-out BENCH.json
-     dune exec bench/main.exe -- --spill-dir /tmp/qs --buffer-chunks 8 fig13
-     # (--domains fans whole queries out across domains; each query runs
-     # on one. The storage picks the chunk layout: resident tables hold
-     # rows, spilled frames fault back column-major)
-     # committed-baseline regeneration (see tools/check.sh)
+     # the metrics golden: `dune runtest` runs this dump and diffs it
+     # against the committed BENCH.json; `dune promote` accepts a change
      dune exec bench/main.exe -- --queries 12 --metrics-out BENCH.json *)
 
 module Experiments = Qs_harness.Experiments
@@ -34,11 +28,6 @@ let experiments : (string * (Experiments.setup -> unit)) list =
     ("table5", Experiments.table5);
     ("table6", Experiments.table6);
     ("fig16_19", Experiments.fig16_19);
-    ("ablation", Experiments.ablation);
-    ("metrics", Experiments.metrics);
-    ("par_sweep", Experiments.par_sweep);
-    ("serve_sweep", Experiments.serve_sweep);
-    ("telemetry_sweep", Experiments.telemetry_sweep);
   ]
 
 (* ---------------------------------------------------------------------- *)
@@ -119,8 +108,6 @@ let () =
   let want_micro = ref false in
   let trace_out = ref None in
   let metrics_out = ref None in
-  let spill_dir = ref None in
-  let buffer_chunks = ref 64 in
   let rec parse = function
     | [] -> ()
     | "--scale" :: v :: rest ->
@@ -135,26 +122,11 @@ let () =
     | "--seed" :: v :: rest ->
         setup := { !setup with Experiments.seed = int_of_string v };
         parse rest
-    | "--domains" :: v :: rest ->
-        setup := { !setup with Experiments.domains = int_of_string v };
-        parse rest
-    | "--chunk-rows" :: v :: rest ->
-        Qs_storage.Table.set_default_chunk_rows (int_of_string v);
-        parse rest
-    | "--dp-limit" :: v :: rest ->
-        Qs_plan.Optimizer.set_dp_input_limit (int_of_string v);
-        parse rest
     | "--trace-out" :: v :: rest ->
         trace_out := Some v;
         parse rest
     | "--metrics-out" :: v :: rest ->
         metrics_out := Some v;
-        parse rest
-    | "--spill-dir" :: v :: rest ->
-        spill_dir := Some v;
-        parse rest
-    | "--buffer-chunks" :: v :: rest ->
-        buffer_chunks := int_of_string v;
         parse rest
     | "micro" :: rest ->
         want_micro := true;
@@ -173,19 +145,6 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   if !trace_out <> None then
     setup := { !setup with Experiments.tracer = Some (Qs_util.Span.create ()) };
-  (* --spill-dir: run the whole harness out-of-core — every table built
-     from here on (base data included) spills its chunks under the
-     given directory and reads them back through one shared buffer pool
-     of --buffer-chunks frames *)
-  Option.iter
-    (fun dir ->
-      (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-      let bp = Qs_storage.Buffer_pool.create ~capacity:!buffer_chunks () in
-      Qs_storage.Buffer_pool.set_tracer bp !setup.Experiments.tracer;
-      Qs_storage.Table.set_spill (Some (dir, bp));
-      Printf.printf "spill mode: chunks under %s, buffer pool of %d frames\n" dir
-        (Qs_storage.Buffer_pool.capacity bp))
-    !spill_dir;
   (* no arguments: run everything, micro-benchmarks included — unless the
      invocation is a pure --metrics-out dump *)
   let default_run = !chosen = [] && (not !want_micro) && !metrics_out = None in
@@ -194,9 +153,9 @@ let () =
   let s = !setup in
   Printf.printf
     "QuerySplit benchmark harness — scale=%.2f, %d JOB-like queries, timeout=%.1fs, \
-     seed=%d, domains=%d\n"
+     seed=%d\n"
     s.Experiments.scale s.Experiments.n_queries s.Experiments.timeout
-    s.Experiments.seed s.Experiments.domains;
+    s.Experiments.seed;
   List.iter
     (fun name ->
       let f = List.assoc name experiments in

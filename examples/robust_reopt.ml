@@ -29,7 +29,7 @@ let () =
         (fun qsa ->
           let algo =
             {
-              (Algos.querysplit_with { Querysplit.default_config with Querysplit.qsa; ssa = Ssa.Phi4 }) with
+              (Algos.querysplit_with { Querysplit.qsa; ssa = Ssa.Phi4 }) with
               Runner.warm = sigma > 0.0;
               estimator =
                 (fun env ->

@@ -11,15 +11,9 @@ module Timer = Qs_util.Timer
 module Rng = Qs_util.Rng
 module Span = Qs_util.Span
 
-type config = {
-  qsa : Qsa.policy;
-  ssa : Ssa.policy;
-  plan_cache : bool;
-  prune_columns : bool;
-}
+type config = { qsa : Qsa.policy; ssa : Ssa.policy }
 
-let default_config =
-  { qsa = Qsa.RCenter; ssa = Ssa.Phi4; plan_cache = true; prune_columns = true }
+let default_config = { qsa = Qsa.RCenter; ssa = Ssa.Phi4 }
 
 (* One live entry of the subquery set: the fragment plus bookkeeping. *)
 type entry = {
@@ -28,17 +22,19 @@ type entry = {
   mutable frag : Fragment.t;
 }
 
-let optimize_cached ~enabled cache ctx frag =
+(* A subquery whose inputs did not change since the previous iteration
+   keeps its plan: the fragment key names the inputs, temps included. *)
+let optimize_cached cache ctx frag =
   let key = Fragment.key frag in
-  match (enabled, Hashtbl.find_opt cache key) with
-  | true, Some r -> r
-  | _ ->
+  match Hashtbl.find_opt cache key with
+  | Some r -> r
+  | None ->
       let r =
         Optimizer.optimize ?spans:ctx.Strategy.spans
           ?memo:ctx.Strategy.dp_memo (Strategy.catalog ctx) ctx.Strategy.estimator
           frag
       in
-      if enabled then Hashtbl.replace cache key r;
+      Hashtbl.replace cache key r;
       r
 
 (* The global_deep baseline order: walk the global plan's joins bottom-up;
@@ -105,7 +101,7 @@ let run config ctx (q : Query.t) =
         { order = !idx; label = sq.Query.name; frag = f })
       subqueries frags
   in
-  let plan_cache = Hashtbl.create 32 in
+  let plans = Hashtbl.create 32 in
   let fresh_temp = Temp.namer () in
   let remaining = ref entries in
   let isolated : Table.t list ref = ref [] in
@@ -126,7 +122,7 @@ let run config ctx (q : Query.t) =
     let ranked =
       List.map
         (fun e ->
-          let r = optimize_cached ~enabled:config.plan_cache plan_cache ctx e.frag in
+          let r = optimize_cached plans ctx e.frag in
           let score =
             match config.ssa with
             | Ssa.Global_deep -> float_of_int e.order
@@ -178,9 +174,7 @@ let run config ctx (q : Query.t) =
     end
     else begin
       let provides = Fragment.provides chosen.frag in
-      let keep =
-        if config.prune_columns then needed_columns q others ~provides else []
-      in
+      let keep = needed_columns q others ~provides in
       let name = fresh_temp () in
       let temp_tbl = Temp.materialize ~name ~keep table in
       let temp_input =

@@ -8,22 +8,15 @@
     results are combined by Cartesian product at the end (§3.1,
     correctness by Theorem 1). *)
 
-type config = {
-  qsa : Qsa.policy;
-  ssa : Ssa.policy;
-  plan_cache : bool;
-      (** reuse the plan of a subquery whose inputs did not change since
-          the previous iteration (on by default; the ablation benchmark
-          turns it off to measure re-invocation cost) *)
-  prune_columns : bool;
-      (** project materialized temps down to the columns the rest of the
-          query still needs (on by default; §4.1 argues small
-          materializations are central) *)
-}
+type config = { qsa : Qsa.policy; ssa : Ssa.policy }
+(** The subquery set (QSA) and the ranking (SSA). Two choices are fixed:
+    a subquery whose inputs did not change since the previous iteration
+    keeps its plan, and materialized temps are projected down to the
+    columns the rest of the query still needs (§4.1 argues small
+    materializations are central). *)
 
 val default_config : config
-(** RCenter + Φ4, plan cache and column pruning on — the combination §6.2
-    selects. *)
+(** RCenter + Φ4 — the combination §6.2 selects. *)
 
 val strategy : config -> Strategy.t
 (** Strategy name: ["querysplit(<qsa>,<ssa>)"]. *)

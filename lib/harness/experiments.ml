@@ -17,7 +17,6 @@ type setup = {
   seed : int;
   n_queries : int;
   timeout : float;
-  domains : int;
   tracer : Qs_util.Span.t option;
 }
 
@@ -27,7 +26,6 @@ let default_setup =
     seed = 2023;
     n_queries = 91;
     timeout = 5.0;
-    domains = 1;
     tracer = None;
   }
 
@@ -96,8 +94,8 @@ let table3 s =
         Ssa.policy_name ssa
         :: List.map
              (fun qsa ->
-               let algo = Algos.querysplit_with { Querysplit.default_config with Querysplit.qsa; ssa } in
-               let rs = Runner.run_spj ?tracer:s.tracer ~domains:s.domains ~timeout:s.timeout env algo queries in
+               let algo = Algos.querysplit_with { Querysplit.qsa; ssa } in
+               let rs = Runner.run_spj ?tracer:s.tracer ~timeout:s.timeout env algo queries in
                Report.seconds (Runner.total_time rs))
              Qsa.all_policies)
       ssa_grid
@@ -131,7 +129,7 @@ let fig10 s =
   Printf.printf "(noise sweep over %d of the queries)\n" (List.length queries);
   let run config ~mu ~sigma =
     Runner.total_time
-      (Runner.run_spj ?tracer:s.tracer ~domains:s.domains ~timeout:s.timeout env (noisy_algo s config ~mu ~sigma) queries)
+      (Runner.run_spj ?tracer:s.tracer ~timeout:s.timeout env (noisy_algo s config ~mu ~sigma) queries)
   in
   let sigmas = [ 0.0; 0.5; 1.0; 2.0; 4.0 ] in
   let qsa_series =
@@ -140,7 +138,7 @@ let fig10 s =
         ( Qsa.policy_name qsa ^ " + phi4",
           List.map
             (fun sigma ->
-              (Printf.sprintf "%g" sigma, run { Querysplit.default_config with Querysplit.qsa; ssa = Ssa.Phi4 } ~mu:0.0 ~sigma))
+              (Printf.sprintf "%g" sigma, run { Querysplit.qsa; ssa = Ssa.Phi4 } ~mu:0.0 ~sigma))
             sigmas ))
       Qsa.all_policies
   in
@@ -152,7 +150,7 @@ let fig10 s =
           List.map
             (fun sigma ->
               ( Printf.sprintf "%g" sigma,
-                run { Querysplit.default_config with Querysplit.qsa = Qsa.RCenter; ssa } ~mu:0.0 ~sigma ))
+                run { Querysplit.qsa = Qsa.RCenter; ssa } ~mu:0.0 ~sigma ))
             sigmas ))
       Ssa.all_phi
   in
@@ -183,7 +181,7 @@ let fig11 s =
       let rows =
         List.map
           (fun algo ->
-            let rs = Runner.run_spj ?tracer:s.tracer ~domains:s.domains ~timeout:s.timeout env algo queries in
+            let rs = Runner.run_spj ?tracer:s.tracer ~timeout:s.timeout env algo queries in
             let tos = List.length (List.filter (fun r -> r.Runner.timed_out) rs) in
             [
               algo.Runner.label;
@@ -204,7 +202,7 @@ let table4 s =
   let rows =
     List.map
       (fun algo ->
-        let rs = Runner.run_spj ?tracer:s.tracer ~domains:s.domains ~timeout:s.timeout env algo queries in
+        let rs = Runner.run_spj ?tracer:s.tracer ~timeout:s.timeout env algo queries in
         let n_q = List.length rs in
         let total_mats = List.fold_left (fun a r -> a + r.Runner.mats) 0 rs in
         let total_bytes = List.fold_left (fun a r -> a + r.Runner.mat_bytes) 0 rs in
@@ -229,11 +227,11 @@ let table4 s =
 (* Figures 12-14: Starbench (TPC-H-like) and DSB                           *)
 (* ---------------------------------------------------------------------- *)
 
-let logical_comparison ?tracer ~title ~timeout ~domains env trees roster =
+let logical_comparison ?tracer ~title ~timeout env trees roster =
   let rows =
     List.map
       (fun algo ->
-        let rs = Runner.run_logical ?tracer ~domains ~timeout env algo trees in
+        let rs = Runner.run_logical ?tracer ~timeout env algo trees in
         let tos = List.length (List.filter (fun r -> r.Runner.timed_out) rs) in
         [
           algo.Runner.label;
@@ -254,7 +252,7 @@ let fig12 s =
       let trees = Starbench.queries cat ~seed:(s.seed + 1) in
       logical_comparison ?tracer:s.tracer
         ~title:(Printf.sprintf "Starbench, %s indexes" cfg_name)
-        ~timeout:s.timeout ~domains:s.domains env trees Algos.nonspj_roster)
+        ~timeout:s.timeout env trees Algos.nonspj_roster)
     [ (Catalog.Pk_only, "Pk-only"); (Catalog.Pk_fk, "Pk+Fk") ]
 
 let fig13 s =
@@ -268,7 +266,7 @@ let fig13 s =
       let rows =
         List.map
           (fun algo ->
-            let rs = Runner.run_spj ?tracer:s.tracer ~domains:s.domains ~timeout:s.timeout env algo queries in
+            let rs = Runner.run_spj ?tracer:s.tracer ~timeout:s.timeout env algo queries in
             [ algo.Runner.label; Report.seconds (Runner.total_time rs) ])
           Algos.fig11_roster
       in
@@ -284,7 +282,7 @@ let fig14 s =
   let env = Runner.make_env ~seed:s.seed cat in
   let trees = Dsb.nonspj_queries cat ~seed:(s.seed + 1) in
   logical_comparison ?tracer:s.tracer ~title:"DSB non-SPJ, Pk+Fk indexes"
-    ~timeout:s.timeout ~domains:s.domains env trees Algos.nonspj_roster
+    ~timeout:s.timeout env trees Algos.nonspj_roster
 
 (* ---------------------------------------------------------------------- *)
 (* Figure 15: statistics collection on/off                                 *)
@@ -298,11 +296,11 @@ let fig15 s =
       (fun algo ->
         let on =
           Runner.total_time
-            (Runner.run_spj ?tracer:s.tracer ~collect_stats:true ~domains:s.domains ~timeout:s.timeout env algo queries)
+            (Runner.run_spj ?tracer:s.tracer ~collect_stats:true ~timeout:s.timeout env algo queries)
         in
         let off =
           Runner.total_time
-            (Runner.run_spj ?tracer:s.tracer ~collect_stats:false ~domains:s.domains ~timeout:s.timeout env algo queries)
+            (Runner.run_spj ?tracer:s.tracer ~collect_stats:false ~timeout:s.timeout env algo queries)
         in
         [ algo.Runner.label; Report.seconds on; Report.seconds off ])
       Algos.reopt_roster
@@ -335,7 +333,7 @@ let table5 s =
     let algo =
       { Runner.label; strategy; estimator = (fun _ -> Estimator.default); warm = false }
     in
-    Runner.total_time (Runner.run_spj ?tracer:s.tracer ~domains:s.domains ~timeout:s.timeout env algo queries)
+    Runner.total_time (Runner.run_spj ?tracer:s.tracer ~timeout:s.timeout env algo queries)
   in
   let rows =
     List.map
@@ -375,9 +373,9 @@ let max_intermediate (r : Runner.qresult) =
 let categorize s =
   let env, queries = cinema_env s in
   let others = [ Algos.pop; Algos.ief; Algos.perron ] in
-  let qs_rs = Runner.run_spj ?tracer:s.tracer ~domains:s.domains ~timeout:s.timeout env Algos.querysplit queries in
+  let qs_rs = Runner.run_spj ?tracer:s.tracer ~timeout:s.timeout env Algos.querysplit queries in
   let other_rs =
-    List.map (fun a -> Runner.run_spj ?tracer:s.tracer ~domains:s.domains ~timeout:s.timeout env a queries) others
+    List.map (fun a -> Runner.run_spj ?tracer:s.tracer ~timeout:s.timeout env a queries) others
   in
   let results =
     List.mapi
@@ -459,165 +457,18 @@ let fig16_19 s =
     [ "Avoided Large Join"; "Delayed Large Join"; "No difference"; "Worse" ]
 
 (* ---------------------------------------------------------------------- *)
-(* Ablation (beyond the paper): QuerySplit implementation choices          *)
-(* ---------------------------------------------------------------------- *)
-
-let ablation s =
-  Report.section "Ablation: QuerySplit implementation choices";
-  let env, queries = cinema_env s in
-  let variants =
-    [
-      ("full", Querysplit.default_config);
-      ("no plan cache", { Querysplit.default_config with Querysplit.plan_cache = false });
-      ("no column pruning",
-       { Querysplit.default_config with Querysplit.prune_columns = false });
-      ("neither",
-       {
-         Querysplit.default_config with
-         Querysplit.plan_cache = false;
-         prune_columns = false;
-       });
-    ]
-  in
-  let rows =
-    List.map
-      (fun (label, config) ->
-        let algo = Algos.querysplit_with config in
-        let rs = Runner.run_spj ?tracer:s.tracer ~domains:s.domains ~timeout:s.timeout env algo queries in
-        let bytes = List.fold_left (fun a r -> a + r.Runner.mat_bytes) 0 rs in
-        [
-          label;
-          Report.seconds (Runner.total_time rs);
-          Printf.sprintf "%.1f" (float_of_int bytes /. 1048576.0);
-        ])
-      variants
-  in
-  Report.table ~title:"QuerySplit variants"
-    ~headers:[ "variant"; "total time"; "materialized MB (all queries)" ]
-    rows
-
-(* ---------------------------------------------------------------------- *)
-(* Observability: per-strategy metrics report                              *)
+(* The metrics golden: deterministic counters of every strategy and entry  *)
 (* ---------------------------------------------------------------------- *)
 
 (* One registry per fig11-roster strategy over the JOB-like workload —
-   the shared substrate of the [metrics] experiment and of the bench
-   tool's [--metrics-out] dump (which bench_diff then compares). *)
+   the strategy half of the [--metrics-out] dump. *)
 let metrics_results s =
   let env, queries = cinema_env s in
   List.map
     (fun algo ->
       ( algo.Runner.label,
-        Runner.run_spj ?tracer:s.tracer ~domains:s.domains ~timeout:s.timeout
-          env algo queries ))
+        Runner.run_spj ?tracer:s.tracer ~timeout:s.timeout env algo queries ))
     Algos.fig11_roster
-
-let json_of_labelled ?(extra = []) s labelled =
-  let regs =
-    List.map (fun (l, rs) -> (l, Runner.metrics_of_results rs)) labelled
-  in
-  let regs = regs @ extra in
-  (* with a tracer attached, per-phase span times ride along as one more
-     pseudo-strategy entry so they land in the same machine-readable dump *)
-  let regs =
-    match s.tracer with
-    | None -> regs
-    | Some tr ->
-        let m = Qs_obs.Metrics.create () in
-        Runner.fold_span_times tr m;
-        regs @ [ ("phases", m) ]
-  in
-  Qs_obs.Metrics.json_of_many regs
-
-let metrics s =
-  Report.section "Metrics: per-strategy execution metrics over the JOB-like workload";
-  let labelled = metrics_results s in
-  (* the JSON blob is the machine-readable artifact; the table is the
-     human summary of the same registries *)
-  let rows =
-    List.map
-      (fun (label, rs) ->
-        let m = Runner.metrics_of_results rs in
-        let q p =
-          match Qs_obs.Metrics.histogram m "qerror" with
-          | Some h -> Printf.sprintf "%.2f" (Qs_obs.Histogram.percentile h p)
-          | None -> "-"
-        in
-        [
-          label;
-          string_of_int (Qs_obs.Metrics.counter m "queries");
-          string_of_int (Qs_obs.Metrics.counter m "timeouts");
-          string_of_int (Qs_obs.Metrics.counter m "replans");
-          string_of_int (Qs_obs.Metrics.counter m "materializations");
-          q 0.5;
-          q 0.95;
-        ])
-      labelled
-  in
-  Report.table ~title:"execution metrics"
-    ~headers:
-      [ "algorithm"; "queries"; "TO"; "replans"; "mats"; "qerror p50"; "qerror p95" ]
-    rows;
-  print_endline "metrics report (JSON):";
-  print_endline (json_of_labelled s labelled)
-
-(* ---------------------------------------------------------------------- *)
-(* Parallel harness: wall-clock sweep over domain counts                   *)
-(* ---------------------------------------------------------------------- *)
-
-let counters_equal a b =
-  Qs_obs.Metrics.counter_names a = Qs_obs.Metrics.counter_names b
-  && List.for_all
-       (fun n -> Qs_obs.Metrics.counter a n = Qs_obs.Metrics.counter b n)
-       (Qs_obs.Metrics.counter_names a)
-
-let par_sweep s =
-  Report.section "Parallel harness: strategy sweep wall-clock vs domains";
-  let env, queries = cinema_env s in
-  let roster = Algos.reopt_roster in
-  let sweep domains =
-    let t0 = Qs_util.Timer.now () in
-    let rs =
-      List.map
-        (fun algo ->
-          ( algo.Runner.label,
-            Runner.run_spj ?tracer:s.tracer ~domains ~timeout:s.timeout env algo
-              queries ))
-        roster
-    in
-    (Qs_util.Timer.elapsed ~since:t0, rs)
-  in
-  (* warm once so environment caches (oracle memo, base-table stats) do
-     not favour whichever sweep runs second *)
-  ignore (sweep 1);
-  let seq_wall, seq = sweep 1 in
-  let par_domains = max 2 s.domains in
-  let par_wall, par = sweep par_domains in
-  let digests rs = List.concat_map (fun (_, l) -> List.map (fun r -> r.Runner.digest) l) rs in
-  let identical = digests seq = digests par in
-  let metrics_ok =
-    List.for_all2
-      (fun (_, a) (_, b) ->
-        counters_equal (Runner.metrics_of_results a) (Runner.metrics_of_results b))
-      seq par
-  in
-  Report.table
-    ~title:
-      (Printf.sprintf "wall-clock for %d strategies x %d queries"
-         (List.length roster) (List.length queries))
-    ~headers:[ "domains"; "wall-clock"; "speedup" ]
-    [
-      [ "1"; Report.seconds seq_wall; "1.00x" ];
-      [
-        string_of_int par_domains;
-        Report.seconds par_wall;
-        Printf.sprintf "%.2fx" (seq_wall /. Float.max 1e-9 par_wall);
-      ];
-    ];
-  Printf.printf "result digests byte-identical: %s\n"
-    (if identical then "yes" else "NO (per-query timeouts differ under load?)");
-  Printf.printf "merged metric counters equal:  %s\n"
-    (if metrics_ok then "yes" else "NO")
 
 (* ---------------------------------------------------------------------- *)
 (* Out-of-core: buffer-pool execution under memory pressure                *)
@@ -811,15 +662,14 @@ let pipeline_metrics_entry s =
   m
 
 (* ---------------------------------------------------------------------- *)
-(* Serving front end: throughput and tail latency under concurrent load    *)
+(* Serving front end: plan cache, scheduler and flight recorder counters   *)
 (* ---------------------------------------------------------------------- *)
 
 module Server = Qs_serve.Server
 module Scheduler = Qs_serve.Scheduler
 
-(* Cost-ranked JOB-like corpus (cheapest first). The bottom 60% is the
-   "light" interactive class of the mixed-cost serving workload, the top
-   decile the "heavy" analytical class. *)
+(* Cost-ranked JOB-like corpus (cheapest first): the serving entries'
+   submission order. *)
 let costed_corpus env queries =
   let ctx = Strategy.make_ctx env.Runner.registry Estimator.default in
   List.map
@@ -830,216 +680,11 @@ let costed_corpus env queries =
     queries
   |> List.sort (fun (_, a) (_, b) -> Float.compare a b)
 
-(* The two serving classes. Lights: the bottom 60% of the corpus by
-   estimated cost — the short interactive tail. Heavies: the top-decile
-   statements widened by dropping the selections on their first
-   relation (joins and the other relations' filters kept), so the
-   analytical class is 1-2 orders of magnitude more expensive in actual
-   execution time — not just in the estimate — while remaining plain
-   digest-checkable SPJ statements. *)
-type serve_classes = {
-  lights : Query.t array;
-  heavies : (Query.t * float) array;  (** statement, estimated cost *)
-}
-
-let serve_classes env costed =
-  let ctx = Strategy.make_ctx env.Runner.registry Estimator.default in
-  let arr = Array.of_list costed in
-  let n = Array.length arr in
-  let heavy0 = n - max 1 (n / 10) in
-  let heavies =
-    Array.init (n - heavy0) (fun i ->
-        let q = fst arr.(heavy0 + i) in
-        let kept_filters =
-          match Query.aliases q with
-          | [] | [ _ ] -> []
-          | _ :: rest -> List.concat_map (Query.filters q) rest
-        in
-        let full =
-          Query.make
-            ~name:(q.Query.name ^ "_full")
-            ~output:q.Query.output q.Query.rels
-            (Query.join_preds q @ kept_filters)
-        in
-        let frag = Strategy.fragment_of_query ctx full in
-        let r = Optimizer.optimize env.Runner.catalog Estimator.default frag in
-        (full, r.Optimizer.est_cost))
-  in
-  {
-    lights = Array.init (max 1 (n * 3 / 5)) (fun i -> fst arr.(i));
-    heavies;
-  }
-
-(* Arrival order adversarial for FIFO: a burst of heavy queries is
-   admitted first (one per ~125 submissions of load), the short
-   interactive tail behind it. Cost-aware scheduling lets the tail
-   bypass the burst; FIFO makes the tail queue behind it, so every
-   percentile carries the burst's makespan. The burst is capped at 16
-   so the soak load measures sustained light throughput rather than
-   hours of heavies. *)
-let serve_workload ~load classes =
-  let n_heavy = max 1 (min (load / 125) 16) in
-  List.init load (fun i ->
-      if i < n_heavy then fst classes.heavies.(i mod Array.length classes.heavies)
-      else classes.lights.(i mod Array.length classes.lights))
-
-(* Reference digests from plain single-session execution of each
-   distinct statement: serving-mode results must be byte-identical. *)
-let expected_digests env costed =
-  let module Executor = Qs_exec.Executor in
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun ((q : Query.t), _) ->
-      if not (Hashtbl.mem tbl q.Query.name) then begin
-        let ctx = Strategy.make_ctx env.Runner.registry Estimator.default in
-        let frag = Strategy.fragment_of_query ctx q in
-        let r = Optimizer.optimize env.Runner.catalog Estimator.default frag in
-        let t, _ = Executor.run r.Optimizer.plan in
-        let t = Executor.project ~name:q.Query.name t q.Query.output in
-        Hashtbl.replace tbl q.Query.name (Qs_storage.Table.digest t)
-      end)
-    costed;
-  tbl
-
-let serve_run s ?(telemetry = Qs_obs.Telemetry.default_config) ~domains
-    ~policy ~load env classes =
-  let stream = serve_workload ~load classes in
-  Qs_util.Pool.with_pool ?tracer:s.tracer ~domains (fun pool ->
-      (* The queue holds the whole stream when feasible so measured
-         latency reflects the scheduling policy, not admission
-         backpressure (which delays both policies identically); the
-         soak load still saturates the 2048 bound and exercises
-         backpressure. Aging is set past the run length: the sweep
-         contrasts pure shortest-first against FIFO, while the small
-         aging windows (and their starvation bound) are covered by
-         [serve_metrics_entry] and the scheduler tests. *)
-      let config =
-        {
-          Server.default_config with
-          Server.concurrency = max 1 domains;
-          queue_limit = min load 2048;
-          policy;
-          aging_rounds = 2 * load;
-          telemetry;
-        }
-      in
-      let server =
-        Server.create ~config ?spans:s.tracer ~pool env.Runner.registry
-          Estimator.default
-      in
-      let t0 = Qs_util.Timer.now () in
-      List.iteri
-        (fun i q ->
-          ignore
-            (Server.submit server ~session:("s" ^ string_of_int (i mod 4)) q))
-        stream;
-      Server.drain server;
-      let wall = Qs_util.Timer.elapsed ~since:t0 in
-      (Server.results server, wall))
-
-let latency_percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
-
-let serve_digests_ok expect results =
-  List.for_all
-    (fun (r : Server.result) ->
-      match (r.Server.status, r.Server.digest) with
-      | Server.Completed, Some d -> (
-          match Hashtbl.find_opt expect r.Server.query with
-          | Some d' -> d = d'
-          | None -> false)
-      | _ -> false)
-    results
-
-let serve_sweep s =
-  Report.section
-    "Serving: concurrent front end, throughput and tail latency per policy";
-  let env, queries = cinema_env s in
-  let costed = costed_corpus env queries in
-  let classes = serve_classes env costed in
-  let expect =
-    expected_digests env (costed @ Array.to_list classes.heavies)
-  in
-  let ms v = Printf.sprintf "%.2f" (1000.0 *. v) in
-  let p99s = Hashtbl.create 8 in
-  let row ~load ~domains ~policy =
-    let results, wall = serve_run s ~domains ~policy ~load env classes in
-    let lats =
-      List.map (fun (r : Server.result) -> r.Server.queue_wait +. r.Server.exec_time) results
-      |> Array.of_list
-    in
-    Array.sort Float.compare lats;
-    (if Sys.getenv_opt "QS_SERVE_DEBUG" <> None then
-       let worst =
-         List.sort
-           (fun (a : Server.result) b ->
-             Float.compare
-               (b.Server.queue_wait +. b.Server.exec_time)
-               (a.Server.queue_wait +. a.Server.exec_time))
-           results
-       in
-       List.iteri
-         (fun i (r : Server.result) ->
-           if i < 15 then
-             Printf.printf "    worst#%d %s cost=%.0f wait=%.3f exec=%.4f\n" i
-               r.Server.query r.Server.est_cost r.Server.queue_wait
-               r.Server.exec_time)
-         worst);
-    let p99 = latency_percentile lats 0.99 in
-    Hashtbl.replace p99s (load, domains, Scheduler.policy_name policy) p99;
-    [
-      string_of_int load;
-      string_of_int domains;
-      Scheduler.policy_name policy;
-      Report.seconds wall;
-      Printf.sprintf "%.0f" (float_of_int load /. wall);
-      ms (latency_percentile lats 0.5);
-      ms (latency_percentile lats 0.95);
-      ms p99;
-      (if List.length results = load && serve_digests_ok expect results then
-         "ok"
-       else "MISMATCH");
-    ]
-  in
-  let widths = [ 1; max 2 s.domains ] in
-  let rows =
-    List.concat_map
-      (fun load ->
-        List.concat_map
-          (fun domains ->
-            List.map
-              (fun policy -> row ~load ~domains ~policy)
-              [ Scheduler.Fifo; Scheduler.Cost_aware ])
-          widths)
-      [ 100; 1000 ]
-  in
-  (* a deeper soak at the widest point, cost-aware only *)
-  let soak = row ~load:10_000 ~domains:(max 2 s.domains) ~policy:Scheduler.Cost_aware in
-  Report.table
-    ~title:
-      "mixed-cost serving (heavy burst first; digests vs single-session runs)"
-    ~headers:
-      [ "load"; "width"; "policy"; "wall"; "qps"; "p50 ms"; "p95 ms"; "p99 ms"; "digests" ]
-    (rows @ [ soak ]);
-  let w = max 2 s.domains in
-  match
-    ( Hashtbl.find_opt p99s (1000, w, "fifo"),
-      Hashtbl.find_opt p99s (1000, w, "cost-aware") )
-  with
-  | Some f, Some c ->
-      Printf.printf
-        "p99 at load 1000, width %d: fifo %sms vs cost-aware %sms — %s\n" w
-        (ms f) (ms c)
-        (if c < f then "cost-aware wins" else "FIFO wins (unexpected)")
-  | _ -> ()
-
 (* The deterministic serving entry of the metrics dump: every statement
    of the corpus twice across two sessions on a width-2 pool, so the
    second round is all plan-cache hits. Counters (submitted, completed,
    cache hits/misses, per-session query counts) are exact for a fixed
-   corpus; only the histograms carry wall-clock. *)
+   corpus; only the [*_s] histograms carry wall-clock. *)
 let serve_metrics_entry s =
   let env, queries = cinema_env s in
   let costed = costed_corpus env queries in
@@ -1063,116 +708,7 @@ let serve_metrics_entry s =
       Server.drain server;
       Server.metrics server)
 
-(* ---------------------------------------------------------------------- *)
-(* Telemetry: always-on flight recorder overhead and tail sampling         *)
-(* ---------------------------------------------------------------------- *)
-
 module Telemetry = Qs_obs.Telemetry
-module Flight = Qs_obs.Flight
-
-let telemetry_sweep s =
-  Report.section
-    "Telemetry: always-on flight recorder — overhead and tail sampling";
-  let env, queries = cinema_env s in
-  let costed = costed_corpus env queries in
-  let classes = serve_classes env costed in
-  let expect =
-    expected_digests env (costed @ Array.to_list classes.heavies)
-  in
-  let domains = max 2 s.domains in
-  let load = 1000 in
-  (* overhead: identical mixed-cost serving runs with the recorder off
-     and on; best of 3 per mode so scheduler noise doesn't masquerade
-     as recorder cost *)
-  let best telemetry =
-    let rec go n (best_wall, best_results) =
-      if n = 0 then (best_wall, best_results)
-      else
-        let results, wall =
-          serve_run s ~telemetry ~domains ~policy:Scheduler.Cost_aware ~load
-            env classes
-        in
-        go (n - 1)
-          (if wall < best_wall then (wall, results)
-           else (best_wall, best_results))
-    in
-    go 3 (infinity, [])
-  in
-  let wall_off, res_off = best Telemetry.disabled in
-  let wall_on, res_on = best Telemetry.default_config in
-  let row label wall results =
-    [
-      label;
-      string_of_int load;
-      string_of_int domains;
-      Report.seconds wall;
-      Printf.sprintf "%.0f" (float_of_int load /. wall);
-      (if List.length results = load && serve_digests_ok expect results then
-         "ok"
-       else "MISMATCH");
-    ]
-  in
-  Report.table
-    ~title:"serving wall-clock, flight recorder off vs on (best of 3)"
-    ~headers:[ "telemetry"; "load"; "width"; "wall"; "qps"; "digests" ]
-    [ row "off" wall_off res_off; row "on" wall_on res_on ];
-  Printf.printf "recorder overhead: %+.2f%% (acceptance: < 2%%)\n"
-    (100.0 *. (wall_on -. wall_off) /. wall_off);
-  (* tail sampling: a light stream with a sprinkling of dead-on-arrival
-     deadlines; every error flight must keep its full span tree, while
-     successes keep theirs only above the slow quantile *)
-  Qs_util.Pool.with_pool ~domains (fun pool ->
-      let config =
-        {
-          Server.default_config with
-          Server.concurrency = domains;
-          queue_limit = 512;
-          telemetry =
-            {
-              Telemetry.default_config with
-              Telemetry.capacity = 512;
-              min_samples = 16;
-            };
-        }
-      in
-      let server =
-        Server.create ~config ~pool env.Runner.registry Estimator.default
-      in
-      List.iteri
-        (fun i q ->
-          let deadline = if i mod 25 = 0 then Some 0.0 else None in
-          ignore
-            (Server.submit server
-               ~session:("s" ^ string_of_int (i mod 4))
-               ?deadline q))
-        (List.init 400 (fun i ->
-             classes.lights.(i mod Array.length classes.lights)));
-      Server.drain server;
-      let snap = Server.telemetry_snapshot server in
-      let recent = snap.Telemetry.s_recent in
-      let part p = List.partition p recent in
-      let errors, successes =
-        part (fun (r : Flight.record) -> r.Flight.r_status <> Flight.Completed)
-      in
-      let sampled = List.filter (fun (r : Flight.record) -> r.Flight.r_sampled) in
-      Printf.printf
-        "tail sampling over %d retained flights: %d/%d error flights kept \
-         full span trees (must be all), %d/%d successes (slow quantile %.2f)\n"
-        (List.length recent)
-        (List.length (sampled errors))
-        (List.length errors)
-        (List.length (sampled successes))
-        (List.length successes)
-        config.Server.telemetry.Telemetry.slow_quantile;
-      let counter name =
-        Option.value (List.assoc_opt name snap.Telemetry.s_counters) ~default:0
-      in
-      Printf.printf
-        "flight counters: journal steps=%d intermediates=%d bufpool faults=%d \
-         bypasses=%d\n"
-        (counter "journal_steps")
-        (counter "intermediate_tables")
-        (counter "faults") (counter "bypasses"))
 
 (* The deterministic telemetry entry of the metrics dump: a fixed
    QuerySplit-served workload through a telemetry-enabled server on a
@@ -1282,17 +818,53 @@ let columnar_metrics_entry _s =
     (if d_res = d_spill && kept_res = kept_spill then 1 else 0);
   m
 
+(* Wall-clock histograms are named [*_s], per status [*_s:<status>]. *)
+let is_wall_clock name =
+  let base =
+    match String.index_opt name ':' with
+    | Some i -> String.sub name 0 i
+    | None -> name
+  in
+  String.ends_with ~suffix:"_s" base
+
+(* The golden keeps what a fixed corpus determines — every counter and
+   the non-time histograms (Q-error, materialized bytes, hit rate,
+   rounds waited, queue depth) — and drops the wall-clock ones. *)
 let metrics_json s =
-  json_of_labelled
-    ~extra:
-      [
-        ("serve", serve_metrics_entry s);
-        ("io", io_metrics_entry s);
-        ("pipeline", pipeline_metrics_entry s);
-        ("telemetry", telemetry_metrics_entry s);
-        ("columnar", columnar_metrics_entry s);
-      ]
-    s (metrics_results s)
+  let module Metrics = Qs_obs.Metrics in
+  let deterministic m =
+    let d = Metrics.create () in
+    List.iter
+      (fun n -> Metrics.incr ~by:(Metrics.counter m n) d n)
+      (Metrics.counter_names m);
+    List.iter
+      (fun n ->
+        if not (is_wall_clock n) then
+          Metrics.add_histogram d n (Option.get (Metrics.histogram m n)))
+      (Metrics.histogram_names m);
+    d
+  in
+  let strategies =
+    List.map
+      (fun (label, rs) -> (label, Runner.metrics_of_results rs))
+      (metrics_results s)
+  in
+  let serve = serve_metrics_entry s in
+  let io = io_metrics_entry s in
+  let pipeline = pipeline_metrics_entry s in
+  let telemetry = telemetry_metrics_entry s in
+  let columnar = columnar_metrics_entry s in
+  Metrics.json_of_many
+    (List.map
+       (fun (label, m) -> (label, deterministic m))
+       (strategies
+       @ [
+           ("serve", serve);
+           ("io", io);
+           ("pipeline", pipeline);
+           ("telemetry", telemetry);
+           ("columnar", columnar);
+         ]))
 
 let all s =
   table1 s;
@@ -1306,9 +878,4 @@ let all s =
   fig15 s;
   table5 s;
   table6 s;
-  fig16_19 s;
-  ablation s;
-  metrics s;
-  par_sweep s;
-  serve_sweep s;
-  telemetry_sweep s
+  fig16_19 s

@@ -12,9 +12,6 @@ type setup = {
   seed : int;
   n_queries : int;  (** JOB-like query count (paper: 91) *)
   timeout : float;  (** per-query cap in seconds (paper: 1000 s) *)
-  domains : int;
-      (** harness parallelism: queries of a run fan out across this many
-          domains (1 = sequential) *)
   tracer : Qs_util.Span.t option;
       (** span tracer threaded through every runner invocation; [None]
           (the default) keeps all experiments trace-free *)
@@ -60,60 +57,21 @@ val fig16_19 : setup -> unit
 (** Per-iteration re-optimization timelines for one representative query
     of each category. *)
 
-val ablation : setup -> unit
-(** Beyond the paper: ablates QuerySplit's implementation choices —
-    subquery plan caching and column pruning at materialization. *)
-
 val metrics_json : setup -> string
-(** Machine-readable per-strategy metrics over the JOB-like workload
-    (fig. 11 roster) plus one ["serve"] entry with the serving front
-    end's deterministic counters (see {!serve_sweep}), one ["io"]
-    entry with the buffer pool's deterministic fault counters and hit
-    rate over a fixed spilled table, one ["pipeline"] entry with the
-    executor's deterministic intermediate-table counters over fixed
-    PK-FK chain and hub joins, and one
-    ["telemetry"] entry with the serving flight recorder's
-    deterministic counters (see {!telemetry_sweep}), and one
-    ["columnar"] entry with a fixed table's deterministic counters run
-    resident (row chunks) and spilled (column-major frames):
-    vectorized-kernel invocations, exact serialized frame sizes and
-    digest equality between the two: the
-    [Metrics.json_of_many] dump the bench tool writes with
-    [--metrics-out] and [tools/bench_diff] compares. When
-    [setup.tracer] is set, a synthetic ["phases"] entry carries the
-    per-category span counts and time histograms. *)
+(** The metrics golden: the [Metrics.json_of_many] dump the bench tool
+    writes with [--metrics-out], and [dune runtest] compares byte for
+    byte against the committed [BENCH.json]. One entry per fig. 11
+    roster strategy over the JOB-like workload, then five fixed
+    workloads:
+    - ["serve"]: the serving front end (plan cache, scheduler);
+    - ["io"]: buffer-pool faults and hit rate over a spilled table;
+    - ["pipeline"]: executor intermediate tables over PK-FK chain and
+      hub joins;
+    - ["telemetry"]: the serving flight recorder;
+    - ["columnar"]: a fixed table run resident and spilled —
+      vectorized-kernel calls, serialized frame sizes, digest equality.
 
-val metrics : setup -> unit
-(** Beyond the paper: the observability layer's per-strategy metrics
-    report over the JOB-like workload — Q-error percentiles,
-    re-optimization counts, materialization volume, timeout hits — as a
-    human-readable table plus the machine-readable JSON blob (see
-    EXPERIMENTS.md for the schema). *)
-
-val par_sweep : setup -> unit
-(** Beyond the paper: runs the re-optimizer roster sequentially and at
-    [max 2 domains] domains, reporting wall-clock, speedup, and whether
-    result digests and merged metric counters match the sequential
-    run (they must). *)
-
-val serve_sweep : setup -> unit
-(** Beyond the paper: the concurrent serving front end under load.
-    Submits mixed-cost streams (a heavy analytical burst admitted ahead
-    of a short interactive tail) of 10^2–10^4 queries at two pool
-    widths under FIFO and cost-aware scheduling, reporting throughput
-    and p50/p95/p99 turnaround latency per configuration, and checking
-    every served result digest against plain single-session execution.
-    Cost-aware scheduling is expected to beat FIFO on p99 for this
-    workload. *)
-
-val telemetry_sweep : setup -> unit
-(** Beyond the paper: the always-on serving flight recorder. Repeats
-    the mixed-cost serving run with telemetry off and on (best of 3)
-    to bound the recorder's overhead — digests must stay identical and
-    the acceptance target is < 2% — then drives a light stream with a
-    sprinkling of dead-on-arrival deadlines through a telemetry-enabled
-    server and reports the tail-sampling split: every error flight
-    keeps its full span tree, successes only above the configured
-    latency quantile. *)
+    Every counter is kept, and every histogram except the wall-clock
+    ones (named [*_s]), so the dump is a pure function of the setup. *)
 
 val all : setup -> unit

@@ -209,17 +209,6 @@ let metrics_of_results results =
     results;
   m
 
-(* Fold the tracer's per-phase times into a metrics registry: one
-   counter (span count) and one duration histogram per category that
-   actually recorded spans. *)
-let fold_span_times tracer m =
-  List.iter
-    (fun (s : Span.span) ->
-      let cat = Span.category_name s.Span.cat in
-      Metrics.incr m ("spans_" ^ cat);
-      Metrics.observe m ("span_" ^ cat ^ "_s") s.Span.dur)
-    (Span.spans tracer)
-
 let metrics_report labelled =
   Metrics.json_of_many
     (List.map (fun (label, rs) -> (label, metrics_of_results rs)) labelled)

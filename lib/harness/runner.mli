@@ -91,10 +91,6 @@ val metrics_of_results : qresult list -> Qs_obs.Metrics.t
     (per-iteration, est vs. actual), [query_time_s] and [mat_bytes]
     (only queries that materialized contribute). *)
 
-val fold_span_times : Qs_util.Span.t -> Qs_obs.Metrics.t -> unit
-(** Fold a tracer's spans into a registry: per category, a [spans_<cat>]
-    counter and a [span_<cat>_s] duration histogram. *)
-
 val metrics_report : (string * qresult list) list -> string
 (** Machine-readable per-strategy report:
     [{"<label>": {"counters": ..., "histograms": ...}, ...}]. *)

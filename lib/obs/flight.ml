@@ -106,7 +106,7 @@ let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let with_current fl f =
   let old = Domain.DLS.get current in
-  Domain.DLS.set current fl;
+  Domain.DLS.set current (Some fl);
   Fun.protect ~finally:(fun () -> Domain.DLS.set current old) f
 
 let on_intermediate_table () =

@@ -118,7 +118,7 @@ val step :
     unconditionally. Must only be called from the domain executing the
     flight (single writer). *)
 
-val with_current : t option -> (unit -> 'a) -> 'a
+val with_current : t -> (unit -> 'a) -> 'a
 (** Run a thunk with the flight installed as the calling domain's
     ambient collector, so {!on_intermediate_table} from anywhere below
     attributes to it. Restores the previous ambient flight on return

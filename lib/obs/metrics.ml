@@ -111,5 +111,9 @@ let to_json t =
   in
   obj [ field "counters" (obj counters); field "histograms" (obj histograms) ]
 
+(* one entry per line, so a line diff of two dumps names the entry *)
 let json_of_many labelled =
-  obj (List.map (fun (label, t) -> field label (to_json t)) labelled)
+  "{\n"
+  ^ String.concat ",\n"
+      (List.map (fun (label, t) -> field label (to_json t)) labelled)
+  ^ "\n}"

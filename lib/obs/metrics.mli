@@ -1,7 +1,7 @@
 (** A named registry of counters and streaming histograms — the aggregate
     side of the observability layer. The harness keeps one registry per
-    strategy and renders them as one machine-readable report that future
-    performance work can diff against. *)
+    strategy and renders them as one machine-readable report; its
+    deterministic part is the committed [BENCH.json] golden. *)
 
 type t
 
@@ -41,8 +41,10 @@ val to_json : t -> string
     p50 / p90 / p95 / p99. Deterministic for a deterministic run. *)
 
 val json_of_many : (string * t) list -> string
-(** [{"<label>": <to_json>, ...}] — the per-strategy report emitted by
-    the harness and consumed by [bench/main.exe]. *)
+(** [{"<label>": <to_json>, ...}] with one labelled entry per line, so a
+    line diff of two reports names the entry that moved — the
+    per-strategy report the harness emits and [bench/main.exe] writes
+    with [--metrics-out]. *)
 
 val escape : string -> string
 (** JSON string-body escaping (shared by the other obs exporters). *)

@@ -18,7 +18,6 @@ module Span = Qs_util.Span
 module Timer = Qs_util.Timer
 
 type config = {
-  enabled : bool;
   capacity : int;
   stripes : int;
   slow_quantile : float;
@@ -27,14 +26,11 @@ type config = {
 
 let default_config =
   {
-    enabled = true;
     capacity = 256;
     stripes = 8;
     slow_quantile = 0.95;
     min_samples = 32;
   }
-
-let disabled = { default_config with enabled = false }
 
 type stripe = { lock : Mutex.t; slots : Flight.record option array }
 
@@ -72,7 +68,6 @@ let create ?(config = default_config) () =
     counters = Hashtbl.create 16;
   }
 
-let enabled t = t.config.enabled
 let capacity t = Array.length t.ring * t.per_stripe
 
 let with_lock m f =
@@ -97,16 +92,13 @@ let hist t name =
 
 let admit t ?(external_tracer = false) ~id ~session ~statement ~strategy
     ~cache_hit ~est_cost () =
-  if not t.config.enabled then None
-  else begin
-    Atomic.incr t.admitted;
-    let fl =
-      Flight.create ~tracer:(not external_tracer) ~id ~session ~statement
-        ~strategy ~cache_hit ~est_cost ~submitted:(Timer.now ()) ()
-    in
-    with_lock t.active_lock (fun () -> Hashtbl.replace t.active id fl);
-    Some fl
-  end
+  Atomic.incr t.admitted;
+  let fl =
+    Flight.create ~tracer:(not external_tracer) ~id ~session ~statement
+      ~strategy ~cache_hit ~est_cost ~submitted:(Timer.now ()) ()
+  in
+  with_lock t.active_lock (fun () -> Hashtbl.replace t.active id fl);
+  fl
 
 let dispatch _t fl = Flight.mark_dispatched fl
 
@@ -116,7 +108,12 @@ let ring_push t (record : Flight.record) =
   let n = Array.length t.ring in
   let stripe = t.ring.(record.Flight.r_seq mod n) in
   let slot = record.Flight.r_seq / n mod t.per_stripe in
-  with_lock stripe.lock (fun () -> stripe.slots.(slot) <- Some record)
+  with_lock stripe.lock (fun () ->
+      (* a writer delayed between taking its seq and pushing must not
+         overwrite a newer record that already landed in its slot *)
+      match stripe.slots.(slot) with
+      | Some newer when newer.Flight.r_seq > record.Flight.r_seq -> ()
+      | _ -> stripe.slots.(slot) <- Some record)
 
 let ring_snapshot t =
   Array.to_list t.ring

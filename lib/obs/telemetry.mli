@@ -27,7 +27,6 @@
     into the existing {!Metrics} JSON report for CI gating. *)
 
 type config = {
-  enabled : bool;
   capacity : int;  (** total retained flight records across all stripes *)
   stripes : int;  (** ring lock stripes; clamped into [1, capacity] *)
   slow_quantile : float;
@@ -39,18 +38,11 @@ type config = {
 }
 
 val default_config : config
-(** Enabled; 256 records over 8 stripes; slow quantile 0.95 after 32
-    samples. *)
-
-val disabled : config
-(** [default_config] with [enabled = false]: {!admit} returns [None]
-    and the serving path records nothing. *)
+(** 256 records over 8 stripes; slow quantile 0.95 after 32 samples. *)
 
 type t
 
 val create : ?config:config -> unit -> t
-
-val enabled : t -> bool
 
 val capacity : t -> int
 (** Actual retained-record capacity after stripe rounding. *)
@@ -67,9 +59,8 @@ val admit :
   cache_hit:bool ->
   est_cost:float ->
   unit ->
-  Flight.t option
-(** Register an admitted query; [None] when telemetry is disabled. The
-    flight carries its own span tracer unless [external_tracer] is set
+  Flight.t
+(** Register an admitted query. The flight carries its own span tracer unless [external_tracer] is set
     (the server already attached an explicit {!Qs_util.Span} recorder —
     that one wins, and phase rollups come from it being threaded
     through execution instead). *)

@@ -70,7 +70,7 @@ type pending = {
   p_cancel : Cancel.t option;
   p_submitted : float;
   p_cell : result option Atomic.t;
-  p_flight : Flight.t option; (* telemetry collector, when enabled *)
+  p_flight : Flight.t; (* telemetry collector *)
 }
 
 type ticket = result option Atomic.t
@@ -136,7 +136,7 @@ let expired deadline = match deadline with Some d -> Timer.now () > d | None -> 
 let spans_for t (p : pending) =
   match t.spans with
   | Some _ -> t.spans
-  | None -> Option.bind p.p_flight Flight.spans
+  | None -> Flight.spans p.p_flight
 
 (* Execute one query on the current domain (a pool worker, or a caller
    helping via [help_until]). Either the cached physical plan directly,
@@ -159,7 +159,7 @@ let execute t (p : pending) =
           let ctx =
             Strategy.make_ctx ~deadline:p.p_deadline ?cancel:p.p_cancel
               ?spans:(spans_for t p) ~dp_memo
-              ?flight:p.p_flight t.registry t.estimator
+              ~flight:p.p_flight t.registry t.estimator
           in
           let outcome = strat.Strategy.run ctx q in
           if outcome.Strategy.timed_out then `Timed_out
@@ -209,21 +209,15 @@ let finish t (p : pending) (entry : pending Scheduler.entry) ~started
       cache_hit = p.p_cache_hit;
     }
   in
-  (match p.p_flight with
-  | Some fl ->
-      let bp_after = bufpool_stats () in
-      ignore
-        (Telemetry.complete t.telem fl ~status:(flight_status status)
-           ~row_count ~queue_wait:result.queue_wait
-           ~exec_time:result.exec_time
-           ~faults:
-             (max 0
-                (bp_after.Buffer_pool.misses - bp_before.Buffer_pool.misses))
-           ~bypasses:
-             (max 0
-                (bp_after.Buffer_pool.bypasses
-                - bp_before.Buffer_pool.bypasses)))
-  | None -> ());
+  let bp_after = bufpool_stats () in
+  ignore
+    (Telemetry.complete t.telem p.p_flight ~status:(flight_status status)
+       ~row_count ~queue_wait:result.queue_wait ~exec_time:result.exec_time
+       ~faults:
+         (max 0 (bp_after.Buffer_pool.misses - bp_before.Buffer_pool.misses))
+       ~bypasses:
+         (max 0
+            (bp_after.Buffer_pool.bypasses - bp_before.Buffer_pool.bypasses)));
   with_lock t (fun () -> t.results_rev <- result :: t.results_rev);
   Atomic.set p.p_cell (Some result);
   ignore (Atomic.fetch_and_add t.in_flight (-1));
@@ -276,9 +270,7 @@ let rec dispatch t =
 and run_entry t (entry : pending Scheduler.entry) =
   let p = entry.Scheduler.payload in
   let started = Timer.now () in
-  (match p.p_flight with
-  | Some fl -> Telemetry.dispatch t.telem fl
-  | None -> ());
+  Telemetry.dispatch t.telem p.p_flight;
   let bp_before = bufpool_stats () in
   Span.add t.spans Span.Serve "queue-wait" ~start:p.p_submitted
     ~dur:(started -. p.p_submitted)

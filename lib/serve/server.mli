@@ -63,8 +63,7 @@ type config = {
           {!start} — used by the scheduler tests to fix the decision
           order. *)
   telemetry : Qs_obs.Telemetry.config;
-      (** the always-on flight recorder; [Telemetry.disabled] turns the
-          serving path's telemetry off entirely *)
+      (** sizing and tail sampling of the always-on flight recorder *)
 }
 
 val default_config : config

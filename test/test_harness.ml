@@ -97,27 +97,33 @@ let test_warm_flags () =
 
 let test_parallel_run_matches_sequential () =
   (* same env, same queries: fanning cells across domains must not change
-     results (digests) or merged metric counters — only wall-clock *)
+     results (digests) or merged metric counters — only wall-clock — for
+     any of the re-optimizers *)
   let qs = queries () in
-  let seq = Runner.run_spj ~timeout:20.0 (small_env ()) Algos.querysplit qs in
-  let par = Runner.run_spj ~timeout:20.0 ~domains:2 (small_env ()) Algos.querysplit qs in
-  Alcotest.(check int) "same cardinality" (List.length seq) (List.length par);
-  List.iter2
-    (fun (a : Runner.qresult) (b : Runner.qresult) ->
-      Alcotest.(check string) "query order preserved" a.Runner.query b.Runner.query;
-      Alcotest.(check string) ("digest of " ^ a.Runner.query) a.Runner.digest
-        b.Runner.digest;
-      Alcotest.(check int) "materializations" a.Runner.mats b.Runner.mats)
-    seq par;
-  let ms = Runner.metrics_of_results seq and mp = Runner.metrics_of_results par in
-  let module Metrics = Qs_obs.Metrics in
-  Alcotest.(check (list string)) "counter names" (Metrics.counter_names ms)
-    (Metrics.counter_names mp);
   List.iter
-    (fun name ->
-      Alcotest.(check int) ("counter " ^ name) (Metrics.counter ms name)
-        (Metrics.counter mp name))
-    (Metrics.counter_names ms)
+    (fun algo ->
+      let seq = Runner.run_spj ~timeout:20.0 (small_env ()) algo qs in
+      let par = Runner.run_spj ~timeout:20.0 ~domains:2 (small_env ()) algo qs in
+      let label = algo.Runner.label in
+      Alcotest.(check int) "same cardinality" (List.length seq) (List.length par);
+      List.iter2
+        (fun (a : Runner.qresult) (b : Runner.qresult) ->
+          Alcotest.(check string) "query order preserved" a.Runner.query b.Runner.query;
+          Alcotest.(check string)
+            (label ^ ": digest of " ^ a.Runner.query)
+            a.Runner.digest b.Runner.digest;
+          Alcotest.(check int) (label ^ ": materializations") a.Runner.mats b.Runner.mats)
+        seq par;
+      let ms = Runner.metrics_of_results seq and mp = Runner.metrics_of_results par in
+      let module Metrics = Qs_obs.Metrics in
+      Alcotest.(check (list string)) (label ^ ": counter names") (Metrics.counter_names ms)
+        (Metrics.counter_names mp);
+      List.iter
+        (fun name ->
+          Alcotest.(check int) (label ^ ": counter " ^ name) (Metrics.counter ms name)
+            (Metrics.counter mp name))
+        (Metrics.counter_names ms))
+    Algos.reopt_roster
 
 let suite =
   [

@@ -36,7 +36,7 @@ let test_all_policy_combinations () =
     (fun qsa ->
       List.iter
         (fun ssa ->
-          let got = run_qs ~config:{ Querysplit.default_config with Querysplit.qsa; ssa } ctx q in
+          let got = run_qs ~config:{ Querysplit.qsa; ssa } ctx q in
           if not (Fixtures.tables_equal expected got) then
             Alcotest.failf "mismatch under %s/%s" (Qsa.policy_name qsa)
               (Ssa.policy_name ssa))
@@ -138,7 +138,7 @@ let qcheck_theorem1 =
       let q = Fixtures.random_shop_query rng in
       let qsa = List.nth Qsa.all_policies qsa_i in
       let ssa = List.nth (Ssa.all_phi @ [ Ssa.Global_deep ]) ssa_i in
-      let got = run_qs ~config:{ Querysplit.default_config with Querysplit.qsa; ssa } ctx q in
+      let got = run_qs ~config:{ Querysplit.qsa; ssa } ctx q in
       Fixtures.tables_equal (truth ctx q) got)
 
 (* Theorem 1 on the JOB-like workload against the Cinema data *)

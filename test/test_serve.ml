@@ -174,18 +174,19 @@ let test_pick_order_deterministic () =
     Alcotest.(check (list int)) "picked by (cost,id)" by_cost (List.rev !picked)
   done
 
-(* FIFO and cost-aware must produce identical result digests while
-   releasing the queue in different orders. Admission is done on a paused
-   server so both policies see the same fully-built queue. *)
+(* FIFO and cost-aware must produce identical result digests, at one
+   and two concurrent queries, while releasing the queue in different
+   orders. Admission is done on a paused server so both policies see the
+   same fully-built queue. *)
 let test_policy_digest_equivalence () =
   let cat, registry = shop_env ~n_orders:600 () in
   let queries = Fuzz.queries cat ~seed:11 ~n:10 () in
-  let run policy =
-    Pool.with_pool ~domains:1 (fun pool ->
+  let run ?(width = 1) policy =
+    Pool.with_pool ~domains:width (fun pool ->
         let config =
           {
             Server.default_config with
-            Server.concurrency = 1;
+            Server.concurrency = width;
             policy;
             aging_rounds = 1000;
             autostart = false;
@@ -208,6 +209,12 @@ let test_policy_digest_equivalence () =
   let ca_digests, ca_order = run Scheduler.Cost_aware in
   Alcotest.(check (list (pair string (option string))))
     "identical digests under both policies" fifo_digests ca_digests;
+  List.iter
+    (fun policy ->
+      Alcotest.(check (list (pair string (option string))))
+        "identical digests at width 2" fifo_digests
+        (fst (run ~width:2 policy)))
+    [ Scheduler.Fifo; Scheduler.Cost_aware ];
   Alcotest.(check (list int))
     "fifo releases in admission order"
     (List.init (List.length queries) Fun.id)

@@ -1,15 +1,14 @@
 (* The span-tracing subsystem: recorder semantics (nesting, disabled
    passthrough, per-domain tracks), the Chrome trace_event exporter
-   (validated with the Metrics_diff JSON parser), the deterministic
-   profile summary, span emission from the optimizer / pool / executor,
-   and the bench_diff comparison logic. *)
+   (validated with the Json_parse reference parser), the deterministic
+   profile summary, and span emission from the optimizer / pool /
+   executor. *)
 
 module Span = Qs_util.Span
 module Pool = Qs_util.Pool
 module Timer = Qs_util.Timer
 module Chrome_trace = Qs_obs.Chrome_trace
 module Profile = Qs_obs.Profile
-module Metrics_diff = Qs_obs.Metrics_diff
 module Estimator = Qs_stats.Estimator
 module Optimizer = Qs_plan.Optimizer
 module Physical = Qs_plan.Physical
@@ -193,24 +192,24 @@ let test_chrome_trace_valid () =
   ignore (Pool.with_pool ~tracer:t ~domains:2 (fun p -> Pool.map p succ [ 1; 2; 3 ]));
   let json = Chrome_trace.to_json t in
   let parsed =
-    match Metrics_diff.parse json with
+    match Json_parse.parse json with
     | Ok j -> j
     | Error m -> Alcotest.failf "trace is not valid JSON: %s" m
   in
   let events =
     match parsed with
-    | Metrics_diff.List l -> l
+    | Json_parse.List l -> l
     | _ -> Alcotest.fail "trace must be a JSON array"
   in
   let field name = function
-    | Metrics_diff.Obj fields -> List.assoc_opt name fields
+    | Json_parse.Obj fields -> List.assoc_opt name fields
     | _ -> None
   in
   let xs =
-    List.filter (fun e -> field "ph" e = Some (Metrics_diff.Str "X")) events
+    List.filter (fun e -> field "ph" e = Some (Json_parse.Str "X")) events
   in
   let metas =
-    List.filter (fun e -> field "ph" e = Some (Metrics_diff.Str "M")) events
+    List.filter (fun e -> field "ph" e = Some (Json_parse.Str "M")) events
   in
   Alcotest.(check int) "one complete event per span" (Span.count t)
     (List.length xs);
@@ -219,7 +218,7 @@ let test_chrome_trace_valid () =
   (* every track referenced by an event has a thread_name metadata event *)
   let num name e =
     match field name e with
-    | Some (Metrics_diff.Num v) -> v
+    | Some (Json_parse.Num v) -> v
     | _ -> Alcotest.failf "event missing numeric %s" name
   in
   let meta_tids = List.map (num "tid") metas in
@@ -243,9 +242,9 @@ let test_chrome_trace_valid () =
     List.map
       (fun e ->
         match field "args" e with
-        | Some (Metrics_diff.Obj args) -> (
+        | Some (Json_parse.Obj args) -> (
             match List.assoc_opt "id" args with
-            | Some (Metrics_diff.Str s) -> s
+            | Some (Json_parse.Str s) -> s
             | _ -> Alcotest.fail "args.id missing")
         | _ -> Alcotest.fail "args missing")
       xs
@@ -325,96 +324,6 @@ let test_profile_querysplit_journal () =
   Alcotest.(check bool) "est vs actual rendered" true
     (Str_helpers.contains summary " est=" && Str_helpers.contains summary " actual=")
 
-(* --- metrics-diff (bench_diff logic) ----------------------------------- *)
-
-let dump entries =
-  let strategy (label, counters, mean) =
-    Printf.sprintf
-      "%S: {\"counters\": {%s}, \"histograms\": {\"query_time_s\": {\"count\": 2, \
-       \"sum\": %g, \"mean\": %g, \"min\": 0.0, \"max\": %g, \"p50\": %g, \
-       \"p90\": %g, \"p95\": %g, \"p99\": %g}}}"
-      label
-      (String.concat ", "
-         (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) counters))
-      (2.0 *. mean) mean mean mean mean mean mean
-  in
-  "{" ^ String.concat ", " (List.map strategy entries) ^ "}"
-
-let parse_exn text =
-  match Metrics_diff.parse text with
-  | Ok j -> j
-  | Error m -> Alcotest.failf "parse: %s" m
-
-let test_metrics_diff_regression () =
-  let old_ = parse_exn (dump [ ("QS", [ ("queries", 6); ("timeouts", 0) ], 1.0) ]) in
-  let new_ = parse_exn (dump [ ("QS", [ ("queries", 6); ("timeouts", 2) ], 1.5) ]) in
-  let r = Metrics_diff.diff ~old_ ~new_ () in
-  Alcotest.(check int) "two regressions" 2
-    (List.length r.Metrics_diff.regressions);
-  Alcotest.(check (list string)) "no missing" [] r.Metrics_diff.missing;
-  Alcotest.(check int) "no improvements" 0
-    (List.length r.Metrics_diff.improvements);
-  let metrics =
-    List.sort compare
-      (List.map (fun c -> c.Metrics_diff.metric) r.Metrics_diff.regressions)
-  in
-  Alcotest.(check (list string)) "which metrics"
-    [ "counter:timeouts"; "histogram:query_time_s mean" ]
-    metrics;
-  Alcotest.(check bool) "report renders regressions" true
-    (Str_helpers.contains (Metrics_diff.render r) "regressions")
-
-let test_metrics_diff_improvement_and_threshold () =
-  let old_ = parse_exn (dump [ ("QS", [ ("queries", 6) ], 2.0) ]) in
-  let better = parse_exn (dump [ ("QS", [ ("queries", 6) ], 1.0) ]) in
-  let r = Metrics_diff.diff ~old_ ~new_:better () in
-  Alcotest.(check int) "improvement, not regression" 0
-    (List.length r.Metrics_diff.regressions);
-  Alcotest.(check int) "one improvement" 1
-    (List.length r.Metrics_diff.improvements);
-  (* a 10% slowdown is inside the default 20% threshold, outside 5% *)
-  let slower = parse_exn (dump [ ("QS", [ ("queries", 6) ], 2.2) ]) in
-  let within = Metrics_diff.diff ~old_ ~new_:slower () in
-  Alcotest.(check int) "within default threshold" 0
-    (List.length within.Metrics_diff.regressions);
-  let strict = Metrics_diff.diff ~threshold:0.05 ~old_ ~new_:slower () in
-  Alcotest.(check int) "beyond strict threshold" 1
-    (List.length strict.Metrics_diff.regressions)
-
-let test_metrics_diff_missing_and_workload_size () =
-  let old_ =
-    parse_exn (dump [ ("A", [ ("queries", 6) ], 1.0); ("B", [ ("queries", 6) ], 1.0) ])
-  in
-  (* B vanished; A changed workload size — both must land in [missing] *)
-  let new_ = parse_exn (dump [ ("A", [ ("queries", 9) ], 1.0) ]) in
-  let r = Metrics_diff.diff ~old_ ~new_ () in
-  Alcotest.(check bool) "workload size change flagged" true
-    (List.exists (fun m -> Str_helpers.contains m "queries") r.Metrics_diff.missing);
-  Alcotest.(check bool) "vanished strategy flagged" true
-    (List.exists (fun m -> Str_helpers.contains m "B") r.Metrics_diff.missing);
-  (* extra strategies/metrics in the new dump are not a regression *)
-  let wider =
-    parse_exn (dump [ ("A", [ ("queries", 6) ], 1.0); ("B", [ ("queries", 6) ], 1.0);
-                      ("C", [ ("queries", 6) ], 9.0) ])
-  in
-  let ok = Metrics_diff.diff ~old_ ~new_:wider () in
-  Alcotest.(check (list string)) "extra entries ignored" [] ok.Metrics_diff.missing;
-  Alcotest.(check int) "no regressions from extras" 0
-    (List.length ok.Metrics_diff.regressions)
-
-let test_metrics_diff_parser () =
-  (match Metrics_diff.parse "{\"a\": [1, true, null, \"x\\u00e9\"]}" with
-  | Ok (Metrics_diff.Obj [ ("a", Metrics_diff.List l) ]) ->
-      Alcotest.(check int) "list arity" 4 (List.length l)
-  | Ok _ -> Alcotest.fail "wrong shape"
-  | Error m -> Alcotest.failf "parse: %s" m);
-  List.iter
-    (fun bad ->
-      match Metrics_diff.parse bad with
-      | Ok _ -> Alcotest.failf "accepted invalid JSON %s" bad
-      | Error _ -> ())
-    [ "{"; "[1,]"; "{\"a\" 1}"; "nope"; "{} trailing"; "\"unterminated" ]
-
 let suite =
   [
     Alcotest.test_case "span nesting + parents" `Quick test_span_nesting;
@@ -435,11 +344,5 @@ let suite =
     Alcotest.test_case "profile summary golden" `Quick test_profile_golden;
     Alcotest.test_case "querysplit reopt journal" `Quick
       test_profile_querysplit_journal;
-    Alcotest.test_case "metrics diff: regressions" `Quick
-      test_metrics_diff_regression;
-    Alcotest.test_case "metrics diff: improvements + threshold" `Quick
-      test_metrics_diff_improvement_and_threshold;
-    Alcotest.test_case "metrics diff: missing + workload size" `Quick
-      test_metrics_diff_missing_and_workload_size;
-    Alcotest.test_case "metrics diff: parser" `Quick test_metrics_diff_parser;
+    Alcotest.test_case "json parser" `Quick Json_parse.test_parser;
   ]

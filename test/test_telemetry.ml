@@ -20,10 +20,9 @@ module Fuzz = Qs_workload.Fuzz
 let fly t ~id ~session ?(status = Flight.Completed) ?(queue_wait = 0.0)
     ?(exec_time = 0.0) () =
   let fl =
-    Option.get
-      (Telemetry.admit t ~id ~session
-         ~statement:("q" ^ string_of_int id)
-         ~strategy:"s" ~cache_hit:false ~est_cost:1.0 ())
+    Telemetry.admit t ~id ~session
+      ~statement:("q" ^ string_of_int id)
+      ~strategy:"s" ~cache_hit:false ~est_cost:1.0 ()
   in
   Telemetry.dispatch t fl;
   Telemetry.complete t fl ~status ~row_count:id ~queue_wait ~exec_time
@@ -107,19 +106,6 @@ let test_overwrite_oldest_single_writer () =
     [ 12; 13; 14; 15; 16; 17; 18; 19 ]
     (List.map (fun (r : Flight.record) -> r.Flight.r_seq) s.Telemetry.s_recent)
 
-let test_disabled_records_nothing () =
-  let t = Telemetry.create ~config:Telemetry.disabled () in
-  (match
-     Telemetry.admit t ~id:0 ~session:"s" ~statement:"q" ~strategy:"s"
-       ~cache_hit:false ~est_cost:1.0 ()
-   with
-  | None -> ()
-  | Some _ -> Alcotest.fail "disabled telemetry admitted a flight");
-  let s = Telemetry.snapshot t in
-  Alcotest.(check int) "nothing admitted" 0 s.Telemetry.s_admitted;
-  Alcotest.(check int) "nothing retained" 0
-    (List.length s.Telemetry.s_recent)
-
 (* --- tail sampling ----------------------------------------------------- *)
 
 let test_tail_sampling () =
@@ -153,7 +139,43 @@ let test_tail_sampling () =
   Alcotest.(check bool) "fast success dropped" false fast.Flight.r_sampled;
   let s = Telemetry.snapshot t in
   Alcotest.(check int) "sampled counter" 1
-    (List.assoc "sampled" s.Telemetry.s_counters)
+    (List.assoc "sampled" s.Telemetry.s_counters);
+  (* through a server: dead-on-arrival deadlines among a served stream
+     end as error flights, and every one of them is sampled *)
+  let cat = Fixtures.shop_catalog ~n_orders:400 () in
+  let registry = Stats_registry.create cat in
+  let queries = Array.of_list (Fuzz.queries cat ~seed:424 ~n:8 ()) in
+  let snap =
+    Pool.with_pool ~domains:2 (fun pool ->
+        let config =
+          {
+            Server.default_config with
+            Server.telemetry =
+              { Telemetry.default_config with Telemetry.min_samples = 4 };
+          }
+        in
+        let server = Server.create ~config ~pool registry Estimator.default in
+        for i = 0 to 39 do
+          let deadline = if i mod 5 = 0 then Some 0.0 else None in
+          ignore
+            (Server.submit server
+               ~session:("s" ^ string_of_int (i mod 4))
+               ?deadline
+               queries.(i mod Array.length queries))
+        done;
+        Server.drain server;
+        Server.telemetry_snapshot server)
+  in
+  let errors =
+    List.filter
+      (fun (r : Flight.record) -> r.Flight.r_status <> Flight.Completed)
+      snap.Telemetry.s_recent
+  in
+  Alcotest.(check int) "served error flights" 8 (List.length errors);
+  List.iter
+    (fun (r : Flight.record) ->
+      Alcotest.(check bool) "served error flight sampled" true r.Flight.r_sampled)
+    errors
 
 (* a sampled flight retains the spans its own tracer recorded; an
    unsampled one keeps only the rollup *)
@@ -161,9 +183,8 @@ let test_sampled_flights_keep_span_trees () =
   let t = Telemetry.create () in
   let run ~status =
     let fl =
-      Option.get
-        (Telemetry.admit t ~id:0 ~session:"s" ~statement:"q" ~strategy:"s"
-           ~cache_hit:false ~est_cost:1.0 ())
+      Telemetry.admit t ~id:0 ~session:"s" ~statement:"q" ~strategy:"s"
+        ~cache_hit:false ~est_cost:1.0 ()
     in
     Telemetry.dispatch t fl;
     let t0 = Qs_util.Timer.now () in
@@ -303,8 +324,6 @@ let suite =
       test_ring_concurrent_writers;
     Alcotest.test_case "ring overwrites oldest in completion order" `Quick
       test_overwrite_oldest_single_writer;
-    Alcotest.test_case "disabled telemetry records nothing" `Quick
-      test_disabled_records_nothing;
     Alcotest.test_case "tail sampling: errors always, successes by quantile"
       `Quick test_tail_sampling;
     Alcotest.test_case "sampled flights keep span trees" `Quick
