@@ -798,7 +798,7 @@ let columnar_metrics_entry _s =
     Table.iter_chunk_data
       (fun _ c -> ser := !ser + Chunk_file.ser_chunk_size c)
       tbl;
-    ( Runner.result_digest filtered ^ Runner.result_digest agged,
+    ( Table.digest filtered ^ Table.digest agged,
       Table.n_rows filtered,
       vec,
       !ser,

@@ -66,11 +66,6 @@ type qresult = {
   dp_memo_misses : int;
 }
 
-(* Canonical multiset digest of a result table; the implementation lives
-   in [Table.digest] so the serving layer (which cannot depend on the
-   harness) shares the exact same bytes. *)
-let result_digest = Table.digest
-
 (* Wrap an estimator so the time spent estimating is accounted separately
    from engine time; the deadline is pushed forward by the same amount so
    oracle-backed estimators cannot eat the query's execution budget. *)
@@ -145,7 +140,7 @@ let run_one ~collect_stats ~timeout ?tracer env algo runner name =
     mats;
     mat_bytes;
     iterations = outcome.Strategy.iterations;
-    digest = result_digest outcome.Strategy.result;
+    digest = Table.digest outcome.Strategy.result;
     dp_memo_hits = Qs_plan.Dp_memo.hits dp_memo;
     dp_memo_misses = Qs_plan.Dp_memo.misses dp_memo;
   }

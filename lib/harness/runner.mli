@@ -44,7 +44,7 @@ type qresult = {
   mat_bytes : int;
   iterations : Strategy.iteration list;
   digest : string;
-      (** canonical multiset digest of the result table — row- and
+      (** {!Qs_storage.Table.digest} of the result table — row- and
           column-order independent, so sequential and parallel runs can
           be compared byte-for-byte *)
   dp_memo_hits : int;
@@ -53,10 +53,6 @@ type qresult = {
           from their second optimize call on) *)
   dp_memo_misses : int;
 }
-
-val result_digest : Qs_storage.Table.t -> string
-(** The canonical multiset digest used for [qresult.digest] (exposed for
-    the differential tests). *)
 
 val run_spj : ?collect_stats:bool -> ?timeout:float -> ?domains:int ->
   ?tracer:Qs_util.Span.t -> env -> algo ->

@@ -44,7 +44,9 @@
     registry); without it the cached physical plan is executed directly
     — the statement-cache fast path. Each query runs on the one domain
     that picked it up; completed digests are byte-identical to
-    single-session execution. *)
+    single-session execution. The {!Qs_storage.Table.digest} of a
+    completed query is computed inside its execution window, so it is
+    part of [exec_time] and of the traced [server] layer. *)
 
 module Query = Qs_query.Query
 module Estimator = Qs_stats.Estimator

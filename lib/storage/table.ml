@@ -235,28 +235,42 @@ let reschema ~name ~schema t =
          (Schema.arity schema) (Schema.arity t.schema));
   { t with name; schema }
 
-(* Canonical multiset digest: rows rendered with columns in sorted-id
-   order, then sorted — invariant under row and column order, so
-   harness, served and out-of-core runs of the same query
-   compare byte-for-byte (chunk-file serialization round-trips values
-   exactly, floats through their IEEE bits). *)
+(* One pass, no sort: the wrapping sums of the per-row MD5s ignore row
+   order but count multiplicity. Every NaN is hashed as one canonical
+   NaN because [Value.compare] treats all NaNs as equal; [-0.0] and
+   [0.0] keep their distinct bits. *)
 let digest t =
   let order =
     Array.to_list t.schema
     |> List.mapi (fun i c -> (Schema.column_id c, i))
     |> List.sort compare
   in
-  let rows =
-    fold
-      (fun acc row ->
-        String.concat "\x00"
-          (List.map (fun (_, i) -> Value.to_string row.(i)) order)
-        :: acc)
-      [] t
-    |> List.sort compare
-  in
-  let header = String.concat "\x00" (List.map fst order) in
-  Digest.to_hex (Digest.string (String.concat "\x01" (header :: rows)))
+  let cols = Array.of_list (List.map snd order) in
+  let buf = Buffer.create 256 in
+  let lo = ref 0L and hi = ref 0L in
+  iter
+    (fun row ->
+      Buffer.clear buf;
+      for k = 0 to Array.length cols - 1 do
+        match row.(cols.(k)) with
+        | Value.Float f when Float.is_nan f ->
+            Chunk_file.put_value buf (Value.Float Float.nan)
+        | v -> Chunk_file.put_value buf v
+      done;
+      let h = Digest.string (Buffer.contents buf) in
+      lo := Int64.add !lo (String.get_int64_le h 0);
+      hi := Int64.add !hi (String.get_int64_le h 8))
+    t;
+  Buffer.clear buf;
+  List.iter
+    (fun (id, _) ->
+      Buffer.add_int32_be buf (Int32.of_int (String.length id));
+      Buffer.add_string buf id)
+    order;
+  Buffer.add_int64_be buf (Int64.of_int (n_rows t));
+  Buffer.add_int64_be buf !lo;
+  Buffer.add_int64_be buf !hi;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let pp_sample ?(limit = 10) fmt t =
   Format.fprintf fmt "table %s (%d rows): %a@." t.name (n_rows t) Schema.pp t.schema;

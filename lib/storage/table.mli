@@ -166,11 +166,21 @@ val reschema : name:string -> schema:Schema.t -> t -> t
     (column flattening). *)
 
 val digest : t -> string
-(** Canonical multiset digest (hex MD5): rows rendered with columns in
-    sorted-id order, then sorted, so the digest is invariant under row
-    and column order. Two tables holding the same multiset of rows over
-    the same column ids digest identically regardless of how they were
-    produced (harness, served or out-of-core execution). *)
+(** Canonical multiset digest (32 hex characters), computed in one
+    pass with no sort. Each row is encoded with
+    {!Chunk_file.put_value}, columns in sorted-id order, and MD5'd; the
+    two 64-bit halves of the row hashes are summed with wraparound. The
+    digest is the MD5 of the length-prefixed column ids, the row count
+    and the two sums.
+
+    It is invariant under row order, column order and chunking, and
+    counts multiplicity: two tables holding the same multiset of rows
+    over the same column ids digest identically regardless of how they
+    were produced (harness, served or out-of-core execution). It is
+    exact on values: [Int 1], [Float 1.0] and [Str "1"] differ, floats
+    are compared by their bits ([-0.0] differs from [0.0]) except that
+    every NaN counts as one NaN, and strings are length-prefixed, so
+    no byte inside one can shift a column or row boundary. *)
 
 val pp_sample : ?limit:int -> Format.formatter -> t -> unit
 (** Debug/demo printer: schema plus the first [limit] rows (default 10). *)

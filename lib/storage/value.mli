@@ -31,6 +31,10 @@ val byte_size : t -> int
     memory accounting (Table 4). *)
 
 val to_string : t -> string
+(** Display rendering (floats with [%g]) for samples, EXPLAIN and error
+    messages. Not injective — [Int 1] and [Str "1"] print alike — so
+    nothing compares results through it: {!Table.digest} hashes the
+    binary encoding of {!Chunk_file.put_value}. *)
 
 val pp : Format.formatter -> t -> unit
 

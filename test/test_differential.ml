@@ -260,11 +260,11 @@ let test_traced_corpus_observation_only () =
         let plan = (Optimizer.optimize cat Estimator.default frag).Optimizer.plan in
         let plain, _ = Executor.run plan in
         let traced, _ = Executor.run ~spans:tracer plan in
-        if Runner.result_digest plain <> Runner.result_digest traced then
+        if Table.digest plain <> Table.digest traced then
           Alcotest.failf "%s: executor digest changes under tracing" q.Query.name;
         let a = (qs.Strategy.run ctx q).Strategy.result in
         let b = (qs.Strategy.run ctx_traced q).Strategy.result in
-        if Runner.result_digest a <> Runner.result_digest b then
+        if Table.digest a <> Table.digest b then
           Alcotest.failf "%s: querysplit digest changes under tracing" q.Query.name
       end)
     queries;

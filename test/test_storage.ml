@@ -181,6 +181,123 @@ let test_index_configs () =
     (Catalog.find_index cat ~table:"emp" ~column:"dept_id" <> None);
   Alcotest.(check bool) "config recorded" true (Catalog.index_config cat = Some Catalog.Pk_fk)
 
+(* --- the Table.digest contract ----------------------------------------- *)
+
+let digest_rows ?(chunk_rows = 64) cols rows =
+  let schema = Schema.make "d" (List.map (fun c -> (c, Value.TStr)) cols) in
+  Table.digest (Table.of_rows ~chunk_rows ~name:"d" ~schema rows)
+
+let one v = digest_rows [ "a" ] [ [| v |] ]
+
+let check_differ what a b =
+  if a = b then Alcotest.failf "%s: digests collide (%s)" what a
+
+let test_digest_exact_values () =
+  check_differ "Int 1 / Float 1.0" (one (Value.Int 1)) (one (Value.Float 1.0));
+  check_differ "Int 1 / Str 1" (one (Value.Int 1)) (one (Value.Str "1"));
+  check_differ "Float 1.0 / Str 1" (one (Value.Float 1.0)) (one (Value.Str "1"));
+  check_differ "Null / Str NULL" (one Value.Null) (one (Value.Str "NULL"));
+  check_differ "Bool true / Str true" (one (Value.Bool true)) (one (Value.Str "true"));
+  check_differ "0.1 + 0.2 / 0.3" (one (Value.Float (0.1 +. 0.2))) (one (Value.Float 0.3));
+  check_differ "1.0000001 / 1.0000002"
+    (one (Value.Float 1.0000001))
+    (one (Value.Float 1.0000002));
+  check_differ "-0.0 / 0.0" (one (Value.Float (-0.0))) (one (Value.Float 0.0))
+
+let test_digest_string_boundaries () =
+  let two a b = [| Value.Str a; Value.Str b |] in
+  check_differ "NUL across columns"
+    (digest_rows [ "a"; "b" ] [ two "a\x00b" "c" ])
+    (digest_rows [ "a"; "b" ] [ two "a" "b\x00c" ]);
+  check_differ "\\x01 across rows"
+    (digest_rows [ "a" ] [ [| Value.Str "x\x01y" |] ])
+    (digest_rows [ "a" ] [ [| Value.Str "x" |]; [| Value.Str "y" |] ])
+
+let test_digest_multiplicity () =
+  let r = [| Value.Int 1 |] and s = [| Value.Int 2 |] in
+  check_differ "{r, r, s} / {r, s, s}"
+    (digest_rows [ "a" ] [ r; r; s ])
+    (digest_rows [ "a" ] [ r; s; s ]);
+  check_differ "{r, r} / {r}" (digest_rows [ "a" ] [ r; r ]) (digest_rows [ "a" ] [ r ])
+
+let test_digest_canonical_nan () =
+  let nan_of bits = Value.Float (Int64.float_of_bits bits) in
+  let quiet = one (Value.Float Float.nan) in
+  List.iter
+    (fun bits ->
+      Alcotest.(check bool) (Printf.sprintf "%Lx is NaN" bits) true
+        (Float.is_nan (Int64.float_of_bits bits));
+      Alcotest.(check string) (Printf.sprintf "NaN %Lx" bits) quiet (one (nan_of bits)))
+    [ 0x7FF8_0000_0000_0001L; 0x7FF0_0000_0000_0BADL; 0xFFF8_0000_0000_0000L ]
+
+let test_digest_order_invariant () =
+  let rows =
+    List.init 10 (fun i -> [| Value.Int (i mod 4); Value.Str (string_of_int i) |])
+  in
+  let d = digest_rows [ "a"; "b" ] rows in
+  Alcotest.(check string) "reversed rows" d (digest_rows [ "a"; "b" ] (List.rev rows));
+  List.iter
+    (fun chunk_rows ->
+      Alcotest.(check string)
+        (Printf.sprintf "chunk_rows %d" chunk_rows)
+        d
+        (digest_rows ~chunk_rows [ "a"; "b" ] rows))
+    [ 1; 3; 10 ];
+  Alcotest.(check string) "columns permuted" d
+    (digest_rows [ "b"; "a" ] (List.map (fun r -> [| r.(1); r.(0) |]) rows))
+
+let test_digest_empty_tables () =
+  check_differ "empty over different column ids" (digest_rows [ "a" ] [])
+    (digest_rows [ "b" ] [])
+
+(* Every value kind and every column encoding — ints with NULLs, floats
+   with NaN / -0.0, dictionary strings holding NUL and \x01, bools and a
+   mixed-type column that falls back to boxed values — resident as rows
+   against spilled as column-major frames. *)
+let test_digest_resident_vs_spilled () =
+  let rows =
+    List.init 11 (fun i ->
+        [|
+          (if i mod 3 = 0 then Value.Null else Value.Int (i - 5));
+          Value.Float
+            (match i mod 4 with 0 -> Float.nan | 1 -> -0.0 | 2 -> 0.0 | _ -> 1.0 /. float i);
+          Value.Str (if i mod 2 = 0 then "a\x00b" else "c\x01");
+          Value.Bool (i mod 2 = 0);
+          (if i mod 2 = 0 then Value.Int i else Value.Str (string_of_int i));
+        |])
+  in
+  let schema =
+    Schema.make "d"
+      [
+        ("i", Value.TInt); ("f", Value.TFloat); ("s", Value.TStr); ("b", Value.TBool);
+        ("m", Value.TStr);
+      ]
+  in
+  let build () = Table.of_rows ~chunk_rows:4 ~name:"d" ~schema rows in
+  let resident = build () in
+  let dir = Filename.temp_file "qs_digest" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let saved = Table.spill_config () in
+  Fun.protect
+    ~finally:(fun () ->
+      Table.set_spill saved;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      Table.set_spill (Some (dir, Qs_storage.Buffer_pool.create ~capacity:1 ()));
+      let spilled = build () in
+      Alcotest.(check bool) "spilled" true (Table.spilled spilled);
+      Table.iter_chunk_data
+        (fun ci c ->
+          Alcotest.(check bool)
+            (Printf.sprintf "frame %d columnar" ci)
+            true
+            (Qs_storage.Chunk.columnar c <> None))
+        spilled;
+      Alcotest.(check string) "resident = spilled" (Table.digest resident)
+        (Table.digest spilled))
+
 let suite =
   [
     Alcotest.test_case "schema find" `Quick test_schema_find;
@@ -199,4 +316,11 @@ let suite =
     Alcotest.test_case "catalog basics" `Quick test_catalog_basics;
     Alcotest.test_case "duplicate table" `Quick test_catalog_duplicate_table;
     Alcotest.test_case "index configurations" `Quick test_index_configs;
+    Alcotest.test_case "digest exact values" `Quick test_digest_exact_values;
+    Alcotest.test_case "digest string boundaries" `Quick test_digest_string_boundaries;
+    Alcotest.test_case "digest multiplicity" `Quick test_digest_multiplicity;
+    Alcotest.test_case "digest canonical NaN" `Quick test_digest_canonical_nan;
+    Alcotest.test_case "digest order invariant" `Quick test_digest_order_invariant;
+    Alcotest.test_case "digest empty tables" `Quick test_digest_empty_tables;
+    Alcotest.test_case "digest resident = spilled" `Quick test_digest_resident_vs_spilled;
   ]
