@@ -46,7 +46,7 @@ let run ctx (q : Query.t) =
   in
   let table, _ =
     Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel
-      ?spans:ctx.Strategy.spans plan
+      ?spans:ctx.Strategy.spans ~project:q.Query.output plan
   in
   let result = Executor.project ~name:q.Query.name table q.Query.output in
   Strategy.finished ~start ~result

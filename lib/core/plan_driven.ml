@@ -199,7 +199,7 @@ let run policy ?selector ctx (q : Query.t) =
         (* no executable join left: run the remaining plan to completion *)
         let table, _ =
           Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel
-            ?spans:ctx.Strategy.spans !plan
+            ?spans:ctx.Strategy.spans ~project:q.Query.output !plan
         in
         finished_table := Some table;
         Strategy.journal ctx ~subquery:"final"
@@ -219,16 +219,16 @@ let run policy ?selector ctx (q : Query.t) =
           }
           :: !iterations
     | Some node ->
+        let provides = node.Physical.rels in
+        let keep = needed_columns q !frag ~provides in
         let table, _ =
           Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel
-            ?spans:ctx.Strategy.spans node
+            ?spans:ctx.Strategy.spans ~project:keep node
         in
         let actual = Table.n_rows table in
         let observed =
           (not policy.observe_breakers_only) || feeds_build !plan node
         in
-        let provides = node.Physical.rels in
-        let keep = needed_columns q !frag ~provides in
         let name = fresh_temp () in
         let temp_tbl = Temp.materialize ~name ~keep table in
         let subtree_frag = Fragment.restrict !frag (Physical.leaves node) in

@@ -137,9 +137,18 @@ let run config ctx (q : Query.t) =
           if s < best then cand else acc)
         (List.hd ranked) (List.tl ranked)
     in
+    let others = List.filter (fun e -> e != chosen) !remaining in
+    let provides = Fragment.provides chosen.frag in
+    (* the columns the rest of the query reads: the final projection's
+       own on the last step, else what the temp must keep *)
+    let keep =
+      if others = [] then
+        List.filter (fun (c : Expr.colref) -> List.mem c.Expr.rel provides) q.Query.output
+      else needed_columns q others ~provides
+    in
     let table, _ =
       Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel
-        ?spans:ctx.Strategy.spans plan_res.Optimizer.plan
+        ?spans:ctx.Strategy.spans ~project:keep plan_res.Optimizer.plan
     in
     (* the re-optimization journal: one entry (flight step + span) per
        iteration *)
@@ -150,7 +159,6 @@ let run config ctx (q : Query.t) =
         ~name:(q.Query.name ^ "/" ^ chosen.label)
         ~start:t0 ()
     in
-    let others = List.filter (fun e -> e != chosen) !remaining in
     remaining := others;
     let actual = Table.n_rows table in
     if others = [] then begin
@@ -173,8 +181,6 @@ let run config ctx (q : Query.t) =
         :: !iterations
     end
     else begin
-      let provides = Fragment.provides chosen.frag in
-      let keep = needed_columns q others ~provides in
       let name = fresh_temp () in
       let temp_tbl = Temp.materialize ~name ~keep table in
       let temp_input =

@@ -17,7 +17,7 @@ let run_with ~name ?allowed ~estimator_of ctx (q : Query.t) =
   in
   let table, _ =
     Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel
-      ?spans:ctx.Strategy.spans res.Optimizer.plan
+      ?spans:ctx.Strategy.spans ~project:q.Query.output res.Optimizer.plan
   in
   let result = Executor.project ~name:q.Query.name table q.Query.output in
   Strategy.finished ~start ~result

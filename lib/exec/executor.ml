@@ -133,7 +133,8 @@ let compile_vec schema (p : Expr.pred) =
    Columnar chunks run every compilable predicate through the batch
    kernels (each narrowing the vector); predicates with no kernel — or
    whose kernel declines the column's representation — fall back to
-   row-at-a-time [Expr.eval] over the survivors. A partially applied
+   row-at-a-time evaluation ([Expr.compile]d once per chunk) over the
+   survivors. A partially applied
    kernel chain (e.g. the Ge half of a Between on a generic column) is
    sound: kernels only remove rows the full predicate also rejects.
    Row chunks evaluate row-at-a-time directly. Either way the result is
@@ -142,10 +143,10 @@ let chunk_selvec ?deadline ?cancel schema filters (chunk : Chunk.t) =
   let tick = tick deadline cancel in
   let n = Chunk.n_rows chunk in
   let row_fallback rows_of sel preds =
+    let holds = Expr.compile_all schema preds in
     let keep i =
       if i mod batch = 0 then tick ();
-      let row = (Lazy.force rows_of).(i) in
-      List.for_all (Expr.eval schema row) preds
+      holds (Lazy.force rows_of).(i)
     in
     filter_ordinals n sel keep
   in
@@ -411,7 +412,138 @@ let morsel_rows m =
    pipeline touches O(1) frames no matter how large its inputs are. *)
 type pstream = { ps_schema : Schema.t; ps_iter : (morsel -> unit) -> unit }
 
-let run_pipelined ?deadline ?cancel ~row_limit ?spans plan =
+(* --- lean join outputs -------------------------------------------------- *)
+
+(* What a stream's parent reads of it. [All]: the concatenation of the
+   leaf schemas. [Keep cols]: the pruned concatenation, i.e. the leaf
+   columns named in [cols], in leaf order. [Exactly cols]: the root's
+   projection, in its order, duplicates already dropped. A scan ignores
+   its want (its morsels stay zero-copy); a join gathers only the
+   wanted columns of each (probe, build) pair. *)
+type want = All | Keep of Expr.colref list | Exactly of Expr.colref list
+
+(* the want of a join's children: what its parent reads plus the
+   columns the join reads itself *)
+let widen want extra =
+  match want with All -> All | Keep cols | Exactly cols -> Keep (cols @ extra)
+
+let dedup_cols cols =
+  let seen = Hashtbl.create 8 in
+  List.filter
+    (fun (c : Expr.colref) ->
+      if Hashtbl.mem seen (c.Expr.rel, c.Expr.name) then false
+      else (
+        Hashtbl.replace seen (c.Expr.rel, c.Expr.name) ();
+        true))
+    cols
+
+(* Gather maps over a (left row, right row) pair: entry [k] is [i >= 0]
+   for [left.(i)], or [-1 - i] for [right.(i)]. A column both sides
+   carry resolves to the left one, as in the concatenated schema. *)
+let pair_source lschema rschema (c : Expr.colref) =
+  match Schema.find lschema ~rel:c.Expr.rel ~name:c.Expr.name with
+  | Some i -> Some i
+  | None ->
+      Option.map (fun i -> -1 - i) (Schema.find rschema ~rel:c.Expr.rel ~name:c.Expr.name)
+
+let source_column lschema rschema s = if s >= 0 then lschema.(s) else rschema.(-1 - s)
+
+let gather_into dst src l r =
+  for k = 0 to Array.length src - 1 do
+    let s = src.(k) in
+    dst.(k) <- (if s >= 0 then l.(s) else r.(-1 - s))
+  done
+
+let gather src l r =
+  let out = Array.make (Array.length src) Value.Null in
+  gather_into out src l r;
+  out
+
+(* The output schema of a join over children with these schemas, and
+   its gather map. *)
+let pair_output want lschema rschema =
+  let cat = Schema.concat lschema rschema in
+  let all = List.init (Schema.arity cat) Fun.id in
+  let positions =
+    match want with
+    | All -> all
+    | Keep cols ->
+        List.filter
+          (fun i ->
+            List.exists
+              (fun (c : Expr.colref) ->
+                cat.(i).Schema.rel = c.Expr.rel && cat.(i).Schema.name = c.Expr.name)
+              cols)
+          all
+    | Exactly cols ->
+        List.map
+          (fun (c : Expr.colref) -> Schema.find_exn cat ~rel:c.Expr.rel ~name:c.Expr.name)
+          cols
+  in
+  let nl = Schema.arity lschema in
+  ( Array.of_list (List.map (fun i -> cat.(i)) positions),
+    Array.of_list (List.map (fun i -> if i < nl then i else nl - 1 - i) positions) )
+
+(* A join's residual conjunction over a (left row, right row) pair,
+   compiled against a row of just the columns it reads. That row is one
+   buffer, refilled for every pair: a run drives its streams
+   synchronously on one domain, and the compiled test keeps no
+   reference to it. A column neither side carries is left out of the
+   row, so the test raises on it exactly as the interpreter would. *)
+let pair_filter lschema rschema = function
+  | [] -> fun _ _ -> true
+  | preds ->
+      let src =
+        List.concat_map Expr.cols_of_pred preds
+        |> dedup_cols
+        |> List.filter_map (pair_source lschema rschema)
+        |> Array.of_list
+      in
+      let schema = Array.map (source_column lschema rschema) src in
+      let holds = Expr.compile_all schema preds in
+      let buf = Array.make (Array.length src) Value.Null in
+      fun l r ->
+        gather_into buf src l r;
+        holds buf
+
+(* Build-side tables. A one-column key hashes the [Value.t] itself, a
+   wider one the list of values. Both keep exactly the equality of the
+   polymorphic table {!hash_join} uses on list keys ([compare = 0]):
+   [Int 1] never meets [Float 1.0], NaN meets NaN and [-0.0] meets
+   [0.0]. NULL keys never reach either table. *)
+module Value_tbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal a b =
+    match (a, b) with
+    | Value.Int x, Value.Int y -> Int.equal x y
+    | Value.Float x, Value.Float y -> Float.compare x y = 0
+    | Value.Str x, Value.Str y -> String.equal x y
+    | Value.Bool x, Value.Bool y -> Bool.equal x y
+    | Value.Null, Value.Null -> true
+    | _ -> false
+
+  let hash = Hashtbl.hash
+end)
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = Value.t list
+
+  let equal a b = compare a b = 0
+  let hash = Hashtbl.hash
+end)
+
+(* per-ordinal key readers of a morsel, one per key shape *)
+let value_key m = function
+  | [ p ] -> morsel_col m p
+  | _ -> invalid_arg "Executor.value_key: one key column expected"
+
+let list_key m positions =
+  let cols = List.map (morsel_col m) positions in
+  let rec at i = function [] -> [] | g :: rest -> g i :: at i rest in
+  fun i -> at i cols
+
+let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
   let stats : stats = Hashtbl.create 16 in
   (* every node id present even when nothing streams through it *)
   List.iter
@@ -434,7 +566,53 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans plan =
            row-major morsel *)
         emit { m_chunk = Chunk.of_rows rows; m_sel = None }
   in
-  let rec stream (p : Physical.t) : pstream =
+  (* The one hash build/probe loop, generic in the key: [key m pos]
+     reads the key of each ordinal of morsel [m] at key positions
+     [pos], and [null k] holds when the key cannot join. The build side
+     is the pipeline breaker, the probe side streams morsel by morsel. *)
+  let hash_iter (type k) (module H : Hashtbl.S with type key = k)
+      ~(key : morsel -> int list -> int -> k) ~(null : k -> bool) p ~bpos ~ppos
+      ~src ~keep bstream prstream emit =
+    let index : Value.t array list H.t = H.create 1024 in
+    Span.span spans Span.Breaker ~args:(node_args p) ("hash-build:" ^ bid p)
+      (fun () ->
+        bstream.ps_iter (fun m ->
+            (* batch build: key columns decoded column-at-a-time per
+               morsel, rows fetched lazily only for live keys *)
+            let key_at = key m bpos in
+            let fetch = morsel_fetch m in
+            morsel_ordinals m (fun i ->
+                let k = key_at i in
+                if not (null k) then
+                  H.replace index k
+                    (fetch i :: Option.value (H.find_opt index k) ~default:[]))));
+    (* [emitted] counts matched pairs before the residual check; the
+       row limit is tested against it each time a row is kept *)
+    let emitted = ref 0 in
+    prstream.ps_iter (fun m ->
+        let key_at = key m ppos in
+        let fetch = morsel_fetch m in
+        let out = ref [] in
+        let rec pairs prow = function
+          | [] -> ()
+          | brow :: rest ->
+              incr emitted;
+              if !emitted mod batch = 0 then tick ();
+              if keep prow brow then begin
+                out := gather src prow brow :: !out;
+                if !emitted > limit then raise Timeout
+              end;
+              pairs prow rest
+        in
+        morsel_ordinals m (fun i ->
+            let k = key_at i in
+            if not (null k) then
+              match H.find_opt index k with
+              | None -> ()
+              | Some matches -> pairs (fetch i) matches);
+        emit_chunks p emit !out)
+  in
+  let rec stream want (p : Physical.t) : pstream =
     match p.Physical.node with
     | Physical.Scan input ->
         (* fused scan+filter: the selection runs inside the pinned chunk
@@ -467,73 +645,29 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans plan =
                 tbl);
         }
     | Physical.Join j -> (
+        let preds = j.Physical.preds in
+        let pred_cols = List.concat_map Expr.cols_of_pred preds in
         match j.Physical.method_ with
         | Physical.Hash ->
-            let bstream = stream j.Physical.left in
-            let prstream = stream j.Physical.right in
-            let out_schema = Schema.concat prstream.ps_schema bstream.ps_schema in
-            let build_cols, residual =
-              split_join_preds bstream.ps_schema j.Physical.preds
-            in
+            let child_want = widen want pred_cols in
+            let bstream = stream child_want j.Physical.left in
+            let prstream = stream child_want j.Physical.right in
+            let build_cols, residual = split_join_preds bstream.ps_schema preds in
             let bpos = key_positions bstream.ps_schema (List.map fst build_cols) in
             let ppos = key_positions prstream.ps_schema (List.map snd build_cols) in
-            (* the build side is the pipeline breaker, the probe side
-               streams morsel by morsel *)
+            let out_schema, src = pair_output want prstream.ps_schema bstream.ps_schema in
+            let keep = pair_filter prstream.ps_schema bstream.ps_schema residual in
+            let iter =
+              match bpos with
+              | [ _ ] ->
+                  hash_iter (module Value_tbl) ~key:value_key ~null:Value.is_null
+              | _ -> hash_iter (module Key_tbl) ~key:list_key ~null:has_null
+            in
             {
               ps_schema = out_schema;
-              ps_iter =
-                (fun emit ->
-                  let index : (Value.t list, Value.t array list) Hashtbl.t =
-                    Hashtbl.create 1024
-                  in
-                  Span.span spans Span.Breaker ~args:(node_args p) ("hash-build:" ^ bid p)
-                    (fun () ->
-                      bstream.ps_iter (fun m ->
-                          (* batch build: key columns decoded
-                             column-at-a-time per morsel, rows
-                             fetched lazily only for live keys *)
-                          let kcols = List.map (morsel_col m) bpos in
-                          let fetch = morsel_fetch m in
-                          morsel_ordinals m (fun i ->
-                              let k = List.map (fun g -> g i) kcols in
-                              if not (has_null k) then
-                                Hashtbl.replace index k
-                                  (fetch i
-                                  :: Option.value (Hashtbl.find_opt index k)
-                                       ~default:[]))));
-                  (* [emitted] counts matched pairs before the
-                     residual check; the row limit is tested
-                     against it each time a row is kept *)
-                  let emitted = ref 0 in
-                  prstream.ps_iter (fun m ->
-                      let kcols = List.map (morsel_col m) ppos in
-                      let fetch = morsel_fetch m in
-                      let out = ref [] in
-                      morsel_ordinals m (fun i ->
-                          let k = List.map (fun g -> g i) kcols in
-                          if not (has_null k) then
-                            match Hashtbl.find_opt index k with
-                            | None -> ()
-                            | Some matches ->
-                                let prow = fetch i in
-                                List.iter
-                                  (fun brow ->
-                                    incr emitted;
-                                    if !emitted mod batch = 0 then tick ();
-                                    let row = Array.append prow brow in
-                                    if
-                                      List.for_all
-                                        (Expr.eval out_schema row)
-                                        residual
-                                    then begin
-                                      out := row :: !out;
-                                      if !emitted > limit then raise Timeout
-                                    end)
-                                  matches);
-                      emit_chunks p emit !out));
+              ps_iter = iter p ~bpos ~ppos ~src ~keep bstream prstream;
             }
         | Physical.Index_nl ->
-            let ostream = stream j.Physical.left in
             let inner_node = j.Physical.right in
             let inner_input =
               match inner_node.Physical.node with
@@ -545,15 +679,16 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans plan =
               | Some x -> x
               | None -> invalid_arg "Executor.run: index NL without index"
             in
+            let ostream = stream (widen want (outer_key :: pred_cols)) j.Physical.left in
             let indexed = Expr.eq (Expr.Col outer_key) (Expr.Col inner_key) in
             let residual =
-              List.filter
-                (fun pr -> not (Expr.equal_pred pr indexed))
-                j.Physical.preds
+              List.filter (fun pr -> not (Expr.equal_pred pr indexed)) preds
             in
             let inner_tbl = inner_input.Fragment.table in
             let inner_schema = inner_tbl.Table.schema in
-            let out_schema = Schema.concat ostream.ps_schema inner_schema in
+            let inner_holds = Expr.compile_all inner_schema inner_input.Fragment.filters in
+            let keep = pair_filter ostream.ps_schema inner_schema residual in
+            let out_schema, src = pair_output want ostream.ps_schema inner_schema in
             let okpos =
               Schema.find_exn ostream.ps_schema ~rel:outer_key.Expr.rel
                 ~name:outer_key.Expr.name
@@ -567,29 +702,29 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans plan =
                       let okey = morsel_col m okpos in
                       let fetch = morsel_fetch m in
                       let out = ref [] in
+                      (* the outer row is fetched only for an inner row
+                         that passes the filters: a columnar morsel
+                         decodes on the first such match *)
+                      let rec lookups i = function
+                        | [] -> ()
+                        | rid :: rest ->
+                            let irow = Table.row inner_tbl rid in
+                            if inner_holds irow then begin
+                              incr matched;
+                              let orow = fetch i in
+                              if keep orow irow then begin
+                                out := gather src orow irow :: !out;
+                                if !matched > limit then raise Timeout
+                              end
+                            end;
+                            lookups i rest
+                      in
                       morsel_ordinals m (fun i ->
                           incr probes;
                           if !probes mod 1024 = 0 then tick ();
                           let key = okey i in
                           if not (Value.is_null key) then
-                            List.iter
-                              (fun rid ->
-                                let irow = Table.row inner_tbl rid in
-                                if
-                                  List.for_all
-                                    (Expr.eval inner_schema irow)
-                                    inner_input.Fragment.filters
-                                then begin
-                                  incr matched;
-                                  let row = Array.append (fetch i) irow in
-                                  if
-                                    List.for_all (Expr.eval out_schema row) residual
-                                  then begin
-                                    out := row :: !out;
-                                    if !matched > limit then raise Timeout
-                                  end
-                                end)
-                              (Index.lookup index key));
+                            lookups i (Index.lookup index key));
                       (* the inner side is consumed through the index;
                          its stats entry is the rows surviving the
                          lookups plus the input's own filters *)
@@ -597,9 +732,11 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans plan =
                       emit_chunks p emit !out));
             }
         | Physical.Nl ->
-            let ostream = stream j.Physical.left in
-            let istream = stream j.Physical.right in
-            let out_schema = Schema.concat ostream.ps_schema istream.ps_schema in
+            let child_want = widen want pred_cols in
+            let ostream = stream child_want j.Physical.left in
+            let istream = stream child_want j.Physical.right in
+            let keep = pair_filter ostream.ps_schema istream.ps_schema preds in
+            let out_schema, src = pair_output want ostream.ps_schema istream.ps_schema in
             {
               ps_schema = out_schema;
               ps_iter =
@@ -616,25 +753,20 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans plan =
                       let out = ref [] in
                       morsel_ordinals m (fun oi ->
                           let orow = fetch oi in
-                          Array.iter
-                            (fun irow ->
-                              incr steps;
-                              if !steps mod batch = 0 then tick ();
-                              let row = Array.append orow irow in
-                              if
-                                List.for_all
-                                  (Expr.eval out_schema row)
-                                  j.Physical.preds
-                              then begin
-                                out := row :: !out;
-                                incr kept;
-                                if !kept > limit then raise Timeout
-                              end)
-                            inner);
+                          for x = 0 to Array.length inner - 1 do
+                            let irow = inner.(x) in
+                            incr steps;
+                            if !steps mod batch = 0 then tick ();
+                            if keep orow irow then begin
+                              out := gather src orow irow :: !out;
+                              incr kept;
+                              if !kept > limit then raise Timeout
+                            end
+                          done);
                       emit_chunks p emit !out));
             })
   in
-  let root = stream plan in
+  let root = stream want plan in
   let t0 = if spans <> None then Timer.now () else 0.0 in
   let rev_chunks = ref [] in
   Span.span spans Span.Pipeline ~args:(node_args plan)
@@ -645,9 +777,45 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans plan =
   if spans <> None then operator_markers spans ~t0 plan stats;
   (out, stats)
 
-let run ?deadline ?cancel ?(row_limit = default_row_limit) ?spans plan =
+let project ?name (tbl : Table.t) cols =
+  match dedup_cols cols with
+  | [] -> tbl
+  | cols ->
+      let schema = tbl.Table.schema in
+      let name = Option.value name ~default:tbl.Table.name in
+      let positions =
+        List.map
+          (fun (c : Expr.colref) -> Schema.find_exn schema ~rel:c.Expr.rel ~name:c.Expr.name)
+          cols
+      in
+      if positions = List.init (Schema.arity schema) Fun.id then
+        (* the input already is the projection (a run given it) *)
+        Table.with_name tbl name
+      else
+        let schema = Array.of_list (List.map (fun p -> schema.(p)) positions) in
+        let chunks =
+          List.init (Table.n_chunks tbl) (fun ci ->
+              match Chunk.columnar (Table.chunk_data tbl ci) with
+              | Some col ->
+                  (* columnar projection shares the retained columns —
+                     no per-row work at all *)
+                  Chunk.of_columnar (Columnar.project col positions)
+              | None ->
+                  Chunk.of_rows
+                    (Array.map
+                       (fun row ->
+                         Array.of_list (List.map (fun p -> row.(p)) positions))
+                       (Table.chunk tbl ci)))
+        in
+        Table.of_chunk_data ~name ~schema chunks
+
+let run ?deadline ?cancel ?(row_limit = default_row_limit) ?spans
+    ?project:(cols = []) plan =
+  let cols = dedup_cols cols in
   match plan.Physical.node with
-  | Physical.Join _ -> run_pipelined ?deadline ?cancel ~row_limit ?spans plan
+  | Physical.Join _ ->
+      let want = match cols with [] -> All | cols -> Exactly cols in
+      run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan
   | Physical.Scan input ->
       (* a bare scan is just the leaf: [filter_input] keeps the scratch
          filter cache, which streaming it into a copy would lose *)
@@ -660,44 +828,7 @@ let run ?deadline ?cancel ?(row_limit = default_row_limit) ?spans plan =
       let stats : stats = Hashtbl.create 1 in
       Hashtbl.replace stats plan.Physical.id (Table.n_rows out);
       if spans <> None then operator_markers spans ~t0 plan stats;
-      (out, stats)
-
-let project ?name (tbl : Table.t) cols =
-  match cols with
-  | [] -> tbl
-  | _ ->
-      let seen = Hashtbl.create 8 in
-      let cols =
-        List.filter
-          (fun (c : Expr.colref) ->
-            if Hashtbl.mem seen (c.Expr.rel, c.Expr.name) then false
-            else (
-              Hashtbl.replace seen (c.Expr.rel, c.Expr.name) ();
-              true))
-          cols
-      in
-      let positions =
-        List.map
-          (fun (c : Expr.colref) ->
-            Schema.find_exn tbl.Table.schema ~rel:c.Expr.rel ~name:c.Expr.name)
-          cols
-      in
-      let schema = Array.of_list (List.map (fun p -> tbl.Table.schema.(p)) positions) in
-      let chunks =
-        List.init (Table.n_chunks tbl) (fun ci ->
-            match Chunk.columnar (Table.chunk_data tbl ci) with
-            | Some col ->
-                (* columnar projection shares the retained columns —
-                   no per-row work at all *)
-                Chunk.of_columnar (Columnar.project col positions)
-            | None ->
-                Chunk.of_rows
-                  (Array.map
-                     (fun row ->
-                       Array.of_list (List.map (fun p -> row.(p)) positions))
-                     (Table.chunk tbl ci)))
-      in
-      Table.of_chunk_data ~name:(Option.value name ~default:tbl.Table.name) ~schema chunks
+      (project out cols, stats)
 
 let cartesian ~name tables =
   match tables with

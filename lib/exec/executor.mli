@@ -53,7 +53,7 @@ val vectorized_chunks : unit -> int
 (** Cumulative count of columnar chunks whose filter conjunction ran (at
     least partially) through the vectorized selection-vector kernels
     ({!Qs_storage.Columnar.eval_cmp}) instead of row-at-a-time
-    [Expr.eval]. Always 0 over resident tables built from rows; spilled
+    evaluation. Always 0 over resident tables built from rows; spilled
     tables fault back columnar. *)
 
 val reset_counters : unit -> unit
@@ -64,14 +64,25 @@ val span_label : Physical.t -> string
     operator constructor — tools/check.sh lints for completeness. *)
 
 val run : ?deadline:float -> ?cancel:Qs_util.Cancel.t -> ?row_limit:int ->
-  ?spans:Qs_util.Span.t -> Physical.t -> Table.t * stats
-(** Evaluate the plan. The output schema is the concatenation of the
-    leaf schemas (alias-qualified); apply {!project} for the query's
-    final projection.
+  ?spans:Qs_util.Span.t -> ?project:Expr.colref list -> Physical.t ->
+  Table.t * stats
+(** Evaluate the plan. [project] is the caller's projection, with the
+    convention of {!project}: the columns in order, duplicates dropped,
+    [[]] or absent meaning every column. With a projection the output
+    schema is exactly that list, in its order, and
+    [project (run ~project:cols plan) cols] is the same table renamed.
+    Without one it is the concatenation of the leaf schemas
+    (alias-qualified). Either way the rows, their order and the stats
+    are those of the unprojected run.
 
-    Join plans run on the pipelined engine. A bare scan is the leaf on
-    its own and runs through {!filter_input}, keeping the scratch filter
-    cache.
+    Join plans run on the pipelined engine, which pushes the projection
+    down: every join emits only the columns still read above it (its
+    parent's, those of the predicates of the joins above, the outer
+    keys of index nested-loop joins above), gathered from its probe and
+    build rows, so an inner join's output schema is the pruned
+    concatenation of its leaf schemas. Scans stay zero-copy. A bare scan
+    is the leaf on its own and runs through {!filter_input}, keeping the
+    scratch filter cache; the projection is applied to its result.
 
     Every node id of the plan — including the inner scan of an index
     nested-loop join, which is consumed through the index rather than
@@ -89,7 +100,10 @@ val run : ?deadline:float -> ?cancel:Qs_util.Cancel.t -> ?row_limit:int ->
 
 val project : ?name:string -> Table.t -> Expr.colref list -> Table.t
 (** Keep only the named columns (in the given order, duplicates removed);
-    an empty list keeps everything. *)
+    an empty list keeps everything. When the named columns are already
+    the table's schema in order (the output of a {!run} given the same
+    projection), the input is returned as is, renamed, without copying
+    a row. *)
 
 val filter_table : ?deadline:float -> ?cancel:Qs_util.Cancel.t ->
   Table.t -> Expr.pred list -> Table.t
@@ -106,7 +120,11 @@ val hash_join : ?deadline:float -> build:Table.t -> probe:Table.t ->
   Expr.pred list -> Table.t
 (** One sequential hash join over materialized inputs: equality
     conjuncts become the hash key, the rest are residual filters. The
-    reference kernel {!Naive} joins with; exposed for it and for tests. *)
+    reference kernel {!Naive} joins with; exposed for it and for tests.
+    Unlike {!run} it keeps the reference paths on purpose: a polymorphic
+    [Hashtbl] on list keys (one list per key, even a one-column one) and
+    [Expr.eval] for the residual, so the engine's key table and compiled
+    predicates are checked against code they do not share. *)
 
 val cartesian : name:string -> Table.t list -> Table.t
 (** Cross product of independent result tables — the final merge step of

@@ -4,7 +4,15 @@
     ground truth the correctness property tests compare QuerySplit
     against. Joins are executed as hash joins in a greedy
     smallest-intermediate-first order with aggressive column pruning, so
-    no plan choice is involved. *)
+    no plan choice is involved.
+
+    The reference deliberately keeps the slow, simple paths the engine
+    no longer takes: predicates go through the [Expr.eval] interpreter,
+    not [Expr.compile], and joins through {!Executor.hash_join}, whose
+    build table is the polymorphic [Hashtbl] on list keys rather than
+    the engine's one-column [Value.t] table. A bug in the compiler or in
+    the key table therefore cannot hide by appearing on both sides of a
+    differential test. *)
 
 module Table = Qs_storage.Table
 module Fragment = Qs_stats.Fragment

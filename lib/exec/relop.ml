@@ -90,18 +90,23 @@ let aggregate ~name ~group_by ~aggs (tbl : Table.t) =
         order := key :: !order;
         accs
   in
+  let arg_fns =
+    List.map
+      (fun (a : Logical.agg) -> Option.map (Expr.compile_scalar schema) a.Logical.arg)
+      aggs
+  in
   let feed_row groups order row =
     let key = List.map (fun p -> row.(p)) gpos in
     let accs = entry groups order key in
     List.iteri
-      (fun i (a : Logical.agg) ->
+      (fun i arg ->
         let v =
-          match a.Logical.arg with
+          match arg with
           | None -> Value.Int 1 (* COUNT of rows *)
-          | Some s -> Expr.eval_scalar schema row s
+          | Some f -> f row
         in
         feed accs.(i) v)
-      aggs
+      arg_fns
   in
   (* Columnar hash aggregation: when every aggregate argument is absent
      or a plain column reference, a columnar chunk feeds the hash table
@@ -218,7 +223,7 @@ let semi_join ~name ~anti ~(left : Table.t) ~(right : Table.t) ~on =
       if not (List.exists Value.is_null k) then
         Hashtbl.replace buckets k (row :: Option.value (Hashtbl.find_opt buckets k) ~default:[]))
     right;
-  let combined_schema = Schema.concat lschema rschema in
+  let holds = Expr.compile_all (Schema.concat lschema rschema) residual in
   let matches lrow =
     let k = List.map (fun p -> lrow.(p)) lpos in
     if List.exists Value.is_null k then false
@@ -226,11 +231,7 @@ let semi_join ~name ~anti ~(left : Table.t) ~(right : Table.t) ~on =
       match Hashtbl.find_opt buckets k with
       | None -> false
       | Some rrows ->
-          List.exists
-            (fun rrow ->
-              let row = Array.append lrow rrow in
-              List.for_all (Expr.eval combined_schema row) residual)
-            rrows
+          List.exists (fun rrow -> holds (Array.append lrow rrow)) rrows
   in
   let chunks =
     List.init (Table.n_chunks left) (fun ci ->

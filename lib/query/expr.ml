@@ -67,30 +67,33 @@ let rec rename_rels f = function
   | Not_null s -> Not_null (rename_scalar f s)
   | Or ps -> Or (List.map (rename_rels f) ps)
 
+let arith op va vb =
+  if Value.is_null va || Value.is_null vb then Value.Null
+  else
+    match (va, vb) with
+    | Value.Int x, Value.Int y -> (
+        match op with
+        | Add -> Value.Int (x + y)
+        | Sub -> Value.Int (x - y)
+        | Mul -> Value.Int (x * y)
+        | Div -> if y = 0 then Value.Null else Value.Int (x / y))
+    | _ ->
+        let x = Value.as_float va and y = Value.as_float vb in
+        let r =
+          match op with
+          | Add -> x +. y
+          | Sub -> x -. y
+          | Mul -> x *. y
+          | Div -> if y = 0.0 then Float.nan else x /. y
+        in
+        if Float.is_nan r then Value.Null else Value.Float r
+
 let rec eval_scalar schema row = function
   | Col { rel; name } -> row.(Schema.find_exn schema ~rel ~name)
   | Const v -> v
-  | Arith (op, a, b) -> (
+  | Arith (op, a, b) ->
       let va = eval_scalar schema row a and vb = eval_scalar schema row b in
-      if Value.is_null va || Value.is_null vb then Value.Null
-      else
-        match (va, vb) with
-        | Value.Int x, Value.Int y -> (
-            match op with
-            | Add -> Value.Int (x + y)
-            | Sub -> Value.Int (x - y)
-            | Mul -> Value.Int (x * y)
-            | Div -> if y = 0 then Value.Null else Value.Int (x / y))
-        | _ ->
-            let x = Value.as_float va and y = Value.as_float vb in
-            let r =
-              match op with
-              | Add -> x +. y
-              | Sub -> x -. y
-              | Mul -> x *. y
-              | Div -> if y = 0.0 then Float.nan else x /. y
-            in
-            if Float.is_nan r then Value.Null else Value.Float r)
+      arith op va vb
 
 (* LIKE: '%' matches any run (incl. empty), '_' any single char. Recursive
    descent with memo-free backtracking; patterns in the workloads are tiny. *)
@@ -138,6 +141,72 @@ let rec eval schema row = function
   | Is_null s -> Value.is_null (eval_scalar schema row s)
   | Not_null s -> not (Value.is_null (eval_scalar schema row s))
   | Or ps -> List.exists (eval schema row) ps
+
+(* Compilation: the same semantics as [eval], with every column position
+   resolved once. Each arm mirrors its [eval] arm expression for
+   expression, so operands are evaluated in the same order and the same
+   exception escapes first; a column the schema lacks raises from
+   [Schema.find_exn] when a row reaches it, exactly as [eval] does. No
+   closure is built per row: lists are walked by the recursive helpers
+   below instead of [List.exists] over a fresh closure. *)
+let rec compile_scalar schema = function
+  | Col { rel; name } -> (
+      match Schema.find schema ~rel ~name with
+      | Some p -> fun row -> row.(p)
+      | None -> fun row -> row.(Schema.find_exn schema ~rel ~name))
+  | Const v -> fun _ -> v
+  | Arith (op, a, b) ->
+      let fa = compile_scalar schema a and fb = compile_scalar schema b in
+      fun row ->
+        let va = fa row and vb = fb row in
+        arith op va vb
+
+let rec mem_value v = function
+  | [] -> false
+  | x :: rest -> Value.equal v x || mem_value v rest
+
+let rec any_holds fs row =
+  match fs with [] -> false | f :: rest -> f row || any_holds rest row
+
+let rec all_hold fs row =
+  match fs with [] -> true | f :: rest -> f row && all_hold rest row
+
+let rec compile schema = function
+  | Cmp (op, a, b) ->
+      let fa = compile_scalar schema a and fb = compile_scalar schema b in
+      fun row -> cmp_holds op (fa row) (fb row)
+  | Between (s, lo, hi) ->
+      let f = compile_scalar schema s in
+      fun row ->
+        let v = f row in
+        cmp_holds Ge v lo && cmp_holds Le v hi
+  | In_list (s, vs) ->
+      let f = compile_scalar schema s in
+      fun row ->
+        let v = f row in
+        (not (Value.is_null v)) && mem_value v vs
+  | Like (s, pat) -> (
+      let f = compile_scalar schema s in
+      fun row ->
+        match f row with
+        | Value.Str str -> like_match ~pattern:pat str
+        | _ -> false)
+  | Is_null s ->
+      let f = compile_scalar schema s in
+      fun row -> Value.is_null (f row)
+  | Not_null s ->
+      let f = compile_scalar schema s in
+      fun row -> not (Value.is_null (f row))
+  | Or ps ->
+      let fs = List.map (compile schema) ps in
+      fun row -> any_holds fs row
+
+let compile_all schema = function
+  | [] -> fun _ -> true
+  | [ p ] -> compile schema p
+  | ps ->
+      let fs = List.map (compile schema) ps in
+      fun row -> all_hold fs row
 
 (* Normalize symmetric equality so pred-set comparisons are order-free. *)
 let normalize = function

@@ -67,6 +67,24 @@ val eval_scalar : Schema.t -> Value.t array -> scalar -> Value.t
 val eval : Schema.t -> Value.t array -> pred -> bool
 (** SQL-style evaluation: any comparison against NULL is not-true. *)
 
+val compile : Schema.t -> pred -> Value.t array -> bool
+(** [compile schema p] is [Expr.eval schema] specialised to [p]: every
+    column position is resolved once, here, instead of one
+    [Schema.find_exn] scan per row, and the returned function builds no
+    closure per row. Its result on every row is [eval]'s, including the
+    exception: a column absent from [schema] raises the same
+    [Invalid_argument] when a row reaches it, not at compile time.
+    [eval] stays as the reference the executor's compiled filters are
+    tested against. *)
+
+val compile_scalar : Schema.t -> scalar -> Value.t array -> Value.t
+(** {!compile} for one scalar: [eval_scalar schema] specialised to it. *)
+
+val compile_all : Schema.t -> pred list -> Value.t array -> bool
+(** The conjunction of {!compile}d predicates, tested in list order and
+    stopping at the first that fails ([List.for_all] over [eval]). The
+    empty list holds on every row. *)
+
 val like_match : pattern:string -> string -> bool
 (** The LIKE matcher, exposed for testing. *)
 

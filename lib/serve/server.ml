@@ -151,7 +151,7 @@ let execute t (p : pending) =
       | None ->
           let tbl, _ =
             Executor.run ?deadline:p.p_deadline ?cancel:p.p_cancel ?spans:(spans_for t p)
-              p.p_plan.Optimizer.plan
+              ~project:q.Query.output p.p_plan.Optimizer.plan
           in
           `Done (Executor.project ~name:q.Query.name tbl q.Query.output)
       | Some strat ->

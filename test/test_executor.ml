@@ -300,6 +300,53 @@ let test_pipelined_intermediates_counter () =
   Alcotest.(check int) "sink holds the naive result" (Naive.count frag)
     (Table.n_rows tbl)
 
+(* --- join-key semantics -------------------------------------------------- *)
+(* The engine hashes a one-column key as the [Value.t] itself and a wider
+   key as a list of values; both must keep the equality of the
+   polymorphic table Naive joins with: [Int 1] never meets [Float 1.0],
+   NULL never joins, NaN meets NaN and [-0.0] meets [0.0]. *)
+
+let key_values =
+  [|
+    Value.Int 1; Value.Float 1.0; Value.Null; Value.Float Float.nan;
+    Value.Float (-0.0); Value.Float 0.0; Value.Str "1";
+  |]
+
+(* (a.id, b.id) pairs the key equality must produce, by index into
+   [key_values] *)
+let expected_key_pairs =
+  [ (0, 0); (1, 1); (3, 3); (4, 4); (4, 5); (5, 4); (5, 5); (6, 6) ]
+
+let key_table rel =
+  Table.create ~name:rel
+    ~schema:(Schema.make rel [ ("k", Value.TFloat); ("k2", Value.TInt); ("id", Value.TInt) ])
+    (Array.mapi (fun i v -> [| v; Value.Int 0; Value.Int i |]) key_values)
+
+let id_pairs (t : Table.t) =
+  let ia = Schema.find_exn t.Table.schema ~rel:"a" ~name:"id" in
+  let ib = Schema.find_exn t.Table.schema ~rel:"b" ~name:"id" in
+  Table.fold (fun acc r -> (Value.as_int r.(ia), Value.as_int r.(ib)) :: acc) [] t
+  |> List.sort compare
+
+let test_join_key_semantics () =
+  let ia = fragment_input (key_table "a") and ib = fragment_input (key_table "b") in
+  let on name = Expr.eq (Expr.col "a" name) (Expr.col "b" name) in
+  let ids = [ { Expr.rel = "a"; name = "id" }; { Expr.rel = "b"; name = "id" } ] in
+  List.iter
+    (fun (what, preds) ->
+      let plan =
+        Physical.join ~method_:Physical.Hash () ~preds ~est_rows:1.0 ~est_cost:1.0
+          ~left:(Physical.scan ia ~est_rows:7.0 ~est_cost:1.0)
+          ~right:(Physical.scan ib ~est_rows:7.0 ~est_cost:1.0)
+      in
+      let got, _ = Executor.run plan in
+      Alcotest.(check (list (pair int int))) (what ^ ": engine") expected_key_pairs
+        (id_pairs got);
+      let naive = Naive.rows { Fragment.inputs = [ ia; ib ]; preds; output = ids } in
+      Alcotest.(check (list (pair int int))) (what ^ ": naive") expected_key_pairs
+        (id_pairs naive))
+    [ ("one-column key", [ on "k" ]); ("two-column key", [ on "k"; on "k2" ]) ]
+
 let test_naive_count_matches_rows () =
   let _, ctx = Fixtures.shop_ctx ~n_orders:400 () in
   let rng = Qs_util.Rng.create 1 in
@@ -329,6 +376,8 @@ let suite =
     Alcotest.test_case "stats cover all nodes (optimized plans)" `Quick
       test_stats_complete_optimized_plans;
     Alcotest.test_case "naive count = rows" `Quick test_naive_count_matches_rows;
+    Alcotest.test_case "join keys: one and two columns = naive" `Quick
+      test_join_key_semantics;
     Alcotest.test_case "filter cache keyed by predicates" `Quick
       test_filter_cache_keyed_by_predicates;
     Alcotest.test_case "pipelined intermediates counter" `Quick

@@ -126,6 +126,152 @@ let qcheck_like_vs_reference =
     QCheck.(pair (make pat_gen) (make str_gen))
     (fun (pat, s) -> Expr.like_match ~pattern:pat s = ref_like (explode pat) (explode s))
 
+(* --- Expr.compile against the interpreter ------------------------------ *)
+
+(* Rows over five columns whose values mix NULL, NaN, both zeros, Int
+   and Float of equal magnitude, and strings; a sixth column name is
+   absent from the schema, so both paths must raise alike on it. *)
+let wide_schema =
+  Schema.make "r"
+    [ ("a", Value.TInt); ("b", Value.TFloat); ("c", Value.TStr); ("d", Value.TInt);
+      ("e", Value.TFloat) ]
+
+let gen_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return Value.Null);
+        (3, map (fun i -> Value.Int i) (int_range (-2) 2));
+        ( 3,
+          map
+            (fun f -> Value.Float f)
+            (oneofl [ Float.nan; -0.0; 0.0; 1.0; -1.0; 2.0; 0.5; Float.infinity ]) );
+        (2, map (fun s -> Value.Str s) (oneofl [ ""; "a"; "ab"; "ba"; "1"; "a%" ]));
+        (1, map (fun b -> Value.Bool b) bool);
+      ])
+
+let gen_colref =
+  QCheck.Gen.(
+    frequency
+      [
+        (12, map (fun n -> { Expr.rel = "r"; name = n }) (oneofl [ "a"; "b"; "c"; "d"; "e" ]));
+        (1, return { Expr.rel = "r"; name = "missing" });
+      ])
+
+let gen_scalar =
+  QCheck.Gen.(
+    sized_size (int_range 0 2)
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (3, map (fun c -> Expr.Col c) gen_colref);
+                 (2, map (fun v -> Expr.Const v) gen_value);
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (3, leaf);
+                 ( 1,
+                   map3
+                     (fun op a b -> Expr.Arith (op, a, b))
+                     (oneofl [ Expr.Add; Expr.Sub; Expr.Mul; Expr.Div ])
+                     (self (n - 1)) (self (n - 1)) );
+               ]))
+
+let gen_pred =
+  QCheck.Gen.(
+    sized_size (int_range 0 2)
+    @@ fix (fun self n ->
+           let atom =
+             frequency
+               [
+                 ( 4,
+                   map3
+                     (fun op a b -> Expr.Cmp (op, a, b))
+                     (oneofl [ Expr.Eq; Expr.Ne; Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge ])
+                     gen_scalar gen_scalar );
+                 (1, map3 (fun s lo hi -> Expr.Between (s, lo, hi)) gen_scalar gen_value gen_value);
+                 ( 1,
+                   map2
+                     (fun s vs -> Expr.In_list (s, vs))
+                     gen_scalar (list_size (int_range 0 3) gen_value) );
+                 ( 1,
+                   map2
+                     (fun s p -> Expr.Like (s, p))
+                     gen_scalar
+                     (string_size ~gen:(oneofl [ 'a'; 'b'; '%'; '_' ]) (int_range 0 4)) );
+                 (1, map (fun s -> Expr.Is_null s) gen_scalar);
+                 (1, map (fun s -> Expr.Not_null s) gen_scalar);
+               ]
+           in
+           if n = 0 then atom
+           else
+             frequency
+               [
+                 (3, atom);
+                 (1, map (fun ps -> Expr.Or ps) (list_size (int_range 0 3) (self (n - 1))));
+               ]))
+
+let gen_row = QCheck.Gen.(map Array.of_list (list_repeat 5 gen_value))
+
+(* the observable result of one evaluation, exception included *)
+let outcome f =
+  match f () with
+  | b -> Ok b
+  | exception Invalid_argument m -> Error m
+
+let qcheck_compile_vs_eval =
+  let print (p, rows) =
+    Printf.sprintf "%s over %s" (Expr.to_string p)
+      (String.concat "; "
+         (List.map
+            (fun r ->
+              "["
+              ^ String.concat ", " (Array.to_list (Array.map (Format.asprintf "%a" Value.pp) r))
+              ^ "]")
+            rows))
+  in
+  QCheck.Test.make ~name:"Expr.compile = Expr.eval" ~count:2000
+    (QCheck.make ~print QCheck.Gen.(pair gen_pred (list_size (int_range 1 6) gen_row)))
+    (fun (p, rows) ->
+      let compiled = Expr.compile wide_schema p in
+      List.for_all
+        (fun row ->
+          outcome (fun () -> compiled row) = outcome (fun () -> Expr.eval wide_schema row p))
+        rows)
+
+let test_compile_edges () =
+  let r = [| Value.Int 1; Value.Float Float.nan; Value.Str "ab"; Value.Null; Value.Float (-0.0) |] in
+  let col n = Expr.col "r" n in
+  let check name p =
+    Alcotest.(check bool) name
+      (Expr.eval wide_schema r p)
+      (Expr.compile wide_schema p r)
+  in
+  check "NaN = NaN" (Expr.Cmp (Expr.Eq, col "b", Expr.vfloat Float.nan));
+  check "-0.0 = 0.0 (const left)" (Expr.Cmp (Expr.Eq, Expr.vfloat 0.0, col "e"));
+  check "Int 1 = Float 1.0" (Expr.Cmp (Expr.Eq, col "a", Expr.vfloat 1.0));
+  check "NULL = NULL" (Expr.Cmp (Expr.Eq, col "d", col "d"));
+  check "1 / 0 IS NULL" (Expr.Is_null (Expr.Arith (Expr.Div, col "a", Expr.vint 0)));
+  check "LIKE a_" (Expr.Like (col "c", "a_"));
+  check "IN with NaN" (Expr.In_list (col "b", [ Value.Float Float.nan ]));
+  check "empty OR" (Expr.Or []);
+  (* a missing column raises the interpreter's exception, and only when
+     a row reaches it *)
+  let missing = Expr.Cmp (Expr.Eq, Expr.col "r" "zz", Expr.vint 1) in
+  let compiled = Expr.compile wide_schema missing in
+  Alcotest.(check (result bool string)) "missing column raises alike"
+    (outcome (fun () -> Expr.eval wide_schema r missing))
+    (outcome (fun () -> compiled r));
+  Alcotest.(check bool) "missing column raises" true
+    (Result.is_error (outcome (fun () -> compiled r)));
+  Alcotest.(check bool) "an OR that short-circuits never reaches it" true
+    (Expr.compile wide_schema (Expr.Or [ Expr.Is_null (col "d"); missing ]) r);
+  Alcotest.(check bool) "empty conjunction holds" true (Expr.compile_all wide_schema [] r)
+
 let test_join_sides () =
   let p = Expr.eq (Expr.col "a" "x") (Expr.col "b" "y") in
   Alcotest.(check bool) "join pred detected" true (Expr.join_sides p <> None);
@@ -178,4 +324,6 @@ let suite =
     Alcotest.test_case "symmetric equality" `Quick test_symmetric_equality;
     Alcotest.test_case "to_string" `Quick test_to_string;
     QCheck_alcotest.to_alcotest qcheck_like_vs_reference;
+    Alcotest.test_case "compile edge cases" `Quick test_compile_edges;
+    QCheck_alcotest.to_alcotest qcheck_compile_vs_eval;
   ]

@@ -10,7 +10,11 @@
 #                               Span.all_categories
 #   4. one domain per query   — lib/core, lib/plan, lib/exec and
 #                               lib/storage never reference Qs_util.Pool
-#   5. dune build @fmt        — formatting, skipped when already running
+#   5. compiled predicates    — lib/exec evaluates predicates through
+#                               Expr.compile; Expr.eval / eval_scalar stay
+#                               only in the reference paths (naive.ml and
+#                               Executor.hash_join)
+#   6. dune build @fmt        — formatting, skipped when already running
 #                               under dune (INSIDE_DUNE is set): dune
 #                               cannot re-enter itself, and the runtest
 #                               rule depends on the fmt alias instead.
@@ -79,6 +83,24 @@ for dir in lib/core lib/plan lib/exec lib/storage; do
   if grep -rnE '(Qs_util\.Pool|(^|[^A-Za-z0-9_])Pool\.)' "$dir" \
        --include='*.ml' --include='*.mli' >&2; then
     echo "lint: $dir references Qs_util.Pool — queries run on one domain" >&2
+    status=1
+  fi
+done
+
+# --- compiled predicates in the engine ---------------------------------
+# The engine resolves a predicate's column positions once per operator
+# (Expr.compile), never per row. The interpreter (Expr.eval and
+# Expr.eval_scalar) is kept only by the reference execution: naive.ml and
+# Executor.hash_join, the kernel Naive joins with, so the reference stays
+# independent of the compiler it checks.
+for f in lib/exec/*.ml; do
+  [ "$f" = lib/exec/naive.ml ] && continue
+  if awk -v f="$f" '
+       /^let hash_join / { skip = 1 }
+       skip && /^$/ { skip = 0 }
+       !skip && /Expr\.eval/ { print f ":" FNR ": " $0; bad = 1 }
+       END { exit bad }' "$f" >&2; then :; else
+    echo "lint: $f uses Expr.eval outside the reference paths — use Expr.compile" >&2
     status=1
   fi
 done
