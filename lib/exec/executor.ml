@@ -142,11 +142,11 @@ let compile_vec schema (p : Expr.pred) =
 let chunk_selvec ?deadline ?cancel schema filters (chunk : Chunk.t) =
   let tick = tick deadline cancel in
   let n = Chunk.n_rows chunk in
-  let row_fallback rows_of sel preds =
+  let row_fallback row_at sel preds =
     let holds = Expr.compile_all schema preds in
     let keep i =
       if i mod batch = 0 then tick ();
-      holds (Lazy.force rows_of).(i)
+      holds (row_at i)
     in
     filter_ordinals n sel keep
   in
@@ -184,14 +184,28 @@ let chunk_selvec ?deadline ?cancel schema filters (chunk : Chunk.t) =
         match List.rev !residual with
         | [] -> Option.value !sel ~default:(Array.init n Fun.id)
         | preds ->
-            let rows_of = lazy (Chunk.rows chunk) in
-            row_fallback rows_of !sel preds
+            (* decode just the survivors, and of each just the columns
+               the residual reads, into one buffer row (the compiled
+               test keeps no reference to it); the other slots stay
+               NULL and are never read *)
+            let read =
+              List.concat_map Expr.cols_of_pred preds
+              |> List.filter_map (fun (c : Expr.colref) ->
+                     Schema.find schema ~rel:c.Expr.rel ~name:c.Expr.name)
+              |> List.sort_uniq Int.compare |> Array.of_list
+            in
+            let buf = Array.make (Schema.arity schema) Value.Null in
+            let row_at i =
+              Array.iter (fun j -> buf.(j) <- Columnar.get col ~row:i ~col:j) read;
+              buf
+            in
+            row_fallback row_at !sel preds
       in
       tick ();
       sel
   | None ->
       let rows = Chunk.rows chunk in
-      row_fallback (lazy rows) None filters
+      row_fallback (fun i -> rows.(i)) None filters
 
 (* Materializing per-chunk filter: gather the survivors into a dense
    chunk of the input's own layout (columnar in, columnar out). *)
@@ -362,17 +376,25 @@ let morsel_ordinals m f =
       done
   | Some s -> Array.iter f s
 
-(* Ordinal-indexed row fetch. Columnar chunks decode lazily and only
-   once per morsel — consumers that never touch a row (e.g. a probe
-   with no matches) never pay the decode. *)
+(* Ordinal-indexed row fetch. A columnar chunk decodes a row only when
+   its ordinal is fetched, and each at most once per morsel: consumers
+   fetch in ordinal order and fetch an ordinal again only right after
+   (an index-NL outer row, once per inner match), so the last row
+   decoded is the memo. Rows a consumer never touches (a probe with no
+   match, an outer row whose inner lookups all fail) are never decoded. *)
 let morsel_fetch m =
   match Chunk.columnar m.m_chunk with
   | None ->
       let rows = Chunk.rows m.m_chunk in
       fun i -> rows.(i)
   | Some col ->
-      let rows = lazy (Columnar.to_rows col) in
-      fun i -> (Lazy.force rows).(i)
+      let last = ref (-1) and row = ref [||] in
+      fun i ->
+        if i <> !last then begin
+          row := Columnar.row col i;
+          last := i
+        end;
+        !row
 
 (* Ordinal-indexed single-column accessor — the batch path for join
    keys: a columnar chunk decodes the whole key column at once (one
@@ -397,11 +419,13 @@ let morsel_col m p =
       else fun i -> Columnar.get col ~row:i ~col:p
 
 (* dense array of the surviving rows (shared with the chunk when the
-   morsel is dense and row-major) *)
+   morsel is dense and row-major; a sparse columnar morsel decodes only
+   its survivors) *)
 let morsel_rows m =
-  match m.m_sel with
-  | None -> Chunk.rows m.m_chunk
-  | Some s ->
+  match (m.m_sel, Chunk.columnar m.m_chunk) with
+  | None, _ -> Chunk.rows m.m_chunk
+  | Some s, Some col -> Array.map (Columnar.row col) s
+  | Some s, None ->
       let rows = Chunk.rows m.m_chunk in
       Array.map (fun i -> rows.(i)) s
 

@@ -14,7 +14,11 @@ type t = {
 }
 
 val of_values : ?n_mcv:int -> ?n_buckets:int -> Value.t array -> t
-(** Full ANALYZE of one column (defaults: 10 MCVs, 64 buckets). *)
+(** Full ANALYZE of one column (defaults: 10 MCVs, 64 buckets). A plain
+    column (one value type; for floats no NaN and no [-0.0]) is analysed
+    from its distinct keys and their counts: one sort of the distinct
+    keys, no sort of the values. Any other column sorts its values. Both
+    give the same result, bit for bit, as sorting would. *)
 
 val mcv_total : t -> float
 (** Sum of MCV frequency fractions. *)

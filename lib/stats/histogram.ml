@@ -2,6 +2,10 @@ module Value = Qs_storage.Value
 
 type t = { bounds : Value.t array }
 
+(* Bound [i] of [b] buckets over [n] sorted values sits at this
+   position; positions only grow with [i]. *)
+let bound_pos ~n ~b i = if i = b then n - 1 else i * (n - 1) / b
+
 let build values ~n_buckets =
   let non_null = Array.of_seq (Seq.filter (fun v -> not (Value.is_null v)) (Array.to_seq values)) in
   let n = Array.length non_null in
@@ -9,12 +13,29 @@ let build values ~n_buckets =
   else (
     Array.sort Value.compare non_null;
     let b = max 1 (min n_buckets n) in
-    let bounds =
-      Array.init (b + 1) (fun i ->
-          let pos = if i = b then n - 1 else i * (n - 1) / b in
-          non_null.(pos))
-    in
+    let bounds = Array.init (b + 1) (fun i -> non_null.(bound_pos ~n ~b i)) in
     Some { bounds })
+
+(* [build]'s bounds from the distinct values, ascending, with their
+   counts: position [pos] of the sorted values holds the first key whose
+   cumulative count exceeds [pos]. *)
+let of_sorted_counts keys ~n_buckets =
+  let n = Array.fold_left (fun a (_, c) -> a + c) 0 keys in
+  if n = 0 then None
+  else begin
+    let b = max 1 (min n_buckets n) in
+    let bounds = Array.make (b + 1) Value.Null in
+    let k = ref 0 and upto = ref (snd keys.(0)) in
+    for i = 0 to b do
+      let pos = bound_pos ~n ~b i in
+      while pos >= !upto do
+        incr k;
+        upto := !upto + snd keys.(!k)
+      done;
+      bounds.(i) <- fst keys.(!k)
+    done;
+    Some { bounds }
+  end
 
 let n_buckets t = Array.length t.bounds - 1
 

@@ -11,6 +11,12 @@ val build : Value.t array -> n_buckets:int -> t option
 (** [None] when there are no non-null values. The input need not be
     sorted. *)
 
+val of_sorted_counts : (Value.t * int) array -> n_buckets:int -> t option
+(** [build] from the distinct non-null values in ascending
+    [Value.compare] order, each with its (positive) count: the same
+    bounds, without sorting the values. Exact when compare-equal values
+    are identical (see {!Column_stats.of_values}). *)
+
 val n_buckets : t -> int
 
 val bounds : t -> Value.t array

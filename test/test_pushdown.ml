@@ -4,9 +4,11 @@
    order. Checked over the fuzz corpus, the Cinema queries and the DSB
    SPJ queries, on resident and on spilled tables, at chunk sizes 1, 7
    and the default, plus hand-built joins whose residual columns are not
-   projected. *)
+   projected. The same matrix checks that spilled (columnar) morsels,
+   which decode rows on demand, give the resident run's rows and stats. *)
 
 module Value = Qs_storage.Value
+module Chunk = Qs_storage.Chunk
 module Table = Qs_storage.Table
 module Schema = Qs_storage.Schema
 module Catalog = Qs_storage.Catalog
@@ -150,8 +152,127 @@ let test_residual_not_projected () =
       ("hash+index-nl", inl, [ col "c" "tag" ]);
     ]
 
+(* --- columnar morsels decode only what they hand out ------------------ *)
+
+(* An outer and an inner table whose scan filters leave the batch kernels
+   for the row fallback (LIKE, OR) and keep a sparse share of the rows,
+   joined by hash, index-NL and NL. Spilled, their frames fault in
+   column-major, so every morsel is a sparse selection over a columnar
+   chunk: the fallback, the hash build and probe fetches, the index-NL
+   outer fetch and the NL inner buffer all decode on demand. The rows
+   and the per-node stats must equal the resident (row-major) run, at
+   every chunk size. *)
+let decode_plans () =
+  let o =
+    Table.create ~name:"o"
+      ~schema:
+        (Schema.make "o"
+           [ ("k", Value.TInt); ("v", Value.TInt); ("tag", Value.TStr); ("note", Value.TStr) ])
+      (Array.init 400 (fun i ->
+           [|
+             Value.Int (i mod 37);
+             Value.Int (i * 13 mod 29);
+             Value.Str (Printf.sprintf "t%03d" i);
+             (if i mod 5 = 0 then Value.Null else Value.Str (string_of_int (i mod 9)));
+           |]))
+  in
+  let i =
+    Table.create ~name:"i"
+      ~schema:(Schema.make "i" [ ("k", Value.TInt); ("w", Value.TInt); ("label", Value.TStr) ])
+      (Array.init 120 (fun j ->
+           [|
+             Value.Int (j mod 41);
+             Value.Int (j * 7 mod 23);
+             Value.Str ((if j mod 4 = 0 then "keep" else "drop") ^ string_of_int j);
+           |]))
+  in
+  let o_filters =
+    [
+      Expr.Cmp (Expr.Lt, Expr.Col (col "o" "k"), Expr.vint 30);
+      Expr.Or
+        [
+          Expr.Like (Expr.Col (col "o" "tag"), "%7");
+          Expr.Cmp (Expr.Eq, Expr.Col (col "o" "v"), Expr.vint 3);
+        ];
+      Expr.Not_null (Expr.Col (col "o" "note"));
+    ]
+  in
+  let i_filters = [ Expr.Like (Expr.Col (col "i" "label"), "keep%") ] in
+  let scan t filters =
+    Physical.scan (Test_executor.fragment_input ~filters t) ~est_rows:10.0 ~est_cost:1.0
+  in
+  let join method_ ?index left right preds =
+    Physical.join ~method_ ?index () ~left ~right ~preds ~est_rows:10.0 ~est_cost:1.0
+  in
+  let on x y = Expr.eq (Expr.Col x) (Expr.Col y) in
+  let lt x y = Expr.Cmp (Expr.Lt, Expr.Col x, Expr.Col y) in
+  let ix = Qs_storage.Index.build i ~column:"k" ~unique:false in
+  let keys = on (col "o" "k") (col "i" "k") in
+  ( Chunk.columnar (Table.chunk_data o 0) <> None,
+    [
+      ( "hash",
+        join Physical.Hash (scan o o_filters) (scan i i_filters)
+          [ keys; lt (col "o" "v") (col "i" "w") ] );
+      ( "index-nl",
+        join Physical.Index_nl ~index:(ix, col "o" "k", col "i" "k") (scan o o_filters)
+          (scan i i_filters) [ keys; lt (col "i" "w") (col "o" "v") ] );
+      ("nl", join Physical.Nl (scan o o_filters) (scan i i_filters) [ keys ]);
+    ] )
+
+let decode_results () =
+  let columnar, plans = decode_plans () in
+  ( columnar,
+    List.concat_map
+      (fun (what, plan) ->
+        List.map
+          (fun project ->
+            let t, stats = Executor.run ~project plan in
+            (* node ids differ between builds: key the stats by the
+               plan's node order *)
+            let stats =
+              List.map
+                (fun (n : Physical.t) -> Hashtbl.find stats n.Physical.id)
+                (Physical.nodes plan)
+            in
+            (what, Table.n_rows t, Table.digest t, stats))
+          [ []; [ col "i" "label"; col "o" "tag" ] ])
+      plans )
+
+let test_decode_on_demand () =
+  let columnar, reference = decode_results () in
+  Alcotest.(check bool) "resident chunks are row-major" false columnar;
+  List.iter
+    (fun (what, n, _, _) ->
+      if n = 0 then Alcotest.failf "%s: the reference run is empty" what)
+    reference;
+  List.iter
+    (fun (store, chunk_rows) ->
+      let run () =
+        Test_bufpool.with_chunk_rows chunk_rows (fun () ->
+            let columnar, got = decode_results () in
+            Alcotest.(check bool)
+              (store ^ ": spilled chunks are columnar")
+              (store = "spilled") columnar;
+            List.iter2
+              (fun (what, _, want_digest, want_stats) (_, _, digest, stats) ->
+                let what = Printf.sprintf "%s (%s, chunk %d)" what store chunk_rows in
+                Alcotest.(check string) (what ^ ": rows") want_digest digest;
+                if stats <> want_stats then Alcotest.failf "%s: per-node stats differ" what)
+              reference got)
+      in
+      if store = "spilled" then
+        Test_bufpool.with_spill ~capacity:4 (fun bp ->
+            run ();
+            Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp))
+      else run ())
+    (List.concat_map
+       (fun store -> List.map (fun c -> (store, c)) [ 1; 7; Table.default_chunk_rows () ])
+       [ "resident"; "spilled" ])
+
 let suite =
   Alcotest.test_case "residual columns not projected" `Quick test_residual_not_projected
+  :: Alcotest.test_case "columnar morsels decode on demand = resident" `Quick
+       test_decode_on_demand
   :: List.concat_map
        (fun store ->
          List.map

@@ -211,6 +211,133 @@ let arbitrary_pred_sel =
       let s = Selectivity.pred ~stats_of p in
       s > 0.0 && s <= 1.0)
 
+(* --- distinct-key ANALYZE = the sort-every-value reference ----------- *)
+
+let nan_payloads =
+  [|
+    Float.nan;
+    Int64.float_of_bits 0x7FF0000000000001L;
+    Int64.float_of_bits 0xFFF8000000000000L;
+    Int64.float_of_bits 0x7FF8000000000ABCL;
+  |]
+
+(* Values of one column flavour. Plain flavours (one type; floats with no
+   NaN and no -0.0) take the distinct-key path, the others the sorting
+   path; both must match the reference. *)
+let gen_value flavour =
+  let open QCheck.Gen in
+  let int_v = map (fun i -> Value.Int i) (int_range (-20) 20) in
+  let float_v = map (fun i -> Value.Float (float_of_int i /. 4.0)) (int_range (-40) 40) in
+  let str_v =
+    map
+      (fun (p, k) -> Value.Str (p ^ string_of_int k))
+      (pair (oneofl [ ""; "a"; "ab"; "ab\000"; "abc" ]) (int_range 0 12))
+  in
+  let bool_v = map (fun b -> Value.Bool b) bool in
+  let odd_float =
+    oneof
+      [
+        map (fun i -> Value.Float nan_payloads.(i)) (int_bound 3);
+        oneofl
+          [ Value.Float 0.0; Value.Float (-0.0); Value.Float infinity; Value.Float neg_infinity ];
+      ]
+  in
+  match flavour with
+  | 0 -> int_v
+  | 1 -> float_v
+  | 2 -> str_v
+  | 3 -> bool_v
+  | 4 -> frequency [ (6, float_v); (1, odd_float) ]
+  | _ ->
+      (* Int 1 beside Float 1.0, and every other type *)
+      let int_float = map (fun i -> Value.Float (float_of_int i)) (int_range (-20) 20) in
+      oneof [ int_v; int_float; str_v; bool_v; odd_float ]
+
+(* A column of [n] cells drawn from a pool of [d] values of one flavour,
+   with a NULL share. Tie mode gives every pool value a count of 1 to 3,
+   so the 10th MCV usually ties with its neighbours; otherwise draws are
+   skewed toward the pool's head. The wide mode crosses the counting
+   table's initial 1024 buckets and its resizes. *)
+let gen_column =
+  let open QCheck.Gen in
+  let* flavour = int_bound 5 in
+  let* wide = frequency [ (9, return false); (1, return true) ] in
+  let* d = if wide then int_range 2000 5000 else int_range 1 40 in
+  let* pool =
+    if wide then return (Array.init d (fun i -> Value.Int (i * 7919 mod 100_003)))
+    else array_size (return d) (gen_value flavour)
+  in
+  let* null_share = oneofl [ 0.0; 0.0; 0.1; 0.5; 1.0 ] in
+  let* ties = bool in
+  let* cells =
+    if ties then begin
+      let* counts = array_size (return d) (int_range 1 3) in
+      let cells = List.concat (List.init d (fun i -> List.init counts.(i) (fun _ -> pool.(i)))) in
+      shuffle_l cells
+    end
+    else
+      let* n = if wide then int_range 2000 6000 else int_range 0 300 in
+      list_size (return n)
+        (map (fun (a, b) -> pool.(min a b)) (pair (int_bound (d - 1)) (int_bound (d - 1))))
+  in
+  let* cells =
+    flatten_l
+      (List.map
+         (fun v ->
+           map (fun u -> if u < null_share then Value.Null else v) (float_bound_exclusive 1.0))
+         cells)
+  in
+  let* n_mcv = oneofl [ 0; 1; 3; 10; 10; 10 ] in
+  let* n_buckets = oneofl [ 1; 5; 64; 64; 64; 100 ] in
+  return (Array.of_list cells, n_mcv, n_buckets)
+
+let print_column (cells, n_mcv, n_buckets) =
+  Printf.sprintf "n_mcv=%d n_buckets=%d [%s]" n_mcv n_buckets
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (function
+               | Value.Float f -> Printf.sprintf "Float %h" f
+               | Value.Str s -> Printf.sprintf "%S" s
+               | v -> Value.to_string v)
+             cells)))
+
+let distinct_key_analyze_exact =
+  QCheck.Test.make ~name:"of_values = sort-every-value reference, bit for bit" ~count:600
+    (QCheck.make ~print:print_column gen_column)
+    (fun (cells, n_mcv, n_buckets) ->
+      let got =
+        Column_stats_oracle.of_column_stats (Column_stats.of_values ~n_mcv ~n_buckets cells)
+      in
+      let want = Column_stats_oracle.of_values ~n_mcv ~n_buckets cells in
+      Column_stats_oracle.bits got = Column_stats_oracle.bits want)
+
+(* The corner columns by name, on both paths. *)
+let test_analyze_exact_corners () =
+  let check name ?n_mcv ?n_buckets cells =
+    let got =
+      Column_stats_oracle.of_column_stats (Column_stats.of_values ?n_mcv ?n_buckets cells)
+    in
+    let want = Column_stats_oracle.of_values ?n_mcv ?n_buckets cells in
+    Alcotest.(check bool) name true (Column_stats_oracle.bits got = Column_stats_oracle.bits want)
+  in
+  let f x = Value.Float x in
+  check "empty" [||];
+  check "all NULL" [| Value.Null; Value.Null |];
+  check "single value" [| Value.Int 7 |];
+  check "single value, NULLs" [| Value.Null; Value.Str "x"; Value.Null |];
+  check "fewer values than buckets" (ints (List.init 30 (fun i -> i mod 7)));
+  check "+0.0 then -0.0" [| f 0.0; f (-0.0); f 1.0; f 0.0 |];
+  check "-0.0 then +0.0" [| f (-0.0); f 0.0; f (-0.0) |];
+  check "NaN payloads" (Array.map f (Array.append nan_payloads [| 1.0; nan_payloads.(2) |]));
+  check "Int 1 and Float 1.0" [| Value.Int 1; f 1.0; Value.Int 1; f 1.0; f 2.0 |];
+  check "bools" [| Value.Bool true; Value.Bool false; Value.Bool true |];
+  check "shared prefixes"
+    (Array.map (fun s -> Value.Str s) [| "ab"; "a"; "abc"; "ab"; ""; "a\000" |]);
+  (* 15 values all seen twice: which ten are the MCVs is the tie order *)
+  check "tie at the 10th MCV" ~n_mcv:10
+    (Array.init 40 (fun i -> if i < 30 then Value.Int (i mod 15) else Value.Int (100 + i)))
+
 let suite =
   [
     Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
@@ -235,4 +362,6 @@ let suite =
     Alcotest.test_case "conjunction independence" `Quick test_conj_independence;
     Alcotest.test_case "no-stats defaults" `Quick test_no_stats_defaults;
     QCheck_alcotest.to_alcotest arbitrary_pred_sel;
+    Alcotest.test_case "analyze exact: corner columns" `Quick test_analyze_exact_corners;
+    QCheck_alcotest.to_alcotest distinct_key_analyze_exact;
   ]

@@ -14,7 +14,10 @@
 #                               Expr.compile; Expr.eval / eval_scalar stay
 #                               only in the reference paths (naive.ml and
 #                               Executor.hash_join)
-#   6. dune build @fmt        — formatting, skipped when already running
+#   6. no whole-chunk decode  — lib/exec never calls Columnar.to_rows:
+#                               a columnar morsel decodes only the rows
+#                               (and the filter only the cells) it reads
+#   7. dune build @fmt        — formatting, skipped when already running
 #                               under dune (INSIDE_DUNE is set): dune
 #                               cannot re-enter itself, and the runtest
 #                               rule depends on the fmt alias instead.
@@ -104,6 +107,17 @@ for f in lib/exec/*.ml; do
     status=1
   fi
 done
+
+# --- no whole-chunk decode in the engine --------------------------------
+# A morsel over a columnar chunk hands out rows by ordinal, decoding
+# each the first time it is fetched; a sparse morsel buffers only its
+# survivors; the filter's row fallback decodes only the cells its
+# residual reads. Columnar.to_rows (every row of a 65,536-row frame)
+# stays out of lib/exec so that decode cannot creep back onto the path.
+if grep -nE 'Columnar\.to_rows' lib/exec/*.ml >&2; then
+  echo "lint: lib/exec calls Columnar.to_rows — decode only the ordinals a morsel hands out" >&2
+  status=1
+fi
 
 # --- formatting + out-of-core fuzz corpus ------------------------------
 # Both already covered by `dune runtest` (which cannot re-enter dune);
