@@ -40,6 +40,7 @@ let micro () =
   let module Value = Qs_storage.Value in
   let module Btree = Qs_storage.Btree in
   let module Catalog = Qs_storage.Catalog in
+  let module Table = Qs_storage.Table in
   let module Estimator = Qs_stats.Estimator in
   let module Optimizer = Qs_plan.Optimizer in
   let module Executor = Qs_exec.Executor in
@@ -57,6 +58,15 @@ let micro () =
   let queries = Qs_workload.Cinema.queries cat ~seed:4 ~n:5 in
   let ctx = Strategy.make_ctx env.Qs_harness.Runner.registry Estimator.default in
   let frags = List.map (Strategy.fragment_of_query ctx) queries in
+  (* the largest of the five QuerySplit results, held in memory: what the
+     server digests for every query it completes *)
+  let result =
+    let qs = Qs_core.Querysplit.strategy Qs_core.Querysplit.default_config in
+    List.map (fun q -> (qs.Strategy.run ctx q).Strategy.result) queries
+    |> List.fold_left
+         (fun best t -> if Table.n_rows t > Table.n_rows best then t else best)
+         (Table.of_rows ~name:"empty" ~schema:[||] [])
+  in
   let tests =
     [
       Test.make ~name:"btree_insert_50k"
@@ -68,6 +78,8 @@ let micro () =
       Test.make ~name:"analyze_title"
         (Staged.stage (fun () ->
              ignore (Qs_stats.Analyze.of_table (Catalog.table cat "title"))));
+      Test.make ~name:"digest_result"
+        (Staged.stage (fun () -> ignore (Table.digest result)));
       Test.make ~name:"optimizer_dp_5_queries"
         (Staged.stage (fun () ->
              List.iter
@@ -85,6 +97,8 @@ let micro () =
   let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 2.0) ~kde:(Some 10) () in
   let instance = Instance.monotonic_clock in
   Printf.printf "\nSubstrate micro-benchmarks (Bechamel, monotonic clock)\n";
+  Printf.printf "  (digest_result: %d rows x %d columns)\n" (Table.n_rows result)
+    (Array.length result.Table.schema);
   List.iter
     (fun test ->
       let results = Benchmark.all cfg [ instance ] test in

@@ -266,51 +266,7 @@ let split_join_preds (lschema : Schema.t) preds =
 let key_positions schema cols =
   List.map (fun (c : Expr.colref) -> Schema.find_exn schema ~rel:c.Expr.rel ~name:c.Expr.name) cols
 
-let key_of_row row positions = List.map (fun p -> row.(p)) positions
-
 let has_null = List.exists Value.is_null
-
-(* Sequential hash join over two materialized tables: the kernel [Naive]
-   evaluates its reference joins with. *)
-let hash_join ?deadline ~(build : Table.t) ~(probe : Table.t) preds =
-  let tick () = check_deadline deadline in
-  let out_schema = Schema.concat probe.Table.schema build.Table.schema in
-  (* orient keys wrt the build side *)
-  let build_cols, residual = split_join_preds build.Table.schema preds in
-  let bpos = key_positions build.Table.schema (List.map fst build_cols) in
-  let ppos = key_positions probe.Table.schema (List.map snd build_cols) in
-  let index : (Value.t list, Value.t array list) Hashtbl.t =
-    Hashtbl.create (max 16 (Table.n_rows build))
-  in
-  Table.iteri
-    (fun i row ->
-      if i mod batch = 0 then tick ();
-      let k = key_of_row row bpos in
-      if not (has_null k) then
-        Hashtbl.replace index k (row :: Option.value (Hashtbl.find_opt index k) ~default:[]))
-    build;
-  let out = ref [] in
-  (* matched pairs, so a high fan-out probe row still polls the deadline *)
-  let pairs = ref 0 in
-  Table.iteri
-    (fun i prow ->
-      if i mod batch = 0 then tick ();
-      let k = key_of_row prow ppos in
-      if not (has_null k) then
-        match Hashtbl.find_opt index k with
-        | None -> ()
-        | Some matches ->
-            List.iter
-              (fun brow ->
-                incr pairs;
-                if !pairs mod batch = 0 then tick ();
-                let row = Array.append prow brow in
-                if List.for_all (Expr.eval out_schema row) residual then
-                  out := row :: !out)
-              matches)
-    probe;
-  built_intermediate ();
-  Table.create ~name:"join" ~schema:out_schema (Array.of_list (List.rev !out))
 
 (* Span bridging: the label of the operator span emitted per executed
    plan node. Exactly one arm per [Physical] operator constructor —
@@ -532,7 +488,8 @@ let pair_filter lschema rschema = function
 
 (* Build-side tables. A one-column key hashes the [Value.t] itself, a
    wider one the list of values. Both keep exactly the equality of the
-   polymorphic table {!hash_join} uses on list keys ([compare = 0]):
+   polymorphic table {!Naive}'s reference join uses on list keys
+   ([compare = 0]):
    [Int 1] never meets [Float 1.0], NaN meets NaN and [-0.0] meets
    [0.0]. NULL keys never reach either table. *)
 module Value_tbl = Hashtbl.Make (struct

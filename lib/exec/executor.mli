@@ -39,9 +39,8 @@ type stats = (int, int) Hashtbl.t
 
 val intermediate_tables : unit -> int
 (** Cumulative count of intermediate tables the executor materialized
-    (the sink of each run, plus every filtered scan and {!hash_join}
-    output). For experiment accounting — reset with
-    {!reset_counters} around a measured region. *)
+    (the sink of each run, plus every filtered scan). For experiment
+    accounting — reset with {!reset_counters} around a measured region. *)
 
 val partition_reuses : unit -> int
 (** Always 0. The partitioned parallel hash join, whose reuse of a
@@ -115,16 +114,6 @@ val filter_input : ?deadline:float -> ?cancel:Qs_util.Cancel.t ->
 (** Scan one input applying its filters (the executor's leaf operator,
     exposed for the naive counter and tests). The result is cached on the
     input's scratch, keyed by the filter predicates. *)
-
-val hash_join : ?deadline:float -> build:Table.t -> probe:Table.t ->
-  Expr.pred list -> Table.t
-(** One sequential hash join over materialized inputs: equality
-    conjuncts become the hash key, the rest are residual filters. The
-    reference kernel {!Naive} joins with; exposed for it and for tests.
-    Unlike {!run} it keeps the reference paths on purpose: a polymorphic
-    [Hashtbl] on list keys (one list per key, even a one-column one) and
-    [Expr.eval] for the residual, so the engine's key table and compiled
-    predicates are checked against code they do not share. *)
 
 val cartesian : name:string -> Table.t list -> Table.t
 (** Cross product of independent result tables — the final merge step of

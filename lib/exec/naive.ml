@@ -40,9 +40,75 @@ let mul_sat a b =
 
 let add_sat a b = if a > max_int - b then max_int else a + b
 
+(* deadline checks are amortized over batches of rows *)
+let batch = 16384
+
 (* ------------------------------------------------------------------ *)
 (* Materializing execution (reference semantics)                       *)
 (* ------------------------------------------------------------------ *)
+
+(* Sequential hash join over two materialized tables, the reference
+   join. Equality conjuncts between the two sides become the key, hashed
+   as a list in a polymorphic [Hashtbl] (one list even for a one-column
+   key); the rest are residual filters, evaluated by [Expr.eval] on the
+   concatenated row. *)
+let hash_join ?deadline ~(build : Table.t) ~(probe : Table.t) preds =
+  let tick () =
+    match deadline with
+    | Some d when Qs_util.Timer.now () > d -> raise Executor.Timeout
+    | _ -> ()
+  in
+  let out_schema = Schema.concat probe.Table.schema build.Table.schema in
+  let in_build (c : Expr.colref) =
+    Schema.mem build.Table.schema ~rel:c.Expr.rel ~name:c.Expr.name
+  in
+  let position (t : Table.t) (c : Expr.colref) =
+    Schema.find_exn t.Table.schema ~rel:c.Expr.rel ~name:c.Expr.name
+  in
+  (* orient keys wrt the build side *)
+  let keys, residual =
+    List.partition_map
+      (fun p ->
+        match Expr.join_sides p with
+        | Some (a, b) when in_build a -> Either.Left (position build a, position probe b)
+        | Some (a, b) when in_build b -> Either.Left (position build b, position probe a)
+        | _ -> Either.Right p)
+      preds
+  in
+  let key_of row positions = List.map (fun p -> row.(p)) positions in
+  let has_null = List.exists Value.is_null in
+  let bpos = List.map fst keys and ppos = List.map snd keys in
+  let index : (Value.t list, Value.t array list) Hashtbl.t =
+    Hashtbl.create (max 16 (Table.n_rows build))
+  in
+  Table.iteri
+    (fun i row ->
+      if i mod batch = 0 then tick ();
+      let k = key_of row bpos in
+      if not (has_null k) then
+        Hashtbl.replace index k (row :: Option.value (Hashtbl.find_opt index k) ~default:[]))
+    build;
+  let out = ref [] in
+  (* matched pairs, so a high fan-out probe row still polls the deadline *)
+  let pairs = ref 0 in
+  Table.iteri
+    (fun i prow ->
+      if i mod batch = 0 then tick ();
+      let k = key_of prow ppos in
+      if not (has_null k) then
+        match Hashtbl.find_opt index k with
+        | None -> ()
+        | Some matches ->
+            List.iter
+              (fun brow ->
+                incr pairs;
+                if !pairs mod batch = 0 then tick ();
+                let row = Array.append prow brow in
+                if List.for_all (Expr.eval out_schema row) residual then
+                  out := row :: !out)
+              matches)
+    probe;
+  Table.create ~name:"join" ~schema:out_schema (Array.of_list (List.rev !out))
 
 (* Join all inputs of one connected component; returns the result table
    (pruned to [keep] ∪ pending-predicate columns). *)
@@ -98,7 +164,7 @@ let join_component ?deadline (frag : Fragment.t) (inputs : Fragment.input list) 
         let bal, bt = List.nth !tabs bi in
         let merged_aliases = aal @ bal in
         let here, later = applicable merged_aliases in
-        let joined = Executor.hash_join ?deadline ~build:at ~probe:bt here in
+        let joined = hash_join ?deadline ~build:at ~probe:bt here in
         preds := later;
         let pruned = prune joined later keep in
         tabs :=

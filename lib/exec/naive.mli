@@ -8,9 +8,9 @@
 
     The reference deliberately keeps the slow, simple paths the engine
     no longer takes: predicates go through the [Expr.eval] interpreter,
-    not [Expr.compile], and joins through {!Executor.hash_join}, whose
-    build table is the polymorphic [Hashtbl] on list keys rather than
-    the engine's one-column [Value.t] table. A bug in the compiler or in
+    not [Expr.compile], and joins through {!hash_join}, whose build
+    table is the polymorphic [Hashtbl] on list keys rather than the
+    engine's one-column [Value.t] table. A bug in the compiler or in
     the key table therefore cannot hide by appearing on both sides of a
     differential test. *)
 
@@ -35,3 +35,10 @@ val rows : ?deadline:float -> Fragment.t -> Table.t
 (** Full materialized result (projected to [fragment.output] when that is
     non-empty). Cross products between components *are* materialized
     here. *)
+
+val hash_join : ?deadline:float -> build:Table.t -> probe:Table.t ->
+  Qs_query.Expr.pred list -> Table.t
+(** The reference join: one sequential hash join over materialized
+    inputs, output columns probe side first. Equality conjuncts between
+    the two sides become the hash key, the rest are residual filters;
+    NULL keys never join. Raises [Executor.Timeout] past [deadline]. *)

@@ -50,6 +50,10 @@ let ser_size = function
   | Value.Int _ | Value.Float _ -> 9
   | Value.Str s -> 5 + String.length s
 
+(* The generic column block's value encoding: a tag byte, then nothing
+   ([Null]), one byte ([Bool]), an 8-byte big-endian int ([Int]), the
+   8-byte IEEE bits ([Float], so NaN payloads and [-0.0] survive) or a
+   4-byte length and the bytes ([Str]). *)
 let put_value buf v =
   match v with
   | Value.Null -> Buffer.add_char buf '\000'

@@ -15,13 +15,6 @@
 
 type t
 
-val put_value : Buffer.t -> Value.t -> unit
-(** The one binary value encoding: a tag byte, then nothing ([Null]),
-    one byte ([Bool]), an 8-byte big-endian int ([Int]), the 8-byte
-    IEEE bits ([Float], so NaN payloads and [-0.0] survive) or a
-    4-byte length and the bytes ([Str]). Injective, so it serves both
-    the frames' generic column blocks and {!Table.digest}. *)
-
 val ser_chunk_size : Chunk.t -> int
 (** Exact serialized payload size of a chunk's column blocks (a
     row-major chunk is encoded first, as {!write} would). [write] sizes

@@ -235,10 +235,64 @@ let reschema ~name ~schema t =
          (Schema.arity schema) (Schema.arity t.schema));
   { t with name; schema }
 
-(* One pass, no sort: the wrapping sums of the per-row MD5s ignore row
-   order but count multiplicity. Every NaN is hashed as one canonical
-   NaN because [Value.compare] treats all NaNs as equal; [-0.0] and
-   [0.0] keep their distinct bits. *)
+(* The result digest. One pass, no sort, no allocation per row: each
+   row is hashed into two 63-bit lanes, and the finalized lanes are
+   summed with wraparound, which ignores row order but counts
+   multiplicity.
+
+   A row feeds its values in sorted column-id order, each as a word
+   sequence that starts with a head word whose low 3 bits are the type
+   tag, so the sequence is prefix-free and the row's encoding injective:
+   [Null] is the head alone, [Bool] the head with the value above the
+   tag, [Int] the head then the int, [Float] the head then its IEEE
+   bits (every NaN replaced by one canonical NaN, because
+   [Value.compare] treats all NaNs as equal; [-0.0] keeps its sign), and
+   [Str] a head carrying the length, then the bytes 8 at a time, the
+   last partial word read overlapping (or, under 8 bytes, assembled)
+   and fixed by the length. A 64-bit word feeds lane A its low 63 bits
+   and lane B its high 63, so the two lanes together see every bit.
+
+   Words are read in native byte order: a digest is compared only with
+   digests computed by the same build, never stored. *)
+
+external get64 : string -> int -> int64 = "%caml_string_get64"
+external get32 : string -> int -> int32 = "%caml_string_get32"
+
+let seed_a = 0x2545_F491_4F6C_DD1D
+let seed_b = 0x1B87_3593_9E37_79B9
+let mul_a = 0x5851_F42D_4C95_7F2D
+let mul_b = 0x3C6E_F372_FE94_F82B
+
+(* one multiply-xorshift step per word; the shift carries the high
+   product bits back down, so a difference anywhere in a word reaches
+   every bit of the lane within a few words *)
+let[@inline] step_a h x =
+  let h = (h lxor x) * mul_a in
+  h lxor (h lsr 31)
+
+let[@inline] step_b h x =
+  let h = (h lxor x) * mul_b in
+  h lxor (h lsr 29)
+
+(* fmix64 (MurmurHash3's finalizer) cut to 63 bits: full avalanche
+   before the lanes are summed, so rows differing in one bit add
+   unrelated terms *)
+let[@inline] fmix h =
+  let h = (h lxor (h lsr 32)) * 0x7F51_AFD7_ED55_8CCD in
+  let h = (h lxor (h lsr 29)) * 0x44CE_B9FE_1A85_EC53 in
+  h lxor (h lsr 32)
+
+(* the 1..7 bytes of a short string as one word of at most 56 bits *)
+let[@inline] short_word s len =
+  if len >= 4 then
+    let lo = Int32.to_int (get32 s 0) land 0xFFFF_FFFF in
+    let hi = Int32.to_int (get32 s (len - 4)) land 0xFFFF_FFFF in
+    lo lor ((hi lsr (8 * (8 - len))) lsl 32)
+  else
+    Char.code s.[0] lor (Char.code s.[len / 2] lsl 8) lor (Char.code s.[len - 1] lsl 16)
+
+let nan_bits = Int64.bits_of_float Float.nan
+
 let digest t =
   let order =
     Array.to_list t.schema
@@ -246,30 +300,62 @@ let digest t =
     |> List.sort compare
   in
   let cols = Array.of_list (List.map snd order) in
-  let buf = Buffer.create 256 in
-  let lo = ref 0L and hi = ref 0L in
+  let ncols = Array.length cols in
+  let sum_a = ref 0 and sum_b = ref 0 in
   iter
     (fun row ->
-      Buffer.clear buf;
-      for k = 0 to Array.length cols - 1 do
+      let a = ref seed_a and b = ref seed_b in
+      for k = 0 to ncols - 1 do
         match row.(cols.(k)) with
-        | Value.Float f when Float.is_nan f ->
-            Chunk_file.put_value buf (Value.Float Float.nan)
-        | v -> Chunk_file.put_value buf v
+        | Value.Null ->
+            a := step_a !a 0;
+            b := step_b !b 0
+        | Value.Bool v ->
+            let w = if v then 9 else 1 in
+            a := step_a !a w;
+            b := step_b !b w
+        | Value.Int i ->
+            a := step_a (step_a !a 2) i;
+            b := step_b (step_b !b 2) i
+        | Value.Float f ->
+            let w = if Float.is_nan f then nan_bits else Int64.bits_of_float f in
+            a := step_a (step_a !a 3) (Int64.to_int w);
+            b := step_b (step_b !b 3) (Int64.to_int (Int64.shift_right_logical w 1))
+        | Value.Str s ->
+            let len = String.length s in
+            let head = 4 lor (len lsl 3) in
+            a := step_a !a head;
+            b := step_b !b head;
+            if len >= 8 then begin
+              let i = ref 0 in
+              while !i < len do
+                (* the last word overlaps its predecessor unless the
+                   length is a multiple of 8 *)
+                let w = get64 s (Int.min !i (len - 8)) in
+                a := step_a !a (Int64.to_int w);
+                b := step_b !b (Int64.to_int (Int64.shift_right_logical w 1));
+                i := !i + 8
+              done
+            end
+            else if len > 0 then begin
+              let w = short_word s len in
+              a := step_a !a w;
+              b := step_b !b w
+            end
       done;
-      let h = Digest.string (Buffer.contents buf) in
-      lo := Int64.add !lo (String.get_int64_le h 0);
-      hi := Int64.add !hi (String.get_int64_le h 8))
+      sum_a := !sum_a + fmix !a;
+      sum_b := !sum_b + fmix !b)
     t;
-  Buffer.clear buf;
+  (* once per table: the column ids, the row count and the two sums *)
+  let buf = Buffer.create 256 in
   List.iter
     (fun (id, _) ->
       Buffer.add_int32_be buf (Int32.of_int (String.length id));
       Buffer.add_string buf id)
     order;
   Buffer.add_int64_be buf (Int64.of_int (n_rows t));
-  Buffer.add_int64_be buf !lo;
-  Buffer.add_int64_be buf !hi;
+  Buffer.add_int64_be buf (Int64.of_int !sum_a);
+  Buffer.add_int64_be buf (Int64.of_int !sum_b);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let pp_sample ?(limit = 10) fmt t =

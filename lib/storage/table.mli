@@ -167,11 +167,13 @@ val reschema : name:string -> schema:Schema.t -> t -> t
 
 val digest : t -> string
 (** Canonical multiset digest (32 hex characters), computed in one
-    pass with no sort. Each row is encoded with
-    {!Chunk_file.put_value}, columns in sorted-id order, and MD5'd; the
-    two 64-bit halves of the row hashes are summed with wraparound. The
-    digest is the MD5 of the length-prefixed column ids, the row count
-    and the two sums.
+    pass with no sort and no allocation per row. Each row is hashed,
+    columns in sorted-id order, into two independently seeded 63-bit
+    multiply-xorshift lanes; each value feeds its type tag, then its
+    payload (the int, the float's IEEE bits, the bool, or a string's
+    length and bytes). The finalized lanes are summed over the rows
+    with wraparound, and the digest is the MD5 of the length-prefixed
+    column ids, the row count and the two sums.
 
     It is invariant under row order, column order and chunking, and
     counts multiplicity: two tables holding the same multiset of rows
@@ -180,7 +182,9 @@ val digest : t -> string
     exact on values: [Int 1], [Float 1.0] and [Str "1"] differ, floats
     are compared by their bits ([-0.0] differs from [0.0]) except that
     every NaN counts as one NaN, and strings are length-prefixed, so
-    no byte inside one can shift a column or row boundary. *)
+    no byte inside one can shift a column or row boundary. Values are
+    comparable only within one build (the lanes read native byte
+    order); none is meant to be stored. *)
 
 val pp_sample : ?limit:int -> Format.formatter -> t -> unit
 (** Debug/demo printer: schema plus the first [limit] rows (default 10). *)

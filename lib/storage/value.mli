@@ -33,8 +33,8 @@ val byte_size : t -> int
 val to_string : t -> string
 (** Display rendering (floats with [%g]) for samples, EXPLAIN and error
     messages. Not injective — [Int 1] and [Str "1"] print alike — so
-    nothing compares results through it: {!Table.digest} hashes the
-    binary encoding of {!Chunk_file.put_value}. *)
+    nothing compares results through it: {!Table.digest} hashes each
+    value's type tag and exact payload. *)
 
 val pp : Format.formatter -> t -> unit
 

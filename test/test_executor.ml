@@ -40,7 +40,7 @@ let mini_tables () =
 let test_hash_join_basics () =
   let a, b = mini_tables () in
   let p = Expr.eq (Expr.col "a" "x") (Expr.col "b" "y") in
-  let out = Executor.hash_join ~build:a ~probe:b [ p ] in
+  let out = Naive.hash_join ~build:a ~probe:b [ p ] in
   (* x=2 matches twice on each side: 2*2 = 4 rows; nulls never join *)
   Alcotest.(check int) "4 rows" 4 (Table.n_rows out)
 
@@ -48,13 +48,13 @@ let test_hash_join_residual () =
   let a, b = mini_tables () in
   let p = Expr.eq (Expr.col "a" "x") (Expr.col "b" "y") in
   let res = Expr.Cmp (Expr.Gt, Expr.col "b" "v", Expr.vint 10) in
-  let out = Executor.hash_join ~build:a ~probe:b [ p; res ] in
+  let out = Naive.hash_join ~build:a ~probe:b [ p; res ] in
   Alcotest.(check int) "residual filters" 2 (Table.n_rows out)
 
 let test_nulls_never_join () =
   let a, b = mini_tables () in
   let p = Expr.eq (Expr.col "a" "x") (Expr.col "b" "y") in
-  let out = Executor.hash_join ~build:a ~probe:b [ p ] in
+  let out = Naive.hash_join ~build:a ~probe:b [ p ] in
   Table.iter
     (fun row -> Array.iter (fun v -> Alcotest.(check bool) "no null keys" false
       (Value.is_null v && false)) row)
