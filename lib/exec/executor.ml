@@ -207,49 +207,88 @@ let chunk_selvec ?deadline ?cancel schema filters (chunk : Chunk.t) =
       let rows = Chunk.rows chunk in
       row_fallback (fun i -> rows.(i)) None filters
 
-(* Materializing per-chunk filter: gather the survivors into a dense
-   chunk of the input's own layout (columnar in, columnar out). *)
-let filter_chunk_data ?deadline ?cancel schema filters (chunk : Chunk.t) =
-  let sel = chunk_selvec ?deadline ?cancel schema filters chunk in
-  if Array.length sel = Chunk.n_rows chunk then chunk
-  else
-    match Chunk.columnar chunk with
-    | Some col -> Chunk.of_columnar (Columnar.take col sel)
-    | None ->
-        let rows = Chunk.rows chunk in
-        Chunk.of_rows (Array.map (fun i -> rows.(i)) sel)
+(* The survivors [sel] ([None]: every row) of one chunk, cut to the
+   columns at [positions] (in their order) when given, as a dense chunk
+   of the input's own layout. A columnar chunk is projected first,
+   which shares the kept columns, then gathered; a row chunk gathers
+   its survivors first and copies only their kept cells. *)
+let select_chunk ?positions sel (chunk : Chunk.t) =
+  let sel = match sel with Some s when Array.length s = Chunk.n_rows chunk -> None | s -> s in
+  match (Chunk.columnar chunk, sel, positions) with
+  | _, None, None -> chunk
+  | Some col, sel, positions -> (
+      let col = Option.fold ~none:col ~some:(Columnar.project col) positions in
+      match sel with
+      | Some s -> Chunk.of_columnar (Columnar.take col s)
+      | None -> Chunk.of_columnar col)
+  | None, sel, positions ->
+      let rows = Chunk.rows chunk in
+      let cut =
+        match positions with
+        | None -> Fun.id
+        | Some ps ->
+            let pos = Array.of_list ps in
+            fun row -> Array.map (fun p -> row.(p)) pos
+      in
+      Chunk.of_rows
+        (match sel with
+        | Some s -> Array.map (fun i -> cut rows.(i)) s
+        | None -> Array.map cut rows)
 
-(* Chunked scan+filter through the chunk walker, one pinned frame at a
-   time over a spilled table. The output preserves each input chunk's
-   layout. *)
+(* Chunked scan+filter (+ projection) through the chunk walker, one
+   pinned frame at a time over a spilled table: each chunk's survivors,
+   cut to [positions] when given, in the input chunk's layout. A
+   filtered scan counts as an intermediate table. *)
+let scan_table ?deadline ?cancel ?positions (tbl : Table.t) filters =
+  let schema = tbl.Table.schema in
+  let out = ref [] in
+  Table.iter_chunk_data
+    (fun _ chunk ->
+      let sel =
+        match filters with
+        | [] -> None
+        | filters -> Some (chunk_selvec ?deadline ?cancel schema filters chunk)
+      in
+      out := select_chunk ?positions sel chunk :: !out)
+    tbl;
+  if filters <> [] then built_intermediate ();
+  let schema =
+    Option.fold ~none:schema
+      ~some:(fun ps -> Array.of_list (List.map (fun p -> schema.(p)) ps))
+      positions
+  in
+  Table.of_chunk_data ~name:tbl.Table.name ~schema (List.rev !out)
+
 let filter_table ?deadline ?cancel (tbl : Table.t) filters =
-  match filters with
-  | [] -> tbl
-  | filters ->
-      let schema = tbl.Table.schema in
-      let out = ref [] in
-      Table.iter_chunk_data
-        (fun _ chunk ->
-          out := filter_chunk_data ?deadline ?cancel schema filters chunk :: !out)
-        tbl;
-      built_intermediate ();
-      Table.of_chunk_data ~name:tbl.Table.name ~schema (List.rev !out)
+  match filters with [] -> tbl | filters -> scan_table ?deadline ?cancel tbl filters
 
-let filter_input ?deadline ?cancel (input : Fragment.input) =
+let filter_input ?deadline ?cancel ?positions (input : Fragment.input) =
   let tbl = input.Fragment.table in
-  match input.Fragment.filters with
-  | [] -> tbl
-  | filters ->
-      (* tables are immutable, so the filtered result is cached on the
+  let positions =
+    match positions with
+    | Some ps when ps = List.init (Schema.arity tbl.Table.schema) Fun.id -> None
+    | ps -> ps
+  in
+  match (input.Fragment.filters, positions) with
+  | [], None -> tbl
+  | filters, positions ->
+      (* tables are immutable, so the scanned result is cached on the
          input record — re-optimization re-scans the same inputs many
-         times. The cache key carries the predicate list: an input
-         re-planned with different pushed-down filters must not reuse
-         rows filtered under the old ones. A cancelled scan unwinds out
+         times. The cache key carries the predicate list and the kept
+         positions: an input re-planned with different pushed-down
+         filters, or scanned under another projection, must not reuse
+         rows scanned under the old ones. A cancelled scan unwinds out
          of [find_or_add] before publishing, leaving the slot empty —
-         the next query refilters from scratch. *)
-      Scratch.find_or_add input.Fragment.scratch table_slot
-        ("filtered:" ^ filters_key filters)
-        (fun () -> filter_table ?deadline ?cancel tbl filters)
+         the next query rescans from scratch. *)
+      let key =
+        match positions with
+        | None -> "filtered:" ^ filters_key filters
+        | Some ps ->
+            "filtered:" ^ filters_key filters ^ " | kept:"
+            ^ String.concat "," (List.map string_of_int ps)
+      in
+      Scratch.find_or_add input.Fragment.scratch table_slot key (fun () ->
+          scan_table ?deadline ?cancel ?positions tbl filters)
 
 (* Join-key extraction: positions of the equi-join columns on each side,
    plus the residual predicates evaluated on the concatenated row. *)
@@ -317,6 +356,16 @@ let morsel_of ~chunk ~sel =
   | Some s when Array.length s = Chunk.n_rows chunk ->
       { m_chunk = chunk; m_sel = None }
   | _ -> { m_chunk = chunk; m_sel = sel }
+
+(* A scan's morsel of one chunk under its selection, cut to the columns
+   at [positions] when given. Projecting a columnar chunk shares the
+   kept columns, so the selection stays a vector over it; a row chunk
+   copies only the kept cells of its survivors, into a dense morsel. *)
+let scan_morsel ?positions chunk sel =
+  match (positions, Chunk.columnar chunk) with
+  | None, _ -> morsel_of ~chunk ~sel
+  | Some ps, Some col -> morsel_of ~chunk:(Chunk.of_columnar (Columnar.project col ps)) ~sel
+  | Some _, None -> morsel_of ~chunk:(select_chunk ?positions sel chunk) ~sel:None
 
 let morsel_count m =
   match m.m_sel with
@@ -397,9 +446,11 @@ type pstream = { ps_schema : Schema.t; ps_iter : (morsel -> unit) -> unit }
 (* What a stream's parent reads of it. [All]: the concatenation of the
    leaf schemas. [Keep cols]: the pruned concatenation, i.e. the leaf
    columns named in [cols], in leaf order. [Exactly cols]: the root's
-   projection, in its order, duplicates already dropped. A scan ignores
-   its want (its morsels stay zero-copy); a join gathers only the
-   wanted columns of each (probe, build) pair. *)
+   projection, in its order, duplicates already dropped. A scan emits
+   morsels cut to its want: a column-major (spilled) frame shares the
+   kept columns, so every row later fetched decodes only those; a row
+   chunk hands on the kept cells of its survivors. A join gathers only
+   the wanted columns of each (probe, build) pair. *)
 type want = All | Keep of Expr.colref list | Exactly of Expr.colref list
 
 (* the want of a join's children: what its parent reads plus the
@@ -524,6 +575,22 @@ let list_key m positions =
   let rec at i = function [] -> [] | g :: rest -> g i :: at i rest in
   fun i -> at i cols
 
+(* The positions a scan keeps of its table: [Some] the wanted columns,
+   in table order, when they are fewer than the table's; [None] keeps
+   the whole schema. *)
+let scan_keep want (tbl : Table.t) =
+  match want with
+  | Keep cols ->
+      let wanted (c : Schema.column) =
+        List.exists
+          (fun (w : Expr.colref) -> c.Schema.rel = w.Expr.rel && c.Schema.name = w.Expr.name)
+          cols
+      in
+      let arity = Schema.arity tbl.Table.schema in
+      let positions = List.filter (fun i -> wanted tbl.Table.schema.(i)) (List.init arity Fun.id) in
+      if List.length positions = arity then None else Some positions
+  | _ -> None
+
 let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
   let stats : stats = Hashtbl.create 16 in
   (* every node id present even when nothing streams through it *)
@@ -597,21 +664,30 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
     match p.Physical.node with
     | Physical.Scan input ->
         (* fused scan+filter: the selection runs inside the pinned chunk
-           walk and produces a selection vector over the chunk — no row
-           copy, no intermediate table; columnar chunks go through the
+           walk and produces a selection vector over the chunk — no
+           intermediate table, and no row copy unless the parent reads
+           fewer columns of a row chunk; columnar chunks go through the
            vectorized kernels. The deadline / cancel poll sits at the
            morsel boundary, so a cancellation unwinds before the next
            frame is pinned. *)
         let tbl = input.Fragment.table in
         let schema = tbl.Table.schema in
         let filters = input.Fragment.filters in
+        let positions = scan_keep want tbl in
+        let out_schema =
+          Option.fold ~none:schema
+            ~some:(fun ps -> Array.of_list (List.map (fun i -> schema.(i)) ps))
+            positions
+        in
         {
-          ps_schema = schema;
+          ps_schema = out_schema;
           ps_iter =
             (fun emit ->
               Table.iter_chunk_data
                 (fun _ chunk ->
                   tick ();
+                  (* the filters read the whole chunk; the parent gets
+                     only the kept columns of the survivors *)
                   let sel =
                     if filters = [] then None
                     else
@@ -620,7 +696,7 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
                   match sel with
                   | Some [||] -> ()
                   | _ ->
-                      let m = morsel_of ~chunk ~sel in
+                      let m = scan_morsel ?positions chunk sel in
                       bump p (morsel_count m);
                       emit m)
                 tbl);
@@ -667,9 +743,28 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
             in
             let inner_tbl = inner_input.Fragment.table in
             let inner_schema = inner_tbl.Table.schema in
-            let inner_holds = Expr.compile_all inner_schema inner_input.Fragment.filters in
+            let inner_filters = inner_input.Fragment.filters in
+            let inner_holds = Expr.compile_all inner_schema inner_filters in
             let keep = pair_filter ostream.ps_schema inner_schema residual in
             let out_schema, src = pair_output want ostream.ps_schema inner_schema in
+            (* an inner row is read by its filters, the residual and the
+               gather map: a columnar frame decodes only those cells,
+               into one buffer refilled per lookup (the filter, the
+               residual and the gather keep no reference to it) *)
+            let inner_reads =
+              let from_pair =
+                Array.to_list src
+                @ List.filter_map
+                    (pair_source ostream.ps_schema inner_schema)
+                    (List.concat_map Expr.cols_of_pred residual)
+                |> List.filter_map (fun s -> if s < 0 then Some (-1 - s) else None)
+              in
+              List.concat_map Expr.cols_of_pred inner_filters
+              |> List.filter_map (fun (c : Expr.colref) ->
+                     Schema.find inner_schema ~rel:c.Expr.rel ~name:c.Expr.name)
+              |> List.append from_pair |> List.sort_uniq Int.compare |> Array.of_list
+            in
+            let buf = Array.make (Schema.arity inner_schema) Value.Null in
             let okpos =
               Schema.find_exn ostream.ps_schema ~rel:outer_key.Expr.rel
                 ~name:outer_key.Expr.name
@@ -689,7 +784,7 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
                       let rec lookups i = function
                         | [] -> ()
                         | rid :: rest ->
-                            let irow = Table.row inner_tbl rid in
+                            let irow = Table.row_cells inner_tbl rid ~cols:inner_reads ~buf in
                             if inner_holds irow then begin
                               incr matched;
                               let orow = fetch i in
@@ -758,37 +853,22 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
   if spans <> None then operator_markers spans ~t0 plan stats;
   (out, stats)
 
+let column_positions schema cols =
+  List.map
+    (fun (c : Expr.colref) -> Schema.find_exn schema ~rel:c.Expr.rel ~name:c.Expr.name)
+    cols
+
 let project ?name (tbl : Table.t) cols =
   match dedup_cols cols with
   | [] -> tbl
   | cols ->
       let schema = tbl.Table.schema in
       let name = Option.value name ~default:tbl.Table.name in
-      let positions =
-        List.map
-          (fun (c : Expr.colref) -> Schema.find_exn schema ~rel:c.Expr.rel ~name:c.Expr.name)
-          cols
-      in
+      let positions = column_positions schema cols in
       if positions = List.init (Schema.arity schema) Fun.id then
         (* the input already is the projection (a run given it) *)
         Table.with_name tbl name
-      else
-        let schema = Array.of_list (List.map (fun p -> schema.(p)) positions) in
-        let chunks =
-          List.init (Table.n_chunks tbl) (fun ci ->
-              match Chunk.columnar (Table.chunk_data tbl ci) with
-              | Some col ->
-                  (* columnar projection shares the retained columns —
-                     no per-row work at all *)
-                  Chunk.of_columnar (Columnar.project col positions)
-              | None ->
-                  Chunk.of_rows
-                    (Array.map
-                       (fun row ->
-                         Array.of_list (List.map (fun p -> row.(p)) positions))
-                       (Table.chunk tbl ci)))
-        in
-        Table.of_chunk_data ~name ~schema chunks
+      else scan_table ~positions (Table.with_name tbl name) []
 
 let run ?deadline ?cancel ?(row_limit = default_row_limit) ?spans
     ?project:(cols = []) plan =
@@ -798,18 +878,25 @@ let run ?deadline ?cancel ?(row_limit = default_row_limit) ?spans
       let want = match cols with [] -> All | cols -> Exactly cols in
       run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan
   | Physical.Scan input ->
-      (* a bare scan is just the leaf: [filter_input] keeps the scratch
-         filter cache, which streaming it into a copy would lose *)
+      (* a bare scan is just the leaf, through the scratch-cached
+         [filter_input]: the filter gathers only the projected columns
+         of its survivors, in the same pass, so no second copy is
+         written and read back *)
+      let positions =
+        match cols with
+        | [] -> None
+        | cols -> Some (column_positions input.Fragment.table.Table.schema cols)
+      in
       let t0 = if spans <> None then Timer.now () else 0.0 in
       let out =
         Span.span spans Span.Pipeline ~args:(node_args plan)
           ("pipeline:" ^ span_label plan) (fun () ->
-            filter_input ?deadline ?cancel input)
+            filter_input ?deadline ?cancel ?positions input)
       in
       let stats : stats = Hashtbl.create 1 in
       Hashtbl.replace stats plan.Physical.id (Table.n_rows out);
       if spans <> None then operator_markers spans ~t0 plan stats;
-      (project out cols, stats)
+      (out, stats)
 
 let cartesian ~name tables =
   match tables with

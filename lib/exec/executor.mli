@@ -79,9 +79,15 @@ val run : ?deadline:float -> ?cancel:Qs_util.Cancel.t -> ?row_limit:int ->
     parent's, those of the predicates of the joins above, the outer
     keys of index nested-loop joins above), gathered from its probe and
     build rows, so an inner join's output schema is the pruned
-    concatenation of its leaf schemas. Scans stay zero-copy. A bare scan
-    is the leaf on its own and runs through {!filter_input}, keeping the
-    scratch filter cache; the projection is applied to its result.
+    concatenation of its leaf schemas. A scan hands on only the
+    columns read above it: a spilled table's frames fault back
+    column-major, and its morsels share the kept columns; a resident
+    row chunk's morsels carry the kept cells of its survivors (a scan
+    whose parent reads every column stays zero-copy). An index
+    nested-loop join decodes of each inner row only the cells its inner
+    filters, residual and output read. A bare scan is the leaf on its
+    own and runs through {!filter_input} with the projection's
+    positions, keeping the scratch filter cache.
 
     Every node id of the plan — including the inner scan of an index
     nested-loop join, which is consumed through the index rather than
@@ -110,10 +116,14 @@ val filter_table : ?deadline:float -> ?cancel:Qs_util.Cancel.t ->
     output chunk keeps its input chunk's layout. *)
 
 val filter_input : ?deadline:float -> ?cancel:Qs_util.Cancel.t ->
-  Fragment.input -> Table.t
+  ?positions:int list -> Fragment.input -> Table.t
 (** Scan one input applying its filters (the executor's leaf operator,
-    exposed for the naive counter and tests). The result is cached on the
-    input's scratch, keyed by the filter predicates. *)
+    exposed for the naive counter and tests), keeping only the columns
+    at [positions], in their order, when given (default: every column).
+    Each chunk's survivors are filtered and cut in one pass. The result
+    is cached on the input's scratch, keyed by the filter predicates
+    and the kept positions; an unfiltered scan of every column is the
+    input's table itself. *)
 
 val cartesian : name:string -> Table.t list -> Table.t
 (** Cross product of independent result tables — the final merge step of

@@ -42,6 +42,9 @@ val eq : scalar -> scalar -> pred
 
 val rels_of_scalar : scalar -> string list
 
+val cols_of_scalar : scalar -> colref list
+(** Column references of the scalar, left to right, repeats kept. *)
+
 val rels_of_pred : pred -> string list
 (** Distinct relation aliases referenced, in first-appearance order. *)
 

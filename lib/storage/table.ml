@@ -198,6 +198,18 @@ let row t i =
 
 let get t ~row:r ~col = (row t r).(col)
 
+let row_cells t i ~cols ~buf =
+  let ci = chunk_of_row t i in
+  let r = i - t.offsets.(ci) in
+  match chunk_data t ci with
+  | Chunk.Rows rows -> rows.(r)
+  | Chunk.Cols col ->
+      for k = 0 to Array.length cols - 1 do
+        let j = cols.(k) in
+        buf.(j) <- Columnar.get col ~row:r ~col:j
+      done;
+      buf
+
 let column_values t col =
   let out = Array.make (n_rows t) Value.Null in
   iteri (fun i r -> out.(i) <- r.(col)) t;
@@ -293,6 +305,64 @@ let[@inline] short_word s len =
 
 let nan_bits = Int64.bits_of_float Float.nan
 
+(* The two lanes of the row being hashed. One record per digest, so the
+   feeders below update them in place and allocate nothing; each feeder
+   is one value's word sequence. *)
+type lanes = { mutable a : int; mutable b : int }
+
+let[@inline] feed_word l w =
+  l.a <- step_a l.a w;
+  l.b <- step_b l.b w
+
+let[@inline] feed_null l = feed_word l 0
+let[@inline] feed_bool l v = feed_word l (if v then 9 else 1)
+
+let[@inline] feed_int l i =
+  feed_word l 2;
+  l.a <- step_a l.a i;
+  l.b <- step_b l.b i
+
+let[@inline] feed_float l f =
+  let w = if Float.is_nan f then nan_bits else Int64.bits_of_float f in
+  feed_word l 3;
+  l.a <- step_a l.a (Int64.to_int w);
+  l.b <- step_b l.b (Int64.to_int (Int64.shift_right_logical w 1))
+
+let feed_str l s =
+  let len = String.length s in
+  feed_word l (4 lor (len lsl 3));
+  if len >= 8 then begin
+    let i = ref 0 in
+    while !i < len do
+      (* the last word overlaps its predecessor unless the length is a
+         multiple of 8 *)
+      let w = get64 s (Int.min !i (len - 8)) in
+      l.a <- step_a l.a (Int64.to_int w);
+      l.b <- step_b l.b (Int64.to_int (Int64.shift_right_logical w 1));
+      i := !i + 8
+    done
+  end
+  else if len > 0 then feed_word l (short_word s len)
+
+let feed_value l = function
+  | Value.Null -> feed_null l
+  | Value.Bool v -> feed_bool l v
+  | Value.Int i -> feed_int l i
+  | Value.Float f -> feed_float l f
+  | Value.Str s -> feed_str l s
+
+(* A column-major cell, fed straight from its unboxed array: the same
+   words as [feed_value] of [Columnar.get], without boxing the value. *)
+let feed_cell l (c : Columnar.column) i =
+  match c with
+  | Columnar.CInt (a, nl) -> if Columnar.is_null_at nl i then feed_null l else feed_int l a.(i)
+  | Columnar.CFloat (a, nl) ->
+      if Columnar.is_null_at nl i then feed_null l else feed_float l a.(i)
+  | Columnar.CBool (a, nl) -> if Columnar.is_null_at nl i then feed_null l else feed_bool l a.(i)
+  | Columnar.CStr { dict; codes; nulls } ->
+      if Columnar.is_null_at nulls i then feed_null l else feed_str l dict.(codes.(i))
+  | Columnar.CGen a -> feed_value l a.(i)
+
 let digest t =
   let order =
     Array.to_list t.schema
@@ -301,51 +371,35 @@ let digest t =
   in
   let cols = Array.of_list (List.map snd order) in
   let ncols = Array.length cols in
+  let l = { a = 0; b = 0 } in
   let sum_a = ref 0 and sum_b = ref 0 in
-  iter
-    (fun row ->
-      let a = ref seed_a and b = ref seed_b in
-      for k = 0 to ncols - 1 do
-        match row.(cols.(k)) with
-        | Value.Null ->
-            a := step_a !a 0;
-            b := step_b !b 0
-        | Value.Bool v ->
-            let w = if v then 9 else 1 in
-            a := step_a !a w;
-            b := step_b !b w
-        | Value.Int i ->
-            a := step_a (step_a !a 2) i;
-            b := step_b (step_b !b 2) i
-        | Value.Float f ->
-            let w = if Float.is_nan f then nan_bits else Int64.bits_of_float f in
-            a := step_a (step_a !a 3) (Int64.to_int w);
-            b := step_b (step_b !b 3) (Int64.to_int (Int64.shift_right_logical w 1))
-        | Value.Str s ->
-            let len = String.length s in
-            let head = 4 lor (len lsl 3) in
-            a := step_a !a head;
-            b := step_b !b head;
-            if len >= 8 then begin
-              let i = ref 0 in
-              while !i < len do
-                (* the last word overlaps its predecessor unless the
-                   length is a multiple of 8 *)
-                let w = get64 s (Int.min !i (len - 8)) in
-                a := step_a !a (Int64.to_int w);
-                b := step_b !b (Int64.to_int (Int64.shift_right_logical w 1));
-                i := !i + 8
-              done
-            end
-            else if len > 0 then begin
-              let w = short_word s len in
-              a := step_a !a w;
-              b := step_b !b w
-            end
-      done;
-      sum_a := !sum_a + fmix !a;
-      sum_b := !sum_b + fmix !b)
-    t;
+  let row_done () =
+    sum_a := !sum_a + fmix l.a;
+    sum_b := !sum_b + fmix l.b
+  in
+  (* a spilled table's frames are column-major: hash them in place *)
+  scan_chunk_data t (fun _ chunk ->
+      match chunk with
+      | Chunk.Rows rows ->
+          Array.iter
+            (fun row ->
+              l.a <- seed_a;
+              l.b <- seed_b;
+              for k = 0 to ncols - 1 do
+                feed_value l row.(cols.(k))
+              done;
+              row_done ())
+            rows
+      | Chunk.Cols col ->
+          let cs = Array.map (fun j -> col.Columnar.cols.(j)) cols in
+          for i = 0 to Columnar.n_rows col - 1 do
+            l.a <- seed_a;
+            l.b <- seed_b;
+            for k = 0 to ncols - 1 do
+              feed_cell l cs.(k) i
+            done;
+            row_done ()
+          done);
   (* once per table: the column ids, the row count and the two sums *)
   let buf = Buffer.create 256 in
   List.iter

@@ -120,6 +120,15 @@ val row : t -> int -> Value.t array
 
 val get : t -> row:int -> col:int -> Value.t
 
+val row_cells : t -> int -> cols:int array -> buf:Value.t array -> Value.t array
+(** [row_cells t i ~cols ~buf] is row [i] (a global id) for a reader
+    of only the column positions in [cols]. A row-major chunk's row is
+    returned as it is (shared, do not mutate); from a column-major
+    chunk only those cells are decoded, into [buf] (at least as wide
+    as the table, its other slots left as they are), and [buf] is
+    returned. Faults like {!row}. For a consumer that reads a few
+    columns of many looked-up rows through one reused buffer. *)
+
 val iter_chunks : (int -> Value.t array array -> unit) -> t -> unit
 (** Visit every chunk in index order with its chunk index. On a spilled
     table each chunk is pinned while [f] runs (released on exception)

@@ -285,6 +285,29 @@ let test_filter_cache_keyed_by_predicates () =
   Alcotest.(check int) "original entry intact" 2
     (Table.n_rows (Executor.filter_input input))
 
+(* The cache key also carries the kept positions: a bare scan under one
+   projection must not serve another projection's (or the unprojected
+   scan's) columns, and a repeated scan under the same one is a hit. *)
+let test_filter_cache_keyed_by_positions () =
+  let a, _ = mini_tables () in
+  let input =
+    fragment_input ~filters:[ Expr.Cmp (Expr.Eq, Expr.col "a" "x", Expr.vint 2) ] a
+  in
+  let cells t = List.map Array.to_list (Array.to_list (Table.to_rows t)) in
+  let tags = Executor.filter_input ~positions:[ 1 ] input in
+  Alcotest.(check int) "tag only" 1 (Schema.arity tags.Table.schema);
+  Alcotest.(check bool) "tag cells" true
+    (cells tags = [ [ Value.Str "q" ]; [ Value.Str "r" ] ]);
+  let xs = Executor.filter_input ~positions:[ 0 ] input in
+  Alcotest.(check bool) "x cells, not the tag entry" true
+    (cells xs = [ [ Value.Int 2 ]; [ Value.Int 2 ] ]);
+  Alcotest.(check int) "unprojected scan keeps both columns" 2
+    (Schema.arity (Executor.filter_input input).Table.schema);
+  Alcotest.(check bool) "identity positions are the unprojected entry" true
+    (Executor.filter_input ~positions:[ 0; 1 ] input == Executor.filter_input input);
+  Alcotest.(check bool) "same positions hit the cache" true
+    (Executor.filter_input ~positions:[ 1 ] input == tags)
+
 (* --- morsel-driven engine: intermediates ------------------------------- *)
 
 let test_pipelined_intermediates_counter () =
@@ -380,6 +403,8 @@ let suite =
       test_join_key_semantics;
     Alcotest.test_case "filter cache keyed by predicates" `Quick
       test_filter_cache_keyed_by_predicates;
+    Alcotest.test_case "filter cache keyed by positions" `Quick
+      test_filter_cache_keyed_by_positions;
     Alcotest.test_case "pipelined intermediates counter" `Quick
       test_pipelined_intermediates_counter;
   ]

@@ -16,7 +16,11 @@
 #   6. no whole-chunk decode  — lib/exec never calls Columnar.to_rows:
 #                               a columnar morsel decodes only the rows
 #                               (and the filter only the cells) it reads
-#   7. dune build @fmt        — formatting, skipped when already running
+#   7. no full-row lookup     — lib/exec never calls Table.row: the
+#                               index-NL inner decodes only the cells
+#                               its filters, residual and gather map
+#                               read (Table.row_cells, one reused buffer)
+#   8. dune build @fmt        — formatting, skipped when already running
 #                               under dune (INSIDE_DUNE is set): dune
 #                               cannot re-enter itself, and the runtest
 #                               rule depends on the fmt alias instead.
@@ -111,6 +115,18 @@ done
 # stays out of lib/exec so that decode cannot creep back onto the path.
 if grep -nE 'Columnar\.to_rows' lib/exec/*.ml >&2; then
   echo "lint: lib/exec calls Columnar.to_rows — decode only the ordinals a morsel hands out" >&2
+  status=1
+fi
+
+# --- no full-row lookup in the engine -----------------------------------
+# An index nested-loop join looks its inner rows up by row id. Table.row
+# decodes every column of a spilled frame's row into a fresh array;
+# the join reads a few of them, so it decodes just those cells into one
+# reused buffer (Table.row_cells, which hands a resident row over as it
+# is). Table.row stays out of lib/exec so the full-row decode cannot
+# come back onto the lookup path.
+if grep -nE 'Table\.row([^_A-Za-z0-9]|$)' lib/exec/*.ml >&2; then
+  echo "lint: lib/exec calls Table.row — decode only the cells read (Table.row_cells)" >&2
   status=1
 fi
 
