@@ -360,7 +360,9 @@ let morsel_of ~chunk ~sel =
 (* A scan's morsel of one chunk under its selection, cut to the columns
    at [positions] when given. Projecting a columnar chunk shares the
    kept columns, so the selection stays a vector over it; a row chunk
-   copies only the kept cells of its survivors, into a dense morsel. *)
+   copies only the kept cells of its survivors, into a dense morsel
+   (scans of resident tables hand their rows on uncut instead, see
+   [pstream]). *)
 let scan_morsel ?positions chunk sel =
   match (positions, Chunk.columnar chunk) with
   | None, _ -> morsel_of ~chunk ~sel
@@ -439,7 +441,24 @@ let morsel_rows m =
    non-empty. A morsel sourced from a spilled table is exactly one
    pinned buffer-pool frame, released before the next is pinned, so a
    pipeline touches O(1) frames no matter how large its inputs are. *)
-type pstream = { ps_schema : Schema.t; ps_iter : (morsel -> unit) -> unit }
+type pstream = {
+  ps_schema : Schema.t;
+  ps_map : int array option;
+      (** [Some m]: the rows this stream hands out are wider than
+          [ps_schema], and its column [k] is at row position [m.(k)];
+          [None]: row positions are schema positions *)
+  ps_iter : (morsel -> unit) -> unit;
+}
+
+(* stream column [k]'s position in the rows a stream with map [map]
+   hands out *)
+let row_pos map k = match map with None -> k | Some m -> m.(k)
+
+(* A gather map over the positions of two streams' schemas, as one over
+   the rows they hand out: this is how a parent reads a resident scan's
+   shared rows without the scan copying the kept cells. *)
+let through lmap rmap src =
+  Array.map (fun s -> if s >= 0 then row_pos lmap s else -1 - row_pos rmap (-1 - s)) src
 
 (* --- lean join outputs -------------------------------------------------- *)
 
@@ -521,7 +540,7 @@ let pair_output want lschema rschema =
    synchronously on one domain, and the compiled test keeps no
    reference to it. A column neither side carries is left out of the
    row, so the test raises on it exactly as the interpreter would. *)
-let pair_filter lschema rschema = function
+let pair_filter ?lmap ?rmap lschema rschema = function
   | [] -> fun _ _ -> true
   | preds ->
       let src =
@@ -532,6 +551,7 @@ let pair_filter lschema rschema = function
       in
       let schema = Array.map (source_column lschema rschema) src in
       let holds = Expr.compile_all schema preds in
+      let src = through lmap rmap src in
       let buf = Array.make (Array.length src) Value.Null in
       fun l r ->
         gather_into buf src l r;
@@ -665,29 +685,38 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
     | Physical.Scan input ->
         (* fused scan+filter: the selection runs inside the pinned chunk
            walk and produces a selection vector over the chunk — no
-           intermediate table, and no row copy unless the parent reads
-           fewer columns of a row chunk; columnar chunks go through the
-           vectorized kernels. The deadline / cancel poll sits at the
+           intermediate table and no row copy; columnar chunks go
+           through the vectorized kernels. The parent reads only the
+           kept columns: a spilled table's column-major frames are cut
+           to them (sharing the columns, so a fetched row decodes only
+           those), while a resident table's rows, already decoded, are
+           handed on shared and uncut, and the parent reads them through
+           the stream's map. The deadline / cancel poll sits at the
            morsel boundary, so a cancellation unwinds before the next
            frame is pinned. *)
         let tbl = input.Fragment.table in
         let schema = tbl.Table.schema in
         let filters = input.Fragment.filters in
-        let positions = scan_keep want tbl in
+        let keep = scan_keep want tbl in
+        let positions, ps_map =
+          match keep with
+          | Some ps when not (Table.spilled tbl) -> (None, Some (Array.of_list ps))
+          | ps -> (ps, None)
+        in
         let out_schema =
           Option.fold ~none:schema
             ~some:(fun ps -> Array.of_list (List.map (fun i -> schema.(i)) ps))
-            positions
+            keep
         in
         {
           ps_schema = out_schema;
+          ps_map;
           ps_iter =
             (fun emit ->
               Table.iter_chunk_data
                 (fun _ chunk ->
                   tick ();
-                  (* the filters read the whole chunk; the parent gets
-                     only the kept columns of the survivors *)
+                  (* the filters read only the columns they test *)
                   let sel =
                     if filters = [] then None
                     else
@@ -710,10 +739,20 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
             let bstream = stream child_want j.Physical.left in
             let prstream = stream child_want j.Physical.right in
             let build_cols, residual = split_join_preds bstream.ps_schema preds in
-            let bpos = key_positions bstream.ps_schema (List.map fst build_cols) in
-            let ppos = key_positions prstream.ps_schema (List.map snd build_cols) in
+            let bpos =
+              key_positions bstream.ps_schema (List.map fst build_cols)
+              |> List.map (row_pos bstream.ps_map)
+            in
+            let ppos =
+              key_positions prstream.ps_schema (List.map snd build_cols)
+              |> List.map (row_pos prstream.ps_map)
+            in
             let out_schema, src = pair_output want prstream.ps_schema bstream.ps_schema in
-            let keep = pair_filter prstream.ps_schema bstream.ps_schema residual in
+            let src = through prstream.ps_map bstream.ps_map src in
+            let keep =
+              pair_filter ?lmap:prstream.ps_map ?rmap:bstream.ps_map prstream.ps_schema
+                bstream.ps_schema residual
+            in
             let iter =
               match bpos with
               | [ _ ] ->
@@ -722,6 +761,7 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
             in
             {
               ps_schema = out_schema;
+              ps_map = None;
               ps_iter = iter p ~bpos ~ppos ~src ~keep bstream prstream;
             }
         | Physical.Index_nl ->
@@ -745,8 +785,9 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
             let inner_schema = inner_tbl.Table.schema in
             let inner_filters = inner_input.Fragment.filters in
             let inner_holds = Expr.compile_all inner_schema inner_filters in
-            let keep = pair_filter ostream.ps_schema inner_schema residual in
+            let keep = pair_filter ?lmap:ostream.ps_map ostream.ps_schema inner_schema residual in
             let out_schema, src = pair_output want ostream.ps_schema inner_schema in
+            let src = through ostream.ps_map None src in
             (* an inner row is read by its filters, the residual and the
                gather map: a columnar frame decodes only those cells,
                into one buffer refilled per lookup (the filter, the
@@ -768,9 +809,11 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
             let okpos =
               Schema.find_exn ostream.ps_schema ~rel:outer_key.Expr.rel
                 ~name:outer_key.Expr.name
+              |> row_pos ostream.ps_map
             in
             {
               ps_schema = out_schema;
+              ps_map = None;
               ps_iter =
                 (fun emit ->
                   let probes = ref 0 and matched = ref 0 in
@@ -811,10 +854,15 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
             let child_want = widen want pred_cols in
             let ostream = stream child_want j.Physical.left in
             let istream = stream child_want j.Physical.right in
-            let keep = pair_filter ostream.ps_schema istream.ps_schema preds in
+            let keep =
+              pair_filter ?lmap:ostream.ps_map ?rmap:istream.ps_map ostream.ps_schema
+                istream.ps_schema preds
+            in
             let out_schema, src = pair_output want ostream.ps_schema istream.ps_schema in
+            let src = through ostream.ps_map istream.ps_map src in
             {
               ps_schema = out_schema;
+              ps_map = None;
               ps_iter =
                 (fun emit ->
                   (* the inner side is rescanned per outer row: buffer
@@ -843,6 +891,8 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
             })
   in
   let root = stream want plan in
+  (* the root is a join, whose fresh rows are exactly its schema *)
+  assert (root.ps_map = None);
   let t0 = if spans <> None then Timer.now () else 0.0 in
   let rev_chunks = ref [] in
   Span.span spans Span.Pipeline ~args:(node_args plan)

@@ -26,9 +26,20 @@ let flatten ~name (tbl : Table.t) =
   in
   Table.reschema ~name ~schema tbl
 
+(* Exact SUM and AVG. An Int argument adds into an [int] (exact, where
+   a float loses bits above 2^53); a Float argument adds into Shewchuk
+   partials: non-overlapping floats whose sum is exactly the sum of
+   every finite value fed, so the result rounds that exact sum once,
+   as Python's [math.fsum] does. Either way the result is a function of
+   the multiset of values, not of the order the plan feeds them in.
+   Non-finite values (and a partial sum that overflows) add into
+   [special] instead, which then is the result (inf, or nan). *)
 type acc = {
   mutable count : int;
-  mutable sum : float;
+  mutable isum : int;
+  mutable partials : float array;  (* [0 .. np-1] live, increasing magnitude *)
+  mutable np : int;
+  mutable special : float;  (* 0.0 until a non-finite value arrives *)
   mutable sum_is_int : bool;
   mutable min_v : Value.t;
   mutable max_v : Value.t;
@@ -36,16 +47,94 @@ type acc = {
 }
 
 let fresh_acc () =
-  { count = 0; sum = 0.0; sum_is_int = true; min_v = Value.Null; max_v = Value.Null; non_null = 0 }
+  {
+    count = 0;
+    isum = 0;
+    partials = [||];
+    np = 0;
+    special = 0.0;
+    sum_is_int = true;
+    min_v = Value.Null;
+    max_v = Value.Null;
+    non_null = 0;
+  }
+
+(* Add [x] to the partials: each partial in turn absorbs [x] by an
+   error-free two-sum, keeping the nonzero rounding error as a partial
+   and carrying the rounded sum on. *)
+let add_exact acc x =
+  if not (Float.is_finite x) then acc.special <- acc.special +. x
+  else begin
+    let x = ref x and k = ref 0 in
+    for i = 0 to acc.np - 1 do
+      let y = Array.unsafe_get acc.partials i in
+      let hi = !x +. y in
+      let lo = if Float.abs !x < Float.abs y then !x -. (hi -. y) else y -. (hi -. !x) in
+      if lo <> 0.0 then begin
+        Array.unsafe_set acc.partials !k lo;
+        incr k
+      end;
+      x := hi
+    done;
+    if not (Float.is_finite !x) then begin
+      acc.special <- acc.special +. !x;
+      acc.np <- !k
+    end
+    else begin
+      if !k = Array.length acc.partials then begin
+        let grown = Array.make (max 4 (2 * !k)) 0.0 in
+        Array.blit acc.partials 0 grown 0 !k;
+        acc.partials <- grown
+      end;
+      acc.partials.(!k) <- !x;
+      acc.np <- !k + 1
+    end
+  end
+
+(* The partials' sum, correctly rounded (half to even): add from the
+   largest down until a step is inexact, then correct a tie that the
+   rest of the partials break. *)
+let round_partials p np =
+  if np = 0 then 0.0
+  else begin
+    let n = ref (np - 1) in
+    let hi = ref p.(!n) and lo = ref 0.0 in
+    let exact = ref true in
+    while !exact && !n > 0 do
+      decr n;
+      let x = !hi and y = p.(!n) in
+      hi := x +. y;
+      lo := y -. (!hi -. x);
+      if !lo <> 0.0 then exact := false
+    done;
+    if !n > 0 && ((!lo < 0.0 && p.(!n - 1) < 0.0) || (!lo > 0.0 && p.(!n - 1) > 0.0)) then begin
+      let y = !lo *. 2.0 in
+      let x = !hi +. y in
+      if y = x -. !hi then hi := x
+    end;
+    !hi
+  end
+
+(* The exact sum of every value fed, rounded once: the Float partials
+   plus the int sum, split into two halves that are exact as floats *)
+let exact_total acc =
+  if not (Float.is_finite acc.special) then acc.special
+  else begin
+    let t = { acc with partials = Array.sub acc.partials 0 acc.np } in
+    let high = (acc.isum asr 32) lsl 32 in
+    add_exact t (float_of_int high);
+    add_exact t (float_of_int (acc.isum - high));
+    if Float.is_finite t.special then round_partials t.partials t.np else t.special
+  end
 
 let feed acc v =
   acc.count <- acc.count + 1;
   if not (Value.is_null v) then begin
     acc.non_null <- acc.non_null + 1;
     (match v with
-    | Value.Int i -> acc.sum <- acc.sum +. float_of_int i
+    | Value.Int i -> acc.isum <- acc.isum + i
     | Value.Float f ->
-        acc.sum <- acc.sum +. f;
+        add_exact acc f;
         acc.sum_is_int <- false
     | _ -> ());
     if Value.is_null acc.min_v || Value.compare v acc.min_v < 0 then acc.min_v <- v;
@@ -58,13 +147,13 @@ let finish (fn : Logical.agg_fn) acc =
   | Logical.Count -> Value.Int acc.non_null
   | Logical.Sum ->
       if acc.non_null = 0 then Value.Null
-      else if acc.sum_is_int then Value.Int (int_of_float acc.sum)
-      else Value.Float acc.sum
+      else if acc.sum_is_int then Value.Int acc.isum
+      else Value.Float (exact_total acc)
   | Logical.Min -> acc.min_v
   | Logical.Max -> acc.max_v
   | Logical.Avg ->
       if acc.non_null = 0 then Value.Null
-      else Value.Float (acc.sum /. float_of_int acc.non_null)
+      else Value.Float (exact_total acc /. float_of_int acc.non_null)
 
 let agg_out_ty (fn : Logical.agg_fn) v =
   match fn with

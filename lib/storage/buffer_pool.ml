@@ -9,7 +9,9 @@
                 Waiters (concurrent serving sessions faulting the same
                 chunk) block on the condition variable; the loader is
                 running, so it will complete and broadcast.
-     Loaded   — rows resident; hits set the CLOCK reference bit.
+     Loaded   — frame resident; hits set the CLOCK reference bit. Its
+                column blocks are read on first touch and then stay
+                with the frame, shared by every later hit.
 
    Eviction only considers unpinned Loaded frames; when every frame is
    pinned or in flight the read bypasses the pool entirely (correct,
@@ -116,15 +118,19 @@ let resident t =
   Mutex.unlock t.mutex;
   n
 
+(* A frame fault reads the frame's header and directory; each column
+   block is read and decoded on the chunk's first touch of its column.
+   Both run inside an [io] span named [fault] (a block's carries its
+   column too), recorded by the tracer attached when the read runs, on
+   the reading domain. *)
 let read_frame t file idx =
-  Span.span
-    ~args:
-      [
-        ("file", Filename.basename (Chunk_file.path file));
-        ("chunk", string_of_int idx);
-      ]
-    t.tracer Span.Io "fault"
-    (fun () -> Chunk_file.read file idx)
+  let args =
+    [ ("file", Filename.basename (Chunk_file.path file)); ("chunk", string_of_int idx) ]
+  in
+  let block ~col load =
+    Span.span ~args:(args @ [ ("col", string_of_int col) ]) t.tracer Span.Io "fault" load
+  in
+  Span.span ~args t.tracer Span.Io "fault" (fun () -> Chunk_file.read ~block file idx)
 
 (* Victim slot under the mutex: a free slot if any, else CLOCK
    second-chance over unpinned Loaded frames. Returns [None] when

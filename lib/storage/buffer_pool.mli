@@ -31,12 +31,19 @@ val capacity : t -> int
 
 val set_tracer : t -> Qs_util.Span.t option -> unit
 (** With a tracer attached, every disk read records an [io] span named
-    [fault] on the reading domain's track. *)
+    [fault] on the reading domain's track: one per frame fault, and one
+    per column block read, whose args add the block's [col]. *)
 
 val get : t -> Chunk_file.t -> int -> Chunk.t
-(** [get t file i] returns chunk [i], faulting it in on a miss. The
-    returned chunk is shared — do not mutate. It stays valid after
-    eviction (the GC keeps it alive while referenced). *)
+(** [get t file i] returns chunk [i], faulting it in on a miss. A fault
+    reads the frame header and its column directory only; each column
+    block is read and decoded the first time the chunk's column is
+    touched (through any {!Columnar} accessor), inside an [io] [fault]
+    span, and is then kept with the frame, so later hits share the
+    decoded column and untouched columns are never read. The returned
+    chunk is shared — do not mutate. It stays valid after eviction (the
+    GC keeps it alive while referenced), as long as its chunk file
+    exists. *)
 
 val with_pin : t -> Chunk_file.t -> int -> (Chunk.t -> 'a) -> 'a
 (** [with_pin t file i f] runs [f chunk] with the frame pinned, so a

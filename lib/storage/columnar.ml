@@ -13,7 +13,14 @@
    The constructors below are private to lib/storage (the lint bans them
    elsewhere, like [.rows] and [Chunk_file.]); consumers go through the
    function API — batch kernels ([eval_cmp], [take], [column_values])
-   for the vectorized paths, [get]/[row]/[to_rows] for row compat. *)
+   for the vectorized paths, [get]/[row]/[to_rows] for row compat.
+
+   A column may also be pending: a chunk faulted in from a chunk file
+   holds, per column, the loader that reads and decodes that column's
+   block, and the block is read the first time an accessor touches the
+   column ([column], the one reader of a slot). The decoded column
+   replaces the loader in its slot, so later readers — other morsels of
+   the same frame, other serving sessions — share it. *)
 
 (* Null bitsets: bit [i] set = row [i] is NULL; [None] = no NULLs in the
    column. Value slots of null rows hold a dummy (0 / 0.0 / code 0). *)
@@ -26,10 +33,31 @@ type column =
   | CStr of { dict : string array; codes : int array; nulls : nulls }
   | CGen of Value.t array  (* mixed-type or all-NULL fallback, exact *)
 
-type t = { len : int; cols : column array }
+(* A column slot: decoded, or the loader of its block. Slots are atomic
+   because frames are shared across domains: publishing a decoded column
+   must publish its arrays' contents with it. *)
+type slot = Ready of column | Pending of (unit -> column)
+
+type t = { len : int; cols : slot Atomic.t array }
 
 let n_rows t = t.len
 let n_cols t = Array.length t.cols
+let slot t j = t.cols.(j)
+let ready c = Atomic.make (Ready c)
+
+(* Column [j], decoded. A pending column runs its loader on the first
+   touch and publishes the result; a domain that loses the race to
+   publish adopts the winner's column, so every reader of the frame
+   shares one decode. A loader that raises leaves the slot pending, and
+   the next touch reads the block again. *)
+let column t j =
+  let s = slot t j in
+  match Atomic.get s with
+  | Ready c -> c
+  | Pending load as p -> (
+      let c = load () in
+      if Atomic.compare_and_set s p (Ready c) then c
+      else match Atomic.get s with Ready c -> c | Pending _ -> c)
 
 (* --- bitset helpers ----------------------------------------------------- *)
 
@@ -153,29 +181,20 @@ let of_rows rows =
   let n = Array.length rows in
   if n = 0 then { len = 0; cols = [||] }
   else
-    { len = n; cols = Array.init (Array.length rows.(0)) (column_of_rows rows) }
+    {
+      len = n;
+      cols = Array.init (Array.length rows.(0)) (fun j -> ready (column_of_rows rows j));
+    }
 
-let of_parts ~len cols =
-  Array.iter
-    (fun c ->
-      let cl =
-        match c with
-        | CInt (a, _) -> Array.length a
-        | CFloat (a, _) -> Array.length a
-        | CBool (a, _) -> Array.length a
-        | CStr { codes; _ } -> Array.length codes
-        | CGen a -> Array.length a
-      in
-      if cl <> len then invalid_arg "Columnar.of_parts: column length mismatch")
-    cols;
-  { len; cols }
+let of_pending ~len loaders =
+  { len; cols = Array.map (fun load -> Atomic.make (Pending load)) loaders }
 
-let columns t = t.cols
+let columns t = Array.init (n_cols t) (column t)
 
 (* --- decoding ----------------------------------------------------------- *)
 
 let get t ~row:i ~col:j =
-  match t.cols.(j) with
+  match column t j with
   | CInt (a, nl) -> if is_null_at nl i then Value.Null else Value.Int a.(i)
   | CFloat (a, nl) -> if is_null_at nl i then Value.Null else Value.Float a.(i)
   | CBool (a, nl) -> if is_null_at nl i then Value.Null else Value.Bool a.(i)
@@ -187,7 +206,7 @@ let get t ~row:i ~col:j =
    entry and shared across rows, so a low-cardinality column costs
    O(dict + n) boxes rather than n strings. *)
 let column_values t j =
-  match t.cols.(j) with
+  match column t j with
   | CInt (a, nl) ->
       Array.init t.len (fun i ->
           if is_null_at nl i then Value.Null else Value.Int a.(i))
@@ -225,7 +244,7 @@ let byte_size t =
               + if is_null_at nulls i then 8 else 24 + String.length dict.(codes.(i))
           done
       | CGen a -> Array.iter (fun v -> total := !total + Value.byte_size v) a)
-    t.cols;
+    (columns t);
   !total
 
 (* --- selection-vector kernels ------------------------------------------- *)
@@ -308,7 +327,7 @@ let int_test op k =
 let eval_cmp t ~col:j op const ~sel =
   if Value.is_null const then Some [||]
   else
-    match (t.cols.(j), const) with
+    match (column t j, const) with
     | CInt (a, nl), Value.Int k ->
         let test = int_test op k in
         Some
@@ -342,7 +361,7 @@ let eval_cmp t ~col:j op const ~sel =
 
 (* Vectorized IS [NOT] NULL on a plain column reference. *)
 let eval_null t ~col:j ~want_null ~sel =
-  match t.cols.(j) with
+  match column t j with
   | CGen a ->
       Some
         (filter_ordinals t.len sel (fun i -> Value.is_null a.(i) = want_null))
@@ -368,8 +387,13 @@ let take_column c sel =
   | CGen a -> CGen (Array.map (fun i -> a.(i)) sel)
 
 let take t sel =
-  { len = Array.length sel; cols = Array.map (fun c -> take_column c sel) t.cols }
+  {
+    len = Array.length sel;
+    cols = Array.init (n_cols t) (fun j -> ready (take_column (column t j) sel));
+  }
 
 let project t positions =
-  (* columns are immutable and shared — projection copies nothing *)
-  { len = t.len; cols = Array.of_list (List.map (fun p -> t.cols.(p)) positions) }
+  (* slots are shared, pending ones included: projection copies and
+     reads nothing, and a column decoded through either chunk is
+     decoded for both *)
+  { len = t.len; cols = Array.of_list (List.map (slot t) positions) }

@@ -29,7 +29,12 @@ type column =
   | CGen of Value.t array
       (** Exact fallback for mixed-type or all-NULL columns. *)
 
-type t = { len : int; cols : column array }
+type t
+(** A chunk of [n_rows] rows and [n_cols] columns. A column is either
+    decoded or pending: a chunk faulted in from a chunk file reads and
+    decodes a column's block the first time an accessor below touches
+    that column, and keeps the decoded column for every later reader.
+    Every accessor is safe to call from several domains at once. *)
 
 val n_rows : t -> int
 val n_cols : t -> int
@@ -38,15 +43,23 @@ val of_rows : Value.t array array -> t
 (** Columnarize a rectangular row chunk, choosing each column's
     representation from the values present. Exact: [to_rows (of_rows r)]
     reproduces [r] value-for-value (floats through their IEEE bits,
-    strings byte-for-byte). An empty chunk yields [{len = 0; cols = [||]}]
-    (the arity is not preserved). *)
+    strings byte-for-byte). An empty chunk has no rows and no
+    columns (the arity is not preserved). *)
 
-val of_parts : len:int -> column array -> t
-(** Assemble from pre-built columns (used by [Chunk_file] reads).
-    @raise Invalid_argument if any column's length differs from [len]. *)
+val of_pending : len:int -> (unit -> column) array -> t
+(** [of_pending ~len loaders] is a chunk whose column [j] is read by
+    [loaders.(j) ()] the first time it is touched ([Chunk_file] reads
+    build frames this way). A loader must return a column of [len]
+    rows; it runs again on the next touch if it raised, and may run
+    twice when two domains touch the column first at the same moment
+    (one result is kept and shared). *)
+
+val column : t -> int -> column
+(** Column [j], decoded (its block is read on the first touch). Treat as
+    immutable. *)
 
 val columns : t -> column array
-(** The raw columns, for serialization. Treat as immutable. *)
+(** Every column, decoded, for serialization. Treat as immutable. *)
 
 val to_rows : t -> Value.t array array
 (** Decode back to a row chunk. Dictionary entries are boxed once and
@@ -97,4 +110,5 @@ val take : t -> int array -> t
 
 val project : t -> int list -> t
 (** Keep only the columns at the given positions (in order). Columns are
-    shared, so this is O(width). *)
+    shared, pending ones still pending, so this is O(width) and reads
+    nothing. *)

@@ -391,7 +391,7 @@ let digest t =
               row_done ())
             rows
       | Chunk.Cols col ->
-          let cs = Array.map (fun j -> col.Columnar.cols.(j)) cols in
+          let cs = Array.map (Columnar.column col) cols in
           for i = 0 to Columnar.n_rows col - 1 do
             l.a <- seed_a;
             l.b <- seed_b;

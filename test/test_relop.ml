@@ -195,6 +195,102 @@ let test_flatten_unique_names () =
   Alcotest.(check bool) "a_id present" true (Schema.mem out.Table.schema ~rel:"f" ~name:"a_id");
   Alcotest.(check bool) "b_id present" true (Schema.mem out.Table.schema ~rel:"f" ~name:"b_id")
 
+(* --- exact SUM / AVG ------------------------------------------------------ *)
+
+let one_agg fn vs =
+  let t =
+    Table.of_rows ~name:"x"
+      ~schema:(Schema.make "x" [ ("v", Value.TFloat) ])
+      (List.map (fun v -> [| v |]) vs)
+  in
+  let out = Relop.aggregate ~name:"g" ~group_by:[] ~aggs:[ agg fn (Some (Expr.col "x" "v")) "s" ] t in
+  (Table.row out 0).(0)
+
+let bits = function
+  | Value.Float f -> Printf.sprintf "%h" f
+  | v -> Value.to_string v
+
+let check_agg what fn vs want =
+  Alcotest.(check string) what (bits want) (bits (one_agg fn vs))
+
+let test_exact_sum () =
+  let fs = List.map (fun f -> Value.Float f) in
+  check_agg "ten 0.1s sum to 1" Logical.Sum (fs (List.init 10 (fun _ -> 0.1))) (Value.Float 1.0);
+  check_agg "ten 0.1s average 0.1" Logical.Avg (fs (List.init 10 (fun _ -> 0.1))) (Value.Float 0.1);
+  check_agg "cancellation keeps the small term" Logical.Sum (fs [ 1e16; 1.0; -1e16 ]) (Value.Float 1.0);
+  check_agg "a tie broken by a lower partial" Logical.Sum (fs [ 1e-16; 1.0; 1e16 ])
+    (Value.Float 10000000000000002.0);
+  check_agg "int sum above 2^53 is exact" Logical.Sum
+    [ Value.Int (1 lsl 53); Value.Int 1 ]
+    (Value.Int ((1 lsl 53) + 1));
+  check_agg "int sum cancels exactly" Logical.Sum
+    [ Value.Int (1 lsl 60); Value.Int 3; Value.Int (-(1 lsl 60)) ]
+    (Value.Int 3);
+  check_agg "int + float rounds the exact sum once" Logical.Sum
+    [ Value.Int ((1 lsl 53) + 1); Value.Float 0.5 ]
+    (Value.Float 9007199254740994.0);
+  check_agg "sum of -0.0 is 0.0, as from a zero start" Logical.Sum (fs [ -0.0 ]) (Value.Float 0.0);
+  check_agg "infinity wins" Logical.Sum (fs [ 1.0; infinity; 2.0 ]) (Value.Float infinity);
+  Alcotest.(check bool) "inf - inf is nan" true
+    (match one_agg Logical.Sum (fs [ infinity; 1.0; neg_infinity ]) with
+    | Value.Float f -> Float.is_nan f
+    | _ -> false);
+  check_agg "nulls only" Logical.Sum [ Value.Null ] Value.Null
+
+(* A float of any magnitude and sign, an int, or NULL *)
+let gen_value =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          map3
+            (fun m e neg -> Value.Float (ldexp (if neg then -.m else m) e))
+            (float_bound_inclusive 1.0) (int_range (-70) 70) bool );
+        (2, map (fun i -> Value.Int i) (int_range (-1_000_000) 1_000_000));
+        (1, return Value.Null);
+      ])
+
+let gen_input =
+  QCheck.Gen.(pair (list_size (int_range 0 200) (pair (int_range 0 3) gen_value)) int)
+
+(* an aggregate's input in any order gives a bit-identical result *)
+let qcheck_permuted_aggregate =
+  QCheck.Test.make ~name:"a permuted aggregate input gives a bit-identical result" ~count:200
+    (QCheck.make gen_input)
+    (fun (rows, seed) ->
+      let schema = Schema.make "x" [ ("g", Value.TInt); ("v", Value.TFloat) ] in
+      let table rows =
+        Table.of_rows ~chunk_rows:7 ~name:"x" ~schema
+          (List.map (fun (g, v) -> [| Value.Int g; v |]) rows)
+      in
+      let shuffled =
+        let a = Array.of_list rows in
+        let st = Random.State.make [| seed |] in
+        for i = Array.length a - 1 downto 1 do
+          let j = Random.State.int st (i + 1) in
+          let t = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- t
+        done;
+        Array.to_list a
+      in
+      let run t =
+        let v = Some (Expr.col "x" "v") in
+        Relop.aggregate ~name:"g"
+          ~group_by:[ { Expr.rel = "x"; name = "g" } ]
+          ~aggs:
+            [
+              agg Logical.Sum v "s";
+              agg Logical.Avg v "a";
+              agg Logical.Count v "c";
+              agg Logical.Min v "mn";
+              agg Logical.Max v "mx";
+            ]
+          t
+        |> Table.digest
+      in
+      run (table rows) = run (table shuffled))
+
 let suite =
   [
     Alcotest.test_case "group by sum/count" `Quick test_group_by_sum_count;
@@ -209,4 +305,6 @@ let suite =
     Alcotest.test_case "anti join" `Quick test_anti_join;
     Alcotest.test_case "semi residual pred" `Quick test_semi_join_residual_pred;
     Alcotest.test_case "flatten names" `Quick test_flatten_unique_names;
+    Alcotest.test_case "exact sum and avg" `Quick test_exact_sum;
+    QCheck_alcotest.to_alcotest qcheck_permuted_aggregate;
   ]

@@ -12,7 +12,6 @@ module Executor = Qs_exec.Executor
 module Strategy = Qs_core.Strategy
 module Query = Qs_query.Query
 module Table = Qs_storage.Table
-module Value = Qs_storage.Value
 
 let rec eval ctx (node : Logical.t) =
   match node with
@@ -40,20 +39,3 @@ let rec eval ctx (node : Logical.t) =
 let run ctx tree =
   Hashtbl.reset ctx.Strategy.pseudo;
   eval ctx tree
-
-(* The digest two evaluations of one tree must share. A float SUM or AVG
-   depends on the order its rows arrive in (float addition is not
-   associative), and every plan feeds them in its own order: without any
-   pruning, the naive join and Default already disagree in the last bits
-   on 10 of the 37 DSB trees at scale 0.1, and Default and QuerySplit on
-   some of them. Floats are therefore rounded to 9 significant digits
-   before digesting; every other value, the row count and the column ids
-   must match exactly. *)
-let digest (t : Table.t) =
-  let round = function
-    | Value.Float f when Float.is_finite f ->
-        Value.Float (float_of_string (Printf.sprintf "%.9g" f))
-    | v -> v
-  in
-  let rows = Table.fold (fun acc row -> Array.map round row :: acc) [] t in
-  Table.digest (Table.of_rows ~name:t.Table.name ~schema:t.Table.schema (List.rev rows))

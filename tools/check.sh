@@ -20,7 +20,13 @@
 #                               index-NL inner decodes only the cells
 #                               its filters, residual and gather map
 #                               read (Table.row_cells, one reused buffer)
-#   8. dune build @fmt        — formatting, skipped when already running
+#   8. no pending-block bypass — lib/ reads a Columnar column slot
+#                               (.cols.() only in Columnar's one slot
+#                               accessor, so a pending block is always
+#                               read through Columnar.column, and calls
+#                               Columnar.columns (every block decoded)
+#                               only in the chunk-file writer
+#   9. dune build @fmt        — formatting, skipped when already running
 #                               under dune (INSIDE_DUNE is set): dune
 #                               cannot re-enter itself, and the runtest
 #                               rule depends on the fmt alias instead.
@@ -127,6 +133,24 @@ fi
 # come back onto the lookup path.
 if grep -nE 'Table\.row([^_A-Za-z0-9]|$)' lib/exec/*.ml >&2; then
   echo "lint: lib/exec calls Table.row — decode only the cells read (Table.row_cells)" >&2
+  status=1
+fi
+
+# --- no pending-block bypass -------------------------------------------
+# A chunk faulted in from a chunk file holds each column as the loader of
+# its block until the first touch. Columnar.column is the one reader of
+# a slot that runs the loader; a raw .cols.( read anywhere else could
+# see a pending block as if it were absent. Columnar.columns decodes
+# every block of a chunk, which only the chunk-file writer needs.
+slot_reads=$(grep -rnE '\.cols\.\(' lib --include='*.ml' || true)
+if [ "$(printf '%s\n' "$slot_reads" | grep -c .)" -ne 1 ] \
+   || ! printf '%s\n' "$slot_reads" | grep -qE '^lib/storage/columnar\.ml:[0-9]+:let slot t j = t\.cols\.\(j\)$'; then
+  printf '%s\n' "$slot_reads" >&2
+  echo "lint: a .cols.( read outside Columnar.slot — read columns through Columnar.column" >&2
+  status=1
+fi
+if grep -rnE 'Columnar\.columns' lib --include='*.ml' | grep -v '^lib/storage/chunk_file\.ml:' >&2; then
+  echo "lint: Columnar.columns outside the chunk-file writer — it decodes every block" >&2
   status=1
 fi
 

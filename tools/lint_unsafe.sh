@@ -29,7 +29,7 @@
 #      tables keep row arrays, chunk-file frames fault back column-major)
 #      and the columnar invariants (dummy values in NULL slots, shared
 #      dictionaries, validity-bitset collapse) live in
-#      Columnar.of_rows/of_parts; building or matching the raw
+#      Columnar.of_rows/of_pending; building or matching the raw
 #      representation elsewhere would let a consumer skip them.
 #      Everyone else uses the typed kernels (eval_cmp, take, project,
 #      column_values) and Chunk.of_rows/of_columnar/columnar, and must
