@@ -76,25 +76,15 @@ let domains_arg =
              "Fan queries across this many domains (1 = sequential); each \
               query runs on one domain.")
 
-let chunk_rows_arg =
-  Arg.(value & opt int 0
-       & info [ "chunk-rows" ]
-           ~doc:
-             "Rows per storage chunk (0 = keep the default, 64k). Applied \
-              before the catalog is built.")
-
-(* applied before any table is built, so every table of the run is chunked
-   at the requested size *)
-let apply_chunk_rows n = if n > 0 then Table.set_default_chunk_rows n
-
 let spill_dir_arg =
   Arg.(value & opt (some string) None
        & info [ "spill-dir" ]
            ~doc:
-             "Run fully out-of-core: every table built during the run \
-              (base data and intermediates alike) spills its chunks to \
-              files under this directory and reads them back through a \
-              shared buffer pool (see --buffer-chunks). Spilled chunks \
+             "Run fully out-of-core: each base table spills its chunks to \
+              files under this directory as the catalog is built and is \
+              read back through one buffer pool (see --buffer-chunks); \
+              every intermediate and temp built from them inherits that \
+              directory and pool. Spilled chunks \
               fault back in column-major, which the vectorized filter \
               kernels exploit; resident tables keep row arrays. Results \
               are identical to in-memory execution.")
@@ -108,26 +98,16 @@ let buffer_chunks_arg =
               second-chance; a pool of 1 still executes every query, \
               just with more I/O.")
 
-(* applied before any table is built, so the whole run — catalog
-   included — goes through the chunk files *)
-let apply_spill tracer spill_dir buffer_chunks =
-  match spill_dir with
-  | None -> ()
-  | Some dir ->
+(* the home the workload builder writes each base table to as it makes
+   it; every table built from them inherits the dir and pool *)
+let spill_home tracer spill_dir buffer_chunks =
+  Option.map
+    (fun dir ->
       (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-      let bp = Buffer_pool.create ~capacity:buffer_chunks () in
-      Buffer_pool.set_tracer bp tracer;
-      Table.set_spill (Some (dir, bp))
-
-let dp_limit_arg =
-  Arg.(value & opt int 0
-       & info [ "dp-limit" ]
-           ~doc:
-             "Maximum optimizer inputs enumerated by dynamic programming \
-              (0 = keep the default, 13). Fragments with more inputs fall \
-              back to the greedy planner.")
-
-let apply_dp_limit n = if n > 0 then Qs_plan.Optimizer.set_dp_input_limit n
+      let pool = Buffer_pool.create ~capacity:buffer_chunks () in
+      Buffer_pool.set_tracer pool tracer;
+      (dir, pool))
+    spill_dir
 
 let stats_arg =
   Arg.(value & opt bool true
@@ -207,8 +187,8 @@ let explain_query cat registry (q : Query.t) =
     (Explain.render ~stats ~spans plan)
     (Explain.summary ~stats plan) (Table.n_rows table)
 
-let build_cinema ~scale ~seed ~index =
-  let cat = Qs_workload.Cinema.build ~scale ~seed () in
+let build_cinema ?spill ~scale ~seed ~index () =
+  let cat = Qs_workload.Cinema.build ~scale ?spill ~seed () in
   Catalog.build_indexes cat index;
   cat
 
@@ -224,9 +204,9 @@ let publish_file path text =
    interleaved sessions over one shared pool, per-query turnaround
    reported alongside the server's own counters. With --stats-out the
    flight recorder's dashboard is republished as results arrive. *)
-let serve_demo ~scale ~seed ~n ~index ~domains ~policy ~stats_out ~prom_out
-    tracer =
-  let cat = build_cinema ~scale ~seed ~index in
+let serve_demo ?spill ~scale ~seed ~n ~index ~domains ~policy ~stats_out
+    ~prom_out tracer =
+  let cat = build_cinema ?spill ~scale ~seed ~index () in
   let env = Runner.make_env ~seed cat in
   let queries = Qs_workload.Cinema.queries cat ~seed:(seed + 1) ~n in
   Qs_util.Pool.with_pool ?tracer ~domains:(max 1 domains) (fun pool ->
@@ -306,12 +286,9 @@ let serve_demo ~scale ~seed ~n ~index ~domains ~policy ~stats_out ~prom_out
         (Server.peak_queue server))
 
 let run_cmd workload scale seed n timeout index algo collect_stats domains
-    explain profile serve policy stats_out prom_out chunk_rows
-    dp_limit spill_dir buffer_chunks =
-  apply_chunk_rows chunk_rows;
-  apply_dp_limit dp_limit;
+    explain profile serve policy stats_out prom_out spill_dir buffer_chunks =
   let tracer = if profile then Some (Span.create ()) else None in
-  apply_spill tracer spill_dir buffer_chunks;
+  let spill = spill_home tracer spill_dir buffer_chunks in
   let print_profile () =
     match tracer with
     | None -> ()
@@ -321,14 +298,14 @@ let run_cmd workload scale seed n timeout index algo collect_stats domains
   in
   match workload with
   | `Cinema when serve ->
-      serve_demo ~scale ~seed ~n ~index ~domains ~policy ~stats_out ~prom_out
-        tracer;
+      serve_demo ?spill ~scale ~seed ~n ~index ~domains ~policy ~stats_out
+        ~prom_out tracer;
       print_profile ()
   | (`Star | `Dsb) when serve ->
       prerr_endline "--serve is only supported for the cinema (SPJ) workload";
       exit 1
   | `Cinema when explain ->
-      let cat = build_cinema ~scale ~seed ~index in
+      let cat = build_cinema ?spill ~scale ~seed ~index () in
       let env = Runner.make_env ~seed cat in
       let queries = Qs_workload.Cinema.queries cat ~seed:(seed + 1) ~n in
       List.iteri
@@ -337,7 +314,7 @@ let run_cmd workload scale seed n timeout index algo collect_stats domains
           explain_query cat env.Runner.registry q)
         queries
   | `Cinema ->
-      let cat = build_cinema ~scale ~seed ~index in
+      let cat = build_cinema ?spill ~scale ~seed ~index () in
       let env = Runner.make_env ~seed cat in
       let queries = Qs_workload.Cinema.queries cat ~seed:(seed + 1) ~n in
       Printf.printf "%s on %d cinema queries (scale %.2f)\n" algo.Runner.label
@@ -361,10 +338,10 @@ let run_cmd workload scale seed n timeout index algo collect_stats domains
       let cat, trees =
         match workload with
         | `Star ->
-            let cat = Qs_workload.Starbench.build ~scale ~seed () in
+            let cat = Qs_workload.Starbench.build ~scale ?spill ~seed () in
             (cat, Qs_workload.Starbench.queries cat ~seed:(seed + 1))
         | _ ->
-            let cat = Qs_workload.Dsb.build ~scale ~seed () in
+            let cat = Qs_workload.Dsb.build ~scale ?spill ~seed () in
             (cat, Qs_workload.Dsb.nonspj_queries cat ~seed:(seed + 1))
       in
       Catalog.build_indexes cat index;
@@ -381,10 +358,8 @@ let run_cmd workload scale seed n timeout index algo collect_stats domains
       Printf.printf "total: %s\n" (Qs_harness.Report.seconds (Runner.total_time rs));
       print_profile ()
 
-let plan_cmd scale seed qidx chunk_rows dp_limit =
-  apply_chunk_rows chunk_rows;
-  apply_dp_limit dp_limit;
-  let cat = build_cinema ~scale ~seed ~index:Catalog.Pk_fk in
+let plan_cmd scale seed qidx =
+  let cat = build_cinema ~scale ~seed ~index:Catalog.Pk_fk () in
   let env = Runner.make_env ~seed cat in
   let queries = Qs_workload.Cinema.queries cat ~seed:(seed + 1) ~n:(qidx + 1) in
   let q = List.nth queries qidx in
@@ -404,11 +379,10 @@ let plan_cmd scale seed qidx chunk_rows dp_limit =
         (Query.to_sql sq))
     (Querysplit.subquery_plans ctx q Querysplit.default_config)
 
-let sql_cmd workload scale seed index explain chunk_rows sql_text =
-  apply_chunk_rows chunk_rows;
+let sql_cmd workload scale seed index explain sql_text =
   let cat =
     match workload with
-    | `Cinema -> build_cinema ~scale ~seed ~index
+    | `Cinema -> build_cinema ~scale ~seed ~index ()
     | `Star ->
         let c = Qs_workload.Starbench.build ~scale ~seed () in
         Catalog.build_indexes c index;
@@ -479,7 +453,7 @@ let run_term =
     const run_cmd $ workload_arg $ scale_arg $ seed_arg $ queries_arg $ timeout_arg
     $ index_arg $ algo_arg $ stats_arg $ domains_arg $ explain_arg
     $ profile_arg $ serve_arg $ policy_arg $ stats_out_arg $ prom_out_arg
-    $ chunk_rows_arg $ dp_limit_arg $ spill_dir_arg
+    $ spill_dir_arg
     $ buffer_chunks_arg)
 
 let query_arg =
@@ -487,8 +461,7 @@ let query_arg =
 
 let plan_term =
   Term.(
-    const plan_cmd $ scale_arg $ seed_arg $ query_arg $ chunk_rows_arg
-    $ dp_limit_arg)
+    const plan_cmd $ scale_arg $ seed_arg $ query_arg)
 
 let sql_text_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL" ~doc:"The SQL text.")
@@ -496,7 +469,7 @@ let sql_text_arg =
 let sql_term =
   Term.(
     const sql_cmd $ workload_arg $ scale_arg $ seed_arg $ index_arg $ explain_arg
-    $ chunk_rows_arg $ sql_text_arg)
+    $ sql_text_arg)
 
 let top_file_arg =
   Arg.(required & opt (some string) None

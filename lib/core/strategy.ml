@@ -127,14 +127,14 @@ let empty_result (q : Query.t) =
            { Schema.rel = c.Expr.rel; name = c.Expr.name; ty = Qs_storage.Value.TInt })
          q.Query.output)
   in
-  Table.create ~name:(q.Query.name ^ "_timeout") ~schema [||]
+  Table.create ~inputs:[] ~name:(q.Query.name ^ "_timeout") ~schema [||]
 
 let guard _ctx thunk =
   let start = Timer.now () in
   try thunk ()
   with Executor.Timeout ->
     {
-      result = Table.create ~name:"timeout" ~schema:[||] [||];
+      result = Table.create ~inputs:[] ~name:"timeout" ~schema:[||] [||];
       elapsed = Timer.now () -. start;
       iterations = [];
       timed_out = true;

@@ -257,7 +257,7 @@ let scan_table ?deadline ?cancel ?positions (tbl : Table.t) filters =
       ~some:(fun ps -> Array.of_list (List.map (fun p -> schema.(p)) ps))
       positions
   in
-  Table.of_chunk_data ~name:tbl.Table.name ~schema (List.rev !out)
+  Table.of_chunk_data ~inputs:[ tbl ] ~name:tbl.Table.name ~schema (List.rev !out)
 
 let filter_table ?deadline ?cancel (tbl : Table.t) filters =
   match filters with [] -> tbl | filters -> scan_table ?deadline ?cancel tbl filters
@@ -899,7 +899,11 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
     ("pipeline:" ^ span_label plan) (fun () ->
       root.ps_iter (fun m -> rev_chunks := morsel_rows m :: !rev_chunks));
   built_intermediate ();
-  let out = Table.of_chunks ~name:"join" ~schema:root.ps_schema (List.rev !rev_chunks) in
+  let out =
+    Table.of_chunks
+      ~inputs:(List.map (fun (i : Fragment.input) -> i.Fragment.table) (Physical.leaves plan))
+      ~name:"join" ~schema:root.ps_schema (List.rev !rev_chunks)
+  in
   if spans <> None then operator_markers spans ~t0 plan stats;
   (out, stats)
 
@@ -960,5 +964,5 @@ let cartesian ~name tables =
           Table.iter
             (fun a -> Table.iter (fun b -> rows := Array.append a b :: !rows) t)
             acc;
-          Table.create ~name ~schema (Array.of_list (List.rev !rows)))
+          Table.create ~inputs:[ acc; t ] ~name ~schema (Array.of_list (List.rev !rows)))
         first rest

@@ -27,7 +27,7 @@ let prune tbl preds keep =
   if List.length cols = Array.length tbl.Table.schema then tbl
   else if cols = [] then
     (* keep an empty-schema table with the right row count *)
-    Table.create ~name:tbl.Table.name ~schema:[||]
+    Table.create ~inputs:[ tbl ] ~name:tbl.Table.name ~schema:[||]
       (Array.make (Table.n_rows tbl) [||])
   else Executor.project tbl cols
 
@@ -108,7 +108,8 @@ let hash_join ?deadline ~(build : Table.t) ~(probe : Table.t) preds =
                   out := row :: !out)
               matches)
     probe;
-  Table.create ~name:"join" ~schema:out_schema (Array.of_list (List.rev !out))
+  Table.create ~inputs:[ probe; build ] ~name:"join" ~schema:out_schema
+    (Array.of_list (List.rev !out))
 
 (* Join all inputs of one connected component; returns the result table
    (pruned to [keep] ∪ pending-predicate columns). *)

@@ -270,7 +270,7 @@ let aggregate ~name ~group_by ~aggs (tbl : Table.t) =
             { Schema.rel = name; name = a.Logical.label; ty = agg_out_ty a.Logical.fn v })
           aggs sample_agg_vals)
   in
-  Table.create ~name ~schema:out_schema rows
+  Table.create ~inputs:[ tbl ] ~name ~schema:out_schema rows
 
 let union_all ~name tables =
   match tables with
@@ -284,7 +284,7 @@ let union_all ~name tables =
             invalid_arg "Relop.union_all: arity mismatch")
         tables;
       let chunks = List.concat_map Table.chunk_list tables in
-      Table.of_chunks ~name ~schema:template.Table.schema chunks
+      Table.of_chunks ~inputs:tables ~name ~schema:template.Table.schema chunks
 
 let semi_join ~name ~anti ~(left : Table.t) ~(right : Table.t) ~on =
   let lschema = left.Table.schema in
@@ -329,5 +329,5 @@ let semi_join ~name ~anti ~(left : Table.t) ~(right : Table.t) ~on =
         |> List.filter (fun lrow -> if anti then not (matches lrow) else matches lrow)
         |> Array.of_list)
   in
-  let out = Table.of_chunks ~name:left.Table.name ~schema:lschema chunks in
+  let out = Table.of_chunks ~inputs:[ left; right ] ~name:left.Table.name ~schema:lschema chunks in
   flatten ~name out

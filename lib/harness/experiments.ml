@@ -476,28 +476,6 @@ let metrics_results s =
 
 module Buffer_pool = Qs_storage.Buffer_pool
 
-(* Scoped spill mode: a scratch directory and a fresh buffer pool around
-   [f]; the previous global spill config is restored (and the directory
-   removed) on the way out, even on exception. *)
-let with_spill ~capacity f =
-  let dir = Filename.temp_file "qs_bench_spill" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o700;
-  let bp = Buffer_pool.create ~capacity () in
-  let saved = Qs_storage.Table.spill_config () in
-  Qs_storage.Table.set_spill (Some (dir, bp));
-  Fun.protect
-    ~finally:(fun () ->
-      Qs_storage.Table.set_spill saved;
-      (try
-         Array.iter
-           (fun f ->
-             try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-           (Sys.readdir dir)
-       with Sys_error _ -> ());
-      try Sys.rmdir dir with Sys_error _ -> ())
-    (fun () -> f bp)
-
 (* The deterministic out-of-core entry of the metrics dump: a fixed
    synthetic table is scanned twice and randomly probed, sequentially,
    through a 4-frame pool — the fault sequence, and with it every
@@ -506,12 +484,13 @@ let io_metrics_entry _s =
   let module Table = Qs_storage.Table in
   let module Schema = Qs_storage.Schema in
   let module Value = Qs_storage.Value in
-  with_spill ~capacity:4 (fun bp ->
+  Table.with_scratch_home ~capacity:4 (fun ~dir ~pool:bp ->
       let schema = Schema.make "io" [ ("id", Value.TInt); ("pay", Value.TStr) ] in
       let tbl =
-        Table.create ~chunk_rows:1024 ~name:"io" ~schema
-          (Array.init 16_384 (fun i ->
-               [| Value.Int i; Value.Str (string_of_int (i * 31)) |]))
+        Table.spill ~dir ~pool:bp
+          (Table.create ~chunk_rows:1024 ~inputs:[] ~name:"io" ~schema
+             (Array.init 16_384 (fun i ->
+                  [| Value.Int i; Value.Str (string_of_int (i * 31)) |])))
       in
       let sink = ref 0 in
       for _ = 1 to 2 do
@@ -551,7 +530,7 @@ let chain_catalog s n_rels =
   for i = 0 to n_rels - 1 do
     let name = Printf.sprintf "r%d" i in
     let tbl =
-      Table.create ~name
+      Table.create ~inputs:[] ~name
         ~schema:(Schema.make name [ ("id", Value.TInt); ("fk", Value.TInt) ])
         (Array.init rows (fun j ->
              [| Value.Int (j + 1); Value.Int (1 + (j * 7 mod rows)) |]))
@@ -586,7 +565,7 @@ let hub_catalog s n_rels =
   for i = 0 to n_rels - 1 do
     let name = Printf.sprintf "r%d" i in
     let tbl =
-      Table.create ~name
+      Table.create ~inputs:[] ~name
         ~schema:(Schema.make name [ ("id", Value.TInt); ("fk", Value.TInt) ])
         (Array.init rows (fun j ->
              [| Value.Int (j + 1); Value.Int (1 + (j * 7 mod rows)) |]))
@@ -788,8 +767,8 @@ let columnar_metrics_entry _s =
       { Logical.fn = Logical.Count_star; arg = None; label = "n" };
     ]
   in
-  let run () =
-    let tbl = Table.create ~chunk_rows:1024 ~name:"c" ~schema rows in
+  let run store =
+    let tbl = store (Table.create ~chunk_rows:1024 ~inputs:[] ~name:"c" ~schema rows) in
     let v0 = Executor.vectorized_chunks () in
     let filtered = Executor.filter_table tbl filters in
     let agged = Relop.aggregate ~name:"g" ~group_by ~aggs tbl in
@@ -804,9 +783,9 @@ let columnar_metrics_entry _s =
       !ser,
       Table.n_chunks tbl )
   in
-  let d_res, kept_res, _, _, chunks = run () in
+  let d_res, kept_res, _, _, chunks = run Fun.id in
   let d_spill, kept_spill, vec, ser, _ =
-    with_spill ~capacity:64 (fun _bp -> run ())
+    Table.with_scratch_home ~capacity:64 (fun ~dir ~pool -> run (Table.spill ~dir ~pool))
   in
   let m = Qs_obs.Metrics.create () in
   let c name v = Qs_obs.Metrics.incr ~by:v m name in

@@ -15,12 +15,8 @@ type result = {
 }
 
 (* Above this input count the exact DP (3^n partition sweep) gives way to
-   the greedy fallback. Configurable ([--dp-limit] on bench and qsdemo).
-   Atomic because harness cells on separate domains read it
-   concurrently. *)
-let dp_limit = Atomic.make 13
-let dp_input_limit () = Atomic.get dp_limit
-let set_dp_input_limit n = Atomic.set dp_limit (max 1 n)
+   the greedy fallback. *)
+let dp_limit = 13
 
 let estimate_subset (est : Estimator.t) frag subset =
   est.card (Fragment.restrict frag subset)
@@ -619,7 +615,7 @@ let optimize ?(allowed = [ Physical.Hash; Physical.Index_nl; Physical.Nl ]) ?spa
   if frag.Fragment.inputs = [] then invalid_arg "Optimizer.optimize: empty fragment";
   let n = List.length frag.Fragment.inputs in
   let plan =
-    if n <= dp_input_limit () then
+    if n <= dp_limit then
       Span.span spans Span.Optimize
         ~args:[ ("inputs", string_of_int n) ]
         (Printf.sprintf "dp n=%d" n)

@@ -27,7 +27,7 @@ val optimize : ?allowed:Physical.join_method list -> ?spans:Qs_util.Span.t ->
 (** Raises [Invalid_argument] on an empty fragment. [allowed] restricts
     the join methods considered (default: all three) — the USE baseline
     plans with hash joins only. Fragments with more
-    than [dp_input_limit ()] inputs are planned greedily (cheapest-pair
+    than 13 inputs are planned greedily (cheapest-pair
     agglomeration) instead of by exact DP. Disconnected fragments get
     Cartesian (nested-loop) joins between their components, planned last.
 
@@ -45,13 +45,6 @@ val optimize : ?allowed:Physical.join_method list -> ?spans:Qs_util.Span.t ->
     instant marker with the call's memo hit / miss counts when [memo]
     is given. *)
 
-val dp_input_limit : unit -> int
-(** Current DP width limit (number of inputs); fragments wider than this
-    are planned greedily. Defaults to 13. *)
-
-val set_dp_input_limit : int -> unit
-(** Set the DP width limit (clamped to [>= 1]). Exposed as [--dp-limit]
-    on bench and qsdemo. *)
 
 val cost_plan : Catalog.t -> Estimator.t -> Fragment.t -> Physical.t -> float
 (** Re-derive the cumulative cost of a *fixed* plan shape under a

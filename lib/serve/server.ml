@@ -171,15 +171,24 @@ let flight_status = function
   | Cancelled -> Flight.Cancelled
   | Failed msg -> Flight.Failed msg
 
-(* Buffer-pool activity attributed to one flight: the stats delta over
-   its execution window. Exact when the query ran alone; with
-   concurrent out-of-core queries the deltas interleave (acceptable for
-   telemetry — the cumulative totals stay exact). *)
-let bufpool_stats () =
-  match Qs_storage.Table.spill_config () with
-  | Some (_, pool) -> Buffer_pool.stats pool
-  | None ->
-      { Buffer_pool.hits = 0; misses = 0; coalesced = 0; bypasses = 0; evictions = 0 }
+(* Buffer-pool faults and bypasses attributed to one flight: the delta, over
+   its execution window, of the pools this server's catalog spills
+   through (none for a resident catalog, so a resident server beside an
+   out-of-core workload is charged nothing). Exact when the query ran
+   alone; with concurrent out-of-core queries on one pool the deltas
+   interleave (acceptable for telemetry — the cumulative totals stay
+   exact). *)
+let pool_faults t =
+  List.fold_left
+    (fun ((misses, bypasses), seen) tbl ->
+      match tbl.Table.home with
+      | Some (_, p) when not (List.memq p seen) ->
+          let s = Buffer_pool.stats p in
+          ((misses + s.Buffer_pool.misses, bypasses + s.Buffer_pool.bypasses), p :: seen)
+      | _ -> ((misses, bypasses), seen))
+    ((0, 0), [])
+    (Qs_storage.Catalog.tables (Stats_registry.catalog t.registry))
+  |> fst
 
 let finish t (p : pending) (entry : pending Scheduler.entry) ~started
     ~bp_before ~status ~digest ~row_count =
@@ -209,15 +218,12 @@ let finish t (p : pending) (entry : pending Scheduler.entry) ~started
       cache_hit = p.p_cache_hit;
     }
   in
-  let bp_after = bufpool_stats () in
+  let misses_after, bypasses_after = pool_faults t in
   ignore
     (Telemetry.complete t.telem p.p_flight ~status:(flight_status status)
        ~row_count ~queue_wait:result.queue_wait ~exec_time:result.exec_time
-       ~faults:
-         (max 0 (bp_after.Buffer_pool.misses - bp_before.Buffer_pool.misses))
-       ~bypasses:
-         (max 0
-            (bp_after.Buffer_pool.bypasses - bp_before.Buffer_pool.bypasses)));
+       ~faults:(max 0 (misses_after - fst bp_before))
+       ~bypasses:(max 0 (bypasses_after - snd bp_before)));
   with_lock t (fun () -> t.results_rev <- result :: t.results_rev);
   Atomic.set p.p_cell (Some result);
   ignore (Atomic.fetch_and_add t.in_flight (-1));
@@ -271,7 +277,7 @@ and run_entry t (entry : pending Scheduler.entry) =
   let p = entry.Scheduler.payload in
   let started = Timer.now () in
   Telemetry.dispatch t.telem p.p_flight;
-  let bp_before = bufpool_stats () in
+  let bp_before = pool_faults t in
   Span.add t.spans Span.Serve "queue-wait" ~start:p.p_submitted
     ~dur:(started -. p.p_submitted)
     ~args:[ ("query", string_of_int p.p_id); ("session", p.p_session) ];

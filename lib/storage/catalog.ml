@@ -81,5 +81,7 @@ let find_index t ~table ~column = Hashtbl.find_opt t.indexes (table, column)
 let register_temp_index t idx =
   Hashtbl.replace t.indexes (idx.Index.table, idx.Index.column) idx
 
+let map_tables t f = Hashtbl.filter_map_inplace (fun _ tbl -> Some (f tbl)) t.tables
+
 let total_bytes t =
   Hashtbl.fold (fun _ tbl acc -> acc + Table.byte_size tbl) t.tables 0

@@ -64,5 +64,13 @@ val find_index : t -> table:string -> column:string -> Index.t option
 val register_temp_index : t -> Index.t -> unit
 (** Used by tests/extensions to expose an ad-hoc index to the optimizer. *)
 
+val map_tables : t -> (Table.t -> Table.t) -> unit
+(** Replaces every table [tbl] by [f tbl], in place — e.g.
+    [map_tables cat (Table.spill ~dir ~pool)] moves a built catalog
+    out-of-core (the whole catalog is resident first; a build that
+    spills each table as it makes it holds one at a time). [f] must
+    keep the name, the schema and the row order: indexes key global
+    row ids, and stay valid. *)
+
 val total_bytes : t -> int
 (** Sum of table byte sizes, for reporting. *)

@@ -412,5 +412,3 @@ let read ?(block = fun ~col:_ load -> load ()) t i =
   in
   Chunk.of_columnar
     (Columnar.of_pending ~len:n_rows (Array.init t.arity (fun j () -> block ~col:j (load j))))
-
-let remove t = try Sys.remove t.path with Sys_error _ -> ()

@@ -54,7 +54,3 @@ val id : t -> int
 val path : t -> string
 
 val n_frames : t -> int
-
-val remove : t -> unit
-(** Best-effort deletion of the backing file (spill dirs are scratch
-    space; this is for tests that want eager cleanup). *)

@@ -5,12 +5,18 @@
 
    A table's chunks live in one of two stores. [Resident] is the plain
    in-memory array-of-chunks. [Spilled] keeps the rows in a chunk file
-   on disk and reads them back through a shared buffer pool — the chunk
-   API below is then a faulting read path, one pinned frame at a time
-   for sequential iteration. Which store a new table gets is decided at
-   construction by the global spill mode: when enabled, *every* table
-   built (base data, join outputs, QuerySplit temps) spills, so the
-   engine runs fully out-of-core.
+   on disk and reads them back through the buffer pool of the table's
+   [home] — the chunk API below is then a faulting read path, one pinned
+   frame at a time for sequential iteration.
+
+   Where a table lives and how it is cut are properties of the data, not
+   of the process: a table built from other tables ([~inputs]) takes the
+   home (spill directory and buffer pool) of its first input that has
+   one, and is cut at its first input's [chunk_rows]; a base table is
+   resident and cut at [chunk_rows] (default 65,536) until [spill] gives
+   it a home and writes it there. So spilling a catalog's base tables
+   runs every query over it fully out-of-core, temps included, while a
+   resident catalog in the same process stays resident.
 
    The store also decides the chunk layout: a resident table holds the
    row arrays it was built from (no encode on the write path of a temp
@@ -21,7 +27,7 @@
 
 type store =
   | Resident of Chunk.t array
-  | Spilled of { file : Chunk_file.t; bp : Buffer_pool.t }
+  | Spilled of Chunk_file.t
 
 type t = {
   name : string;
@@ -30,22 +36,32 @@ type t = {
   offsets : int array; (* offsets.(i) = global row id of chunk i's row 0;
                           offsets.(n_chunks) = total rows *)
   chunk_bytes : int array; (* memoized per-chunk byte sizes; -1 = unknown *)
+  chunk_rows : int; (* the cut of [create]; inherited by derived tables *)
+  home : (string * Buffer_pool.t) option;
+      (* where this table and every table built from it is spilled: a
+         directory and the pool that reads it back; [None] is resident.
+         An empty table keeps its home though it has no frame to write. *)
 }
 
-(* Default rows per chunk. Set once at startup (--chunk-rows); ints are
-   immediate, so a racy read at worst sees the old default. *)
-let default_chunk = ref 65_536
+let base_chunk_rows = 65_536
 
-let default_chunk_rows () = !default_chunk
-let set_default_chunk_rows n = default_chunk := max 1 n
-
-(* Global spill mode: a scratch directory and the buffer pool shared by
-   every spilled table. Set once at startup (--spill-dir) or toggled
-   around a test body; construction reads it once per table. *)
+(* Process-wide home of tables built from no input. Only the benchmark
+   program sets it; see the interface. *)
 let spill_mode : (string * Buffer_pool.t) option ref = ref None
 
 let set_spill cfg = spill_mode := cfg
-let spill_config () = !spill_mode
+
+let spilled t = match t.store with Spilled _ -> true | Resident _ -> false
+
+(* the home of a table built from [inputs]: its first input's that has
+   one; the shim's for a table built from no input *)
+let home_of = function
+  | [] -> !spill_mode
+  | inputs -> List.find_map (fun t -> t.home) inputs
+
+let inherited_chunk_rows = function
+  | [] -> base_chunk_rows
+  | t :: _ -> t.chunk_rows
 
 let check_arity ~name ~schema rows =
   let arity = Schema.arity schema in
@@ -65,7 +81,7 @@ let offsets_of_chunks chunks =
   done;
   offsets
 
-let of_chunk_data_array ~name ~schema (chunks : Chunk.t array) =
+let of_chunk_data_array ~home ~chunk_rows ~name ~schema (chunks : Chunk.t array) =
   (* every construction path funnels through here, so degenerate inputs
      are normalized in exactly one place: zero-row chunks are dropped
      (keeping offsets strictly increasing) and can therefore never reach
@@ -77,12 +93,12 @@ let of_chunk_data_array ~name ~schema (chunks : Chunk.t array) =
     else chunks
   in
   let offsets = offsets_of_chunks chunks in
-  match !spill_mode with
-  | Some (dir, bp) when Array.length chunks > 0 ->
+  match home with
+  | Some (dir, _) when Array.length chunks > 0 ->
       let file, chunk_bytes =
         Chunk_file.write ~dir ~name ~arity:(Schema.arity schema) chunks
       in
-      { name; schema; store = Spilled { file; bp }; offsets; chunk_bytes }
+      { name; schema; store = Spilled file; offsets; chunk_bytes; chunk_rows; home }
   | _ ->
       {
         name;
@@ -90,20 +106,24 @@ let of_chunk_data_array ~name ~schema (chunks : Chunk.t array) =
         store = Resident chunks;
         offsets;
         chunk_bytes = Array.make (Array.length chunks) (-1);
+        chunk_rows;
+        home;
       }
 
-let of_chunk_data ~name ~schema chunks =
-  of_chunk_data_array ~name ~schema (Array.of_list chunks)
+let of_chunk_data ~inputs ~name ~schema chunks =
+  of_chunk_data_array ~home:(home_of inputs) ~chunk_rows:(inherited_chunk_rows inputs)
+    ~name ~schema (Array.of_list chunks)
 
 (* Row-chunk construction: resident tables keep the row arrays as they
-   are; under spill mode the chunk-file writer encodes them column-major,
+   are; a spilled table's chunk-file writer encodes them column-major,
    so the storage, not the caller, picks the layout. *)
-let of_chunk_array ~name ~schema chunks =
-  of_chunk_data_array ~name ~schema (Array.map Chunk.of_rows chunks)
+let of_chunk_array ~inputs ~chunk_rows ~name ~schema chunks =
+  of_chunk_data_array ~home:(home_of inputs) ~chunk_rows ~name ~schema
+    (Array.map Chunk.of_rows chunks)
 
-let create ?chunk_rows ~name ~schema rows =
+let create ?chunk_rows ~inputs ~name ~schema rows =
   check_arity ~name ~schema rows;
-  let cr = max 1 (Option.value chunk_rows ~default:!default_chunk) in
+  let cr = max 1 (Option.value chunk_rows ~default:(inherited_chunk_rows inputs)) in
   let n = Array.length rows in
   let chunks =
     if n = 0 then [||]
@@ -115,28 +135,51 @@ let create ?chunk_rows ~name ~schema rows =
           let start = ci * cr in
           Array.sub rows start (min cr (n - start)))
   in
-  of_chunk_array ~name ~schema chunks
+  of_chunk_array ~inputs ~chunk_rows:cr ~name ~schema chunks
 
 let of_rows ?chunk_rows ~name ~schema rows =
-  create ?chunk_rows ~name ~schema (Array.of_list rows)
+  create ?chunk_rows ~inputs:[] ~name ~schema (Array.of_list rows)
 
-let of_chunks ~name ~schema chunks =
+let of_chunks ~inputs ~name ~schema chunks =
   (* pre-chunked construction (per-chunk filter outputs, union of
      tables): batches may be ragged and interleaved with empty ones;
      [of_chunk_array] drops the empties so chunk counts stay
      proportional to data, not to operator fan-out *)
   let chunks = Array.of_list chunks in
   Array.iter (fun c -> check_arity ~name ~schema c) chunks;
-  of_chunk_array ~name ~schema chunks
+  of_chunk_array ~inputs ~chunk_rows:(inherited_chunk_rows inputs) ~name ~schema chunks
 
 let n_chunks t = Array.length t.offsets - 1
 let n_rows t = t.offsets.(n_chunks t)
-let spilled t = match t.store with Spilled _ -> true | Resident _ -> false
+
+(* the pool a spilled table reads through: its home's, which
+   [of_chunk_data_array] gave it when it wrote the file *)
+let home_pool t =
+  match t.home with Some (_, bp) -> bp | None -> invalid_arg "Table: spilled without a home"
 
 let chunk_data t i =
   match t.store with
   | Resident chunks -> chunks.(i)
-  | Spilled { file; bp } -> Buffer_pool.get bp file i
+  | Spilled file -> Buffer_pool.get (home_pool t) file i
+
+let spill ~dir ~pool t =
+  of_chunk_data_array ~home:(Some (dir, pool)) ~chunk_rows:t.chunk_rows ~name:t.name
+    ~schema:t.schema
+    (Array.init (n_chunks t) (chunk_data t))
+
+let with_scratch_home ~capacity f =
+  let dir = Filename.temp_file "qs_spill" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         Array.iter
+           (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
+           (Sys.readdir dir)
+       with Sys_error _ -> ());
+      try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () -> f ~dir ~pool:(Buffer_pool.create ~capacity ()))
 
 (* Row view of chunk [i]; decodes a columnar chunk, so layout-aware
    consumers should prefer [chunk_data] / [iter_chunk_data]. *)
@@ -151,7 +194,8 @@ let chunk_list t = List.init (n_chunks t) (chunk t)
 let scan_chunk_data t f =
   match t.store with
   | Resident chunks -> Array.iteri f chunks
-  | Spilled { file; bp } ->
+  | Spilled file ->
+      let bp = home_pool t in
       for ci = 0 to n_chunks t - 1 do
         Buffer_pool.with_pin bp file ci (fun chunk -> f ci chunk)
       done

@@ -3,9 +3,8 @@
 
     Tables are immutable after construction; the engine materializes
     intermediate results as fresh tables. Rows live in chunks of at most
-    [chunk_rows] rows ({!default_chunk_rows} unless overridden per
-    table), so very large tables are never one allocation and a spilled
-    table pages one frame at a time. Row order is chunk order:
+    [chunk_rows] rows, so very large tables are never one allocation and
+    a spilled table pages one frame at a time. Row order is chunk order:
     iterating chunks in index order visits exactly the row order
     [create] was given.
 
@@ -18,13 +17,20 @@
     on access), while layout-aware consumers use {!chunk_data} /
     {!iter_chunk_data} to reach the columns directly.
 
-    With spill mode enabled ({!set_spill}), every newly built table
-    writes its chunks to a {!Chunk_file} and the chunk API becomes a
-    faulting read path through the shared {!Buffer_pool}: {!chunk} and
-    {!row} fault frames in on demand, and {!iter}/{!iteri}/{!fold} pin
-    the chunk being consumed, one frame at a time on the caller's
-    domain. Results are value-identical either way —
-    {!digest} is invariant across resident and spilled execution. *)
+    Where a table lives and how it is cut travel with the data. A base
+    table is resident, cut at [?chunk_rows] (default 65,536), until
+    {!spill} writes it to a {!Chunk_file} read through a
+    {!Buffer_pool}; the chunk API then becomes a faulting read path:
+    {!chunk} and {!row} fault frames in on demand, and
+    {!iter}/{!iteri}/{!fold} pin the chunk being consumed, one frame at
+    a time on the caller's domain. A table built from other tables
+    ([~inputs]: join outputs, filtered scans, temps, aggregates) is
+    written to the home of its first input that has one (the same
+    directory and pool), or is resident when none has; it is cut at its
+    first input's [chunk_rows]. So a spilled catalog runs fully out-of-core
+    while a resident one in the same process stays in memory. Results
+    are value-identical either way — {!digest} is invariant across
+    resident and spilled execution and across chunk sizes. *)
 
 type store
 (** Where a table's chunks live: resident in memory, or in a chunk file
@@ -43,44 +49,62 @@ type t = private {
           increasing: construction drops zero-row chunks, so no offset
           can map into an empty frame. *)
   chunk_bytes : int array;  (** memoized per-chunk byte sizes, -1 = unknown *)
+  chunk_rows : int;
+      (** The cut of {!create}: base tables record their [?chunk_rows],
+          derived tables their first input's. *)
+  home : (string * Buffer_pool.t) option;
+      (** Where this table is spilled, and every table built from it: a
+          directory and the pool that reads it back; [None] is
+          resident. Derived tables take their first input's that has
+          one. An empty table keeps its home, though it has no frame to
+          write and so stays {!spilled}[ = false]. *)
 }
-
-val default_chunk_rows : unit -> int
-(** Rows per chunk for tables built without [?chunk_rows] (default 64k). *)
-
-val set_default_chunk_rows : int -> unit
-(** Set the global default (clamped to >= 1). Intended to be called once
-    at startup (the [--chunk-rows] flag), before tables are built. *)
-
-val set_spill : (string * Buffer_pool.t) option -> unit
-(** [set_spill (Some (dir, pool))] turns on out-of-core mode: every
-    table built from now on spills its chunks to a file under [dir] and
-    reads them back through [pool]. [set_spill None] turns it off.
-    Already-built tables keep their store either way. Intended to be
-    set once at startup ([--spill-dir]); tests toggling it around a
-    body must restore the previous config ({!spill_config}). *)
-
-val spill_config : unit -> (string * Buffer_pool.t) option
-(** The current spill mode (for save/restore and for attaching a
-    tracer to the active buffer pool). *)
 
 val spilled : t -> bool
 (** Whether this table's chunks live on disk. *)
 
-val create : ?chunk_rows:int -> name:string -> schema:Schema.t ->
+val spill : dir:string -> pool:Buffer_pool.t -> t -> t
+(** [spill ~dir ~pool t] is [t] written to a chunk file under [dir] and
+    read back through [pool]: same name, schema, rows and chunk
+    boundaries. Every table later built from it is spilled the same
+    way. An empty table gets the home but keeps no file. *)
+
+val with_scratch_home :
+  capacity:int -> (dir:string -> pool:Buffer_pool.t -> 'a) -> 'a
+(** [with_scratch_home ~capacity f] runs [f ~dir ~pool] with a fresh
+    private directory under the system temp dir and a fresh
+    [capacity]-frame pool, a home for {!spill}; the directory and every
+    file in it are removed on the way out, also on exception. Tables
+    spilled there must not outlive [f]. *)
+
+val set_spill : (string * Buffer_pool.t) option -> unit
+(** Compatibility shim for the benchmark program, which predates
+    {!spill}: [set_spill (Some (dir, pool))] spills every table built
+    from no input ([~inputs:[]]) as {!spill} would. Only
+    [perfbench/main.ml] may call it ([tools/check.sh] lint 10). The
+    benchmark change that moves that program to {!spill} deletes it. *)
+
+val create : ?chunk_rows:int -> inputs:t list -> name:string -> schema:Schema.t ->
   Value.t array array -> t
 (** Rows must match the schema arity; they are split into chunks of
-    [chunk_rows] (last chunk may be short). *)
+    [chunk_rows] (last chunk may be short; default: the first input's
+    [chunk_rows], or 65,536 for a base table). [inputs] are the tables
+    the rows were computed from, [[]] for a base table: the new table
+    gets the home of the first one that has one (field [home]), and is
+    resident when none has. The argument is required so that every
+    operator says what it derives from. *)
 
 val of_rows : ?chunk_rows:int -> name:string -> schema:Schema.t ->
   Value.t array list -> t
+(** A base table ([create ~inputs:[]]) from a row list. *)
 
-val of_chunks : name:string -> schema:Schema.t -> Value.t array array list -> t
+val of_chunks : inputs:t list -> name:string -> schema:Schema.t ->
+  Value.t array array list -> t
 (** Concatenation of pre-chunked row batches, in order. Batches may be
     ragged (per-chunk filter outputs) and interleaved with empty ones;
     empty batches are dropped, so the resulting offsets are strictly
-    increasing. The batch arrays are shared, not copied (unless spill
-    mode rewrites them to disk). *)
+    increasing. The batch arrays are shared, not copied (unless a
+    spilled input sends the table to disk). [inputs] as for {!create}. *)
 
 val n_rows : t -> int
 
@@ -96,13 +120,14 @@ val chunk_data : t -> int -> Chunk.t
 (** One chunk in its stored layout (shared, do not mutate). Faults
     through the buffer pool on a spilled table. *)
 
-val of_chunk_data : name:string -> schema:Schema.t -> Chunk.t list -> t
+val of_chunk_data : inputs:t list -> name:string -> schema:Schema.t -> Chunk.t list -> t
 (** Concatenation of pre-built chunks in whichever layout each already
     has — the constructor for operator outputs that want to preserve
     their input's layout (a columnar filter keeps its gathered columns
-    columnar) rather than decode to rows. Under spill mode row-major
-    chunks are written column-major like any other. Empty chunks are
-    dropped; chunk arity is the caller's obligation. *)
+    columnar) rather than decode to rows. A spilled table writes
+    row-major chunks column-major like any other. Empty chunks are
+    dropped; chunk arity is the caller's obligation. [inputs] as for
+    {!create}. *)
 
 val iter_chunk_data : (int -> Chunk.t -> unit) -> t -> unit
 (** {!iter_chunks} without the row decode: visit every chunk in its

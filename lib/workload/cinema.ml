@@ -16,9 +16,10 @@ let pick_zipf rng arr theta =
   let z = Zipf.create ~n:(Array.length arr) ~theta in
   fun () -> arr.(Zipf.sample z rng)
 
-let build ?(scale = 1.0) ~seed () =
+let build ?(scale = 1.0) ?spill ~seed () =
   let rng = Rng.create seed in
   let cat = Catalog.create () in
+  let table = D.table ?spill in
   let n_title = sz scale 20000 in
   let n_keyword = sz scale 5000 in
   let n_company = sz scale 2500 in
@@ -32,7 +33,7 @@ let build ?(scale = 1.0) ~seed () =
   (* small dimension tables *)
   let kinds = [| "movie"; "tv series"; "tv movie"; "video"; "short"; "episode"; "game" |] in
   let kt =
-    D.table ~name:"kind_type"
+    table ~name:"kind_type"
       [
         ("id", Value.TInt, D.serial (Array.length kinds));
         ("kind", Value.TStr, Array.map (fun s -> Value.Str s) kinds);
@@ -44,7 +45,7 @@ let build ?(scale = 1.0) ~seed () =
         ^ "-" ^ string_of_int (i / 6))
   in
   let it =
-    D.table ~name:"info_type"
+    table ~name:"info_type"
       [
         ("id", Value.TInt, D.serial 30);
         ("info", Value.TStr, Array.map (fun s -> Value.Str s) infos);
@@ -55,7 +56,7 @@ let build ?(scale = 1.0) ~seed () =
        "cinematographer"; "composer"; "costume"; "guest"; "crew"; "stunt" |]
   in
   let rt =
-    D.table ~name:"role_type"
+    table ~name:"role_type"
       [
         ("id", Value.TInt, D.serial (Array.length roles));
         ("role", Value.TStr, Array.map (fun s -> Value.Str s) roles);
@@ -63,7 +64,7 @@ let build ?(scale = 1.0) ~seed () =
   in
   let ctypes = [| "production companies"; "distributors"; "special effects"; "misc" |] in
   let ct =
-    D.table ~name:"company_type"
+    table ~name:"company_type"
       [
         ("id", Value.TInt, D.serial (Array.length ctypes));
         ("kind", Value.TStr, Array.map (fun s -> Value.Str s) ctypes);
@@ -73,7 +74,7 @@ let build ?(scale = 1.0) ~seed () =
   (* entity tables *)
   let kw_prefixes = [| "hero"; "sequel"; "war"; "love"; "blood"; "dream" |] in
   let k =
-    D.table ~name:"keyword"
+    table ~name:"keyword"
       [
         ("id", Value.TInt, D.serial n_keyword);
         ( "keyword",
@@ -93,7 +94,7 @@ let build ?(scale = 1.0) ~seed () =
   in
   let pick_country = pick_zipf rng countries 1.0 in
   let cn =
-    D.table ~name:"company_name"
+    table ~name:"company_name"
       [
         ("id", Value.TInt, D.serial n_company);
         ( "name",
@@ -117,7 +118,7 @@ let build ?(scale = 1.0) ~seed () =
         else Value.Str "f")
   in
   let n_tbl =
-    D.table ~name:"name"
+    table ~name:"name"
       [
         ("id", Value.TInt, D.serial n_name);
         ( "name",
@@ -132,7 +133,7 @@ let build ?(scale = 1.0) ~seed () =
       ]
   in
   let chn =
-    D.table ~name:"char_name"
+    table ~name:"char_name"
       [
         ("id", Value.TInt, D.serial n_char);
         ( "name",
@@ -159,7 +160,7 @@ let build ?(scale = 1.0) ~seed () =
         Value.Int (max 1950 (base - Rng.int rng 8)))
   in
   let t =
-    D.table ~name:"title"
+    table ~name:"title"
       [
         ("id", Value.TInt, D.serial n_title);
         ( "title",
@@ -181,7 +182,7 @@ let build ?(scale = 1.0) ~seed () =
   let movie_ids ranks = Array.map (fun r -> Value.Int movie_perm.(r)) ranks in
   let mk_ranks = fact_ranks 1.0 n_mk in
   let mk =
-    D.table ~name:"movie_keyword"
+    table ~name:"movie_keyword"
       [
         ("id", Value.TInt, D.serial n_mk);
         ("movie_id", Value.TInt, movie_ids mk_ranks);
@@ -199,7 +200,7 @@ let build ?(scale = 1.0) ~seed () =
       ~noise:0.25
   in
   let mc =
-    D.table ~name:"movie_companies"
+    table ~name:"movie_companies"
       [
         ("id", Value.TInt, D.serial n_mc);
         ("movie_id", Value.TInt, movie_ids mc_ranks);
@@ -216,7 +217,7 @@ let build ?(scale = 1.0) ~seed () =
       ~noise:0.3
   in
   let ci =
-    D.table ~name:"cast_info"
+    table ~name:"cast_info"
       [
         ("id", Value.TInt, D.serial n_ci);
         ("movie_id", Value.TInt, movie_ids ci_ranks);
@@ -236,7 +237,7 @@ let build ?(scale = 1.0) ~seed () =
       ~noise:0.3
   in
   let mi =
-    D.table ~name:"movie_info"
+    table ~name:"movie_info"
       [
         ("id", Value.TInt, D.serial n_mi);
         ("movie_id", Value.TInt, movie_ids mi_ranks);

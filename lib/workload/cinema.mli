@@ -19,10 +19,15 @@
 module Catalog = Qs_storage.Catalog
 module Query = Qs_query.Query
 
-val build : ?scale:float -> seed:int -> unit -> Catalog.t
+val build : ?scale:float -> ?spill:string * Qs_storage.Buffer_pool.t -> seed:int ->
+  unit -> Catalog.t
 (** Tables, primary keys, foreign keys; no indexes yet — call
     {!Catalog.build_indexes} with the configuration under test. Default
-    scale 1.0 ≈ 290 k rows total. *)
+    scale 1.0 ≈ 290 k rows total. With [spill = (dir, pool)] each base
+    table is written under [dir] and read through [pool] as soon as it
+    is made ({!Datagen.table}), so the build never holds the whole
+    catalog in memory; every table a query builds from them inherits
+    that home. *)
 
 val queries : Catalog.t -> seed:int -> n:int -> Query.t list
 (** [n] distinct SPJ queries named ["cinema_<i>"]. *)

@@ -64,7 +64,7 @@ let int_between rng ~n ~lo ~hi ~skew =
 let with_nulls rng ~frac values =
   Array.map (fun v -> if Rng.bernoulli rng frac then Value.Null else v) values
 
-let table ~name cols =
+let table ?spill ~name cols =
   match cols with
   | [] -> invalid_arg "Datagen.table: no columns"
   | (_, _, first) :: _ ->
@@ -80,4 +80,5 @@ let table ~name cols =
       in
       let cols_arr = Array.of_list (List.map (fun (_, _, vs) -> vs) cols) in
       let rows = Array.init n (fun i -> Array.map (fun col -> col.(i)) cols_arr) in
-      Table.create ~name ~schema rows
+      let t = Table.create ~inputs:[] ~name ~schema rows in
+      match spill with None -> t | Some (dir, pool) -> Table.spill ~dir ~pool t

@@ -54,5 +54,9 @@ val int_between : Rng.t -> n:int -> lo:int -> hi:int -> skew:float -> Value.t ar
 
 val with_nulls : Rng.t -> frac:float -> Value.t array -> Value.t array
 
-val table : name:string -> (string * Value.ty * Value.t array) list -> Table.t
-(** Assemble a table from named columns (all must have equal length). *)
+val table : ?spill:string * Qs_storage.Buffer_pool.t -> name:string ->
+  (string * Value.ty * Value.t array) list -> Table.t
+(** Assemble a base table from named columns (all must have equal
+    length). With [spill = (dir, pool)] it goes to disk as soon as it is
+    made ({!Table.spill}), so a spilled build holds one table's rows at
+    a time. *)

@@ -13,9 +13,10 @@ let sz scale base = max 8 (int_of_float (float_of_int base *. scale))
 let categories =
   [| "books"; "electronics"; "home"; "jewelry"; "music"; "shoes"; "sports"; "toys"; "women"; "men" |]
 
-let build ?(scale = 1.0) ~seed () =
+let build ?(scale = 1.0) ?spill ~seed () =
   let rng = Rng.create seed in
   let cat = Catalog.create () in
+  let table = D.table ?spill in
   let n_date = 2000 in
   let n_item = sz scale 3000 in
   let n_cust = sz scale 5000 in
@@ -26,7 +27,7 @@ let build ?(scale = 1.0) ~seed () =
   let n_ws = sz scale 40000 in
 
   let date_dim =
-    D.table ~name:"date_dim"
+    table ~name:"date_dim"
       [
         ("d_date_sk", Value.TInt, D.serial n_date);
         ("d_year", Value.TInt, Array.init n_date (fun i -> Value.Int (2015 + (i / 365))));
@@ -38,7 +39,7 @@ let build ?(scale = 1.0) ~seed () =
     Array.init n_item (fun i -> Value.Str categories.(i * Array.length categories / n_item))
   in
   let item =
-    D.table ~name:"item"
+    table ~name:"item"
       [
         ("i_item_sk", Value.TInt, D.serial n_item);
         ("i_category", Value.TStr, item_cat);
@@ -56,7 +57,7 @@ let build ?(scale = 1.0) ~seed () =
       ]
   in
   let cd =
-    D.table ~name:"customer_demographics"
+    table ~name:"customer_demographics"
       [
         ("cd_demo_sk", Value.TInt, D.serial n_cd);
         ( "cd_gender",
@@ -69,7 +70,7 @@ let build ?(scale = 1.0) ~seed () =
       ]
   in
   let customer =
-    D.table ~name:"customer"
+    table ~name:"customer"
       [
         ("c_customer_sk", Value.TInt, D.serial n_cust);
         ("c_cdemo_sk", Value.TInt, D.zipf_fk rng ~n:n_cust ~domain:n_cd ~theta:0.6);
@@ -79,7 +80,7 @@ let build ?(scale = 1.0) ~seed () =
       ]
   in
   let store =
-    D.table ~name:"store"
+    table ~name:"store"
       [
         ("s_store_sk", Value.TInt, D.serial n_store);
         ( "s_state",
@@ -89,7 +90,7 @@ let build ?(scale = 1.0) ~seed () =
       ]
   in
   let promotion =
-    D.table ~name:"promotion"
+    table ~name:"promotion"
       [
         ("p_promo_sk", Value.TInt, D.serial n_promo);
         ( "p_channel",
@@ -101,7 +102,7 @@ let build ?(scale = 1.0) ~seed () =
   (* store_sales: heavily skewed item & customer, item↔date correlated *)
   let ss_item = D.zipf_fk rng ~n:n_ss ~domain:n_item ~theta:1.1 in
   let store_sales =
-    D.table ~name:"store_sales"
+    table ~name:"store_sales"
       [
         ("ss_id", Value.TInt, D.serial n_ss);
         ( "ss_sold_date_sk",
@@ -122,7 +123,7 @@ let build ?(scale = 1.0) ~seed () =
   in
   let ws_item = D.zipf_fk rng ~n:n_ws ~domain:n_item ~theta:1.0 in
   let web_sales =
-    D.table ~name:"web_sales"
+    table ~name:"web_sales"
       [
         ("ws_id", Value.TInt, D.serial n_ws);
         ( "ws_sold_date_sk",

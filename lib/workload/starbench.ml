@@ -8,9 +8,10 @@ module D = Datagen
 
 let sz scale base = max 5 (int_of_float (float_of_int base *. scale))
 
-let build ?(scale = 1.0) ~seed () =
+let build ?(scale = 1.0) ?spill ~seed () =
   let rng = Rng.create seed in
   let cat = Catalog.create () in
+  let table = D.table ?spill in
   let n_supp = sz scale 200 in
   let n_cust = sz scale 1500 in
   let n_part = sz scale 2000 in
@@ -20,14 +21,14 @@ let build ?(scale = 1.0) ~seed () =
 
   let regions = [| "africa"; "america"; "asia"; "europe"; "middle east" |] in
   let region =
-    D.table ~name:"region"
+    table ~name:"region"
       [
         ("r_regionkey", Value.TInt, D.serial 5);
         ("r_name", Value.TStr, Array.map (fun s -> Value.Str s) regions);
       ]
   in
   let nation =
-    D.table ~name:"nation"
+    table ~name:"nation"
       [
         ("n_nationkey", Value.TInt, D.serial 25);
         ("n_name", Value.TStr, Array.init 25 (fun i -> Value.Str (Printf.sprintf "nation%02d" i)));
@@ -35,7 +36,7 @@ let build ?(scale = 1.0) ~seed () =
       ]
   in
   let supplier =
-    D.table ~name:"supplier"
+    table ~name:"supplier"
       [
         ("s_suppkey", Value.TInt, D.serial n_supp);
         ("s_name", Value.TStr, Array.init n_supp (fun i -> Value.Str (Printf.sprintf "supplier%04d" i)));
@@ -45,7 +46,7 @@ let build ?(scale = 1.0) ~seed () =
   in
   let segments = [| "building"; "automobile"; "machinery"; "household"; "furniture" |] in
   let customer =
-    D.table ~name:"customer"
+    table ~name:"customer"
       [
         ("c_custkey", Value.TInt, D.serial n_cust);
         ("c_nationkey", Value.TInt, D.uniform_fk rng ~n:n_cust ~domain:25);
@@ -58,7 +59,7 @@ let build ?(scale = 1.0) ~seed () =
   let brands = Array.init 25 (fun i -> Printf.sprintf "brand%02d" i) in
   let types = [| "economy"; "standard"; "promo"; "small"; "large"; "medium" |] in
   let part =
-    D.table ~name:"part"
+    table ~name:"part"
       [
         ("p_partkey", Value.TInt, D.serial n_part);
         ("p_brand", Value.TStr, Array.init n_part (fun _ -> Value.Str (Rng.choice rng brands)));
@@ -68,7 +69,7 @@ let build ?(scale = 1.0) ~seed () =
       ]
   in
   let partsupp =
-    D.table ~name:"partsupp"
+    table ~name:"partsupp"
       [
         ("ps_id", Value.TInt, D.serial n_ps);
         ("ps_partkey", Value.TInt, D.uniform_fk rng ~n:n_ps ~domain:n_part);
@@ -79,7 +80,7 @@ let build ?(scale = 1.0) ~seed () =
   in
   let priorities = [| "1-urgent"; "2-high"; "3-medium"; "4-low"; "5-none" |] in
   let orders =
-    D.table ~name:"orders"
+    table ~name:"orders"
       [
         ("o_orderkey", Value.TInt, D.serial n_ord);
         ("o_custkey", Value.TInt, D.uniform_fk rng ~n:n_ord ~domain:n_cust);
@@ -94,7 +95,7 @@ let build ?(scale = 1.0) ~seed () =
   let flags = [| "a"; "n"; "r" |] in
   let l_order = D.uniform_fk rng ~n:n_li ~domain:n_ord in
   let lineitem =
-    D.table ~name:"lineitem"
+    table ~name:"lineitem"
       [
         ("l_id", Value.TInt, D.serial n_li);
         ("l_orderkey", Value.TInt, l_order);

@@ -12,7 +12,12 @@
 module Catalog = Qs_storage.Catalog
 module Logical = Qs_plan.Logical
 
-val build : ?scale:float -> seed:int -> unit -> Catalog.t
+val build : ?scale:float -> ?spill:string * Qs_storage.Buffer_pool.t -> seed:int ->
+  unit -> Catalog.t
+(** With [spill = (dir, pool)] each base table is written under [dir]
+    and read through [pool] as soon as it is made ({!Datagen.table}), so
+    the build never holds the whole catalog in memory; every table a
+    query builds from them inherits that home. *)
 
 val queries : Catalog.t -> seed:int -> Logical.t list
 (** Exactly 22 logical trees named ["star_q1"] … ["star_q22"]. *)

@@ -19,9 +19,9 @@ module Rng = Qs_util.Rng
    [Table.create ?chunk_rows], but with every chunk column-major: a
    resident table built from rows is row-major, so the columnar side of
    a layout comparison is built by hand. *)
-let columnar_table ?(chunk_rows = Table.default_chunk_rows ()) ~name ~schema rows =
+let columnar_table ?(chunk_rows = 65_536) ~name ~schema rows =
   let n = Array.length rows in
-  Table.of_chunk_data ~name ~schema
+  Table.of_chunk_data ~inputs:[] ~name ~schema
     (List.init
        ((n + chunk_rows - 1) / chunk_rows)
        (fun ci ->
@@ -29,15 +29,33 @@ let columnar_table ?(chunk_rows = Table.default_chunk_rows ()) ~name ~schema row
          Chunk.of_columnar
            (Columnar.of_rows (Array.sub rows start (min chunk_rows (n - start))))))
 
+(* --- storage: chunk size and store travel with the tables ------------ *)
+
+(* [cat] with its tables recut to [chunk_rows]-row chunks and then, with
+   [spill = (dir, pool)], moved to chunk files under [dir] read through
+   [pool], in place. Every table a query builds from them inherits both
+   (see Table). *)
+let store ?chunk_rows ?spill cat =
+  Catalog.map_tables cat (fun t ->
+      let t =
+        match chunk_rows with
+        | None -> t
+        | Some n ->
+            Table.create ~chunk_rows:n ~inputs:[] ~name:t.Table.name ~schema:t.Table.schema
+              (Table.to_rows t)
+      in
+      match spill with None -> t | Some (dir, pool) -> Table.spill ~dir ~pool t);
+  cat
+
 (* --- a small shop schema with skew and correlation ------------------- *)
 (* customers(id, city, vip) ; products(id, kind, price) ;
    orders(id, customer_id, product_id, qty) ; reviews(id, product_id, stars) *)
 
-let shop_catalog ?(n_orders = 2000) ?(columnar = false) () =
+let shop_catalog ?(n_orders = 2000) ?(columnar = false) ?chunk_rows ?spill () =
   let rng = Rng.create 77 in
   let create ~name ~schema rows =
-    if columnar then columnar_table ~name ~schema rows
-    else Table.create ~name ~schema rows
+    if columnar then columnar_table ?chunk_rows ~name ~schema rows
+    else Table.create ?chunk_rows ~inputs:[] ~name ~schema rows
   in
   let cat = Catalog.create () in
   let n_cust = 120 and n_prod = 80 and n_rev = 600 in
@@ -101,10 +119,10 @@ let shop_catalog ?(n_orders = 2000) ?(columnar = false) () =
   Catalog.add_fk cat ~from_table:"reviews" ~from_column:"product_id" ~to_table:"products"
     ~to_column:"id";
   Catalog.build_indexes cat Catalog.Pk_fk;
-  cat
+  store ?spill cat
 
-let shop_ctx ?n_orders ?spans () =
-  let cat = shop_catalog ?n_orders () in
+let shop_ctx ?n_orders ?spans ?chunk_rows ?spill () =
+  let cat = shop_catalog ?n_orders ?chunk_rows ?spill () in
   let registry = Stats_registry.create cat in
   (cat, Strategy.make_ctx ?spans registry Estimator.default)
 

@@ -88,8 +88,7 @@ let frame_faults tr =
        (Span.spans tr))
 
 (* the chunk file of a spilled table, found by its name in the spill dir *)
-let file_of name =
-  let dir = match Table.spill_config () with Some (d, _) -> d | None -> assert false in
+let file_of ~dir name =
   let suffix = "-" ^ name ^ ".qsc" in
   match
     List.find_opt
@@ -104,8 +103,7 @@ let file_of name =
 (* every kind, alone: a fresh read of the frame touches one column, reads
    that one block, and decodes it to exactly the column written *)
 let test_blocks_round_trip () =
-  let dir = Test_bufpool.temp_dir () in
-  Fun.protect ~finally:(fun () -> Test_bufpool.rm_rf dir) @@ fun () ->
+  Table.with_scratch_home ~capacity:1 @@ fun ~dir ~pool:_ ->
   let frames = [| Array.init 37 (kinds_row 0); Array.init 64 (kinds_row 37) |] in
   let written = Array.map Columnar.of_rows frames in
   Array.iteri
@@ -152,10 +150,11 @@ let test_blocks_round_trip () =
 (* --- touching k columns reads k blocks ------------------------------------ *)
 
 let test_touch_reads_only_touched () =
-  Test_bufpool.with_spill ~capacity:4 (fun bp ->
+  Table.with_scratch_home ~capacity:4 (fun ~dir ~pool:bp ->
       let rows = Array.init 100 (kinds_row 0) in
       let tbl =
-        Table.create ~chunk_rows:50 ~name:"touch" ~schema:(kinds_schema "touch") rows
+        Table.spill ~dir ~pool:bp
+          (Table.create ~chunk_rows:50 ~inputs:[] ~name:"touch" ~schema:(kinds_schema "touch") rows)
       in
       let tr = Span.create () in
       Buffer_pool.set_tracer bp (Some tr);
@@ -194,10 +193,10 @@ let test_touch_reads_only_touched () =
 (* a filtered, projected scan of a spilled table reads the blocks of the
    filter's and the projection's columns only *)
 let test_scan_reads_only_touched () =
-  Test_bufpool.with_spill ~capacity:4 (fun bp ->
+  Table.with_scratch_home ~capacity:4 (fun ~dir ~pool:bp ->
       let rows = Array.init 120 (kinds_row 0) in
       let schema = kinds_schema "scan" in
-      let tbl = Table.create ~chunk_rows:40 ~name:"scan" ~schema rows in
+      let tbl = Table.spill ~dir ~pool:bp (Table.create ~chunk_rows:40 ~inputs:[] ~name:"scan" ~schema rows) in
       let tr = Span.create () in
       Buffer_pool.set_tracer bp (Some tr);
       Fun.protect ~finally:(fun () -> Buffer_pool.set_tracer bp None) @@ fun () ->
@@ -234,10 +233,11 @@ let test_scan_reads_only_touched () =
 (* --- two domains, one pending column -------------------------------------- *)
 
 let test_two_domains_share_pending () =
-  Test_bufpool.with_spill ~capacity:2 (fun _bp ->
+  Table.with_scratch_home ~capacity:2 (fun ~dir ~pool:bp ->
       let rows = Array.init 4000 (kinds_row 0) in
       let tbl =
-        Table.create ~chunk_rows:4000 ~name:"shared" ~schema:(kinds_schema "shared") rows
+        Table.spill ~dir ~pool:bp
+          (Table.create ~chunk_rows:4000 ~inputs:[] ~name:"shared" ~schema:(kinds_schema "shared") rows)
       in
       let c = Option.get (Chunk.columnar (Table.chunk_data tbl 0)) in
       let digest vs = Digest.to_hex (Digest.string (Marshal.to_string vs [ Marshal.No_sharing ])) in
@@ -301,39 +301,41 @@ let victim_rows n =
    [what]; a column left intact still reads; no pin leaks; and the pool
    still runs the next query. *)
 let corrupt_case ~what ?(at_fault = false) ~frame ~bad_col ~good_col corrupt () =
-  Test_bufpool.with_chunk_rows 60 (fun () ->
-      Test_bufpool.with_spill ~capacity:3 (fun bp ->
-          let cat = Fixtures.shop_catalog ~n_orders:200 () in
-          let registry = Qs_stats.Stats_registry.create cat in
-          let ctx = Strategy.make_ctx registry Estimator.default in
-          let frag = Strategy.fragment_of_query ctx (Fixtures.shop_query ()) in
-          let plan = (Optimizer.optimize cat Estimator.default frag).Optimizer.plan in
-          let expected = Table.digest (fst (Executor.run plan)) in
-          let rows = victim_rows 120 in
-          let victim = Table.create ~name:"victim" ~schema:(victim_schema "victim") rows in
-          patch (file_of "victim") corrupt;
-          let expect_failure label f =
-            match f () with
-            | _ -> Alcotest.failf "%s: corrupt %s read without error" label what
-            | exception Failure msg ->
-                if not (Str_helpers.contains msg what) then
-                  Alcotest.failf "%s: failure %S does not name %S" label msg what
-          in
-          let row = (frame * 60) + 1 in
-          let buf = Array.make 3 Value.Null in
-          let lookup col () = Table.row_cells victim row ~cols:[| col |] ~buf in
-          if at_fault then expect_failure "fault" (lookup good_col)
-          else begin
-            (* the fault and the intact column read; the bad block fails
-               at its first touch, and again at the next *)
-            check_value "intact column" rows.(row).(good_col) (lookup good_col ()).(good_col);
-            expect_failure "first touch" (lookup bad_col);
-            expect_failure "next touch" (lookup bad_col)
-          end;
-          expect_failure "scan" (fun () -> Table.digest victim);
-          Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp);
-          Alcotest.(check string) "next query" expected (Table.digest (fst (Executor.run plan)));
-          Alcotest.(check int) "no pins after the next query" 0 (Buffer_pool.pinned bp)))
+  Table.with_scratch_home ~capacity:3 (fun ~dir ~pool:bp ->
+      let cat = Fixtures.shop_catalog ~n_orders:200 ~chunk_rows:60 ~spill:(dir, bp) () in
+      let registry = Qs_stats.Stats_registry.create cat in
+      let ctx = Strategy.make_ctx registry Estimator.default in
+      let frag = Strategy.fragment_of_query ctx (Fixtures.shop_query ()) in
+      let plan = (Optimizer.optimize cat Estimator.default frag).Optimizer.plan in
+      let expected = Table.digest (fst (Executor.run plan)) in
+      let rows = victim_rows 120 in
+      let victim =
+        Table.spill ~dir ~pool:bp
+          (Table.create ~chunk_rows:60 ~inputs:[] ~name:"victim" ~schema:(victim_schema "victim") rows)
+      in
+      patch (file_of ~dir "victim") corrupt;
+      let expect_failure label f =
+        match f () with
+        | _ -> Alcotest.failf "%s: corrupt %s read without error" label what
+        | exception Failure msg ->
+            if not (Str_helpers.contains msg what) then
+              Alcotest.failf "%s: failure %S does not name %S" label msg what
+      in
+      let row = (frame * 60) + 1 in
+      let buf = Array.make 3 Value.Null in
+      let lookup col () = Table.row_cells victim row ~cols:[| col |] ~buf in
+      if at_fault then expect_failure "fault" (lookup good_col)
+      else begin
+        (* the fault and the intact column read; the bad block fails
+           at its first touch, and again at the next *)
+        check_value "intact column" rows.(row).(good_col) (lookup good_col ()).(good_col);
+        expect_failure "first touch" (lookup bad_col);
+        expect_failure "next touch" (lookup bad_col)
+      end;
+      expect_failure "scan" (fun () -> Table.digest victim);
+      Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp);
+      Alcotest.(check string) "next query" expected (Table.digest (fst (Executor.run plan)));
+      Alcotest.(check int) "no pins after the next query" 0 (Buffer_pool.pinned bp))
 
 (* the file ends inside frame 1's last block *)
 let test_truncated_file =

@@ -24,41 +24,6 @@ module Pool = Qs_util.Pool
 module Runner = Qs_harness.Runner
 module Timer = Qs_util.Timer
 
-(* --- spill-mode scaffolding ------------------------------------------- *)
-
-let temp_dir () =
-  let f = Filename.temp_file "qs_spill" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o700;
-  f
-
-let rm_rf dir =
-  (try
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-       (Sys.readdir dir)
-   with Sys_error _ -> ());
-  try Sys.rmdir dir with Sys_error _ -> ()
-
-(* Run [f bp] with spill mode on (fresh scratch dir, fresh pool) and the
-   previous global config restored afterwards — tests must not leak
-   spill mode into each other. *)
-let with_spill ~capacity f =
-  let dir = temp_dir () in
-  let bp = Buffer_pool.create ~capacity () in
-  let saved = Table.spill_config () in
-  Table.set_spill (Some (dir, bp));
-  Fun.protect
-    ~finally:(fun () ->
-      Table.set_spill saved;
-      rm_rf dir)
-    (fun () -> f bp)
-
-let with_chunk_rows n f =
-  let saved = Table.default_chunk_rows () in
-  Table.set_default_chunk_rows n;
-  Fun.protect ~finally:(fun () -> Table.set_default_chunk_rows saved) f
-
 let schema2 name = Schema.make name [ ("id", Value.TInt); ("v", Value.TStr) ]
 
 let mk_rows n = Array.init n (fun i -> [| Value.Int i; Value.Str (string_of_int (i * 7)) |])
@@ -66,8 +31,7 @@ let mk_rows n = Array.init n (fun i -> [| Value.Int i; Value.Str (string_of_int 
 (* --- chunk-file format ------------------------------------------------- *)
 
 let test_chunk_file_roundtrip () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Table.with_scratch_home ~capacity:1 @@ fun ~dir ~pool:_ ->
   let chunks =
     [|
       [|
@@ -125,8 +89,7 @@ let test_chunk_file_roundtrip () =
     (fun () -> ignore (Chunk_file.read file 3))
 
 let test_chunk_file_rejects_empty () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Table.with_scratch_home ~capacity:1 @@ fun ~dir ~pool:_ ->
   (try
      ignore
        (Chunk_file.write ~dir ~name:"bad" ~arity:1
@@ -142,9 +105,9 @@ let test_chunk_file_rejects_empty () =
 
 let test_spilled_table_equals_resident () =
   let rows = mk_rows 50 in
-  let resident = Table.create ~chunk_rows:7 ~name:"t" ~schema:(schema2 "t") rows in
-  with_spill ~capacity:2 (fun bp ->
-      let spilled = Table.create ~chunk_rows:7 ~name:"t" ~schema:(schema2 "t") rows in
+  let resident = Table.create ~chunk_rows:7 ~inputs:[] ~name:"t" ~schema:(schema2 "t") rows in
+  Table.with_scratch_home ~capacity:2 (fun ~dir ~pool:bp ->
+      let spilled = Table.spill ~dir ~pool:bp resident in
       Alcotest.(check bool) "is spilled" true (Table.spilled spilled);
       Alcotest.(check bool) "resident is not" false (Table.spilled resident);
       Alcotest.(check int) "chunks" (Table.n_chunks resident) (Table.n_chunks spilled);
@@ -184,12 +147,14 @@ let test_spilled_table_equals_resident () =
 
 let row1 i = [| Value.Int i; Value.Str (string_of_int i) |]
 
-let check_degenerate () =
+(* [store] places each table the sweep builds: the identity, or a spill *)
+let check_degenerate store =
   (* empty chunks interleaved in ragged input are dropped; offsets stay
      strictly increasing and row access lands on the right rows *)
   let t =
-    Table.of_chunks ~name:"d" ~schema:(schema2 "d")
-      [ [||]; [| row1 0 |]; [||]; [||]; [| row1 1; row1 2 |]; [||]; [| row1 3 |]; [||] ]
+    store
+      (Table.of_chunks ~inputs:[] ~name:"d" ~schema:(schema2 "d")
+         [ [||]; [| row1 0 |]; [||]; [||]; [| row1 1; row1 2 |]; [||]; [| row1 3 |]; [||] ])
   in
   Alcotest.(check int) "chunks" 3 (Table.n_chunks t);
   Alcotest.(check int) "rows" 4 (Table.n_rows t);
@@ -199,30 +164,35 @@ let check_degenerate () =
   Alcotest.check_raises "row 4 out of range"
     (Invalid_argument "Table.row d: index 4 out of 4") (fun () ->
       ignore (Table.row t 4));
-  (* an all-empty batch list is a zero-row, zero-chunk table *)
-  let z = Table.of_chunks ~name:"z" ~schema:(schema2 "z") [ [||]; [||] ] in
+  (* an all-empty batch list is a zero-row, zero-chunk table; derived
+     from a spilled input it still has no frame to write *)
+  let z = Table.of_chunks ~inputs:[ t ] ~name:"z" ~schema:(schema2 "z") [ [||]; [||] ] in
   Alcotest.(check int) "zero chunks" 0 (Table.n_chunks z);
   Alcotest.(check int) "zero rows" 0 (Table.n_rows z);
   Alcotest.(check bool) "zero to_rows" true (Table.to_rows z = [||]);
   Alcotest.(check bool)
-    "zero-row tables never spill" false (Table.spilled z);
-  let e = Table.create ~name:"e" ~schema:(schema2 "e") [||] in
+    "zero-row tables never spill" false (Table.spilled (store z));
+  let e = store (Table.create ~inputs:[] ~name:"e" ~schema:(schema2 "e") [||]) in
   Alcotest.(check int) "empty create" 0 (Table.n_rows e);
   Table.iter (fun _ -> Alcotest.fail "no rows to visit") z;
   ignore (Table.digest z)
 
-let test_degenerate_resident () = check_degenerate ()
+let test_degenerate_resident () = check_degenerate Fun.id
 
 let test_degenerate_spilled () =
-  (* the same sweep with spill mode on: dropping empties must happen
-     before the chunk-file writer, which rejects zero-row frames *)
-  with_spill ~capacity:2 (fun _bp -> check_degenerate ())
+  (* the same sweep spilled: dropping empties must happen before the
+     chunk-file writer, which rejects zero-row frames *)
+  Table.with_scratch_home ~capacity:2 (fun ~dir ~pool ->
+      check_degenerate (Table.spill ~dir ~pool))
 
 (* --- buffer-pool mechanics --------------------------------------------- *)
 
 let test_hits_and_misses () =
-  with_spill ~capacity:3 (fun bp ->
-      let t = Table.create ~chunk_rows:5 ~name:"t" ~schema:(schema2 "t") (mk_rows 15) in
+  Table.with_scratch_home ~capacity:3 (fun ~dir ~pool:bp ->
+      let t =
+        Table.spill ~dir ~pool:bp
+          (Table.create ~chunk_rows:5 ~inputs:[] ~name:"t" ~schema:(schema2 "t") (mk_rows 15))
+      in
       Alcotest.(check int) "3 chunks" 3 (Table.n_chunks t);
       ignore (Table.chunk t 0);
       let s = Buffer_pool.stats bp in
@@ -239,8 +209,11 @@ let test_hits_and_misses () =
       Alcotest.(check int) "resident" 3 (Buffer_pool.resident bp))
 
 let test_bypass_when_all_pinned () =
-  with_spill ~capacity:1 (fun bp ->
-      let t = Table.create ~chunk_rows:4 ~name:"t" ~schema:(schema2 "t") (mk_rows 12) in
+  Table.with_scratch_home ~capacity:1 (fun ~dir ~pool:bp ->
+      let t =
+        Table.spill ~dir ~pool:bp
+          (Table.create ~chunk_rows:4 ~inputs:[] ~name:"t" ~schema:(schema2 "t") (mk_rows 12))
+      in
       (* hold chunk 0 pinned (iter pins the chunk being consumed); chunk 1
          must still be readable — as an uncached bypass *)
       let seen = ref 0 in
@@ -262,8 +235,11 @@ let test_bypass_when_all_pinned () =
 exception Cancelled_mid_scan
 
 let test_pin_released_on_cancellation () =
-  with_spill ~capacity:2 (fun bp ->
-      let t = Table.create ~chunk_rows:3 ~name:"t" ~schema:(schema2 "t") (mk_rows 30) in
+  Table.with_scratch_home ~capacity:2 (fun ~dir ~pool:bp ->
+      let t =
+        Table.spill ~dir ~pool:bp
+          (Table.create ~chunk_rows:3 ~inputs:[] ~name:"t" ~schema:(schema2 "t") (mk_rows 30))
+      in
       (* cancel mid-scan from inside the consumer (the executor's
          cooperative cancellation raises from exactly here) at several
          depths, including mid-chunk and on a chunk boundary *)
@@ -292,9 +268,10 @@ let test_pin_released_on_cancellation () =
 
 let test_eviction_under_concurrent_scans () =
   Pool.with_pool ~domains:4 (fun cpu ->
-      with_spill ~capacity:2 (fun bp ->
+      Table.with_scratch_home ~capacity:2 (fun ~dir ~pool:bp ->
           let t =
-            Table.create ~chunk_rows:8 ~name:"t" ~schema:(schema2 "t") (mk_rows 128)
+            Table.spill ~dir ~pool:bp
+              (Table.create ~chunk_rows:8 ~inputs:[] ~name:"t" ~schema:(schema2 "t") (mk_rows 128))
           in
           Alcotest.(check int) "16 chunks" 16 (Table.n_chunks t);
           let expected = Table.digest t in
@@ -322,43 +299,42 @@ let test_eviction_under_concurrent_scans () =
    fault back column-major, so the morsels run the selection-vector
    scans and batch key decodes. *)
 let pipelined_unwind_releases_pins ~chunk_rows ~capacity =
-  with_chunk_rows chunk_rows (fun () ->
-      with_spill ~capacity (fun bp ->
-          let cat = Fixtures.shop_catalog ~n_orders:300 () in
-          let registry = Qs_stats.Stats_registry.create cat in
-          let ctx = Strategy.make_ctx registry Estimator.default in
-          let frag = Strategy.fragment_of_query ctx (Fixtures.shop_query ()) in
-          let plan =
-            (Optimizer.optimize cat Estimator.default frag).Optimizer.plan
-          in
-          (* a deadline already in the past fires at the first poll *)
-          (try
-             ignore
-               (Executor.run
-                  ~deadline:(Timer.now () -. 1.0)
-                  plan);
-             Alcotest.fail "expired deadline did not fire"
-           with Executor.Timeout -> ());
-          Alcotest.(check int) "no pins after timeout" 0 (Buffer_pool.pinned bp);
-          (* a tiny row limit fires mid-probe, with build and probe frames live *)
-          (try
-             ignore (Executor.run ~row_limit:5 plan);
-             Alcotest.fail "row limit did not fire"
-           with Executor.Timeout -> ());
-          Alcotest.(check int) "no pins after row limit" 0 (Buffer_pool.pinned bp);
-          (* cooperative cancellation unwinds the same way *)
-          let tok = Qs_util.Cancel.create () in
-          Qs_util.Cancel.cancel tok;
-          (try
-             ignore (Executor.run ~cancel:tok plan);
-             Alcotest.fail "cancellation did not fire"
-           with Qs_util.Cancel.Cancelled -> ());
-          Alcotest.(check int) "no pins after cancel" 0 (Buffer_pool.pinned bp);
-          (* the pool is not poisoned: the same plan still completes *)
-          let tbl, _ = Executor.run plan in
-          Alcotest.(check bool) "rerun returns rows" true (Table.n_rows tbl > 0);
-          Alcotest.(check int) "no pins after rerun" 0 (Buffer_pool.pinned bp);
-          Buffer_pool.stats bp))
+  Table.with_scratch_home ~capacity (fun ~dir ~pool:bp ->
+      let cat = Fixtures.shop_catalog ~n_orders:300 ~chunk_rows ~spill:(dir, bp) () in
+      let registry = Qs_stats.Stats_registry.create cat in
+      let ctx = Strategy.make_ctx registry Estimator.default in
+      let frag = Strategy.fragment_of_query ctx (Fixtures.shop_query ()) in
+      let plan =
+        (Optimizer.optimize cat Estimator.default frag).Optimizer.plan
+      in
+      (* a deadline already in the past fires at the first poll *)
+      (try
+         ignore
+           (Executor.run
+              ~deadline:(Timer.now () -. 1.0)
+              plan);
+         Alcotest.fail "expired deadline did not fire"
+       with Executor.Timeout -> ());
+      Alcotest.(check int) "no pins after timeout" 0 (Buffer_pool.pinned bp);
+      (* a tiny row limit fires mid-probe, with build and probe frames live *)
+      (try
+         ignore (Executor.run ~row_limit:5 plan);
+         Alcotest.fail "row limit did not fire"
+       with Executor.Timeout -> ());
+      Alcotest.(check int) "no pins after row limit" 0 (Buffer_pool.pinned bp);
+      (* cooperative cancellation unwinds the same way *)
+      let tok = Qs_util.Cancel.create () in
+      Qs_util.Cancel.cancel tok;
+      (try
+         ignore (Executor.run ~cancel:tok plan);
+         Alcotest.fail "cancellation did not fire"
+       with Qs_util.Cancel.Cancelled -> ());
+      Alcotest.(check int) "no pins after cancel" 0 (Buffer_pool.pinned bp);
+      (* the pool is not poisoned: the same plan still completes *)
+      let tbl, _ = Executor.run plan in
+      Alcotest.(check bool) "rerun returns rows" true (Table.n_rows tbl > 0);
+      Alcotest.(check int) "no pins after rerun" 0 (Buffer_pool.pinned bp);
+      Buffer_pool.stats bp)
 
 (* 16-row chunks through a 2-frame pool: every morsel evicts *)
 let test_pipelined_unwind_releases_pins () =
@@ -376,45 +352,46 @@ let test_pipelined_unwind_releases_pins_columnar () =
 (* spilled execution produces byte-identical results for every strategy,
    covering Temp materialization writing through the pool *)
 let test_strategies_out_of_core () =
-  with_chunk_rows 32 (fun () ->
-      let expected =
-        let _cat, ctx = Fixtures.shop_ctx ~n_orders:300 () in
-        let q = Fixtures.shop_query () in
-        List.map
-          (fun (s : Strategy.t) ->
-            (s.Strategy.name, Table.digest (s.Strategy.run ctx q).Strategy.result))
-          Test_strategies.all_strategies
-      in
-      with_spill ~capacity:3 (fun bp ->
-          let _cat, ctx = Fixtures.shop_ctx ~n_orders:300 () in
-          let q = Fixtures.shop_query () in
-          List.iter
-            (fun (s : Strategy.t) ->
-              let d = Table.digest (s.Strategy.run ctx q).Strategy.result in
-              let expect = List.assoc s.Strategy.name expected in
-              Alcotest.(check string) ("strategy " ^ s.Strategy.name) expect d)
-            Test_strategies.all_strategies;
-          let st = Buffer_pool.stats bp in
-          Alcotest.(check bool) "execution faulted" true (st.Buffer_pool.misses > 0);
-          Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp)))
+  let expected =
+    let _cat, ctx = Fixtures.shop_ctx ~n_orders:300 ~chunk_rows:32 () in
+    let q = Fixtures.shop_query () in
+    List.map
+      (fun (s : Strategy.t) ->
+        (s.Strategy.name, Table.digest (s.Strategy.run ctx q).Strategy.result))
+      Test_strategies.all_strategies
+  in
+  Table.with_scratch_home ~capacity:3 (fun ~dir ~pool:bp ->
+      let _cat, ctx = Fixtures.shop_ctx ~n_orders:300 ~chunk_rows:32 ~spill:(dir, bp) () in
+      let q = Fixtures.shop_query () in
+      List.iter
+        (fun (s : Strategy.t) ->
+          let d = Table.digest (s.Strategy.run ctx q).Strategy.result in
+          let expect = List.assoc s.Strategy.name expected in
+          Alcotest.(check string) ("strategy " ^ s.Strategy.name) expect d)
+        Test_strategies.all_strategies;
+      let st = Buffer_pool.stats bp in
+      Alcotest.(check bool) "execution faulted" true (st.Buffer_pool.misses > 0);
+      Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp))
 
 (* --- the 200-query differential corpus, fully out-of-core -------------- *)
 
 let max_result_rows = 60_000
 
-(* In-memory reference digests for the corpus (explosive queries
-   skipped), computed once per run of this file. *)
-let reference = ref None
+(* Resident reference digests for the corpus (explosive queries
+   skipped), per chunk size, each computed once per run: an out-of-core
+   run is compared with the resident run at its own chunk size, so a
+   mismatch points at the store alone. *)
+let references = Hashtbl.create 2
 
-let corpus_digests ?(against_naive = false) ?columnar () =
-  let cat = Fixtures.shop_catalog ~n_orders:400 ?columnar () in
+let corpus_digests ?columnar ?spill ?chunk_rows () =
+  let cat = Fixtures.shop_catalog ~n_orders:400 ?columnar ?chunk_rows ?spill () in
   let registry = Qs_stats.Stats_registry.create cat in
   let ctx = Strategy.make_ctx registry Estimator.default in
   let queries = Fuzz.queries cat ~seed:20230617 ~n:200 () in
   let keep =
-    match !reference with
-    | Some (names, _) -> fun (q : Query.t) -> List.mem q.Query.name names
-    | None ->
+    match Hashtbl.to_seq_values references () with
+    | Seq.Cons ((names, _), _) -> fun (q : Query.t) -> List.mem q.Query.name names
+    | Seq.Nil ->
         fun q -> Naive.count (Strategy.fragment_of_query ctx q) <= max_result_rows
   in
   List.filter_map
@@ -424,24 +401,21 @@ let corpus_digests ?(against_naive = false) ?columnar () =
         let frag = Strategy.fragment_of_query ctx q in
         let plan = (Optimizer.optimize cat Estimator.default frag).Optimizer.plan in
         let tbl, _ = Executor.run plan in
-        let out = Executor.project ~name:q.Query.name tbl q.Query.output in
-        if against_naive && not (Fixtures.tables_equal (Naive.rows frag) out) then
-          Alcotest.failf "%s: pipelined result diverges from naive" q.Query.name;
-        Some (q.Query.name, Table.digest out)
+        Some (q.Query.name, Table.digest (Executor.project ~name:q.Query.name tbl q.Query.output))
       end)
     queries
 
-let in_memory_reference () =
-  match !reference with
+let in_memory_reference ?(chunk_rows = 64) () =
+  match Hashtbl.find_opt references chunk_rows with
   | Some r -> r
   | None ->
-      let digests = with_chunk_rows 64 corpus_digests in
+      let digests = corpus_digests ~chunk_rows () in
       let r = (List.map fst digests, digests) in
-      reference := Some r;
+      Hashtbl.replace references chunk_rows r;
       r
 
-let compare_against_reference ~what got =
-  let _, expected = in_memory_reference () in
+let compare_against_reference ?chunk_rows ~what got =
+  let _, expected = in_memory_reference ?chunk_rows () in
   Alcotest.(check int) "query count" (List.length expected) (List.length got);
   List.iter2
     (fun (qa, da) (qb, db) ->
@@ -449,18 +423,17 @@ let compare_against_reference ~what got =
       if da <> db then Alcotest.failf "%s: %s digest differs" qa what)
     expected got
 
-let check_out_of_core_corpus ?against_naive ?(chunk_rows = 64) ~capacity () =
-  ignore (in_memory_reference ());
+let check_out_of_core_corpus ?(chunk_rows = 64) ~capacity () =
+  ignore (in_memory_reference ~chunk_rows ());
   let got =
-    with_chunk_rows chunk_rows (fun () ->
-        with_spill ~capacity (fun bp ->
-            let digests = corpus_digests ?against_naive () in
-            let s = Buffer_pool.stats bp in
-            Alcotest.(check bool) "corpus faulted" true (s.Buffer_pool.misses > 0);
-            Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp);
-            digests))
+    Table.with_scratch_home ~capacity (fun ~dir ~pool:bp ->
+        let digests = corpus_digests ~chunk_rows ~spill:(dir, bp) () in
+        let s = Buffer_pool.stats bp in
+        Alcotest.(check bool) "corpus faulted" true (s.Buffer_pool.misses > 0);
+        Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp);
+        digests)
   in
-  compare_against_reference
+  compare_against_reference ~chunk_rows
     ~what:
       (Printf.sprintf "out-of-core (%d-row chunks, capacity %d)" chunk_rows
          capacity)
@@ -477,34 +450,33 @@ let test_corpus_width_1 () = check_out_of_core_corpus ~capacity:1 ()
 let check_harness_corpus ?(against_naive = false) () =
   let names, _ = in_memory_reference () in
   let got =
-    with_chunk_rows 64 (fun () ->
-        with_spill ~capacity:4 (fun bp ->
-            let cat = Fixtures.shop_catalog ~n_orders:400 () in
-            let env = Runner.make_env cat in
-            let queries =
-              List.filter
-                (fun (q : Query.t) -> List.mem q.Query.name names)
-                (Fuzz.queries cat ~seed:20230617 ~n:200 ())
-            in
-            let digests =
-              List.map
-                (fun (r : Runner.qresult) -> (r.Runner.query, r.Runner.digest))
-                (Runner.run_spj ~domains:4 ~timeout:60.0 env Qs_harness.Algos.default
-                   queries)
-            in
-            if against_naive then begin
-              let ctx = Strategy.make_ctx env.Runner.registry Estimator.default in
-              List.iter2
-                (fun (q : Query.t) (name, digest) ->
-                  let naive = Table.digest (Naive.rows (Strategy.fragment_of_query ctx q)) in
-                  if naive <> digest then
-                    Alcotest.failf "%s: harness result diverges from naive" name)
-                queries digests
-            end;
-            let s = Buffer_pool.stats bp in
-            Alcotest.(check bool) "corpus faulted" true (s.Buffer_pool.misses > 0);
-            Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp);
-            digests))
+    Table.with_scratch_home ~capacity:4 (fun ~dir ~pool:bp ->
+        let cat = Fixtures.shop_catalog ~n_orders:400 ~chunk_rows:64 ~spill:(dir, bp) () in
+        let env = Runner.make_env cat in
+        let queries =
+          List.filter
+            (fun (q : Query.t) -> List.mem q.Query.name names)
+            (Fuzz.queries cat ~seed:20230617 ~n:200 ())
+        in
+        let digests =
+          List.map
+            (fun (r : Runner.qresult) -> (r.Runner.query, r.Runner.digest))
+            (Runner.run_spj ~domains:4 ~timeout:60.0 env Qs_harness.Algos.default
+               queries)
+        in
+        if against_naive then begin
+          let ctx = Strategy.make_ctx env.Runner.registry Estimator.default in
+          List.iter2
+            (fun (q : Query.t) (name, digest) ->
+              let naive = Table.digest (Naive.rows (Strategy.fragment_of_query ctx q)) in
+              if naive <> digest then
+                Alcotest.failf "%s: harness result diverges from naive" name)
+            queries digests
+        end;
+        let s = Buffer_pool.stats bp in
+        Alcotest.(check bool) "corpus faulted" true (s.Buffer_pool.misses > 0);
+        Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp);
+        digests)
   in
   compare_against_reference ~what:"4-domain harness, out-of-core" got
 
@@ -520,10 +492,8 @@ let test_corpus_harness_width_4 () = check_harness_corpus ()
    each query's result checked against the naive executor's. *)
 let test_corpus_columnar_resident () =
   ignore (in_memory_reference ());
-  let got =
-    with_chunk_rows 64 (fun () -> corpus_digests ~columnar:true ())
-  in
-  compare_against_reference ~what:"columnar resident" got
+  compare_against_reference ~what:"columnar resident"
+    (corpus_digests ~columnar:true ~chunk_rows:64 ())
 
 let test_corpus_columnar_width_1 () =
   check_out_of_core_corpus ~chunk_rows:7 ~capacity:1 ()

@@ -22,20 +22,6 @@ module Logical = Qs_plan.Logical
 module Analyze = Qs_stats.Analyze
 module Table_stats = Qs_stats.Table_stats
 
-let temp_dir () =
-  let f = Filename.temp_file "qs_columnar" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o700;
-  f
-
-let rm_rf dir =
-  (try
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-       (Sys.readdir dir)
-   with Sys_error _ -> ());
-  try Sys.rmdir dir with Sys_error _ -> ()
-
 (* NaN-safe, -0.0-aware cell comparison: Value.compare equates NaN with
    itself and -0.0 with 0.0, which is exactly the engine's semantics *)
 let check_cells what expect got =
@@ -98,8 +84,7 @@ let test_of_rows_roundtrip () =
   Alcotest.(check int) "empty decode" 0 (Array.length (Columnar.to_rows e))
 
 let test_chunk_file_columnar_roundtrip () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Table.with_scratch_home ~capacity:1 @@ fun ~dir ~pool:_ ->
   (* the same tricky chunk handed to the writer column-major and
      row-major, through one file *)
   let chunks =
@@ -123,17 +108,16 @@ let test_chunk_file_columnar_roundtrip () =
     (Chunk.byte_size (Chunk.of_rows tricky_rows))
     logical.(1);
   (* the rows input path end to end: a table built from the tricky rows
-     under spill mode faults every chunk back column-major with every
-     value intact *)
+     and spilled faults every chunk back column-major with every value
+     intact *)
   let schema =
     Schema.make "k"
       [ ("i", Value.TInt); ("f", Value.TFloat); ("s", Value.TStr); ("b", Value.TBool) ]
   in
-  let build () = Table.create ~chunk_rows:3 ~name:"k" ~schema tricky_rows in
-  let resident = build () in
-  let saved = Table.spill_config () in
-  Table.set_spill (Some (dir, Qs_storage.Buffer_pool.create ~capacity:1 ()));
-  let spilled = Fun.protect ~finally:(fun () -> Table.set_spill saved) build in
+  let resident = Table.create ~chunk_rows:3 ~inputs:[] ~name:"k" ~schema tricky_rows in
+  let spilled =
+    Table.spill ~dir ~pool:(Qs_storage.Buffer_pool.create ~capacity:1 ()) resident
+  in
   Alcotest.(check bool) "table spilled" true (Table.spilled spilled);
   Alcotest.(check int) "3 chunks" 3 (Table.n_chunks spilled);
   Table.iter_chunk_data
@@ -171,8 +155,7 @@ let test_frame_sizing_dict_heavy () =
   (* a file whose largest frame is the dict-heavy chunk, handed in
      row-major behind a small chunk, still round-trips exactly — sizing
      frames from the row form would write it out of bounds *)
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Table.with_scratch_home ~capacity:1 @@ fun ~dir ~pool:_ ->
   let small = [| [| Value.Str "x" |] |] in
   let file, _ =
     Chunk_file.write ~dir ~name:"dict" ~arity:1
@@ -291,7 +274,7 @@ let wide_rows =
       |])
 
 let mk_row_table () =
-  Table.create ~chunk_rows:8 ~name:"t" ~schema:wide_schema wide_rows
+  Table.create ~chunk_rows:8 ~inputs:[] ~name:"t" ~schema:wide_schema wide_rows
 
 let mk_col_table () =
   Fixtures.columnar_table ~chunk_rows:8 ~name:"t" ~schema:wide_schema wide_rows
@@ -420,7 +403,7 @@ let test_analyze_parity_across_layouts () =
         |])
   in
   let check ~sample =
-    let a = Analyze.of_table ~sample (Table.create ~chunk_rows:256 ~name:"s" ~schema rows) in
+    let a = Analyze.of_table ~sample (Table.create ~chunk_rows:256 ~inputs:[] ~name:"s" ~schema rows) in
     let b =
       Analyze.of_table ~sample (Fixtures.columnar_table ~chunk_rows:256 ~name:"s" ~schema rows)
     in

@@ -178,70 +178,52 @@ let test_node_cardinalities_corpus () =
    reaches must not trip, and the surviving run must agree with naive execution — with
    every pin released on the Timeout unwinds. *)
 let test_limit_spill () =
-  let saved = Table.default_chunk_rows () in
-  Table.set_default_chunk_rows 32;
-  Fun.protect
-    ~finally:(fun () -> Table.set_default_chunk_rows saved)
-    (fun () ->
-      let dir = Filename.temp_file "qs_limit" "" in
-      Sys.remove dir;
-      Sys.mkdir dir 0o700;
-      let bp = Qs_storage.Buffer_pool.create ~capacity:4 () in
-      let saved_spill = Table.spill_config () in
-      Table.set_spill (Some (dir, bp));
-      Fun.protect
-        ~finally:(fun () ->
-          Table.set_spill saved_spill;
-          Array.iter
-            (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-            (Sys.readdir dir);
-          (try Sys.rmdir dir with Sys_error _ -> ()))
-        (fun () ->
-          let cat, ctx = Fixtures.shop_ctx ~n_orders:400 () in
-          let queries = Fuzz.queries cat ~seed:7 ~n:40 () in
-          let tripped = ref 0 in
-          List.iter
-            (fun (q : Query.t) ->
-              let frag = Strategy.fragment_of_query ctx q in
-              if Naive.count frag <= max_result_rows then begin
-                let plan =
-                  (Optimizer.optimize cat Estimator.default frag).Optimizer.plan
-                in
-                (* an explicit limit far above any operator output:
-                   the run over spilled tables must not trip it *)
-                let relaxed, _ = Executor.run ~row_limit:Executor.default_row_limit plan in
-                let got = Executor.project ~name:q.Query.name relaxed q.Query.output in
-                if not (Fixtures.tables_equal (Naive.rows frag) got) then
-                  Alcotest.failf "%s: diverges from naive under a slack limit"
-                    q.Query.name;
-                (* a limit strictly below some join's naive output:
-                   more than [limit] rows survive that join in any
-                   evaluation order, so the run must raise *)
-                let naive_rows = Fixtures.naive_node_rows frag plan in
-                let join_max =
-                  List.fold_left
-                    (fun m (n : Qs_plan.Physical.t) ->
-                      match n.Qs_plan.Physical.node with
-                      | Qs_plan.Physical.Join _ ->
-                          max m (List.assoc n.Qs_plan.Physical.id naive_rows)
-                      | Qs_plan.Physical.Scan _ -> m)
-                    0
-                    (Qs_plan.Physical.nodes plan)
-                in
-                if join_max > 1 then begin
-                  incr tripped;
-                  (match Executor.run ~row_limit:(join_max - 1) plan with
-                  | _ -> Alcotest.failf "%s: the run ignored the limit" q.Query.name
-                  | exception Executor.Timeout -> ());
-                  Alcotest.(check int)
-                    (q.Query.name ^ ": no pins leaked by limit unwind")
-                    0
-                    (Qs_storage.Buffer_pool.pinned bp)
-                end
-              end)
-            queries;
-          Alcotest.(check bool) "some queries exercised the tight limit" true
-            (!tripped > 5)))
+  Table.with_scratch_home ~capacity:4 (fun ~dir ~pool:bp ->
+      let cat, ctx = Fixtures.shop_ctx ~n_orders:400 ~chunk_rows:32 ~spill:(dir, bp) () in
+      let queries = Fuzz.queries cat ~seed:7 ~n:40 () in
+      let tripped = ref 0 in
+      List.iter
+        (fun (q : Query.t) ->
+          let frag = Strategy.fragment_of_query ctx q in
+          if Naive.count frag <= max_result_rows then begin
+            let plan =
+              (Optimizer.optimize cat Estimator.default frag).Optimizer.plan
+            in
+            (* an explicit limit far above any operator output:
+               the run over spilled tables must not trip it *)
+            let relaxed, _ = Executor.run ~row_limit:Executor.default_row_limit plan in
+            let got = Executor.project ~name:q.Query.name relaxed q.Query.output in
+            if not (Fixtures.tables_equal (Naive.rows frag) got) then
+              Alcotest.failf "%s: diverges from naive under a slack limit"
+                q.Query.name;
+            (* a limit strictly below some join's naive output:
+               more than [limit] rows survive that join in any
+               evaluation order, so the run must raise *)
+            let naive_rows = Fixtures.naive_node_rows frag plan in
+            let join_max =
+              List.fold_left
+                (fun m (n : Qs_plan.Physical.t) ->
+                  match n.Qs_plan.Physical.node with
+                  | Qs_plan.Physical.Join _ ->
+                      max m (List.assoc n.Qs_plan.Physical.id naive_rows)
+                  | Qs_plan.Physical.Scan _ -> m)
+                0
+                (Qs_plan.Physical.nodes plan)
+            in
+            if join_max > 1 then begin
+              incr tripped;
+              (match Executor.run ~row_limit:(join_max - 1) plan with
+              | _ -> Alcotest.failf "%s: the run ignored the limit" q.Query.name
+              | exception Executor.Timeout -> ());
+              Alcotest.(check int)
+                (q.Query.name ^ ": no pins leaked by limit unwind")
+                0
+                (Qs_storage.Buffer_pool.pinned bp)
+            end
+          end)
+        queries;
+      Alcotest.(check bool) "some queries exercised the tight limit" true
+        (!tripped > 5))
 
 (* Tracing must be observation-only: running the corpus with a span
    tracer attached yields result digests
@@ -300,12 +282,12 @@ let test_chunked_scan_property () =
       { Logical.fn = Logical.Max; arg = Some (Expr.col "f" "id"); label = "top" };
     ]
   in
-  let flat = Table.create ~chunk_rows:n ~name:"f" ~schema rows in
+  let flat = Table.create ~chunk_rows:n ~inputs:[] ~name:"f" ~schema rows in
   let base_filtered = Executor.filter_table flat filters in
   let base_agg = Relop.aggregate ~name:"g" ~group_by ~aggs flat in
   List.iter
     (fun chunk_rows ->
-      let tbl = Table.create ~chunk_rows ~name:"f" ~schema rows in
+      let tbl = Table.create ~chunk_rows ~inputs:[] ~name:"f" ~schema rows in
       let label what = Printf.sprintf "%s (chunk_rows=%d)" what chunk_rows in
       let filtered = Executor.filter_table tbl filters in
       Alcotest.(check bool) (label "filter row-identical") true
@@ -318,34 +300,29 @@ let test_chunked_scan_property () =
 (* the full differential corpus with the catalog sharded into small chunks:
    optimized plans over chunked tables must equal the flat results *)
 let test_chunked_corpus () =
-  let saved = Table.default_chunk_rows () in
-  Fun.protect
-    ~finally:(fun () -> Table.set_default_chunk_rows saved)
-    (fun () ->
-      let cat_flat, ctx_flat = Fixtures.shop_ctx ~n_orders:400 () in
-      Table.set_default_chunk_rows 64;
-      let _, ctx_chunked = Fixtures.shop_ctx ~n_orders:400 () in
-      let queries = Fuzz.queries cat_flat ~seed:20230617 ~n:200 () in
-      List.iter
-        (fun (q : Query.t) ->
-          let frag = Strategy.fragment_of_query ctx_flat q in
-          if Naive.count frag <= max_result_rows then begin
-            let plan =
-              (Optimizer.optimize cat_flat Estimator.default frag).Optimizer.plan
-            in
-            let seq, _ = Executor.run plan in
-            let frag_c = Strategy.fragment_of_query ctx_chunked q in
-            let plan_c =
-              (Optimizer.optimize (Strategy.catalog ctx_chunked) Estimator.default
-                 frag_c)
-                .Optimizer.plan
-            in
-            let chunked, _ = Executor.run plan_c in
-            if not (Fixtures.tables_equal seq chunked) then
-              Alcotest.failf "%s: chunked scan diverges (%d vs %d rows)"
-                q.Query.name (Table.n_rows seq) (Table.n_rows chunked)
-          end)
-        queries)
+  let cat_flat, ctx_flat = Fixtures.shop_ctx ~n_orders:400 () in
+  let _, ctx_chunked = Fixtures.shop_ctx ~n_orders:400 ~chunk_rows:64 () in
+  let queries = Fuzz.queries cat_flat ~seed:20230617 ~n:200 () in
+  List.iter
+    (fun (q : Query.t) ->
+      let frag = Strategy.fragment_of_query ctx_flat q in
+      if Naive.count frag <= max_result_rows then begin
+        let plan =
+          (Optimizer.optimize cat_flat Estimator.default frag).Optimizer.plan
+        in
+        let seq, _ = Executor.run plan in
+        let frag_c = Strategy.fragment_of_query ctx_chunked q in
+        let plan_c =
+          (Optimizer.optimize (Strategy.catalog ctx_chunked) Estimator.default
+             frag_c)
+            .Optimizer.plan
+        in
+        let chunked, _ = Executor.run plan_c in
+        if not (Fixtures.tables_equal seq chunked) then
+          Alcotest.failf "%s: chunked scan diverges (%d vs %d rows)"
+            q.Query.name (Table.n_rows seq) (Table.n_rows chunked)
+      end)
+    queries
 
 let suite =
   [

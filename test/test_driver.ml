@@ -336,16 +336,17 @@ let test_prune_select_star_result () =
 
 (* Every non-SPJ tree of DSB and Starbench: Default and QuerySplit equal
    the unpruned reference, on resident tables and fully spilled through
-   a 4-frame pool. The reference runs resident; the data depend only on
-   the seeds, so it holds for the spilled build as well. *)
+   a 4-frame pool, each table written there as the build makes it. The
+   reference runs resident; the data depend only on the seeds, so it
+   holds for the spilled build as well. *)
 let workload_trees () =
-  let dsb () =
-    let cat = Qs_workload.Dsb.build ~scale:0.1 ~seed:1 () in
+  let dsb ?spill () =
+    let cat = Qs_workload.Dsb.build ~scale:0.1 ?spill ~seed:1 () in
     Qs_storage.Catalog.build_indexes cat Qs_storage.Catalog.Pk_fk;
     (cat, Qs_workload.Dsb.nonspj_queries cat ~seed:2)
   in
-  let star () =
-    let cat = Qs_workload.Starbench.build ~scale:0.1 ~seed:9 () in
+  let star ?spill () =
+    let cat = Qs_workload.Starbench.build ~scale:0.1 ?spill ~seed:9 () in
     Qs_storage.Catalog.build_indexes cat Qs_storage.Catalog.Pk_fk;
     (cat, Qs_workload.Starbench.queries cat ~seed:10)
   in
@@ -356,16 +357,16 @@ let test_workloads_against_unpruned () =
   let reference =
     List.map
       (fun (corpus, build) ->
-        let cat, trees = build () in
+        let cat, trees = build ?spill:None () in
         ( corpus,
           List.map (fun t -> (Logical.name t, Table.digest (Unpruned.run (ctx cat) t))) trees ))
       (workload_trees ())
   in
   Alcotest.(check int) "dsb non-SPJ trees" 37 (List.length (List.assoc "dsb" reference));
-  let check store =
+  let check ?spill store =
     List.iter
       (fun (corpus, build) ->
-        let cat, trees = build () in
+        let cat, trees = build ?spill () in
         List.iter2
           (fun tree (name, want) ->
             List.iter
@@ -379,8 +380,8 @@ let test_workloads_against_unpruned () =
       (workload_trees ())
   in
   check "resident";
-  Test_bufpool.with_spill ~capacity:4 (fun bp ->
-      check "spilled";
+  Table.with_scratch_home ~capacity:4 (fun ~dir ~pool:bp ->
+      check ~spill:(dir, bp) "spilled";
       Alcotest.(check int) "no pins leaked" 0 (Qs_storage.Buffer_pool.pinned bp))
 
 let suite =

@@ -103,7 +103,7 @@ let test_cartesian () =
 let test_deadline_timeout () =
   (* a deliberately huge NL join must hit the deadline *)
   let big =
-    Table.create ~name:"big"
+    Table.create ~inputs:[] ~name:"big"
       ~schema:(Schema.make "big" [ ("x", Value.TInt) ])
       (Array.init 30000 (fun i -> [| Value.Int i |]))
   in
@@ -341,7 +341,7 @@ let expected_key_pairs =
   [ (0, 0); (1, 1); (3, 3); (4, 4); (4, 5); (5, 4); (5, 5); (6, 6) ]
 
 let key_table rel =
-  Table.create ~name:rel
+  Table.create ~inputs:[] ~name:rel
     ~schema:(Schema.make rel [ ("k", Value.TFloat); ("k2", Value.TInt); ("id", Value.TInt) ])
     (Array.mapi (fun i v -> [| v; Value.Int 0; Value.Int i |]) key_values)
 

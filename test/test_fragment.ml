@@ -53,7 +53,7 @@ let test_substitute_no_overlap_identity () =
   let f = frag () in
   let lone =
     Fragment.temp_input ~id:"TX" ~provenance:"x"
-      (Table.create ~name:"TX" ~schema:[||] [||])
+      (Table.create ~inputs:[] ~name:"TX" ~schema:[||] [||])
       ~provides:[ "zz" ] ~stats:(Table_stats.rowcount_only 0)
   in
   Alcotest.(check bool) "unchanged" true (Fragment.substitute f ~temp:lone == f)

@@ -32,7 +32,7 @@ let chain_catalog n_rels =
   for i = 0 to n_rels - 1 do
     let name = Printf.sprintf "r%d" i in
     let tbl =
-      Table.create ~name
+      Table.create ~inputs:[] ~name
         ~schema:(Schema.make name [ ("id", Value.TInt); ("fk", Value.TInt) ])
         (Array.init 200 (fun j ->
              [| Value.Int (j + 1); Value.Int (1 + (j * 7 mod 200)) |]))
@@ -165,28 +165,20 @@ let test_memo_strategy_equivalence () =
   if !hits_total = 0 then
     Alcotest.fail "QuerySplit never hit the cross-step memo"
 
-(* the DP input limit is runtime-configurable; above it the optimizer
-   falls back to the greedy planner (visible in the optimize span name) *)
+(* above 13 inputs the optimizer falls back to the greedy planner
+   (visible in the optimize span name) *)
 let test_dp_limit_greedy_fallback () =
-  let cat, ctx = Fixtures.shop_ctx () in
-  let frag = Strategy.fragment_of_query ctx (Fixtures.shop_query ()) in
-  let saved = Optimizer.dp_input_limit () in
-  Fun.protect
-    ~finally:(fun () -> Optimizer.set_dp_input_limit saved)
-    (fun () ->
-      Optimizer.set_dp_input_limit 3;
-      Alcotest.(check int) "limit set" 3 (Optimizer.dp_input_limit ());
-      let tr = Span.create () in
-      let r = Optimizer.optimize ~spans:tr cat Estimator.default frag in
-      if not (Physical.to_string r.Optimizer.plan <> "") then
-        Alcotest.fail "greedy fallback produced no plan";
-      let names =
-        List.filter_map
-          (fun (s : Span.span) ->
-            if s.Span.cat = Span.Optimize then Some s.Span.name else None)
-          (Span.spans tr)
-      in
-      Alcotest.(check (list string)) "greedy span" [ "greedy n=4" ] names)
+  let cat, _, frag = chain_frag 14 in
+  let tr = Span.create () in
+  let r = Optimizer.optimize ~spans:tr cat Estimator.default frag in
+  Alcotest.(check int) "every input planned" 14
+    (List.length (Physical.leaves r.Optimizer.plan));
+  let names =
+    List.filter_map
+      (fun (s : Span.span) -> if s.Span.cat = Span.Optimize then Some s.Span.name else None)
+      (Span.spans tr)
+  in
+  Alcotest.(check (list string)) "greedy span" [ "greedy n=14" ] names
 
 let suite =
   [

@@ -9,7 +9,7 @@ module Physical = Qs_plan.Physical
 module Expr = Qs_query.Expr
 
 let input name =
-  let tbl = Table.create ~name ~schema:(Schema.make name [ ("id", Value.TInt) ]) [||] in
+  let tbl = Table.create ~inputs:[] ~name ~schema:(Schema.make name [ ("id", Value.TInt) ]) [||] in
   {
     Fragment.id = name;
     table = tbl;

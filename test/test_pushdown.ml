@@ -90,9 +90,18 @@ let corpora =
        ("dsb", dsb, Qs_workload.Dsb.spj_queries (dsb ()) ~seed:2);
      ])
 
+(* [f ?spill ()] on resident tables, or on tables spilled through a
+   fresh 4-frame pool that has no pin left afterwards *)
+let in_store store (f : ?spill:string * Buffer_pool.t -> unit -> unit) =
+  if store = "spilled" then
+    Table.with_scratch_home ~capacity:4 (fun ~dir ~pool ->
+        f ~spill:(dir, pool) ();
+        Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned pool))
+  else f ()
+
 let check_corpora ~store ~chunk_rows () =
   let corpora = Lazy.force corpora in
-  let body () =
+  let body ?spill () =
     List.iter
       (fun (corpus, build, queries) ->
         List.iter
@@ -100,45 +109,41 @@ let check_corpora ~store ~chunk_rows () =
             check_plan
               ~what:(Printf.sprintf "%s/%s (%s, chunk %s)" corpus q.Query.name store chunk_rows)
               plan q.Query.output)
-          (plans (build ()) queries))
+          (plans
+             (Fixtures.store ?chunk_rows:(int_of_string_opt chunk_rows) ?spill (build ()))
+             queries))
       corpora
   in
-  let sized () =
-    match int_of_string_opt chunk_rows with
-    | Some n -> Test_bufpool.with_chunk_rows n body
-    | None -> body ()
-  in
-  if store = "spilled" then
-    Test_bufpool.with_spill ~capacity:4 (fun bp ->
-        sized ();
-        Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp))
-  else sized ()
+  in_store store body
 
 (* --- hand-built joins whose residual columns are not projected -------- *)
 
 let table name rows =
-  Table.create ~name
+  Table.create ~inputs:[] ~name
     ~schema:(Schema.make name [ ("k", Value.TInt); ("v", Value.TInt); ("tag", Value.TStr) ])
     (Array.init rows (fun i ->
          [| Value.Int (i mod 5); Value.Int (i * 7 mod 11); Value.Str (string_of_int i) |]))
 
 let col rel name = { Expr.rel; name }
 
+let scan t filters =
+  Physical.scan (Test_executor.fragment_input ~filters t) ~est_rows:10.0 ~est_cost:1.0
+
+let join method_ ?index left right preds =
+  Physical.join ~method_ ?index () ~left ~right ~preds ~est_rows:10.0 ~est_cost:1.0
+
+let on a b = Expr.eq (Expr.Col a) (Expr.Col b)
+let lt a b = Expr.Cmp (Expr.Lt, Expr.Col a, Expr.Col b)
+
 let test_residual_not_projected () =
   let a = table "a" 20 and b = table "b" 15 and c = table "c" 9 in
-  let scan t = Physical.scan (Test_executor.fragment_input t) ~est_rows:10.0 ~est_cost:1.0 in
-  let join method_ ?index left right preds =
-    Physical.join ~method_ ?index () ~left ~right ~preds ~est_rows:10.0 ~est_cost:1.0
-  in
-  let on x y = Expr.eq (Expr.Col x) (Expr.Col y) in
-  let lt x y = Expr.Cmp (Expr.Lt, Expr.Col x, Expr.Col y) in
   (* the hash residual, the NL predicate and the index-NL residual each
      read a [v] column no projection keeps *)
-  let hash = join Physical.Hash (scan a) (scan b) [ on (col "a" "k") (col "b" "k"); lt (col "a" "v") (col "b" "v") ] in
-  let nl = join Physical.Nl hash (scan c) [ lt (col "b" "v") (col "c" "v") ] in
+  let hash = join Physical.Hash (scan a []) (scan b []) [ on (col "a" "k") (col "b" "k"); lt (col "a" "v") (col "b" "v") ] in
+  let nl = join Physical.Nl hash (scan c []) [ lt (col "b" "v") (col "c" "v") ] in
   let ix = Qs_storage.Index.build c ~column:"k" ~unique:false in
   let inl =
-    join Physical.Index_nl ~index:(ix, col "a" "k", col "c" "k") hash (scan c)
+    join Physical.Index_nl ~index:(ix, col "a" "k", col "c" "k") hash (scan c [])
       [ on (col "a" "k") (col "c" "k"); lt (col "c" "v") (col "b" "v") ]
   in
   List.iter
@@ -152,62 +157,86 @@ let test_residual_not_projected () =
       ("hash+index-nl", inl, [ col "c" "tag" ]);
     ]
 
-(* --- columnar morsels decode only what they hand out ------------------ *)
+(* --- hand-built plans over o, i and x ------------------------------------ *)
 
-(* An outer and an inner table whose scan filters leave the batch kernels
-   for the row fallback (LIKE, OR) and keep a sparse share of the rows,
-   joined by hash, index-NL and NL. Spilled, their frames fault in
-   column-major, so every morsel is a sparse selection over a columnar
-   chunk: the fallback, the hash build and probe fetches, the index-NL
-   outer fetch and the NL inner buffer all decode on demand. The rows
-   and the per-node stats must equal the resident (row-major) run, at
-   every chunk size. *)
-let decode_plans () =
+(* The base tables of the hand-built plans below, cut at [chunk_rows]
+   and, with [spill], moved out-of-core: an outer o and an inner i whose
+   scan filters leave the batch kernels for the row fallback (LIKE, OR)
+   and keep a sparse share of the rows, and a third table x. *)
+let hand_tables ?chunk_rows ?spill () =
+  let base ~name ~schema rows =
+    let t = Table.create ?chunk_rows ~inputs:[] ~name ~schema rows in
+    match spill with None -> t | Some (dir, pool) -> Table.spill ~dir ~pool t
+  in
   let o =
-    Table.create ~name:"o"
+    base ~name:"o"
       ~schema:
         (Schema.make "o"
            [ ("k", Value.TInt); ("v", Value.TInt); ("tag", Value.TStr); ("note", Value.TStr) ])
-      (Array.init 400 (fun i ->
+      (Array.init 400 (fun r ->
            [|
-             Value.Int (i mod 37);
-             Value.Int (i * 13 mod 29);
-             Value.Str (Printf.sprintf "t%03d" i);
-             (if i mod 5 = 0 then Value.Null else Value.Str (string_of_int (i mod 9)));
+             Value.Int (r mod 37);
+             Value.Int (r * 13 mod 29);
+             Value.Str (Printf.sprintf "t%03d" r);
+             (if r mod 5 = 0 then Value.Null else Value.Str (string_of_int (r mod 9)));
            |]))
   in
   let i =
-    Table.create ~name:"i"
+    base ~name:"i"
       ~schema:(Schema.make "i" [ ("k", Value.TInt); ("w", Value.TInt); ("label", Value.TStr) ])
-      (Array.init 120 (fun j ->
+      (Array.init 120 (fun r ->
            [|
-             Value.Int (j mod 41);
-             Value.Int (j * 7 mod 23);
-             Value.Str ((if j mod 4 = 0 then "keep" else "drop") ^ string_of_int j);
+             Value.Int (r mod 41);
+             Value.Int (r * 7 mod 23);
+             Value.Str ((if r mod 4 = 0 then "keep" else "drop") ^ string_of_int r);
            |]))
   in
-  let o_filters =
-    [
-      Expr.Cmp (Expr.Lt, Expr.Col (col "o" "k"), Expr.vint 30);
-      Expr.Or
-        [
-          Expr.Like (Expr.Col (col "o" "tag"), "%7");
-          Expr.Cmp (Expr.Eq, Expr.Col (col "o" "v"), Expr.vint 3);
-        ];
-      Expr.Not_null (Expr.Col (col "o" "note"));
-    ]
+  let x =
+    base ~name:"x"
+      ~schema:
+        (Schema.make "x" [ ("k", Value.TInt); ("z", Value.TInt); ("name", Value.TStr); ("pad", Value.TFloat) ])
+      (Array.init 90 (fun r ->
+           [|
+             Value.Int (r mod 31);
+             Value.Int (r * 11 mod 17);
+             Value.Str (Printf.sprintf "x%02d" r);
+             Value.Float (float_of_int r /. 3.0);
+           |]))
   in
-  let i_filters = [ Expr.Like (Expr.Col (col "i" "label"), "keep%") ] in
-  let scan t filters =
-    Physical.scan (Test_executor.fragment_input ~filters t) ~est_rows:10.0 ~est_cost:1.0
-  in
-  let join method_ ?index left right preds =
-    Physical.join ~method_ ?index () ~left ~right ~preds ~est_rows:10.0 ~est_cost:1.0
-  in
-  let on x y = Expr.eq (Expr.Col x) (Expr.Col y) in
-  let lt x y = Expr.Cmp (Expr.Lt, Expr.Col x, Expr.Col y) in
+  (o, i, x)
+
+let o_filters =
+  [
+    Expr.Cmp (Expr.Lt, Expr.Col (col "o" "k"), Expr.vint 30);
+    Expr.Or
+      [
+        Expr.Like (Expr.Col (col "o" "tag"), "%7");
+        Expr.Cmp (Expr.Eq, Expr.Col (col "o" "v"), Expr.vint 3);
+      ];
+    Expr.Not_null (Expr.Col (col "o" "note"));
+  ]
+
+let i_filters = [ Expr.Like (Expr.Col (col "i" "label"), "keep%") ]
+let x_filters = [ Expr.Cmp (Expr.Ne, Expr.Col (col "x" "z"), Expr.vint 4) ]
+
+let keys = on (col "o" "k") (col "i" "k")
+
+(* --- columnar morsels decode only what they hand out ------------------ *)
+
+let configs =
+  List.concat_map
+    (fun store -> List.map (fun c -> (store, c)) [ 1; 7; 65_536 ])
+    [ "resident"; "spilled" ]
+
+(* o and i joined by hash, index-NL and NL. Spilled, their frames fault
+   in column-major, so every morsel is a sparse selection over a
+   columnar chunk: the fallback, the hash build and probe fetches, the
+   index-NL outer fetch and the NL inner buffer all decode on demand.
+   The rows and the per-node stats must equal the resident (row-major)
+   run, at every chunk size. *)
+let decode_plans ?chunk_rows ?spill () =
+  let o, i, _ = hand_tables ?chunk_rows ?spill () in
   let ix = Qs_storage.Index.build i ~column:"k" ~unique:false in
-  let keys = on (col "o" "k") (col "i" "k") in
   ( Chunk.columnar (Table.chunk_data o 0) <> None,
     [
       ( "hash",
@@ -219,8 +248,8 @@ let decode_plans () =
       ("nl", join Physical.Nl (scan o o_filters) (scan i i_filters) [ keys ]);
     ] )
 
-let decode_results () =
-  let columnar, plans = decode_plans () in
+let decode_results ?chunk_rows ?spill () =
+  let columnar, plans = decode_plans ?chunk_rows ?spill () in
   ( columnar,
     List.concat_map
       (fun (what, plan) ->
@@ -247,27 +276,20 @@ let test_decode_on_demand () =
     reference;
   List.iter
     (fun (store, chunk_rows) ->
-      let run () =
-        Test_bufpool.with_chunk_rows chunk_rows (fun () ->
-            let columnar, got = decode_results () in
-            Alcotest.(check bool)
-              (store ^ ": spilled chunks are columnar")
-              (store = "spilled") columnar;
-            List.iter2
-              (fun (what, _, want_digest, want_stats) (_, _, digest, stats) ->
-                let what = Printf.sprintf "%s (%s, chunk %d)" what store chunk_rows in
-                Alcotest.(check string) (what ^ ": rows") want_digest digest;
-                if stats <> want_stats then Alcotest.failf "%s: per-node stats differ" what)
-              reference got)
+      let run ?spill () =
+        let columnar, got = decode_results ~chunk_rows ?spill () in
+        Alcotest.(check bool)
+          (store ^ ": spilled chunks are columnar")
+          (store = "spilled") columnar;
+        List.iter2
+          (fun (what, _, want_digest, want_stats) (_, _, digest, stats) ->
+            let what = Printf.sprintf "%s (%s, chunk %d)" what store chunk_rows in
+            Alcotest.(check string) (what ^ ": rows") want_digest digest;
+            if stats <> want_stats then Alcotest.failf "%s: per-node stats differ" what)
+          reference got
       in
-      if store = "spilled" then
-        Test_bufpool.with_spill ~capacity:4 (fun bp ->
-            run ();
-            Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp))
-      else run ())
-    (List.concat_map
-       (fun store -> List.map (fun c -> (store, c)) [ 1; 7; Table.default_chunk_rows () ])
-       [ "resident"; "spilled" ])
+      in_store store run)
+    configs
 
 (* --- spilled scans and index-NL lookups decode only the columns read ---- *)
 
@@ -281,66 +303,10 @@ let test_decode_on_demand () =
    predicate columns. Digests and per-node stats must equal the naive
    join's, resident and spilled at chunk sizes 1, 7 and the default,
    under sparse filters. *)
-let projected_plans () =
-  let o =
-    Table.create ~name:"o"
-      ~schema:
-        (Schema.make "o"
-           [ ("k", Value.TInt); ("v", Value.TInt); ("tag", Value.TStr); ("note", Value.TStr) ])
-      (Array.init 400 (fun r ->
-           [|
-             Value.Int (r mod 37);
-             Value.Int (r * 13 mod 29);
-             Value.Str (Printf.sprintf "t%03d" r);
-             (if r mod 5 = 0 then Value.Null else Value.Str (string_of_int (r mod 9)));
-           |]))
-  in
-  let i =
-    Table.create ~name:"i"
-      ~schema:(Schema.make "i" [ ("k", Value.TInt); ("w", Value.TInt); ("label", Value.TStr) ])
-      (Array.init 120 (fun r ->
-           [|
-             Value.Int (r mod 41);
-             Value.Int (r * 7 mod 23);
-             Value.Str ((if r mod 4 = 0 then "keep" else "drop") ^ string_of_int r);
-           |]))
-  in
-  let x =
-    Table.create ~name:"x"
-      ~schema:
-        (Schema.make "x" [ ("k", Value.TInt); ("z", Value.TInt); ("name", Value.TStr); ("pad", Value.TFloat) ])
-      (Array.init 90 (fun r ->
-           [|
-             Value.Int (r mod 31);
-             Value.Int (r * 11 mod 17);
-             Value.Str (Printf.sprintf "x%02d" r);
-             Value.Float (float_of_int r /. 3.0);
-           |]))
-  in
-  let o_filters =
-    [
-      Expr.Cmp (Expr.Lt, Expr.Col (col "o" "k"), Expr.vint 30);
-      Expr.Or
-        [
-          Expr.Like (Expr.Col (col "o" "tag"), "%7");
-          Expr.Cmp (Expr.Eq, Expr.Col (col "o" "v"), Expr.vint 3);
-        ];
-      Expr.Not_null (Expr.Col (col "o" "note"));
-    ]
-  in
-  let i_filters = [ Expr.Like (Expr.Col (col "i" "label"), "keep%") ] in
-  let x_filters = [ Expr.Cmp (Expr.Ne, Expr.Col (col "x" "z"), Expr.vint 4) ] in
-  let scan t filters =
-    Physical.scan (Test_executor.fragment_input ~filters t) ~est_rows:10.0 ~est_cost:1.0
-  in
-  let join method_ ?index left right preds =
-    Physical.join ~method_ ?index () ~left ~right ~preds ~est_rows:10.0 ~est_cost:1.0
-  in
-  let on a b = Expr.eq (Expr.Col a) (Expr.Col b) in
-  let lt a b = Expr.Cmp (Expr.Lt, Expr.Col a, Expr.Col b) in
+let projected_plans ?chunk_rows ?spill () =
+  let o, i, x = hand_tables ?chunk_rows ?spill () in
   let i_ix = Qs_storage.Index.build i ~column:"k" ~unique:false in
   let x_ix = Qs_storage.Index.build x ~column:"k" ~unique:false in
-  let keys = on (col "o" "k") (col "i" "k") in
   let hash_oi () =
     join Physical.Hash (scan o o_filters) (scan i i_filters) [ keys; lt (col "o" "v") (col "i" "w") ]
   in
@@ -370,7 +336,7 @@ let projected_plans () =
    digest and every node's cardinality. The reference is independent of
    the engine, because resident and spilled runs now share the lookup
    path: a column the engine drops would be dropped on both. *)
-let check_projected ~config () =
+let check_projected ~config ?chunk_rows ?spill () =
   List.iter
     (fun (what, plan, projections) ->
       let leaves = Physical.leaves plan in
@@ -395,17 +361,14 @@ let check_projected ~config () =
           Alcotest.(check string) (what ^ ": rows") (Table.digest want) (Table.digest got);
           Fixtures.check_node_rows ~what frag plan stats)
         projections)
-    (projected_plans ())
+    (projected_plans ?chunk_rows ?spill ())
 
 let test_projected_decode () =
-  check_projected ~config:"resident" ();
-  Test_bufpool.with_spill ~capacity:4 (fun bp ->
-      List.iter
-        (fun chunk_rows ->
-          Test_bufpool.with_chunk_rows chunk_rows
-            (check_projected ~config:(Printf.sprintf "spilled, chunk %d" chunk_rows)))
-        [ 1; 7; Table.default_chunk_rows () ];
-      Alcotest.(check int) "no pins leaked" 0 (Buffer_pool.pinned bp))
+  List.iter
+    (fun (store, chunk_rows) ->
+      in_store store
+        (check_projected ~config:(Printf.sprintf "%s, chunk %d" store chunk_rows) ~chunk_rows))
+    configs
 
 let suite =
   Alcotest.test_case "residual columns not projected" `Quick test_residual_not_projected

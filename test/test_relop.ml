@@ -66,7 +66,7 @@ let test_min_max_avg () =
 
 let test_global_agg_on_empty_input () =
   let empty =
-    Table.create ~name:"s" ~schema:(Schema.make "s" [ ("amount", Value.TInt) ]) [||]
+    Table.create ~inputs:[] ~name:"s" ~schema:(Schema.make "s" [ ("amount", Value.TInt) ]) [||]
   in
   let out =
     Relop.aggregate ~name:"g" ~group_by:[]
@@ -83,7 +83,7 @@ let test_global_agg_on_empty_input () =
 
 let test_group_by_empty_input_no_rows () =
   let empty =
-    Table.create ~name:"s"
+    Table.create ~inputs:[] ~name:"s"
       ~schema:(Schema.make "s" [ ("region", Value.TStr); ("amount", Value.TInt) ])
       [||]
   in
@@ -118,7 +118,7 @@ let test_union_all () =
 
 let test_union_arity_mismatch () =
   let narrow =
-    Table.create ~name:"n" ~schema:(Schema.make "n" [ ("a", Value.TInt) ]) [||]
+    Table.create ~inputs:[] ~name:"n" ~schema:(Schema.make "n" [ ("a", Value.TInt) ]) [||]
   in
   Alcotest.(check bool) "mismatch rejected" true
     (try
@@ -184,7 +184,7 @@ let test_semi_join_residual_pred () =
 
 let test_flatten_unique_names () =
   let joined =
-    Table.create ~name:"j"
+    Table.create ~inputs:[] ~name:"j"
       ~schema:
         (Schema.concat
            (Schema.make "a" [ ("id", Value.TInt) ])

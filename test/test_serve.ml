@@ -290,7 +290,7 @@ let test_cancel_mid_join () =
   let n = 20_000 in
   let cat = Catalog.create () in
   let mk name =
-    Table.create ~name
+    Table.create ~inputs:[] ~name
       ~schema:(Schema.make name [ ("id", Value.TInt); ("fk", Value.TInt) ])
       (Array.init n (fun j ->
            [| Value.Int (j + 1); Value.Int (1 + (j * 13 mod n)) |]))

@@ -10,7 +10,7 @@ module Expr = Qs_query.Expr
 
 let input name =
   let tbl =
-    Table.create ~name ~schema:(Schema.make name [ ("id", Value.TInt) ]) [||]
+    Table.create ~inputs:[] ~name ~schema:(Schema.make name [ ("id", Value.TInt) ]) [||]
   in
   {
     Fragment.id = name;

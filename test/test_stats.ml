@@ -69,7 +69,7 @@ let sample_table () =
     Array.init 1000 (fun i ->
         [| Value.Int i; Value.Str (if i mod 10 = 0 then "hot" else "cold" ^ string_of_int i) |])
   in
-  Table.create ~name:"t"
+  Table.create ~inputs:[] ~name:"t"
     ~schema:(Schema.make "t" [ ("id", Value.TInt); ("tag", Value.TStr) ])
     rows
 
@@ -82,7 +82,7 @@ let test_analyze () =
 
 let test_analyze_sampling_extrapolates () =
   let rows = Array.init 60_000 (fun i -> [| Value.Int i |]) in
-  let t = Table.create ~name:"big" ~schema:(Schema.make "big" [ ("id", Value.TInt) ]) rows in
+  let t = Table.create ~inputs:[] ~name:"big" ~schema:(Schema.make "big" [ ("id", Value.TInt) ]) rows in
   let stats = Analyze.of_table ~sample:4000 t in
   let id = Option.get (Table_stats.find stats ~rel:"big" ~name:"id") in
   (* the sample saturates (all distinct), so ndv must extrapolate to ~60k *)
@@ -93,7 +93,7 @@ let test_analyze_sampling_extrapolates () =
 let test_analyze_chunked () =
   let rows = Array.init 60_000 (fun i -> [| Value.Int i |]) in
   let schema = Schema.make "big" [ ("id", Value.TInt) ] in
-  let chunked = Table.create ~chunk_rows:1000 ~name:"big" ~schema rows in
+  let chunked = Table.create ~chunk_rows:1000 ~inputs:[] ~name:"big" ~schema rows in
   Alcotest.(check int) "60 chunks" 60 (Table.n_chunks chunked);
   let stats = Analyze.of_table ~sample:4000 chunked in
   Alcotest.(check int) "row count" 60_000 (Table_stats.n_rows stats);

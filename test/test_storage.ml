@@ -65,7 +65,7 @@ let int_rows n = Array.init n (fun i -> [| Value.Int i |])
 let int_schema = Schema.make "t" [ ("a", Value.TInt) ]
 
 let test_table_chunking () =
-  let t = Table.create ~chunk_rows:2 ~name:"t" ~schema:int_schema (int_rows 5) in
+  let t = Table.create ~chunk_rows:2 ~inputs:[] ~name:"t" ~schema:int_schema (int_rows 5) in
   Alcotest.(check int) "5 rows" 5 (Table.n_rows t);
   Alcotest.(check int) "3 chunks" 3 (Table.n_chunks t);
   Alcotest.(check int) "last chunk short" 1 (Array.length (Table.chunk t 2));
@@ -87,7 +87,7 @@ let test_table_of_chunks_ragged () =
   let c1 = int_rows 3 in
   let c2 = [||] in
   let c3 = Array.init 2 (fun i -> [| Value.Int (10 + i) |]) in
-  let t = Table.of_chunks ~name:"t" ~schema:int_schema [ c1; c2; c3 ] in
+  let t = Table.of_chunks ~inputs:[] ~name:"t" ~schema:int_schema [ c1; c2; c3 ] in
   Alcotest.(check int) "empty chunk dropped" 2 (Table.n_chunks t);
   Alcotest.(check int) "5 rows" 5 (Table.n_rows t);
   Alcotest.(check bool) "chunk arrays shared" true (Table.chunk t 0 == c1);
@@ -99,7 +99,7 @@ let test_table_byte_size_memo () =
   (* chunked layout accounts identically, and the memoized second call
      agrees with the first *)
   let chunked =
-    Table.create ~chunk_rows:2 ~name:"emp" ~schema:t.Table.schema (Table.to_rows t)
+    Table.create ~chunk_rows:2 ~inputs:[] ~name:"emp" ~schema:t.Table.schema (Table.to_rows t)
   in
   Alcotest.(check int) "chunked = flat" flat (Table.byte_size chunked);
   Alcotest.(check int) "memoized call stable" flat (Table.byte_size chunked);
@@ -109,16 +109,17 @@ let test_table_byte_size_memo () =
   (* rename shares the memo with the original *)
   Alcotest.(check int) "rename shares size" flat (Table.byte_size (Table.rename chunked "e"))
 
-let test_default_chunk_rows () =
-  let saved = Table.default_chunk_rows () in
-  Fun.protect
-    ~finally:(fun () -> Table.set_default_chunk_rows saved)
-    (fun () ->
-      Table.set_default_chunk_rows 2;
-      let t = Table.create ~name:"t" ~schema:int_schema (int_rows 5) in
-      Alcotest.(check int) "default applies" 3 (Table.n_chunks t);
-      let u = Table.create ~chunk_rows:10 ~name:"t" ~schema:int_schema (int_rows 5) in
-      Alcotest.(check int) "explicit overrides" 1 (Table.n_chunks u))
+(* a base table is cut at 65,536 rows unless told otherwise; a table
+   built from inputs is cut at its first input's size *)
+let test_default_chunk_size () =
+  let t = Table.create ~inputs:[] ~name:"t" ~schema:int_schema (int_rows 65_537) in
+  Alcotest.(check int) "default applies" 2 (Table.n_chunks t);
+  Alcotest.(check int) "default recorded" 65_536 t.Table.chunk_rows;
+  let small = Table.create ~chunk_rows:2 ~inputs:[] ~name:"s" ~schema:int_schema (int_rows 1) in
+  let d = Table.create ~inputs:[ small; t ] ~name:"d" ~schema:int_schema (int_rows 5) in
+  Alcotest.(check int) "first input's size inherited" 3 (Table.n_chunks d);
+  let u = Table.create ~chunk_rows:10 ~inputs:[ small ] ~name:"t" ~schema:int_schema (int_rows 5) in
+  Alcotest.(check int) "explicit overrides" 1 (Table.n_chunks u)
 
 let test_index_lookup () =
   let t = sample_table () in
@@ -273,20 +274,9 @@ let test_digest_resident_vs_spilled () =
         ("m", Value.TStr);
       ]
   in
-  let build () = Table.of_rows ~chunk_rows:4 ~name:"d" ~schema rows in
-  let resident = build () in
-  let dir = Filename.temp_file "qs_digest" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o700;
-  let saved = Table.spill_config () in
-  Fun.protect
-    ~finally:(fun () ->
-      Table.set_spill saved;
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () ->
-      Table.set_spill (Some (dir, Qs_storage.Buffer_pool.create ~capacity:1 ()));
-      let spilled = build () in
+  let resident = Table.of_rows ~chunk_rows:4 ~name:"d" ~schema rows in
+  Table.with_scratch_home ~capacity:1 (fun ~dir ~pool ->
+      let spilled = Table.spill ~dir ~pool resident in
       Alcotest.(check bool) "spilled" true (Table.spilled spilled);
       Table.iter_chunk_data
         (fun ci c ->
@@ -519,10 +509,12 @@ let test_digest_allocation () =
     let per_row = (allocated () -. before) /. float n in
     if per_row > 1.0 then Alcotest.failf "%s: digest allocates %.2f words per row" what per_row
   in
-  let resident = Table.create ~name:"d" ~schema rows in
+  let resident = Table.create ~inputs:[] ~name:"d" ~schema rows in
   check "resident" resident;
-  Test_bufpool.with_spill ~capacity:8 (fun _ ->
-      let spilled = Table.create ~chunk_rows:16_384 ~name:"d" ~schema rows in
+  Table.with_scratch_home ~capacity:8 (fun ~dir ~pool ->
+      let spilled =
+        Table.spill ~dir ~pool (Table.create ~chunk_rows:16_384 ~inputs:[] ~name:"d" ~schema rows)
+      in
       Alcotest.(check bool) "spilled" true (Table.spilled spilled);
       Alcotest.(check string) "same digest" (Table.digest resident) (Table.digest spilled);
       check "spilled" spilled)
@@ -539,7 +531,7 @@ let suite =
     Alcotest.test_case "chunking" `Quick test_table_chunking;
     Alcotest.test_case "of_chunks ragged" `Quick test_table_of_chunks_ragged;
     Alcotest.test_case "byte size memoized" `Quick test_table_byte_size_memo;
-    Alcotest.test_case "default chunk rows" `Quick test_default_chunk_rows;
+    Alcotest.test_case "default chunk rows" `Quick test_default_chunk_size;
     Alcotest.test_case "index lookup" `Quick test_index_lookup;
     Alcotest.test_case "index missing column" `Quick test_index_missing_column;
     Alcotest.test_case "catalog basics" `Quick test_catalog_basics;

@@ -14,6 +14,12 @@
 # BENCHMARK.json, each side's median and quartiles, the ratio of the
 # medians (change / parent) and in how many pairs the change was the
 # better one (ties count for neither side).
+# It also appends one line per side (one series of runs) to
+# BENCH_history.jsonl at this repository's root: the workload, the
+# side, the checkout's commit (suffixed -dirty when it has uncommitted
+# changes, "unknown" outside git), nproc, the CPU model from
+# /proc/cpuinfo, the number of runs and, for every end-to-end metric,
+# the median and the interquartile range of the runs.
 # Exits 1 if any run reports "correct": false or ends without a JSON
 # line. Needs jq.
 set -eu
@@ -64,16 +70,48 @@ while [ "$seed" -le "$pairs" ]; do
   seed=$((seed + 1))
 done
 
+# commit DIR: the checked-out commit, -dirty when tracked files changed
+commit() {
+  if c=$(git -C "$1" rev-parse HEAD 2>/dev/null); then
+    if [ -n "$(git -C "$1" status --porcelain --untracked-files=no 2>/dev/null)" ]; then
+      c="$c-dirty"
+    fi
+    echo "$c"
+  else
+    echo unknown
+  fi
+}
+
+# the quantile helper shared by the summary and the history lines:
+# linear interpolation between the closest ranks
+jq_quantile='def quantile($q): sort | ($q * (length - 1)) as $x | ($x | floor) as $i
+  | .[$i] + (.[[$i + 1, length - 1] | min] - .[$i]) * ($x - $i);'
+
+cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)
+for side in parent change; do
+  [ -s "$out/$workload-$side.jsonl" ] || continue
+  if [ "$side" = parent ]; then dir=$parent; else dir=$change; fi
+  jq -n -c \
+    --arg workload "$workload" --arg side "$side" --arg commit "$(commit "$dir")" \
+    --arg nproc "$(nproc)" --arg cpu "${cpu:-unknown}" \
+    --slurpfile runs "$out/$workload-$side.jsonl" \
+    --slurpfile spec "$spec" "$jq_quantile"'
+    {workload: $workload, side: $side, commit: $commit, nproc: ($nproc | tonumber),
+     cpu: $cpu, runs: ($runs | length),
+     metrics: ([$spec[0].end_to_end[] | .name as $m
+       | [$runs[] | .metrics[$m].value] as $v
+       | {($m): {median: ($v | quantile(0.5)),
+                 iqr: (($v | quantile(0.75)) - ($v | quantile(0.25)))}}] | add)}' \
+    >> BENCH_history.jsonl
+done
+
 if [ -s "$out/$workload-parent.jsonl" ] && [ -s "$out/$workload-change.jsonl" ]; then
   printf '%-16s %28s %28s %7s %6s\n' metric 'parent median [q1-q3]' \
     'change median [q1-q3]' ratio wins
   jq -n -r \
     --slurpfile p "$out/$workload-parent.jsonl" \
     --slurpfile c "$out/$workload-change.jsonl" \
-    --slurpfile spec "$spec" '
-    # linear interpolation between the closest ranks
-    def quantile($q): sort | ($q * (length - 1)) as $x | ($x | floor) as $i
-      | .[$i] + (.[[$i + 1, length - 1] | min] - .[$i]) * ($x - $i);
+    --slurpfile spec "$spec" "$jq_quantile"'
     def summary: [quantile(0.5), quantile(0.25), quantile(0.75)];
     $spec[0].end_to_end[] | .name as $m | .better as $better
     | [$p[] | .metrics[$m].value] as $pv

@@ -30,6 +30,13 @@
 #                               under dune (INSIDE_DUNE is set): dune
 #                               cannot re-enter itself, and the runtest
 #                               rule depends on the fmt alias instead.
+#  10. no storage switches    — no process-wide chunk-size or DP-limit
+#                               switch (default_chunk_rows,
+#                               spill_config, dp_input_limit and their
+#                               setters) in any OCaml source, and
+#                               Table.set_spill only in perfbench/ and
+#                               its own definition: where a table lives
+#                               and how it is cut travel with the table
 #
 # The metrics golden is not checked here: a second runtest rule in ./dune
 # regenerates BENCH.json and diffs it exactly against the committed one.
@@ -151,6 +158,23 @@ if [ "$(printf '%s\n' "$slot_reads" | grep -c .)" -ne 1 ] \
 fi
 if grep -rnE 'Columnar\.columns' lib --include='*.ml' | grep -v '^lib/storage/chunk_file\.ml:' >&2; then
   echo "lint: Columnar.columns outside the chunk-file writer — it decodes every block" >&2
+  status=1
+fi
+
+# --- no storage switches -------------------------------------------------
+# Where a table lives and how it is cut are properties of the table,
+# inherited by every table built from it; the DP limit is a constant.
+# The process-wide switches are gone and stay gone. The one survivor,
+# Table.set_spill, is a shim for the benchmark program under perfbench/
+# and is read only by tables built from no input.
+if grep -rnE 'default_chunk_rows|spill_config|dp_input_limit' \
+     lib bin bench test perfbench examples --include='*.ml' --include='*.mli' >&2; then
+  echo "lint: a process-wide storage or DP-limit switch — settings travel with the tables" >&2
+  status=1
+fi
+if grep -rnE 'set_spill' lib bin bench test examples --include='*.ml' --include='*.mli' \
+     | grep -vE '^lib/storage/table\.mli?:' >&2; then
+  echo "lint: Table.set_spill outside perfbench/ — spill base tables with Table.spill" >&2
   status=1
 fi
 
