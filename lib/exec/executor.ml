@@ -208,10 +208,11 @@ let chunk_selvec ?deadline ?cancel schema filters (chunk : Chunk.t) =
       row_fallback (fun i -> rows.(i)) None filters
 
 (* The survivors [sel] ([None]: every row) of one chunk, cut to the
-   columns at [positions] (in their order) when given, as a dense chunk
-   of the input's own layout. A columnar chunk is projected first,
-   which shares the kept columns, then gathered; a row chunk gathers
-   its survivors first and copies only their kept cells. *)
+   columns at [positions] (in their order) when given, as a dense
+   column-major chunk (an untouched chunk is handed on as it is). A
+   columnar chunk is projected first, which shares the kept columns,
+   then gathered; a row chunk's survivors are gathered column by column
+   into boxed columns, only the kept ones. *)
 let select_chunk ?positions sel (chunk : Chunk.t) =
   let sel = match sel with Some s when Array.length s = Chunk.n_rows chunk -> None | s -> s in
   match (Chunk.columnar chunk, sel, positions) with
@@ -223,17 +224,23 @@ let select_chunk ?positions sel (chunk : Chunk.t) =
       | None -> Chunk.of_columnar col)
   | None, sel, positions ->
       let rows = Chunk.rows chunk in
-      let cut =
+      let kept =
         match positions with
-        | None -> Fun.id
-        | Some ps ->
-            let pos = Array.of_list ps in
-            fun row -> Array.map (fun p -> row.(p)) pos
+        | Some ps -> Array.of_list ps
+        | None -> Array.init (Array.length rows.(0)) Fun.id
       in
-      Chunk.of_rows
-        (match sel with
-        | Some s -> Array.map (fun i -> cut rows.(i)) s
-        | None -> Array.map cut rows)
+      let cols = Array.map (fun _ -> Columnar.builder ()) kept in
+      let add i = Array.iteri (fun k p -> Columnar.push cols.(k) rows.(i).(p)) kept in
+      let len =
+        match sel with
+        | Some s ->
+            Array.iter add s;
+            Array.length s
+        | None ->
+            Array.iteri (fun i _ -> add i) rows;
+            Array.length rows
+      in
+      Chunk.of_columnar (Columnar.of_builders ~len cols)
 
 (* Chunked scan+filter (+ projection) through the chunk walker, one
    pinned frame at a time over a spilled table: each chunk's survivors,
@@ -383,47 +390,46 @@ let morsel_ordinals m f =
       done
   | Some s -> Array.iter f s
 
-(* Ordinal-indexed row fetch. A columnar chunk decodes a row only when
-   its ordinal is fetched, and each at most once per morsel: consumers
-   fetch in ordinal order and fetch an ordinal again only right after
-   (an index-NL outer row, once per inner match), so the last row
-   decoded is the memo. Rows a consumer never touches (a probe with no
-   match, an outer row whose inner lookups all fail) are never decoded. *)
+(* Ordinal-indexed row fetch, for a hash build, which keeps rows. A
+   columnar chunk decodes a row only when its ordinal is fetched: rows
+   with a NULL key are never decoded. *)
 let morsel_fetch m =
   match Chunk.columnar m.m_chunk with
   | None ->
       let rows = Chunk.rows m.m_chunk in
       fun i -> rows.(i)
-  | Some col ->
-      let last = ref (-1) and row = ref [||] in
-      fun i ->
-        if i <> !last then begin
-          row := Columnar.row col i;
-          last := i
-        end;
-        !row
+  | Some col -> Columnar.row col
+
+(* Cell reader by (ordinal, row position): how a join reads its probe
+   or outer morsel. No row is built: a row chunk's cell is read in
+   place, a boxed column's (a child join's output) is shared, and a
+   typed column's is boxed alone. A column-major morsel touches a
+   column, and a spilled frame reads its block, only when a kept pair
+   first reads it. *)
+let morsel_cell m =
+  match Chunk.columnar m.m_chunk with
+  | None ->
+      let rows = Chunk.rows m.m_chunk in
+      fun i p -> rows.(i).(p)
+  | Some col -> fun i p -> Columnar.get col ~row:i ~col:p
 
 (* Ordinal-indexed single-column accessor — the batch path for join
-   keys: a columnar chunk decodes the whole key column at once (one
-   sweep over the unboxed array) when the selvec is dense enough to
-   amortize it, and falls back to point gets on highly selective
-   morsels. *)
+   keys: a columnar chunk decodes a typed key column whole (one sweep
+   over the unboxed array) when the selvec is dense enough to amortize
+   it, and falls back to point gets on highly selective morsels; a
+   boxed column (a child join's output) is read in place. *)
 let morsel_col m p =
   match Chunk.columnar m.m_chunk with
   | None ->
       let rows = Chunk.rows m.m_chunk in
       fun i -> rows.(i).(p)
   | Some col ->
-      let dense_enough =
+      let dense =
         match m.m_sel with
         | None -> true
         | Some s -> 4 * Array.length s >= Columnar.n_rows col
       in
-      if dense_enough then begin
-        let vs = Columnar.column_values col p in
-        fun i -> vs.(i)
-      end
-      else fun i -> Columnar.get col ~row:i ~col:p
+      Columnar.reader col p ~dense
 
 (* dense array of the surviving rows (shared with the chunk when the
    morsel is dense and row-major; a sparse columnar morsel decodes only
@@ -498,16 +504,26 @@ let pair_source lschema rschema (c : Expr.colref) =
 
 let source_column lschema rschema s = if s >= 0 then lschema.(s) else rschema.(-1 - s)
 
-let gather_into dst src l r =
-  for k = 0 to Array.length src - 1 do
-    let s = src.(k) in
-    dst.(k) <- (if s >= 0 then l.(s) else r.(-1 - s))
-  done
+(* Cell [k] of the pair (left ordinal [i] read through [cell], right
+   row [r]) under gather map [src]. *)
+let[@inline] pair_cell src k cell i r =
+  let s = src.(k) in
+  if s >= 0 then cell i s else r.(-1 - s)
 
-let gather src l r =
-  let out = Array.make (Array.length src) Value.Null in
-  gather_into out src l r;
-  out
+(* One morsel's join output under construction: a boxed column builder
+   per output column, to which each kept pair appends one cell apiece
+   ([n] pairs so far). A pair allocates nothing of its own: the cells
+   go into the columns' segments, which are the output chunk as they
+   are. *)
+type outcols = { builders : Columnar.builder array; mutable n : int }
+
+let outcols width = { builders = Array.init width (fun _ -> Columnar.builder ()); n = 0 }
+
+let append o src cell i r =
+  for k = 0 to Array.length src - 1 do
+    Columnar.push o.builders.(k) (pair_cell src k cell i r)
+  done;
+  o.n <- o.n + 1
 
 (* The output schema of a join over children with these schemas, and
    its gather map. *)
@@ -534,14 +550,15 @@ let pair_output want lschema rschema =
   ( Array.of_list (List.map (fun i -> cat.(i)) positions),
     Array.of_list (List.map (fun i -> if i < nl then i else nl - 1 - i) positions) )
 
-(* A join's residual conjunction over a (left row, right row) pair,
-   compiled against a row of just the columns it reads. That row is one
-   buffer, refilled for every pair: a run drives its streams
+(* A join's residual conjunction over a (left ordinal read through a
+   cell reader, right row) pair, compiled against a row of just the
+   columns it reads: the one row a join builds. That row is one buffer,
+   refilled for every pair: a run drives its streams
    synchronously on one domain, and the compiled test keeps no
    reference to it. A column neither side carries is left out of the
    row, so the test raises on it exactly as the interpreter would. *)
 let pair_filter ?lmap ?rmap lschema rschema = function
-  | [] -> fun _ _ -> true
+  | [] -> fun _ _ _ -> true
   | preds ->
       let src =
         List.concat_map Expr.cols_of_pred preds
@@ -553,8 +570,10 @@ let pair_filter ?lmap ?rmap lschema rschema = function
       let holds = Expr.compile_all schema preds in
       let src = through lmap rmap src in
       let buf = Array.make (Array.length src) Value.Null in
-      fun l r ->
-        gather_into buf src l r;
+      fun cell i r ->
+        for k = 0 to Array.length src - 1 do
+          buf.(k) <- pair_cell src k cell i r
+        done;
         holds buf
 
 (* Build-side tables. A one-column key hashes the [Value.t] itself, a
@@ -624,15 +643,14 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
       (n + Option.value (Hashtbl.find_opt stats p.Physical.id) ~default:0)
   in
   let bid (p : Physical.t) = string_of_int p.Physical.id in
-  let emit_chunks p emit out =
-    match out with
-    | [] -> ()
-    | l ->
-        let rows = Array.of_list (List.rev l) in
-        bump p (Array.length rows);
-        (* operator outputs are freshly assembled rows: a dense
-           row-major morsel *)
-        emit { m_chunk = Chunk.of_rows rows; m_sel = None }
+  (* the pairs [o] kept from one probe or outer morsel, as a dense
+     column-major morsel of boxed columns *)
+  let flush p o emit =
+    let n = o.n in
+    if n > 0 then begin
+      bump p n;
+      emit { m_chunk = Chunk.of_columnar (Columnar.of_builders ~len:n o.builders); m_sel = None }
+    end
   in
   (* The one hash build/probe loop, generic in the key: [key m pos]
      reads the key of each ordinal of morsel [m] at key positions
@@ -659,26 +677,26 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
     let emitted = ref 0 in
     prstream.ps_iter (fun m ->
         let key_at = key m ppos in
-        let fetch = morsel_fetch m in
-        let out = ref [] in
-        let rec pairs prow = function
+        let cell = morsel_cell m in
+        let o = outcols (Array.length src) in
+        let rec pairs i = function
           | [] -> ()
           | brow :: rest ->
               incr emitted;
               if !emitted mod batch = 0 then tick ();
-              if keep prow brow then begin
-                out := gather src prow brow :: !out;
+              if keep cell i brow then begin
+                append o src cell i brow;
                 if !emitted > limit then raise Timeout
               end;
-              pairs prow rest
+              pairs i rest
         in
         morsel_ordinals m (fun i ->
             let k = key_at i in
             if not (null k) then
               match H.find_opt index k with
               | None -> ()
-              | Some matches -> pairs (fetch i) matches);
-        emit_chunks p emit !out)
+              | Some matches -> pairs i matches);
+        flush p o emit)
   in
   let rec stream want (p : Physical.t) : pstream =
     match p.Physical.node with
@@ -819,20 +837,18 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
                   let probes = ref 0 and matched = ref 0 in
                   ostream.ps_iter (fun m ->
                       let okey = morsel_col m okpos in
-                      let fetch = morsel_fetch m in
-                      let out = ref [] in
-                      (* the outer row is fetched only for an inner row
-                         that passes the filters: a columnar morsel
-                         decodes on the first such match *)
+                      let cell = morsel_cell m in
+                      let o = outcols (Array.length src) in
+                      (* the outer cells are read only for an inner row
+                         that passes the filters *)
                       let rec lookups i = function
                         | [] -> ()
                         | rid :: rest ->
                             let irow = Table.row_cells inner_tbl rid ~cols:inner_reads ~buf in
                             if inner_holds irow then begin
                               incr matched;
-                              let orow = fetch i in
-                              if keep orow irow then begin
-                                out := gather src orow irow :: !out;
+                              if keep cell i irow then begin
+                                append o src cell i irow;
                                 if !matched > limit then raise Timeout
                               end
                             end;
@@ -848,7 +864,7 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
                          its stats entry is the rows surviving the
                          lookups plus the input's own filters *)
                       Hashtbl.replace stats inner_node.Physical.id !matched;
-                      emit_chunks p emit !out));
+                      flush p o emit));
             }
         | Physical.Nl ->
             let child_want = widen want pred_cols in
@@ -873,21 +889,20 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
                   let inner = Array.concat (List.rev !buf) in
                   let steps = ref 0 and kept = ref 0 in
                   ostream.ps_iter (fun m ->
-                      let fetch = morsel_fetch m in
-                      let out = ref [] in
+                      let cell = morsel_cell m in
+                      let o = outcols (Array.length src) in
                       morsel_ordinals m (fun oi ->
-                          let orow = fetch oi in
                           for x = 0 to Array.length inner - 1 do
                             let irow = inner.(x) in
                             incr steps;
                             if !steps mod batch = 0 then tick ();
-                            if keep orow irow then begin
-                              out := gather src orow irow :: !out;
+                            if keep cell oi irow then begin
+                              append o src cell oi irow;
                               incr kept;
                               if !kept > limit then raise Timeout
                             end
                           done);
-                      emit_chunks p emit !out));
+                      flush p o emit));
             })
   in
   let root = stream want plan in
@@ -895,12 +910,14 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
   assert (root.ps_map = None);
   let t0 = if spans <> None then Timer.now () else 0.0 in
   let rev_chunks = ref [] in
+  (* the sink keeps the root's chunks as they arrive: a join's morsels
+     are dense column-major chunks, its output *)
   Span.span spans Span.Pipeline ~args:(node_args plan)
     ("pipeline:" ^ span_label plan) (fun () ->
-      root.ps_iter (fun m -> rev_chunks := morsel_rows m :: !rev_chunks));
+      root.ps_iter (fun m -> rev_chunks := select_chunk m.m_sel m.m_chunk :: !rev_chunks));
   built_intermediate ();
   let out =
-    Table.of_chunks
+    Table.of_chunk_data
       ~inputs:(List.map (fun (i : Fragment.input) -> i.Fragment.table) (Physical.leaves plan))
       ~name:"join" ~schema:root.ps_schema (List.rev !rev_chunks)
   in

@@ -77,13 +77,16 @@ val run : ?deadline:float -> ?cancel:Qs_util.Cancel.t -> ?row_limit:int ->
     Join plans run on the pipelined engine, which pushes the projection
     down: every join emits only the columns still read above it (its
     parent's, those of the predicates of the joins above, the outer
-    keys of index nested-loop joins above), gathered from its probe and
-    build rows, so an inner join's output schema is the pruned
-    concatenation of its leaf schemas. A scan hands on only the
-    columns read above it: a spilled table's frames fault back
-    column-major, and its morsels share the kept columns; a resident
-    row chunk's morsels carry the kept cells of its survivors (a scan
-    whose parent reads every column stays zero-copy). An index
+    keys of index nested-loop joins above), so an inner join's output
+    schema is the pruned concatenation of its leaf schemas. A join
+    appends each kept pair's cells to one boxed column per output
+    column and emits one column-major chunk per probe or outer morsel;
+    it builds no row per pair, and its parent reads those chunks cell
+    by cell. The returned table keeps the root join's chunks as they
+    came. A scan hands on only the columns read above it: a spilled
+    table's frames fault back column-major, and its morsels share the
+    kept columns; a resident table's chunks are handed on shared and
+    uncut, and the parent reads just the kept positions. An index
     nested-loop join decodes of each inner row only the cells its inner
     filters, residual and output read. A bare scan is the leaf on its
     own and runs through {!filter_input} with the projection's
@@ -113,7 +116,9 @@ val project : ?name:string -> Table.t -> Expr.colref list -> Table.t
 val filter_table : ?deadline:float -> ?cancel:Qs_util.Cancel.t ->
   Table.t -> Expr.pred list -> Table.t
 (** Chunked scan+filter of one table, chunk by chunk in order; each
-    output chunk keeps its input chunk's layout. *)
+    chunk's survivors come out column-major (a column-major chunk's
+    columns gathered, a row chunk's cells gathered into boxed
+    columns). *)
 
 val filter_input : ?deadline:float -> ?cancel:Qs_util.Cancel.t ->
   ?positions:int list -> Fragment.input -> Table.t

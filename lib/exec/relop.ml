@@ -283,8 +283,12 @@ let union_all ~name tables =
           if Schema.arity t.Table.schema <> arity then
             invalid_arg "Relop.union_all: arity mismatch")
         tables;
-      let chunks = List.concat_map Table.chunk_list tables in
-      Table.of_chunks ~inputs:tables ~name ~schema:template.Table.schema chunks
+      (* every input's chunks pass through in their own layout: no row
+         is decoded or copied here *)
+      let chunks =
+        List.concat_map (fun t -> List.init (Table.n_chunks t) (Table.chunk_data t)) tables
+      in
+      Table.of_chunk_data ~inputs:tables ~name ~schema:template.Table.schema chunks
 
 let semi_join ~name ~anti ~(left : Table.t) ~(right : Table.t) ~on =
   let lschema = left.Table.schema in

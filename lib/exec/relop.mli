@@ -15,7 +15,9 @@ val aggregate : name:string -> group_by:Expr.colref list ->
 
 val union_all : name:string -> Table.t list -> Table.t
 (** Inputs must have equal arity; the first input's column names (flattened)
-    define the output schema. *)
+    define the output schema. Each input's chunks are passed through in
+    their own layout, shared with the input (written to the output's
+    chunk file when a spilled input gives it a home). *)
 
 val semi_join : name:string -> anti:bool -> left:Table.t -> right:Table.t ->
   on:Expr.pred list -> Table.t

@@ -2,8 +2,9 @@
 
     Which one a table holds is the store's choice: resident tables built
     from rows keep [Rows], chunk-file frames always fault back in as
-    [Cols] (see {!Table}), and operators that gather columns emit [Cols]
-    directly.
+    [Cols] (see {!Table}), and executor operators (joins, filtered
+    scans) emit [Cols] directly, joins as boxed columns
+    ({!Columnar.of_builders}).
 
     The constructors are exported for lib/storage internals (spill
     serialization, table stores) but lint-banned outside it; other code

@@ -151,13 +151,17 @@ let ser_col_size n (c : Columnar.column) =
       1 + nulls_ser_size n nulls + 4
       + Array.fold_left (fun acc s -> acc + 4 + String.length s) 0 dict
       + (4 * n)
-  | Columnar.CGen vs ->
-      1 + 1 + Array.fold_left (fun acc v -> acc + ser_size v) 0 vs
+  | Columnar.CGen segs ->
+      1 + 1
+      + Array.fold_left (fun acc seg -> Array.fold_left (fun acc v -> acc + ser_size v) acc seg) 0 segs
 
-(* The column blocks a chunk is written as: a row-major chunk is
-   encoded here, a column-major one is written as it is. *)
+(* The column blocks a chunk is written as. A row-major chunk is
+   encoded here, and so is every boxed column of a column-major one (a
+   join's output), with the same kind inference: a frame's bytes do not
+   depend on the layout its chunk was built in. Typed columns are
+   written as they are. *)
 let columns_of (chunk : Chunk.t) =
-  match chunk with Chunk.Rows rows -> Columnar.of_rows rows | Chunk.Cols c -> c
+  match chunk with Chunk.Rows rows -> Columnar.of_rows rows | Chunk.Cols c -> Columnar.encode c
 
 let ser_columns_size c =
   let n = Columnar.n_rows c in
@@ -200,10 +204,10 @@ let put_column buf n (c : Columnar.column) =
           Buffer.add_string buf s)
         dict;
       Array.iter (fun c -> Buffer.add_int32_be buf (Int32.of_int c)) codes
-  | Columnar.CGen vs ->
+  | Columnar.CGen segs ->
       Buffer.add_char buf 'G';
       Buffer.add_char buf '\000';
-      Array.iter (put_value buf) vs
+      Array.iter (Array.iter (put_value buf)) segs
 
 let get_nulls where b pos n =
   need where b pos 1 "truncated block";
@@ -277,7 +281,7 @@ let get_column where b pos n : Columnar.column =
   | 'G' ->
       need where b pos 1 "truncated block";
       incr pos (* unused nulls flag byte *);
-      Columnar.CGen (Array.init n (fun _ -> get_value where b pos))
+      Columnar.CGen (Columnar.gen_init n (fun _ -> get_value where b pos))
   | _ -> corrupt where "column tag"
 
 (* --- writing ------------------------------------------------------------ *)

@@ -5,8 +5,11 @@
     gives each column block's offset and length, so faulting chunk [i]
     reads just the frame header and directory, and each column block is
     one seek + read away. Every frame holds column blocks: a row-major
-    chunk is encoded with {!Columnar.of_rows} on the way out, so a
-    spilled table always faults back in column-major. Values round-trip
+    chunk is encoded with {!Columnar.of_rows} on the way out, and a
+    column-major one's boxed columns with {!Columnar.encode} (the same
+    kind inference), so a frame's bytes do not depend on the layout its
+    chunk was built in and a spilled table always faults back in
+    column-major. Values round-trip
     exactly — floats through their IEEE bits, string dictionaries
     entry-for-entry — which keeps out-of-core result digests
     byte-identical to in-memory execution.

@@ -31,7 +31,10 @@ type column =
   | CFloat of float array * nulls
   | CBool of bool array * nulls
   | CStr of { dict : string array; codes : int array; nulls : nulls }
-  | CGen of Value.t array  (* mixed-type or all-NULL fallback, exact *)
+  | CGen of Value.t array array
+      (* boxed values in segments of [seg_len] (the last one shorter):
+         an operator's output, or the exact fallback for mixed-type and
+         all-NULL columns *)
 
 (* A column slot: decoded, or the loader of its block. Slots are atomic
    because frames are shared across domains: publishing a decoded column
@@ -58,6 +61,56 @@ let column t j =
       let c = load () in
       if Atomic.compare_and_set s p (Ready c) then c
       else match Atomic.get s with Ready c -> c | Pending _ -> c)
+
+(* --- boxed columns ------------------------------------------------------ *)
+
+(* A boxed column is cut into segments of [seg_len] values so that no
+   array of it is a large block: a segment is allocated young and, if
+   it lives, promoted into the major heap's small-block pools. A column
+   of one flat array per chunk is one large block per column of up to
+   65,536 rows (or a join's whole fan-out), allocated directly in the
+   major heap: on the JOB-like workload that raised the timed phase's
+   peak RSS from about 140 to 230-270 MB, though the live data peaked
+   lower than with one row per join pair. 128-value segments still
+   read about 190 MB; 32-value segments read 106 MB (median of ten
+   runs). *)
+let seg_bits = 5
+let seg_len = 1 lsl seg_bits
+
+let[@inline] gen_get segs i = segs.(i lsr seg_bits).(i land (seg_len - 1))
+
+(* the boxed column of cells [f 0 .. f (n - 1)], [f] called in order *)
+let gen_init n f =
+  Array.init
+    ((n + seg_len - 1) / seg_len)
+    (fun s ->
+      let base = s * seg_len in
+      Array.init (min seg_len (n - base)) (fun o -> f (base + o)))
+
+(* A boxed column under construction, appended one value at a time. *)
+type builder = { mutable segs : Value.t array array; mutable n : int }
+
+let builder () = { segs = [||]; n = 0 }
+
+let push b v =
+  let s = b.n lsr seg_bits and o = b.n land (seg_len - 1) in
+  if o = 0 then begin
+    if s = Array.length b.segs then begin
+      let segs = Array.make (max 8 (2 * s)) [||] in
+      Array.blit b.segs 0 segs 0 s;
+      b.segs <- segs
+    end;
+    b.segs.(s) <- Array.make seg_len Value.Null
+  end;
+  Array.unsafe_set b.segs.(s) o v;
+  b.n <- b.n + 1
+
+(* the builder's values as a column: segments trimmed to exactly [n] *)
+let built b =
+  let full = b.n lsr seg_bits and rest = b.n land (seg_len - 1) in
+  if rest = 0 then Array.sub b.segs 0 full
+  else
+    Array.init (full + 1) (fun s -> if s < full then b.segs.(s) else Array.sub b.segs.(s) 0 rest)
 
 (* --- bitset helpers ----------------------------------------------------- *)
 
@@ -96,12 +149,11 @@ let take_nulls nulls sel =
    types get the unboxed forms, anything else the generic fallback. *)
 type kind = KEmpty | KInt | KFloat | KBool | KStr | KGen
 
-let kind_of rows j =
-  let n = Array.length rows in
+let kind_of n cell =
   let k = ref KEmpty in
   let i = ref 0 in
   while !i < n && !k <> KGen do
-    (match rows.(!i).(j) with
+    (match cell !i with
     | Value.Null -> ()
     | Value.Int _ -> k := (match !k with KEmpty | KInt -> KInt | _ -> KGen)
     | Value.Float _ -> k := (match !k with KEmpty | KFloat -> KFloat | _ -> KGen)
@@ -111,8 +163,9 @@ let kind_of rows j =
   done;
   !k
 
-let column_of_rows rows j =
-  let n = Array.length rows in
+(* The column of [n] cells read by [cell], in the representation its
+   values call for; [boxed ()] is the generic fallback's array. *)
+let column_of_cells n cell ~boxed =
   let nulls = ref None in
   let null_at i =
     let b =
@@ -125,12 +178,12 @@ let column_of_rows rows j =
     in
     bit_set b i
   in
-  match kind_of rows j with
-  | KEmpty | KGen -> CGen (Array.init n (fun i -> rows.(i).(j)))
+  match kind_of n cell with
+  | KEmpty | KGen -> CGen (boxed ())
   | KInt ->
       let a = Array.make n 0 in
       for i = 0 to n - 1 do
-        match rows.(i).(j) with
+        match cell i with
         | Value.Int v -> a.(i) <- v
         | _ -> null_at i
       done;
@@ -138,7 +191,7 @@ let column_of_rows rows j =
   | KFloat ->
       let a = Array.make n 0.0 in
       for i = 0 to n - 1 do
-        match rows.(i).(j) with
+        match cell i with
         | Value.Float v -> a.(i) <- v
         | _ -> null_at i
       done;
@@ -146,7 +199,7 @@ let column_of_rows rows j =
   | KBool ->
       let a = Array.make n false in
       for i = 0 to n - 1 do
-        match rows.(i).(j) with
+        match cell i with
         | Value.Bool v -> a.(i) <- v
         | _ -> null_at i
       done;
@@ -157,7 +210,7 @@ let column_of_rows rows j =
       let rev = ref [] in
       let next = ref 0 in
       for i = 0 to n - 1 do
-        match rows.(i).(j) with
+        match cell i with
         | Value.Str s ->
             let code =
               match Hashtbl.find_opt index s with
@@ -177,19 +230,37 @@ let column_of_rows rows j =
          is non-empty and code 0 is a valid dummy for null slots *)
       CStr { dict; codes; nulls = !nulls }
 
+let columns t = Array.init (n_cols t) (column t)
+
 let of_rows rows =
   let n = Array.length rows in
   if n = 0 then { len = 0; cols = [||] }
   else
     {
       len = n;
-      cols = Array.init (Array.length rows.(0)) (fun j -> ready (column_of_rows rows j));
+      cols =
+        Array.init (Array.length rows.(0)) (fun j ->
+            let cell i = rows.(i).(j) in
+            ready (column_of_cells n cell ~boxed:(fun () -> gen_init n cell)));
     }
+
+let of_builders ~len builders =
+  Array.iter
+    (fun b -> if b.n <> len then invalid_arg "Columnar.of_builders: column length")
+    builders;
+  { len; cols = Array.map (fun b -> ready (CGen (built b))) builders }
+
+(* A boxed column in the representation [of_rows] would give the same
+   values; typed columns are already in theirs. *)
+let encode_column n = function
+  | CGen segs -> column_of_cells n (gen_get segs) ~boxed:(fun () -> segs)
+  | c -> c
+
+let encode t =
+  { len = t.len; cols = Array.map (fun c -> ready (encode_column t.len c)) (columns t) }
 
 let of_pending ~len loaders =
   { len; cols = Array.map (fun load -> Atomic.make (Pending load)) loaders }
-
-let columns t = Array.init (n_cols t) (column t)
 
 (* --- decoding ----------------------------------------------------------- *)
 
@@ -200,11 +271,12 @@ let get t ~row:i ~col:j =
   | CBool (a, nl) -> if is_null_at nl i then Value.Null else Value.Bool a.(i)
   | CStr { dict; codes; nulls } ->
       if is_null_at nulls i then Value.Null else Value.Str dict.(codes.(i))
-  | CGen a -> a.(i)
+  | CGen segs -> gen_get segs i
 
 (* Batch-decode one column. Dictionary strings are decoded once per dict
    entry and shared across rows, so a low-cardinality column costs
-   O(dict + n) boxes rather than n strings. *)
+   O(dict + n) boxes rather than n strings; a boxed column's segments
+   are concatenated. *)
 let column_values t j =
   match column t j with
   | CInt (a, nl) ->
@@ -220,7 +292,19 @@ let column_values t j =
       let boxed = Array.map (fun s -> Value.Str s) dict in
       Array.init t.len (fun i ->
           if is_null_at nulls i then Value.Null else boxed.(codes.(i)))
-  | CGen a -> Array.copy a
+  | CGen segs -> Array.concat (Array.to_list segs)
+
+(* Column [j]'s cells by ordinal, for a reader of [dense] ordinals (most
+   of the chunk) or of a few: a boxed column is read in place; a typed
+   one is decoded whole first when dense (one sweep, each dictionary
+   string boxed once), else boxed one cell per read. *)
+let reader t j ~dense =
+  match column t j with
+  | CGen segs -> gen_get segs
+  | _ when dense ->
+      let vs = column_values t j in
+      Array.get vs
+  | _ -> fun i -> get t ~row:i ~col:j
 
 let row t i = Array.init (n_cols t) (fun j -> get t ~row:i ~col:j)
 
@@ -243,7 +327,8 @@ let byte_size t =
               !total
               + if is_null_at nulls i then 8 else 24 + String.length dict.(codes.(i))
           done
-      | CGen a -> Array.iter (fun v -> total := !total + Value.byte_size v) a)
+      | CGen segs ->
+          Array.iter (Array.iter (fun v -> total := !total + Value.byte_size v)) segs)
     (columns t);
   !total
 
@@ -362,9 +447,9 @@ let eval_cmp t ~col:j op const ~sel =
 (* Vectorized IS [NOT] NULL on a plain column reference. *)
 let eval_null t ~col:j ~want_null ~sel =
   match column t j with
-  | CGen a ->
+  | CGen segs ->
       Some
-        (filter_ordinals t.len sel (fun i -> Value.is_null a.(i) = want_null))
+        (filter_ordinals t.len sel (fun i -> Value.is_null (gen_get segs i) = want_null))
   | CInt (_, nl) | CFloat (_, nl) | CBool (_, nl) | CStr { nulls = nl; _ } ->
       Some (filter_ordinals t.len sel (fun i -> is_null_at nl i = want_null))
 
@@ -384,7 +469,7 @@ let take_column c sel =
       CStr
         { dict; codes = Array.map (fun i -> codes.(i)) sel;
           nulls = take_nulls nulls sel }
-  | CGen a -> CGen (Array.map (fun i -> a.(i)) sel)
+  | CGen segs -> CGen (gen_init (Array.length sel) (fun k -> gen_get segs sel.(k)))
 
 let take t sel =
   {

@@ -26,8 +26,13 @@ type column =
           first-appearance order, [codes.(i)] indexes it. The dict may
           retain entries unreferenced after a gather ([take]); codes
           are never re-compacted. *)
-  | CGen of Value.t array
-      (** Exact fallback for mixed-type or all-NULL columns. *)
+  | CGen of Value.t array array
+      (** Boxed values, in segments of 32 (the last one shorter): cell
+          [i] is [segs.(i / 32).(i mod 32)]. An operator's output (see
+          {!builder}), or the exact fallback for mixed-type or all-NULL
+          columns. Segments keep every array of the column a small
+          block, promoted into the major heap's pools rather than
+          allocated there as one large block per column. *)
 
 type t
 (** A chunk of [n_rows] rows and [n_cols] columns. A column is either
@@ -45,6 +50,33 @@ val of_rows : Value.t array array -> t
     reproduces [r] value-for-value (floats through their IEEE bits,
     strings byte-for-byte). An empty chunk has no rows and no
     columns (the arity is not preserved). *)
+
+type builder
+(** A boxed column under construction, appended one value at a time
+    (into its segments: nothing already appended is copied). *)
+
+val builder : unit -> builder
+val push : builder -> Value.t -> unit
+
+val of_builders : len:int -> builder array -> t
+(** The chunk whose column [j] holds the values pushed to builder [j],
+    [len] of them each, as boxed columns: no representation is
+    inferred. The form a join builds its output in. Raises
+    [Invalid_argument] if a builder does not hold [len] values. *)
+
+val gen_get : Value.t array array -> int -> Value.t
+(** Cell [i] of a boxed column's segments. *)
+
+val gen_init : int -> (int -> Value.t) -> Value.t array array
+(** The segments of the boxed column [f 0 .. f (n - 1)]; [f] is called
+    in order. *)
+
+val encode : t -> t
+(** The chunk with every boxed column in the representation {!of_rows}
+    would choose for its values (typed columns are shared): the
+    chunk-file writer's form, so a frame's bytes are the same whether
+    its chunk was built from rows or from boxed columns. Decodes every
+    pending column. *)
 
 val of_pending : len:int -> (unit -> column) array -> t
 (** [of_pending ~len loaders] is a chunk whose column [j] is read by
@@ -70,6 +102,13 @@ val get : t -> row:int -> col:int -> Value.t
 
 val column_values : t -> int -> Value.t array
 (** Batch-decode column [j] to boxed values (a fresh array). *)
+
+val reader : t -> int -> dense:bool -> int -> Value.t
+(** [reader t j ~dense] reads column [j]'s cells by ordinal, for a
+    reader of most of the chunk's ordinals ([dense]) or of a few. A
+    boxed column is read in place; a typed one is decoded whole first
+    when [dense] (one sweep, each dictionary string boxed once), else
+    boxed one cell per read. *)
 
 val byte_size : t -> int
 (** Logical size: the sum of [Value.byte_size] over all cells, identical

@@ -186,7 +186,6 @@ let with_scratch_home ~capacity f =
 let chunk t i = Chunk.rows (chunk_data t i)
 
 let chunk_offset t i = t.offsets.(i)
-let chunk_list t = List.init (n_chunks t) (chunk t)
 
 (* Sequential chunk walk: the shared scan loop of iter/iteri/fold. On a
    spilled table each chunk is pinned while the consumer runs (pins
@@ -223,7 +222,7 @@ let to_rows t =
   match n_chunks t with
   | 0 -> [||]
   | 1 -> chunk t 0
-  | _ -> Array.concat (chunk_list t)
+  | n -> Array.concat (List.init n (chunk t))
 
 (* chunk holding global row [i]: binary search over the offset table *)
 let chunk_of_row t i =
@@ -405,7 +404,7 @@ let feed_cell l (c : Columnar.column) i =
   | Columnar.CBool (a, nl) -> if Columnar.is_null_at nl i then feed_null l else feed_bool l a.(i)
   | Columnar.CStr { dict; codes; nulls } ->
       if Columnar.is_null_at nulls i then feed_null l else feed_str l dict.(codes.(i))
-  | Columnar.CGen a -> feed_value l a.(i)
+  | Columnar.CGen segs -> feed_value l (Columnar.gen_get segs i)
 
 let digest t =
   let order =

@@ -136,9 +136,6 @@ val iter_chunk_data : (int -> Chunk.t -> unit) -> t -> unit
 val chunk_offset : t -> int -> int
 (** Global row id of the first row of the given chunk. *)
 
-val chunk_list : t -> Value.t array array list
-(** All chunks in row order (shared arrays). *)
-
 val row : t -> int -> Value.t array
 (** Random access by global row id (binary search over the chunk offsets,
     O(log n_chunks)). Index row ids ({!Index.lookup}) are global ids. *)

@@ -419,6 +419,74 @@ let test_analyze_parity_across_layouts () =
   check ~sample:(2 * n);
   check ~sample:500
 
+(* --- frames from boxed columns ------------------------------------------ *)
+
+(* A join emits its output as boxed columns ([Columnar.of_builders]),
+   where it used to build rows. The chunk-file writer re-encodes boxed columns
+   with [of_rows]'s kind inference, so a spilled intermediate's file is
+   byte for byte the one the row chunks would have written. Columns are
+   drawn from one kind each (int, float with NaN and -0.0, string, bool),
+   a mix of kinds, or all NULL, with NULLs sprinkled in; chunks of up to
+   300 rows span several of a boxed column's 128-value segments. *)
+let gen_frame_chunks =
+  let open QCheck.Gen in
+  let null_or g = frequency [ (1, return Value.Null); (4, g) ] in
+  let float_v =
+    map (fun f -> Value.Float f)
+      (oneof [ float; oneofl [ Float.nan; -0.0; 0.0; Float.infinity; -1.5 ] ])
+  in
+  let int_v = map (fun i -> Value.Int i) (oneof [ small_signed_int; oneofl [ min_int; max_int ] ]) in
+  let str_v = map (fun s -> Value.Str s) (string_size ~gen:printable (int_bound 6)) in
+  let bool_v = map (fun b -> Value.Bool b) bool in
+  let column_kind =
+    oneofl
+      [
+        null_or int_v; null_or float_v; null_or str_v; null_or bool_v;
+        null_or (oneof [ int_v; float_v; str_v; bool_v ]); return Value.Null;
+      ]
+  in
+  int_range 1 5 >>= fun arity ->
+  list_repeat arity column_kind >>= fun kinds ->
+  let kinds = Array.of_list kinds in
+  list_size (int_range 1 3)
+    (int_range 1 300 >>= fun n ->
+     array_repeat n (flatten_a kinds))
+  >|= fun chunks -> (arity, chunks)
+
+let print_frame_chunks (arity, chunks) =
+  Printf.sprintf "arity %d: %s" arity
+    (String.concat " / "
+       (List.map
+          (fun rows ->
+            String.concat "; "
+              (Array.to_list
+                 (Array.map
+                    (fun r -> String.concat "," (Array.to_list (Array.map Value.to_string r)))
+                    rows)))
+          chunks))
+
+let frames_from_boxed_columns =
+  QCheck.Test.make ~name:"frames from boxed columns = frames from rows" ~count:300
+    (QCheck.make ~print:print_frame_chunks gen_frame_chunks)
+    (fun (arity, chunks) ->
+      Table.with_scratch_home ~capacity:1 @@ fun ~dir ~pool:_ ->
+      let boxed rows =
+        let cols = Array.init arity (fun _ -> Columnar.builder ()) in
+        Array.iter (Array.iteri (fun j v -> Columnar.push cols.(j) v)) rows;
+        Chunk.of_columnar (Columnar.of_builders ~len:(Array.length rows) cols)
+      in
+      let file chunks =
+        let f, logical = Chunk_file.write ~dir ~name:"f" ~arity (Array.of_list chunks) in
+        (In_channel.with_open_bin (Chunk_file.path f) In_channel.input_all, logical)
+      in
+      let from_rows = file (List.map Chunk.of_rows chunks) in
+      let from_boxed = file (List.map boxed chunks) in
+      if from_rows <> from_boxed then QCheck.Test.fail_report "frames differ";
+      Alcotest.(check int) "boxed serialized size"
+        (Chunk_file.ser_chunk_size (Chunk.of_rows (List.hd chunks)))
+        (Chunk_file.ser_chunk_size (boxed (List.hd chunks)));
+      true)
+
 let suite =
   [
     Alcotest.test_case "of_rows/to_rows exact round-trip" `Quick test_of_rows_roundtrip;
@@ -438,4 +506,5 @@ let suite =
       test_aggregate_parity_across_layouts;
     Alcotest.test_case "ANALYZE parity across layouts" `Quick
       test_analyze_parity_across_layouts;
+    QCheck_alcotest.to_alcotest frames_from_boxed_columns;
   ]

@@ -381,6 +381,156 @@ let test_naive_count_matches_rows () =
       (Naive.count full)
   done
 
+(* --- column-major join outputs -------------------------------------------- *)
+
+let int_table ?(columnar = false) rel cols rows =
+  let schema = Schema.make rel (List.map (fun c -> (c, Value.TInt)) cols) in
+  if columnar then Fixtures.columnar_table ~name:rel ~schema rows
+  else Table.create ~inputs:[] ~name:rel ~schema rows
+
+let scan_of t = Physical.scan (fragment_input t) ~est_rows:1.0 ~est_cost:1.0
+
+let join method_ ?index left right preds =
+  Physical.join ~method_ ?index () ~left ~right ~preds ~est_rows:1.0 ~est_cost:1.0
+
+let eq_cols (r1, c1) (r2, c2) = Expr.eq (Expr.col r1 c1) (Expr.col r2 c2)
+
+(* A join appends its kept pairs' cells to one boxed column per output
+   column; a kept pair builds no row and no list cell. Bound: the
+   output cells themselves (4 words a row for these 4 columns, in
+   32-value segments) plus 3 minor words per output row, for a
+   resident hash join and an index nested-loop join of 100,000 rows
+   each. What else is left is the probe's hash lookup (2 words a row:
+   the option [find_opt] returns); the unique index's lookup allocates
+   nothing. Building a row per pair (5 words) puts either join over the
+   bound, and its list cell (3 more) further. *)
+let test_join_output_allocation () =
+  let n = 100_000 and keys = 1_000 in
+  let a = int_table "a" [ "k"; "x" ] (Array.init n (fun i -> [| Value.Int (i mod keys); Value.Int i |])) in
+  let b = int_table "b" [ "k"; "y" ] (Array.init keys (fun i -> [| Value.Int i; Value.Int (-i) |])) in
+  let ix = Qs_storage.Index.build b ~column:"k" ~unique:true in
+  let on = eq_cols ("a", "k") ("b", "k") in
+  let plans =
+    [
+      ("hash join", join Physical.Hash (scan_of b) (scan_of a) [ on ]);
+      ( "index-NL join",
+        join Physical.Index_nl
+          ~index:(ix, { Expr.rel = "a"; name = "k" }, { Expr.rel = "b"; name = "k" })
+          (scan_of a) (scan_of b) [ on ] );
+    ]
+  in
+  List.iter
+    (fun (what, plan) ->
+      ignore (Executor.run plan);
+      let before = Gc.minor_words () in
+      let out, _ = Executor.run plan in
+      let per_row = (Gc.minor_words () -. before) /. float n in
+      Alcotest.(check int) (what ^ ": rows") n (Table.n_rows out);
+      if per_row > 7.0 then
+        Alcotest.failf "%s: %.2f minor words per output row (bound 7)" what per_row)
+    plans
+
+(* Joins whose inputs are column-major join outputs: probed, built,
+   nested-loop outer and inner, index-NL outer, over NULL and duplicate
+   keys with a residual at both levels, equal the naive reference. The
+   base tables are row-major or column-major. *)
+let gen_join_case =
+  let open QCheck.Gen in
+  let key = frequency [ (1, return Value.Null); (5, map (fun k -> Value.Int k) (int_bound 4)) ] in
+  let row = map2 (fun k x -> [| k; Value.Int x |]) key (int_bound 9) in
+  let rows = array_size (int_range 0 12) row in
+  quad rows rows rows bool
+
+let print_join_case (a, b, c, columnar) =
+  let rows rs =
+    String.concat ";"
+      (Array.to_list
+         (Array.map (fun r -> String.concat "," (Array.to_list (Array.map Value.to_string r))) rs))
+  in
+  Printf.sprintf "a=[%s] b=[%s] c=[%s] columnar=%b" (rows a) (rows b) (rows c) columnar
+
+let join_outputs_match_naive =
+  QCheck.Test.make ~name:"column-major join outputs = naive" ~count:200
+    (QCheck.make ~print:print_join_case gen_join_case)
+    (fun (ra, rb, rc, columnar) ->
+      let a = int_table ~columnar "a" [ "k"; "x" ] ra
+      and b = int_table ~columnar "b" [ "k"; "y" ] rb
+      and c = int_table ~columnar "c" [ "k"; "z" ] rc in
+      let ix = Qs_storage.Index.build c ~column:"k" ~unique:false in
+      let ab_preds = [ eq_cols ("a", "k") ("b", "k"); Expr.Cmp (Expr.Ne, Expr.col "a" "x", Expr.col "b" "y") ] in
+      let top_preds = [ eq_cols ("b", "k") ("c", "k"); Expr.Cmp (Expr.Lt, Expr.col "a" "x", Expr.col "c" "z") ] in
+      let ab () = join Physical.Hash (scan_of a) (scan_of b) ab_preds in
+      let plans =
+        [
+          ("probed", join Physical.Hash (scan_of c) (ab ()) top_preds);
+          ("built", join Physical.Hash (ab ()) (scan_of c) top_preds);
+          ("NL outer", join Physical.Nl (ab ()) (scan_of c) top_preds);
+          ("NL inner", join Physical.Nl (scan_of c) (ab ()) top_preds);
+          ( "index-NL outer",
+            join Physical.Index_nl
+              ~index:(ix, { Expr.rel = "b"; name = "k" }, { Expr.rel = "c"; name = "k" })
+              (ab ()) (scan_of c) top_preds );
+        ]
+      in
+      let output =
+        List.concat_map
+          (fun (r, cs) -> List.map (fun n -> { Expr.rel = r; name = n }) cs)
+          [ ("a", [ "k"; "x" ]); ("b", [ "k"; "y" ]); ("c", [ "k"; "z" ]) ]
+      in
+      let naive =
+        Naive.rows
+          {
+            Fragment.inputs = [ fragment_input a; fragment_input b; fragment_input c ];
+            preds = ab_preds @ top_preds;
+            output;
+          }
+      in
+      List.iter
+        (fun (what, plan) ->
+          let got, _ = Executor.run plan in
+          if not (Fixtures.tables_equal naive got) then
+            QCheck.Test.fail_reportf "%s: %d rows, naive %d" what (Table.n_rows got)
+              (Table.n_rows naive))
+        plans;
+      true)
+
+(* The row limit counts what it counted when joins built rows: a hash
+   join's matched pairs, an index-NL join's pairs past the inner
+   filters, a nested-loop join's kept pairs. A limit equal to the pair
+   count runs; one below it raises [Timeout], also when the join is
+   the input of another. *)
+let test_row_limit_pair_count () =
+  let a = int_table "a" [ "k"; "x" ] (Array.init 6 (fun i -> [| Value.Int (i mod 2); Value.Int i |])) in
+  let b = int_table "b" [ "k"; "y" ] (Array.init 5 (fun i -> [| Value.Int (i mod 3); Value.Int i |])) in
+  let c = int_table "c" [ "k"; "z" ] [| [| Value.Int 0; Value.Int 0 |] |] in
+  let ix = Qs_storage.Index.build b ~column:"k" ~unique:false in
+  let on = eq_cols ("a", "k") ("b", "k") in
+  (* keys 0 and 1: 3 x 2 and 3 x 2 pairs *)
+  let pairs = 12 in
+  let plans =
+    [
+      ("hash", join Physical.Hash (scan_of a) (scan_of b) [ on ]);
+      ( "index-NL",
+        join Physical.Index_nl
+          ~index:(ix, { Expr.rel = "a"; name = "k" }, { Expr.rel = "b"; name = "k" })
+          (scan_of a) (scan_of b) [ on ] );
+      ("NL", join Physical.Nl (scan_of a) (scan_of b) [ on ]);
+    ]
+  in
+  List.iter
+    (fun (what, plan) ->
+      let top = join Physical.Hash (scan_of c) plan [ eq_cols ("c", "k") ("a", "k") ] in
+      List.iter
+        (fun (shape, run) ->
+          let _, stats = Executor.run ~row_limit:pairs run in
+          Alcotest.(check int) (what ^ shape ^ ": pairs at the limit") pairs
+            (Hashtbl.find stats plan.Physical.id);
+          match Executor.run ~row_limit:(pairs - 1) run with
+          | _ -> Alcotest.failf "%s%s: a limit below the pair count did not raise" what shape
+          | exception Executor.Timeout -> ())
+        [ ("", plan); (" under a join", top) ])
+    plans
+
 let suite =
   [
     Alcotest.test_case "hash join basics" `Quick test_hash_join_basics;
@@ -405,6 +555,9 @@ let suite =
       test_filter_cache_keyed_by_predicates;
     Alcotest.test_case "filter cache keyed by positions" `Quick
       test_filter_cache_keyed_by_positions;
+    Alcotest.test_case "join output allocation" `Quick test_join_output_allocation;
+    QCheck_alcotest.to_alcotest join_outputs_match_naive;
+    Alcotest.test_case "row limit at the pair count" `Quick test_row_limit_pair_count;
     Alcotest.test_case "pipelined intermediates counter" `Quick
       test_pipelined_intermediates_counter;
   ]

@@ -116,6 +116,61 @@ let test_union_all () =
   Alcotest.(check bool) "flat qualified" true
     (Schema.mem out.Table.schema ~rel:"u" ~name:"s_region")
 
+(* Union passes each input's chunks through in their own layout: a
+   row-major resident table, a join's column-major output and a spilled
+   table's frames. The digest is that of all their rows under the
+   union's schema, as when every chunk was decoded to rows; a resident
+   union shares its inputs' chunks. *)
+let test_union_layouts () =
+  let module Chunk = Qs_storage.Chunk in
+  let module Physical = Qs_plan.Physical in
+  let rows = Table.to_rows (sales ()) in
+  let titles =
+    Table.create ~inputs:[] ~name:"t"
+      ~schema:(Schema.make "t" [ ("k", Value.TInt); ("region", Value.TStr) ])
+      [| [| Value.Int 1; Value.Str "e" |]; [| Value.Int 2; Value.Null |] |]
+  in
+  let amounts =
+    Table.create ~inputs:[] ~name:"m"
+      ~schema:(Schema.make "m" [ ("k", Value.TInt); ("amount", Value.TInt); ("disc", Value.TFloat) ])
+      [|
+        [| Value.Int 1; Value.Int 7; Value.Float Float.nan |];
+        [| Value.Int 2; Value.Int 8; Value.Float (-0.0) |];
+        [| Value.Int 2; Value.Null; Value.Float 1.0 |];
+      |]
+  in
+  let scan t = Physical.scan (Test_executor.fragment_input t) ~est_rows:1.0 ~est_cost:1.0 in
+  let joined, _ =
+    Qs_exec.Executor.run
+      ~project:[ { Expr.rel = "t"; name = "region" }; { Expr.rel = "m"; name = "amount" }; { Expr.rel = "m"; name = "disc" } ]
+      (Physical.join ~method_:Physical.Hash () ~left:(scan titles) ~right:(scan amounts)
+         ~preds:[ Expr.eq (Expr.col "t" "k") (Expr.col "m" "k") ]
+         ~est_rows:1.0 ~est_cost:1.0)
+  in
+  Alcotest.(check bool) "the join output is column-major" true
+    (Chunk.columnar (Table.chunk_data joined 0) <> None);
+  let expect (u : Table.t) inputs =
+    Table.digest
+      (Table.create ~inputs:[] ~name:"u" ~schema:u.Table.schema
+         (Array.concat (List.map Table.to_rows inputs)))
+  in
+  let resident = [ sales (); joined ] in
+  let u = Relop.union_all ~name:"u" resident in
+  Alcotest.(check string) "resident digest" (expect u resident) (Table.digest u);
+  Alcotest.(check bool) "chunks shared" true
+    (Table.chunk_data u 0 == Table.chunk_data (List.hd resident) 0
+    && Table.chunk_data u 1 == Table.chunk_data joined 0);
+  Table.with_scratch_home ~capacity:1 (fun ~dir ~pool ->
+      let spilled =
+        Table.spill ~dir ~pool
+          (Table.create ~chunk_rows:3 ~inputs:[] ~name:"s" ~schema:(sales ()).Table.schema rows)
+      in
+      let inputs = [ sales (); joined; spilled ] in
+      let u = Relop.union_all ~name:"u" inputs in
+      Alcotest.(check bool) "spilled" true (Table.spilled u);
+      Alcotest.(check int) "rows" 11 (Table.n_rows u);
+      Alcotest.(check string) "digest with a spilled input" (expect u inputs) (Table.digest u))
+
 let test_union_arity_mismatch () =
   let narrow =
     Table.create ~inputs:[] ~name:"n" ~schema:(Schema.make "n" [ ("a", Value.TInt) ]) [||]
@@ -299,6 +354,7 @@ let suite =
     Alcotest.test_case "group-by empty input" `Quick test_group_by_empty_input_no_rows;
     Alcotest.test_case "agg over expression" `Quick test_agg_with_arith_expression;
     Alcotest.test_case "union all" `Quick test_union_all;
+    Alcotest.test_case "union keeps chunk layouts" `Quick test_union_layouts;
     Alcotest.test_case "union arity mismatch" `Quick test_union_arity_mismatch;
     Alcotest.test_case "semi join" `Quick test_semi_join;
     Alcotest.test_case "semi join dedup" `Quick test_semi_join_no_duplicates;

@@ -37,6 +37,13 @@
 #                               Table.set_spill only in perfbench/ and
 #                               its own definition: where a table lives
 #                               and how it is cut travel with the table
+#  11. column-major outputs   — lib/exec/executor.ml never calls
+#                               Chunk.of_rows or Table.of_chunks: joins
+#                               append kept pairs to boxed output
+#                               columns, filtered scans gather their
+#                               survivors column by column, and the sink
+#                               keeps the chunks as they arrive, so no
+#                               operator output is a row per pair
 #
 # The metrics golden is not checked here: a second runtest rule in ./dune
 # regenerates BENCH.json and diffs it exactly against the committed one.
@@ -175,6 +182,17 @@ fi
 if grep -rnE 'set_spill' lib bin bench test examples --include='*.ml' --include='*.mli' \
      | grep -vE '^lib/storage/table\.mli?:' >&2; then
   echo "lint: Table.set_spill outside perfbench/ — spill base tables with Table.spill" >&2
+  status=1
+fi
+
+# --- column-major operator outputs --------------------------------------
+# A join used to build a fresh row (and a list cell) for every output
+# pair and hand the rows on as a row chunk; those rows lived across
+# minor collections and were promoted, three quarters of a Cinema
+# round's allocation. Operator outputs are column-major now, and a row
+# chunk built in the executor would bring that cost back.
+if grep -nE 'Chunk\.of_rows|Table\.of_chunks([^_A-Za-z0-9]|$)' lib/exec/executor.ml >&2; then
+  echo "lint: lib/exec/executor.ml builds a row chunk — operator outputs are column-major (Columnar.of_builders, Table.of_chunk_data)" >&2
   status=1
 fi
 
