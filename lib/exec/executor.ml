@@ -2,7 +2,6 @@ module Physical = Qs_plan.Physical
 module Table = Qs_storage.Table
 module Schema = Qs_storage.Schema
 module Value = Qs_storage.Value
-module Chunk = Qs_storage.Chunk
 module Columnar = Qs_storage.Columnar
 module Index = Qs_storage.Index
 module Fragment = Qs_stats.Fragment
@@ -129,123 +128,82 @@ let compile_vec schema (p : Expr.pred) =
   | Expr.Not_null (Expr.Col c) -> Some [ VNull (pos c, false) ]
   | _ -> None
 
-(* Selection vector of one chunk under a non-empty conjunction.
-   Columnar chunks run every compilable predicate through the batch
-   kernels (each narrowing the vector); predicates with no kernel — or
-   whose kernel declines the column's representation — fall back to
-   row-at-a-time evaluation ([Expr.compile]d once per chunk) over the
-   survivors. A partially applied
-   kernel chain (e.g. the Ge half of a Between on a generic column) is
-   sound: kernels only remove rows the full predicate also rejects.
-   Row chunks evaluate row-at-a-time directly. Either way the result is
-   ordinals, not copied rows. *)
-let chunk_selvec ?deadline ?cancel schema filters (chunk : Chunk.t) =
+(* Selection vector of one chunk under a non-empty conjunction. Every
+   compilable predicate runs through the batch kernels (each narrowing
+   the vector); predicates with no kernel — or whose kernel declines the
+   column's representation — fall back to row-at-a-time evaluation
+   ([Expr.compile]d once per chunk) over the survivors. A partially
+   applied kernel chain (e.g. the Ge half of a Between on a generic
+   column) is sound: kernels only remove rows the full predicate also
+   rejects. Either way the result is ordinals, not copied rows. *)
+let chunk_selvec ?deadline ?cancel schema filters col =
   let tick = tick deadline cancel in
-  let n = Chunk.n_rows chunk in
-  let row_fallback row_at sel preds =
-    let holds = Expr.compile_all schema preds in
-    let keep i =
-      if i mod batch = 0 then tick ();
-      holds (row_at i)
-    in
-    filter_ordinals n sel keep
-  in
-  match Chunk.columnar chunk with
-  | Some col ->
-      let sel = ref None in
-      let residual = ref [] in
-      let vectorized = ref false in
-      List.iter
-        (fun p ->
-          let applied =
-            match compile_vec schema p with
-            | None -> false
-            | Some vps ->
-                List.for_all
-                  (fun vp ->
-                    let r =
-                      match vp with
-                      | VCmp (j, op, v) ->
-                          Columnar.eval_cmp col ~col:j op v ~sel:!sel
-                      | VNull (j, w) ->
-                          Columnar.eval_null col ~col:j ~want_null:w ~sel:!sel
-                    in
-                    match r with
-                    | Some s ->
-                        sel := Some s;
-                        true
-                    | None -> false)
-                  vps
-          in
-          if applied then vectorized := true else residual := p :: !residual)
-        filters;
-      if !vectorized then Atomic.incr vectorized_chunk_count;
-      let sel =
-        match List.rev !residual with
-        | [] -> Option.value !sel ~default:(Array.init n Fun.id)
-        | preds ->
-            (* decode just the survivors, and of each just the columns
-               the residual reads, into one buffer row (the compiled
-               test keeps no reference to it); the other slots stay
-               NULL and are never read *)
-            let read =
-              List.concat_map Expr.cols_of_pred preds
-              |> List.filter_map (fun (c : Expr.colref) ->
-                     Schema.find schema ~rel:c.Expr.rel ~name:c.Expr.name)
-              |> List.sort_uniq Int.compare |> Array.of_list
-            in
-            let buf = Array.make (Schema.arity schema) Value.Null in
-            let row_at i =
-              Array.iter (fun j -> buf.(j) <- Columnar.get col ~row:i ~col:j) read;
-              buf
-            in
-            row_fallback row_at !sel preds
+  let n = Columnar.n_rows col in
+  let sel = ref None in
+  let residual = ref [] in
+  let vectorized = ref false in
+  List.iter
+    (fun p ->
+      let applied =
+        match compile_vec schema p with
+        | None -> false
+        | Some vps ->
+            List.for_all
+              (fun vp ->
+                let r =
+                  match vp with
+                  | VCmp (j, op, v) -> Columnar.eval_cmp col ~col:j op v ~sel:!sel
+                  | VNull (j, w) -> Columnar.eval_null col ~col:j ~want_null:w ~sel:!sel
+                in
+                match r with
+                | Some s ->
+                    sel := Some s;
+                    true
+                | None -> false)
+              vps
       in
-      tick ();
-      sel
-  | None ->
-      let rows = Chunk.rows chunk in
-      row_fallback (fun i -> rows.(i)) None filters
+      if applied then vectorized := true else residual := p :: !residual)
+    filters;
+  if !vectorized then Atomic.incr vectorized_chunk_count;
+  let sel =
+    match List.rev !residual with
+    | [] -> Option.value !sel ~default:(Array.init n Fun.id)
+    | preds ->
+        (* read just the survivors, and of each just the columns the
+           residual reads, into one buffer row (the compiled test keeps
+           no reference to it); the other slots stay NULL and are never
+           read *)
+        let reads =
+          List.concat_map Expr.cols_of_pred preds
+          |> List.filter_map (fun (c : Expr.colref) ->
+                 Schema.find schema ~rel:c.Expr.rel ~name:c.Expr.name)
+          |> List.sort_uniq Int.compare |> Array.of_list
+        in
+        let cells = Array.map (fun j -> Columnar.reader col j ~dense:false) reads in
+        let buf = Array.make (Schema.arity schema) Value.Null in
+        let holds = Expr.compile_all schema preds in
+        filter_ordinals n !sel (fun i ->
+            if i mod batch = 0 then tick ();
+            for k = 0 to Array.length reads - 1 do
+              buf.(reads.(k)) <- cells.(k) i
+            done;
+            holds buf)
+  in
+  tick ();
+  sel
 
 (* The survivors [sel] ([None]: every row) of one chunk, cut to the
-   columns at [positions] (in their order) when given, as a dense
-   column-major chunk (an untouched chunk is handed on as it is). A
-   columnar chunk is projected first, which shares the kept columns,
-   then gathered; a row chunk's survivors are gathered column by column
-   into boxed columns, only the kept ones. *)
-let select_chunk ?positions sel (chunk : Chunk.t) =
-  let sel = match sel with Some s when Array.length s = Chunk.n_rows chunk -> None | s -> s in
-  match (Chunk.columnar chunk, sel, positions) with
-  | _, None, None -> chunk
-  | Some col, sel, positions -> (
-      let col = Option.fold ~none:col ~some:(Columnar.project col) positions in
-      match sel with
-      | Some s -> Chunk.of_columnar (Columnar.take col s)
-      | None -> Chunk.of_columnar col)
-  | None, sel, positions ->
-      let rows = Chunk.rows chunk in
-      let kept =
-        match positions with
-        | Some ps -> Array.of_list ps
-        | None -> Array.init (Array.length rows.(0)) Fun.id
-      in
-      let cols = Array.map (fun _ -> Columnar.builder ()) kept in
-      let add i = Array.iteri (fun k p -> Columnar.push cols.(k) rows.(i).(p)) kept in
-      let len =
-        match sel with
-        | Some s ->
-            Array.iter add s;
-            Array.length s
-        | None ->
-            Array.iteri (fun i _ -> add i) rows;
-            Array.length rows
-      in
-      Chunk.of_columnar (Columnar.of_builders ~len cols)
+   columns at [positions] (in their order) when given, as a dense chunk
+   (an untouched chunk is handed on as it is): the chunk is projected
+   first, which shares the kept columns, then gathered. *)
+let select_chunk ?positions sel col =
+  let col = Option.fold ~none:col ~some:(Columnar.project col) positions in
+  match sel with Some s when Array.length s < Columnar.n_rows col -> Columnar.take col s | _ -> col
 
 (* Chunked scan+filter (+ projection) through the chunk walker, one
    pinned frame at a time over a spilled table: each chunk's survivors,
-   cut to [positions] when given, in the input chunk's layout. A
-   filtered scan counts as an intermediate table. *)
+   cut to [positions] when given. A filtered scan counts as an
+   intermediate table. *)
 let scan_table ?deadline ?cancel ?positions (tbl : Table.t) filters =
   let schema = tbl.Table.schema in
   let out = ref [] in
@@ -348,123 +306,92 @@ let operator_markers spans ~t0 plan stats =
 (* Morsel-driven pipelined engine                                          *)
 (* ---------------------------------------------------------------------- *)
 
-(* A morsel: one chunk (in whichever layout its table stores) plus a
-   selection vector of the ordinals that survived the fused filters.
-   [m_sel = None] is the dense vector — ordinals [0 .. n_rows-1]
-   exactly; a full selvec is normalized to [None] at the morsel
-   boundary, so kernels may assume a [Some] vector is a strict subset.
-   Empty morsels are never emitted. Passing (chunk, selvec) pairs
-   instead of copied row arrays is what lets scan→filter→probe run
-   without materializing anything between fused operators. *)
-type morsel = { m_chunk : Chunk.t; m_sel : int array option }
+(* A morsel: one chunk plus a selection vector of the ordinals that
+   survived the fused filters. [m_sel = None] is the dense vector —
+   ordinals [0 .. n_rows-1] exactly; a full selvec is normalized to
+   [None] at the morsel boundary, so kernels may assume a [Some] vector
+   is a strict subset. Empty morsels are never emitted. Passing (chunk,
+   selvec) pairs instead of copied row arrays is what lets
+   scan→filter→probe run without materializing anything between fused
+   operators. *)
+type morsel = { m_chunk : Columnar.t; m_sel : int array option }
 
 let morsel_of ~chunk ~sel =
   match sel with
-  | Some s when Array.length s = Chunk.n_rows chunk ->
-      { m_chunk = chunk; m_sel = None }
+  | Some s when Array.length s = Columnar.n_rows chunk -> { m_chunk = chunk; m_sel = None }
   | _ -> { m_chunk = chunk; m_sel = sel }
 
-(* A scan's morsel of one chunk under its selection, cut to the columns
-   at [positions] when given. Projecting a columnar chunk shares the
-   kept columns, so the selection stays a vector over it; a row chunk
-   copies only the kept cells of its survivors, into a dense morsel
-   (scans of resident tables hand their rows on uncut instead, see
-   [pstream]). *)
-let scan_morsel ?positions chunk sel =
-  match (positions, Chunk.columnar chunk) with
-  | None, _ -> morsel_of ~chunk ~sel
-  | Some ps, Some col -> morsel_of ~chunk:(Chunk.of_columnar (Columnar.project col ps)) ~sel
-  | Some _, None -> morsel_of ~chunk:(select_chunk ?positions sel chunk) ~sel:None
-
 let morsel_count m =
-  match m.m_sel with
-  | Some s -> Array.length s
-  | None -> Chunk.n_rows m.m_chunk
+  match m.m_sel with Some s -> Array.length s | None -> Columnar.n_rows m.m_chunk
 
 (* visit the surviving ordinals in order *)
 let morsel_ordinals m f =
   match m.m_sel with
   | None ->
-      for i = 0 to Chunk.n_rows m.m_chunk - 1 do
+      for i = 0 to Columnar.n_rows m.m_chunk - 1 do
         f i
       done
   | Some s -> Array.iter f s
 
-(* Ordinal-indexed row fetch, for a hash build, which keeps rows. A
-   columnar chunk decodes a row only when its ordinal is fetched: rows
-   with a NULL key are never decoded. *)
-let morsel_fetch m =
-  match Chunk.columnar m.m_chunk with
-  | None ->
-      let rows = Chunk.rows m.m_chunk in
-      fun i -> rows.(i)
-  | Some col -> Columnar.row col
-
-(* Cell reader by (ordinal, row position): how a join reads its probe
-   or outer morsel. No row is built: a row chunk's cell is read in
-   place, a boxed column's (a child join's output) is shared, and a
-   typed column's is boxed alone. A column-major morsel touches a
-   column, and a spilled frame reads its block, only when a kept pair
-   first reads it. *)
-let morsel_cell m =
-  match Chunk.columnar m.m_chunk with
-  | None ->
-      let rows = Chunk.rows m.m_chunk in
-      fun i p -> rows.(i).(p)
-  | Some col -> fun i p -> Columnar.get col ~row:i ~col:p
+(* Whether a reader of the morsel's survivors reads enough of its chunk
+   to decode a typed column whole ({!Columnar.reader}). *)
+let dense m =
+  match m.m_sel with None -> true | Some s -> 4 * Array.length s >= Columnar.n_rows m.m_chunk
 
 (* Ordinal-indexed single-column accessor — the batch path for join
-   keys: a columnar chunk decodes a typed key column whole (one sweep
-   over the unboxed array) when the selvec is dense enough to amortize
-   it, and falls back to point gets on highly selective morsels; a
-   boxed column (a child join's output) is read in place. *)
-let morsel_col m p =
-  match Chunk.columnar m.m_chunk with
-  | None ->
-      let rows = Chunk.rows m.m_chunk in
-      fun i -> rows.(i).(p)
-  | Some col ->
-      let dense =
-        match m.m_sel with
-        | None -> true
-        | Some s -> 4 * Array.length s >= Columnar.n_rows col
-      in
-      Columnar.reader col p ~dense
+   keys: a typed key column is decoded whole (one sweep over the unboxed
+   array) when the selvec is dense enough to amortize it, and read by
+   point gets on highly selective morsels; a boxed column (a resident
+   table's, a child join's output) is read in place. *)
+let morsel_col m p = Columnar.reader m.m_chunk p ~dense:(dense m)
 
-(* dense array of the surviving rows (shared with the chunk when the
-   morsel is dense and row-major; a sparse columnar morsel decodes only
-   its survivors) *)
-let morsel_rows m =
-  match (m.m_sel, Chunk.columnar m.m_chunk) with
-  | None, _ -> Chunk.rows m.m_chunk
-  | Some s, Some col -> Array.map (Columnar.row col) s
-  | Some s, None ->
-      let rows = Chunk.rows m.m_chunk in
-      Array.map (fun i -> rows.(i)) s
+(* A chunk's cell readers, one per column position: how a join reads
+   its probe or outer morsel, and the morsels its breaker keeps.
+   Reader [p] reads column [p] by ordinal; it is made on the first read
+   of that column and then replaces itself, so no row is built, the
+   column is matched once per chunk, and a spilled frame reads a
+   column's block only when a cell of it is first read. A boxed cell is
+   shared; a typed one is boxed alone per read or, with [dense], by a
+   whole-column decode on the first read. *)
+let cells ~dense c =
+  let rs = Array.make (Columnar.n_cols c) (fun _ -> Value.Null) in
+  for j = 0 to Columnar.n_cols c - 1 do
+    rs.(j) <-
+      (fun i ->
+        let r = Columnar.reader c j ~dense in
+        rs.(j) <- r;
+        r i)
+  done;
+  rs
+
+(* The morsels a breaker keeps (a hash build, a nested-loop inner) and
+   reads after its stream has moved on. A kept row is a (morsel,
+   ordinal) reference packed into one int, read through its morsel's
+   cell readers: no row is decoded or copied. A kept morsel's cells may
+   be read many times, so a dense one decodes a typed column once. *)
+type kept = { mutable morsels : (int -> Value.t) array list; mutable count : int }
+
+let kept () = { morsels = []; count = 0 }
+
+(* keep morsel [m]; its rows are [ref_of mi i] for the returned [mi] *)
+let keep_morsel k m =
+  k.morsels <- cells ~dense:(dense m) m.m_chunk :: k.morsels;
+  k.count <- k.count + 1;
+  k.count - 1
+
+let[@inline] ref_of mi i = (mi lsl 32) lor i
+let[@inline] ref_ordinal r = r land 0xFFFF_FFFF
+
+(* every kept morsel's cell readers, by morsel ([r lsr 32] of a
+   reference [r]) *)
+let kept_cells k = Array.of_list (List.rev k.morsels)
 
 (* A stream of chunk-sized morsels. [ps_iter] drives the whole operator
    subtree synchronously: each morsel handed to the consumer is
    non-empty. A morsel sourced from a spilled table is exactly one
    pinned buffer-pool frame, released before the next is pinned, so a
    pipeline touches O(1) frames no matter how large its inputs are. *)
-type pstream = {
-  ps_schema : Schema.t;
-  ps_map : int array option;
-      (** [Some m]: the rows this stream hands out are wider than
-          [ps_schema], and its column [k] is at row position [m.(k)];
-          [None]: row positions are schema positions *)
-  ps_iter : (morsel -> unit) -> unit;
-}
-
-(* stream column [k]'s position in the rows a stream with map [map]
-   hands out *)
-let row_pos map k = match map with None -> k | Some m -> m.(k)
-
-(* A gather map over the positions of two streams' schemas, as one over
-   the rows they hand out: this is how a parent reads a resident scan's
-   shared rows without the scan copying the kept cells. *)
-let through lmap rmap src =
-  Array.map (fun s -> if s >= 0 then row_pos lmap s else -1 - row_pos rmap (-1 - s)) src
+type pstream = { ps_schema : Schema.t; ps_iter : (morsel -> unit) -> unit }
 
 (* --- lean join outputs -------------------------------------------------- *)
 
@@ -472,10 +399,9 @@ let through lmap rmap src =
    leaf schemas. [Keep cols]: the pruned concatenation, i.e. the leaf
    columns named in [cols], in leaf order. [Exactly cols]: the root's
    projection, in its order, duplicates already dropped. A scan emits
-   morsels cut to its want: a column-major (spilled) frame shares the
-   kept columns, so every row later fetched decodes only those; a row
-   chunk hands on the kept cells of its survivors. A join gathers only
-   the wanted columns of each (probe, build) pair. *)
+   morsels cut to its want, sharing the kept columns, so a spilled
+   frame reads only those blocks. A join gathers only the wanted
+   columns of each (probe, build) pair. *)
 type want = All | Keep of Expr.colref list | Exactly of Expr.colref list
 
 (* the want of a join's children: what its parent reads plus the
@@ -493,9 +419,10 @@ let dedup_cols cols =
         true))
     cols
 
-(* Gather maps over a (left row, right row) pair: entry [k] is [i >= 0]
-   for [left.(i)], or [-1 - i] for [right.(i)]. A column both sides
-   carry resolves to the left one, as in the concatenated schema. *)
+(* Gather maps over a (left, right) pair: entry [k] is [i >= 0] for
+   left column [i], or [-1 - i] for right column [i]. A column both
+   sides carry resolves to the left one, as in the concatenated
+   schema. *)
 let pair_source lschema rschema (c : Expr.colref) =
   match Schema.find lschema ~rel:c.Expr.rel ~name:c.Expr.name with
   | Some i -> Some i
@@ -504,11 +431,11 @@ let pair_source lschema rschema (c : Expr.colref) =
 
 let source_column lschema rschema s = if s >= 0 then lschema.(s) else rschema.(-1 - s)
 
-(* Cell [k] of the pair (left ordinal [i] read through [cell], right
-   row [r]) under gather map [src]. *)
-let[@inline] pair_cell src k cell i r =
+(* Cell [k] under gather map [src] of the pair (left row [i] read
+   through the cell readers [ls], right row [j] through [rs]). *)
+let[@inline] pair_cell src k ls i rs j =
   let s = src.(k) in
-  if s >= 0 then cell i s else r.(-1 - s)
+  if s >= 0 then ls.(s) i else rs.(-1 - s) j
 
 (* One morsel's join output under construction: a boxed column builder
    per output column, to which each kept pair appends one cell apiece
@@ -519,9 +446,9 @@ type outcols = { builders : Columnar.builder array; mutable n : int }
 
 let outcols width = { builders = Array.init width (fun _ -> Columnar.builder ()); n = 0 }
 
-let append o src cell i r =
+let append o src ls i rs j =
   for k = 0 to Array.length src - 1 do
-    Columnar.push o.builders.(k) (pair_cell src k cell i r)
+    Columnar.push o.builders.(k) (pair_cell src k ls i rs j)
   done;
   o.n <- o.n + 1
 
@@ -550,15 +477,15 @@ let pair_output want lschema rschema =
   ( Array.of_list (List.map (fun i -> cat.(i)) positions),
     Array.of_list (List.map (fun i -> if i < nl then i else nl - 1 - i) positions) )
 
-(* A join's residual conjunction over a (left ordinal read through a
-   cell reader, right row) pair, compiled against a row of just the
-   columns it reads: the one row a join builds. That row is one buffer,
-   refilled for every pair: a run drives its streams
-   synchronously on one domain, and the compiled test keeps no
-   reference to it. A column neither side carries is left out of the
-   row, so the test raises on it exactly as the interpreter would. *)
-let pair_filter ?lmap ?rmap lschema rschema = function
-  | [] -> fun _ _ _ -> true
+(* A join's residual conjunction over a pair (as [pair_cell] reads it),
+   compiled against a row of just the columns it reads: the one row a
+   join builds. That row is one buffer, refilled for every pair: a run
+   drives its streams synchronously on one domain, and the compiled
+   test keeps no reference to it. A column neither side carries is left
+   out of the row, so the test raises on it exactly as the interpreter
+   would. *)
+let pair_filter lschema rschema = function
+  | [] -> fun _ _ _ _ -> true
   | preds ->
       let src =
         List.concat_map Expr.cols_of_pred preds
@@ -568,11 +495,10 @@ let pair_filter ?lmap ?rmap lschema rschema = function
       in
       let schema = Array.map (source_column lschema rschema) src in
       let holds = Expr.compile_all schema preds in
-      let src = through lmap rmap src in
       let buf = Array.make (Array.length src) Value.Null in
-      fun cell i r ->
+      fun ls i rs j ->
         for k = 0 to Array.length src - 1 do
-          buf.(k) <- pair_cell src k cell i r
+          buf.(k) <- pair_cell src k ls i rs j
         done;
         holds buf
 
@@ -603,6 +529,29 @@ module Key_tbl = Hashtbl.Make (struct
   let equal a b = compare a b = 0
   let hash = Hashtbl.hash
 end)
+
+(* A hash build's rows, chained per key: entry [e] is the row
+   [refs.(e)] (a {!kept} reference) and [next.(e)] the entry of the
+   previous row with the same key, [-1] ending the chain; the table maps
+   a key to its last entry. Growing the two arrays is the only
+   allocation, so a build row costs none of its own beyond a new key's
+   table bucket. *)
+type chains = { mutable refs : int array; mutable next : int array; mutable len : int }
+
+let add_entry c r prev =
+  if c.len = Array.length c.refs then begin
+    let grow a =
+      let b = Array.make (max 64 (2 * c.len)) 0 in
+      Array.blit a 0 b 0 c.len;
+      b
+    in
+    c.refs <- grow c.refs;
+    c.next <- grow c.next
+  end;
+  c.refs.(c.len) <- r;
+  c.next.(c.len) <- prev;
+  c.len <- c.len + 1;
+  c.len - 1
 
 (* per-ordinal key readers of a morsel, one per key shape *)
 let value_key m = function
@@ -649,53 +598,56 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
     let n = o.n in
     if n > 0 then begin
       bump p n;
-      emit { m_chunk = Chunk.of_columnar (Columnar.of_builders ~len:n o.builders); m_sel = None }
+      emit { m_chunk = Columnar.of_builders ~len:n o.builders; m_sel = None }
     end
   in
   (* The one hash build/probe loop, generic in the key: [key m pos]
      reads the key of each ordinal of morsel [m] at key positions
      [pos], and [null k] holds when the key cannot join. The build side
-     is the pipeline breaker, the probe side streams morsel by morsel. *)
+     is the pipeline breaker: it keeps its morsels, and its rows as
+     references. The probe side streams morsel by morsel. *)
   let hash_iter (type k) (module H : Hashtbl.S with type key = k)
       ~(key : morsel -> int list -> int -> k) ~(null : k -> bool) p ~bpos ~ppos
       ~src ~keep bstream prstream emit =
-    let index : Value.t array list H.t = H.create 1024 in
+    let heads : int H.t = H.create 1024 in
+    let rows = { refs = [||]; next = [||]; len = 0 } in
+    let build = kept () in
     Span.span spans Span.Breaker ~args:(node_args p) ("hash-build:" ^ bid p)
       (fun () ->
         bstream.ps_iter (fun m ->
-            (* batch build: key columns decoded column-at-a-time per
-               morsel, rows fetched lazily only for live keys *)
+            (* key columns read column-at-a-time per morsel *)
             let key_at = key m bpos in
-            let fetch = morsel_fetch m in
+            let mi = keep_morsel build m in
             morsel_ordinals m (fun i ->
                 let k = key_at i in
                 if not (null k) then
-                  H.replace index k
-                    (fetch i :: Option.value (H.find_opt index k) ~default:[]))));
+                  let prev = match H.find heads k with e -> e | exception Not_found -> -1 in
+                  H.replace heads k (add_entry rows (ref_of mi i) prev))));
+    let bcells = kept_cells build in
     (* [emitted] counts matched pairs before the residual check; the
        row limit is tested against it each time a row is kept *)
     let emitted = ref 0 in
     prstream.ps_iter (fun m ->
         let key_at = key m ppos in
-        let cell = morsel_cell m in
+        let ls = cells ~dense:false m.m_chunk in
         let o = outcols (Array.length src) in
-        let rec pairs i = function
-          | [] -> ()
-          | brow :: rest ->
-              incr emitted;
-              if !emitted mod batch = 0 then tick ();
-              if keep cell i brow then begin
-                append o src cell i brow;
-                if !emitted > limit then raise Timeout
-              end;
-              pairs i rest
+        let rec pairs i e =
+          if e >= 0 then begin
+            let r = rows.refs.(e) in
+            let rs = bcells.(r lsr 32) and j = ref_ordinal r in
+            incr emitted;
+            if !emitted mod batch = 0 then tick ();
+            if keep ls i rs j then begin
+              append o src ls i rs j;
+              if !emitted > limit then raise Timeout
+            end;
+            pairs i rows.next.(e)
+          end
         in
         morsel_ordinals m (fun i ->
             let k = key_at i in
             if not (null k) then
-              match H.find_opt index k with
-              | None -> ()
-              | Some matches -> pairs i matches);
+              match H.find heads k with e -> pairs i e | exception Not_found -> ());
         flush p o emit)
   in
   let rec stream want (p : Physical.t) : pstream =
@@ -703,32 +655,21 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
     | Physical.Scan input ->
         (* fused scan+filter: the selection runs inside the pinned chunk
            walk and produces a selection vector over the chunk — no
-           intermediate table and no row copy; columnar chunks go
-           through the vectorized kernels. The parent reads only the
-           kept columns: a spilled table's column-major frames are cut
-           to them (sharing the columns, so a fetched row decodes only
-           those), while a resident table's rows, already decoded, are
-           handed on shared and uncut, and the parent reads them through
-           the stream's map. The deadline / cancel poll sits at the
+           intermediate table and no row copy — through the vectorized
+           kernels. The parent reads only the kept columns: each chunk
+           is cut to them, sharing the columns, so a spilled frame reads
+           only their blocks. The deadline / cancel poll sits at the
            morsel boundary, so a cancellation unwinds before the next
            frame is pinned. *)
         let tbl = input.Fragment.table in
         let schema = tbl.Table.schema in
         let filters = input.Fragment.filters in
-        let keep = scan_keep want tbl in
-        let positions, ps_map =
-          match keep with
-          | Some ps when not (Table.spilled tbl) -> (None, Some (Array.of_list ps))
-          | ps -> (ps, None)
-        in
-        let out_schema =
-          Option.fold ~none:schema
-            ~some:(fun ps -> Array.of_list (List.map (fun i -> schema.(i)) ps))
-            keep
-        in
+        let positions = scan_keep want tbl in
         {
-          ps_schema = out_schema;
-          ps_map;
+          ps_schema =
+            Option.fold ~none:schema
+              ~some:(fun ps -> Array.of_list (List.map (fun i -> schema.(i)) ps))
+              positions;
           ps_iter =
             (fun emit ->
               Table.iter_chunk_data
@@ -737,13 +678,13 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
                   (* the filters read only the columns they test *)
                   let sel =
                     if filters = [] then None
-                    else
-                      Some (chunk_selvec ?deadline ?cancel schema filters chunk)
+                    else Some (chunk_selvec ?deadline ?cancel schema filters chunk)
                   in
                   match sel with
                   | Some [||] -> ()
                   | _ ->
-                      let m = scan_morsel ?positions chunk sel in
+                      let chunk = Option.fold ~none:chunk ~some:(Columnar.project chunk) positions in
+                      let m = morsel_of ~chunk ~sel in
                       bump p (morsel_count m);
                       emit m)
                 tbl);
@@ -757,31 +698,16 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
             let bstream = stream child_want j.Physical.left in
             let prstream = stream child_want j.Physical.right in
             let build_cols, residual = split_join_preds bstream.ps_schema preds in
-            let bpos =
-              key_positions bstream.ps_schema (List.map fst build_cols)
-              |> List.map (row_pos bstream.ps_map)
-            in
-            let ppos =
-              key_positions prstream.ps_schema (List.map snd build_cols)
-              |> List.map (row_pos prstream.ps_map)
-            in
+            let bpos = key_positions bstream.ps_schema (List.map fst build_cols) in
+            let ppos = key_positions prstream.ps_schema (List.map snd build_cols) in
             let out_schema, src = pair_output want prstream.ps_schema bstream.ps_schema in
-            let src = through prstream.ps_map bstream.ps_map src in
-            let keep =
-              pair_filter ?lmap:prstream.ps_map ?rmap:bstream.ps_map prstream.ps_schema
-                bstream.ps_schema residual
-            in
+            let keep = pair_filter prstream.ps_schema bstream.ps_schema residual in
             let iter =
               match bpos with
-              | [ _ ] ->
-                  hash_iter (module Value_tbl) ~key:value_key ~null:Value.is_null
+              | [ _ ] -> hash_iter (module Value_tbl) ~key:value_key ~null:Value.is_null
               | _ -> hash_iter (module Key_tbl) ~key:list_key ~null:has_null
             in
-            {
-              ps_schema = out_schema;
-              ps_map = None;
-              ps_iter = iter p ~bpos ~ppos ~src ~keep bstream prstream;
-            }
+            { ps_schema = out_schema; ps_iter = iter p ~bpos ~ppos ~src ~keep bstream prstream }
         | Physical.Index_nl ->
             let inner_node = j.Physical.right in
             let inner_input =
@@ -803,52 +729,60 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
             let inner_schema = inner_tbl.Table.schema in
             let inner_filters = inner_input.Fragment.filters in
             let inner_holds = Expr.compile_all inner_schema inner_filters in
-            let keep = pair_filter ?lmap:ostream.ps_map ostream.ps_schema inner_schema residual in
+            let keep = pair_filter ostream.ps_schema inner_schema residual in
             let out_schema, src = pair_output want ostream.ps_schema inner_schema in
-            let src = through ostream.ps_map None src in
-            (* an inner row is read by its filters, the residual and the
-               gather map: a columnar frame decodes only those cells,
-               into one buffer refilled per lookup (the filter, the
-               residual and the gather keep no reference to it) *)
-            let inner_reads =
-              let from_pair =
-                Array.to_list src
-                @ List.filter_map
-                    (pair_source ostream.ps_schema inner_schema)
-                    (List.concat_map Expr.cols_of_pred residual)
-                |> List.filter_map (fun s -> if s < 0 then Some (-1 - s) else None)
-              in
+            (* an inner row is read through its chunk's cell readers,
+               made on the chunk's first lookup and kept while the table
+               hands out the same chunk (a spilled frame faulted in
+               again gets new ones): the filters read their cells into
+               one buffer refilled per lookup (they keep no reference
+               to it), the residual and the gather only for a row that
+               passes them *)
+            let filter_reads =
               List.concat_map Expr.cols_of_pred inner_filters
               |> List.filter_map (fun (c : Expr.colref) ->
                      Schema.find inner_schema ~rel:c.Expr.rel ~name:c.Expr.name)
-              |> List.append from_pair |> List.sort_uniq Int.compare |> Array.of_list
+              |> List.sort_uniq Int.compare |> Array.of_list
             in
             let buf = Array.make (Schema.arity inner_schema) Value.Null in
+            let inner_cells = Array.make (Table.n_chunks inner_tbl) None in
+            let inner_chunk ci =
+              let c = Table.chunk_data inner_tbl ci in
+              match inner_cells.(ci) with
+              | Some (c', rs) when c' == c -> rs
+              | _ ->
+                  let rs = cells ~dense:false c in
+                  inner_cells.(ci) <- Some (c, rs);
+                  rs
+            in
             let okpos =
               Schema.find_exn ostream.ps_schema ~rel:outer_key.Expr.rel
                 ~name:outer_key.Expr.name
-              |> row_pos ostream.ps_map
             in
             {
               ps_schema = out_schema;
-              ps_map = None;
               ps_iter =
                 (fun emit ->
                   let probes = ref 0 and matched = ref 0 in
                   ostream.ps_iter (fun m ->
                       let okey = morsel_col m okpos in
-                      let cell = morsel_cell m in
+                      let ls = cells ~dense:false m.m_chunk in
                       let o = outcols (Array.length src) in
                       (* the outer cells are read only for an inner row
                          that passes the filters *)
                       let rec lookups i = function
                         | [] -> ()
                         | rid :: rest ->
-                            let irow = Table.row_cells inner_tbl rid ~cols:inner_reads ~buf in
-                            if inner_holds irow then begin
+                            let ci = Table.chunk_index inner_tbl rid in
+                            let rs = inner_chunk ci and j = rid - Table.chunk_offset inner_tbl ci in
+                            for k = 0 to Array.length filter_reads - 1 do
+                              let p = filter_reads.(k) in
+                              buf.(p) <- rs.(p) j
+                            done;
+                            if inner_holds buf then begin
                               incr matched;
-                              if keep cell i irow then begin
-                                append o src cell i irow;
+                              if keep ls i rs j then begin
+                                append o src ls i rs j;
                                 if !matched > limit then raise Timeout
                               end
                             end;
@@ -870,34 +804,32 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
             let child_want = widen want pred_cols in
             let ostream = stream child_want j.Physical.left in
             let istream = stream child_want j.Physical.right in
-            let keep =
-              pair_filter ?lmap:ostream.ps_map ?rmap:istream.ps_map ostream.ps_schema
-                istream.ps_schema preds
-            in
+            let keep = pair_filter ostream.ps_schema istream.ps_schema preds in
             let out_schema, src = pair_output want ostream.ps_schema istream.ps_schema in
-            let src = through ostream.ps_map istream.ps_map src in
             {
               ps_schema = out_schema;
-              ps_map = None;
               ps_iter =
                 (fun emit ->
-                  (* the inner side is rescanned per outer row: buffer
-                     it once (breaker), then stream the outer side *)
-                  let buf = ref [] in
+                  (* the inner side is rescanned per outer row: keep it
+                     once (breaker), then stream the outer side *)
+                  let inner = kept () and irows = ref [] in
                   Span.span spans Span.Breaker ~args:(node_args p) ("nl-inner:" ^ bid p) (fun () ->
-                      istream.ps_iter (fun m -> buf := morsel_rows m :: !buf));
-                  let inner = Array.concat (List.rev !buf) in
+                      istream.ps_iter (fun m ->
+                          let mi = keep_morsel inner m in
+                          morsel_ordinals m (fun i -> irows := ref_of mi i :: !irows)));
+                  let ims = kept_cells inner and irows = Array.of_list (List.rev !irows) in
                   let steps = ref 0 and kept = ref 0 in
                   ostream.ps_iter (fun m ->
-                      let cell = morsel_cell m in
+                      let ls = cells ~dense:false m.m_chunk in
                       let o = outcols (Array.length src) in
                       morsel_ordinals m (fun oi ->
-                          for x = 0 to Array.length inner - 1 do
-                            let irow = inner.(x) in
+                          for x = 0 to Array.length irows - 1 do
+                            let r = irows.(x) in
+                            let rs = ims.(r lsr 32) and j = ref_ordinal r in
                             incr steps;
                             if !steps mod batch = 0 then tick ();
-                            if keep cell oi irow then begin
-                              append o src cell oi irow;
+                            if keep ls oi rs j then begin
+                              append o src ls oi rs j;
                               incr kept;
                               if !kept > limit then raise Timeout
                             end
@@ -906,8 +838,6 @@ let run_pipelined ?deadline ?cancel ~row_limit ?spans ~want plan =
             })
   in
   let root = stream want plan in
-  (* the root is a join, whose fresh rows are exactly its schema *)
-  assert (root.ps_map = None);
   let t0 = if spans <> None then Timer.now () else 0.0 in
   let rev_chunks = ref [] in
   (* the sink keeps the root's chunks as they arrive: a join's morsels
@@ -969,17 +899,40 @@ let run ?deadline ?cancel ?(row_limit = default_row_limit) ?spans
       if spans <> None then operator_markers spans ~t0 plan stats;
       (out, stats)
 
+(* Every (left row, right row) pair, in that order, appended to boxed
+   columns through the inputs' cell readers and cut at the left input's
+   chunk size, as a table built from the rows would be. *)
 let cartesian ~name tables =
   match tables with
   | [] -> invalid_arg "Executor.cartesian: no tables"
   | [ t ] -> Table.with_name t name
   | first :: rest ->
       List.fold_left
-        (fun acc t ->
-          let schema = Schema.concat acc.Table.schema t.Table.schema in
-          let rows = ref [] in
-          Table.iter
-            (fun a -> Table.iter (fun b -> rows := Array.append a b :: !rows) t)
+        (fun (acc : Table.t) (t : Table.t) ->
+          let schema, src = pair_output All acc.Table.schema t.Table.schema in
+          let rights =
+            List.init (Table.n_chunks t) (fun ci ->
+                let c = Table.chunk_data t ci in
+                (cells ~dense:true c, Columnar.n_rows c))
+          in
+          let chunks = ref [] and o = ref (outcols (Array.length src)) in
+          let cut () =
+            chunks := Columnar.of_builders ~len:!o.n !o.builders :: !chunks;
+            o := outcols (Array.length src)
+          in
+          Table.iter_chunk_data
+            (fun _ a ->
+              let ls = cells ~dense:true a in
+              for i = 0 to Columnar.n_rows a - 1 do
+                List.iter
+                  (fun (rs, n) ->
+                    for j = 0 to n - 1 do
+                      append !o src ls i rs j;
+                      if !o.n = acc.Table.chunk_rows then cut ()
+                    done)
+                  rights
+              done)
             acc;
-          Table.create ~inputs:[ acc; t ] ~name ~schema (Array.of_list (List.rev !rows)))
+          cut ();
+          Table.of_chunk_data ~inputs:[ acc; t ] ~name ~schema (List.rev !chunks))
         first rest

@@ -1,7 +1,6 @@
 module Table = Qs_storage.Table
 module Schema = Qs_storage.Schema
 module Value = Qs_storage.Value
-module Chunk = Qs_storage.Chunk
 module Columnar = Qs_storage.Columnar
 module Expr = Qs_query.Expr
 module Logical = Qs_plan.Logical
@@ -161,6 +160,11 @@ let agg_out_ty (fn : Logical.agg_fn) v =
   | Logical.Avg -> Value.TFloat
   | _ -> ( match Value.type_of v with Some ty -> ty | None -> Value.TInt)
 
+(* The positions of [schema] that [cols] name, sorted and distinct. *)
+let positions schema cols =
+  List.map (fun (c : Expr.colref) -> Schema.find_exn schema ~rel:c.Expr.rel ~name:c.Expr.name) cols
+  |> List.sort_uniq Int.compare
+
 let aggregate ~name ~group_by ~aggs (tbl : Table.t) =
   let schema = tbl.Table.schema in
   let gpos =
@@ -179,66 +183,56 @@ let aggregate ~name ~group_by ~aggs (tbl : Table.t) =
         order := key :: !order;
         accs
   in
-  let arg_fns =
-    List.map
-      (fun (a : Logical.agg) -> Option.map (Expr.compile_scalar schema) a.Logical.arg)
-      aggs
-  in
-  let feed_row groups order row =
-    let key = List.map (fun p -> row.(p)) gpos in
-    let accs = entry groups order key in
-    List.iteri
-      (fun i arg ->
-        let v =
-          match arg with
-          | None -> Value.Int 1 (* COUNT of rows *)
-          | Some f -> f row
-        in
-        feed accs.(i) v)
-      arg_fns
-  in
-  (* Columnar hash aggregation: when every aggregate argument is absent
-     or a plain column reference, a columnar chunk feeds the hash table
-     from batch-decoded group-key and argument columns — one decode
-     sweep per column per chunk instead of per-row schema lookups. Any
-     arithmetic argument (or a row chunk) takes the row path. *)
-  let arg_cols =
+  (* Hash aggregation over column readers, hoisted once per chunk: the
+     group keys and plain column arguments are read in place (a typed
+     column decoded once per chunk); an arithmetic argument is compiled
+     against a row of just the columns the arithmetic reads, one buffer
+     refilled per input row (the compiled scalar keeps no reference to
+     it). *)
+  let args =
     List.map
       (fun (a : Logical.agg) ->
         match a.Logical.arg with
         | None -> `Count
-        | Some (Expr.Col c) ->
-            `Col (Schema.find_exn schema ~rel:c.Expr.rel ~name:c.Expr.name)
-        | Some _ -> `Eval)
+        | Some (Expr.Col c) -> `Col (Schema.find_exn schema ~rel:c.Expr.rel ~name:c.Expr.name)
+        | Some e -> `Eval (Expr.compile_scalar schema e))
       aggs
   in
-  let batchable = List.for_all (fun c -> c <> `Eval) arg_cols in
-  let feed_chunk_data groups order (chunk : Chunk.t) =
-    match Chunk.columnar chunk with
-    | Some col when batchable ->
-        let n = Columnar.n_rows col in
-        let kcols = List.map (Columnar.column_values col) gpos in
-        let acols =
-          List.map
-            (function
-              | `Col p -> Some (Columnar.column_values col p)
-              | `Count | `Eval -> None)
-            arg_cols
-        in
-        for i = 0 to n - 1 do
-          let key = List.map (fun a -> a.(i)) kcols in
-          let accs = entry groups order key in
-          List.iteri
-            (fun ai av ->
-              feed accs.(ai)
-                (match av with Some a -> a.(i) | None -> Value.Int 1))
-            acols
-        done
-    | _ -> Array.iter (feed_row groups order) (Chunk.rows chunk)
+  let reads =
+    positions schema
+      (List.concat_map
+         (fun (a : Logical.agg) ->
+           match a.Logical.arg with
+           | None | Some (Expr.Col _) -> []
+           | Some e -> Expr.cols_of_scalar e)
+         aggs)
+  in
+  let buf = Array.make (Schema.arity schema) Value.Null in
+  let feed_chunk groups order chunk =
+    let cell p = Columnar.reader chunk p ~dense:true in
+    let keys = List.map cell gpos in
+    let reads = Array.of_list (List.map (fun p -> (p, cell p)) reads) in
+    let args =
+      List.map
+        (function
+          | `Count -> fun _ -> Value.Int 1 (* COUNT of rows *)
+          | `Col p -> cell p
+          | `Eval f -> fun _ -> f buf)
+        args
+    in
+    for i = 0 to Columnar.n_rows chunk - 1 do
+      let key = List.map (fun g -> g i) keys in
+      let accs = entry groups order key in
+      for k = 0 to Array.length reads - 1 do
+        let p, g = reads.(k) in
+        buf.(p) <- g i
+      done;
+      List.iteri (fun ai arg -> feed accs.(ai) (arg i)) args
+    done
   in
   let groups : (Value.t list, acc array) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in
-  Table.iter_chunk_data (fun _ c -> feed_chunk_data groups order c) tbl;
+  Table.iter_chunk_data (fun _ c -> feed_chunk groups order c) tbl;
   (* a global aggregate over an empty input still yields one row *)
   if Hashtbl.length groups = 0 && group_by = [] then begin
     Hashtbl.replace groups []
@@ -309,29 +303,73 @@ let semi_join ~name ~anti ~(left : Table.t) ~(right : Table.t) ~on =
   let rpos =
     List.map (fun (_, (c : Expr.colref)) -> Schema.find_exn rschema ~rel:c.Expr.rel ~name:c.Expr.name) equi
   in
-  let buckets : (Value.t list, Value.t array list) Hashtbl.t = Hashtbl.create 64 in
-  Table.iter
-    (fun row ->
-      let k = List.map (fun p -> row.(p)) rpos in
-      if not (List.exists Value.is_null k) then
-        Hashtbl.replace buckets k (row :: Option.value (Hashtbl.find_opt buckets k) ~default:[]))
+  (* The residual is compiled against the concatenated schema and reads
+     a row of just its columns: one buffer, refilled per candidate pair
+     from the two sides' column readers. *)
+  let cat = Schema.concat lschema rschema in
+  let holds = Expr.compile_all cat residual in
+  let nl = Schema.arity lschema in
+  let lreads, rreads =
+    List.partition (fun p -> p < nl) (positions cat (List.concat_map Expr.cols_of_pred residual))
+  in
+  let lreads = Array.of_list lreads and rreads = Array.of_list rreads in
+  let buf = Array.make (Schema.arity cat) Value.Null in
+  let fill cells reads i = Array.iteri (fun x p -> buf.(p) <- cells.(x) i) reads in
+  let readers chunk ~base reads =
+    Array.map (fun p -> Columnar.reader chunk (p - base) ~dense:true) reads
+  in
+  let key_at chunk pos =
+    let keys = List.map (fun p -> Columnar.reader chunk p ~dense:true) pos in
+    fun i -> List.map (fun g -> g i) keys
+  in
+  (* right rows by key, as (chunk, ordinal) references packed into one
+     int; a right chunk keeps the readers of the columns the residual
+     reads *)
+  let buckets : (Value.t list, int list) Hashtbl.t = Hashtbl.create 64 in
+  let rcells = ref [] in
+  Table.iter_chunk_data
+    (fun ci chunk ->
+      rcells := readers chunk ~base:nl rreads :: !rcells;
+      let key = key_at chunk rpos in
+      for i = 0 to Columnar.n_rows chunk - 1 do
+        let k = key i in
+        if not (List.exists Value.is_null k) then
+          Hashtbl.replace buckets k
+            (((ci lsl 32) lor i) :: Option.value (Hashtbl.find_opt buckets k) ~default:[])
+      done)
     right;
-  let holds = Expr.compile_all (Schema.concat lschema rschema) residual in
-  let matches lrow =
-    let k = List.map (fun p -> lrow.(p)) lpos in
-    if List.exists Value.is_null k then false
-    else
-      match Hashtbl.find_opt buckets k with
-      | None -> false
-      | Some rrows ->
-          List.exists (fun rrow -> holds (Array.append lrow rrow)) rrows
+  let rcells = Array.of_list (List.rev !rcells) in
+  let pair r =
+    fill rcells.(r lsr 32) rreads (r land 0xFFFF_FFFF);
+    holds buf
   in
-  let chunks =
-    List.init (Table.n_chunks left) (fun ci ->
-        Table.chunk left ci
-        |> Array.to_list
-        |> List.filter (fun lrow -> if anti then not (matches lrow) else matches lrow)
-        |> Array.of_list)
+  (* each left chunk's kept rows, gathered into boxed columns *)
+  let chunks = ref [] in
+  Table.iter_chunk_data
+    (fun _ chunk ->
+      let key = key_at chunk lpos and lcells = readers chunk ~base:0 lreads in
+      let matches i =
+        let k = key i in
+        (not (List.exists Value.is_null k))
+        &&
+        match Hashtbl.find_opt buckets k with
+        | None -> false
+        | Some refs ->
+            fill lcells lreads i;
+            List.exists pair refs
+      in
+      let n = Columnar.n_rows chunk in
+      let kept = List.filter (fun i -> matches i <> anti) (List.init n Fun.id) in
+      let cols = Array.init (Columnar.n_cols chunk) (fun _ -> Columnar.builder ()) in
+      Array.iteri
+        (fun j b ->
+          let cell = Columnar.reader chunk j ~dense:true in
+          List.iter (fun i -> Columnar.push b (cell i)) kept)
+        cols;
+      chunks := Columnar.of_builders ~len:(List.length kept) cols :: !chunks)
+    left;
+  let out =
+    Table.of_chunk_data ~inputs:[ left; right ] ~name:left.Table.name ~schema:lschema
+      (List.rev !chunks)
   in
-  let out = Table.of_chunks ~inputs:[ left; right ] ~name:left.Table.name ~schema:lschema chunks in
   flatten ~name out

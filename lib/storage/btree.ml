@@ -352,7 +352,14 @@ let check_invariants t =
       else Ok ()
   | exception Bad msg -> Error msg
 
+(* the key column is read chunk by chunk, no row decoded *)
 let of_column table ~col =
   let t = create () in
-  Table.iteri (fun row r -> insert t r.(col) row) table;
+  Table.iter_chunk_data
+    (fun ci chunk ->
+      let key = Columnar.reader chunk col ~dense:true and base = Table.chunk_offset table ci in
+      for i = 0 to Columnar.n_rows chunk - 1 do
+        insert t (key i) (base + i)
+      done)
+    table;
   t

@@ -28,7 +28,7 @@ type stats = {
   evictions : int;
 }
 
-type state = Loading | Loaded of Chunk.t
+type state = Loading | Loaded of Columnar.t
 
 type frame = {
   file : Chunk_file.t;

@@ -1,7 +1,7 @@
 (** Bounded buffer pool of resident chunk frames.
 
     The faulting read path of spilled tables: {!get} returns a chunk
-    (always column-major, see {!Chunk_file}), reading it from the
+    (typed columns, see {!Chunk_file}), reading it from the
     {!Chunk_file} on a miss and caching it in one of [capacity] frames
     under CLOCK (second-chance) eviction. Pinned frames ({!with_pin}) are never evicted; when every
     frame is pinned or mid-read, a miss bypasses the pool and reads
@@ -34,7 +34,7 @@ val set_tracer : t -> Qs_util.Span.t option -> unit
     [fault] on the reading domain's track: one per frame fault, and one
     per column block read, whose args add the block's [col]. *)
 
-val get : t -> Chunk_file.t -> int -> Chunk.t
+val get : t -> Chunk_file.t -> int -> Columnar.t
 (** [get t file i] returns chunk [i], faulting it in on a miss. A fault
     reads the frame header and its column directory only; each column
     block is read and decoded the first time the chunk's column is
@@ -45,7 +45,7 @@ val get : t -> Chunk_file.t -> int -> Chunk.t
     GC keeps it alive while referenced), as long as its chunk file
     exists. *)
 
-val with_pin : t -> Chunk_file.t -> int -> (Chunk.t -> 'a) -> 'a
+val with_pin : t -> Chunk_file.t -> int -> (Columnar.t -> 'a) -> 'a
 (** [with_pin t file i f] runs [f chunk] with the frame pinned, so a
     scan's current chunk cannot be evicted under it. The pin is
     released on return and on exception (cancellation-safe); a bypass

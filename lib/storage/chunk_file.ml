@@ -11,12 +11,13 @@
    All integers are 8-byte big-endian unless noted. A block offset is
    counted from the frame's start; [used_bytes] is the total length of
    the blocks, which follow the directory back to back in column order.
-   A frame's payload is always column-major — one block per column, see
-   below: the writer encodes every row-major chunk it is given with
-   [Columnar.of_rows], so a spilled table always faults back in
-   columnar, whatever layout it was built in. Floats ship as their IEEE
-   bits, so a reloaded chunk is value-for-value identical to the
-   spilled one (digest parity).
+   A frame's payload is one block per column, see below: the writer
+   gives every boxed column it is handed (a resident table's rows, an
+   operator's output) the typed representation its values call for
+   ([Columnar.encode]), so a frame's bytes depend on the values, not on
+   how the chunk was built, and a spilled table faults back typed.
+   Floats ship as their IEEE bits, so a reloaded chunk is
+   value-for-value identical to the spilled one (digest parity).
 
    A read faults in the frame header and the directory only (one seek,
    one read). Each column block is read (one seek, one read) and decoded
@@ -155,14 +156,6 @@ let ser_col_size n (c : Columnar.column) =
       1 + 1
       + Array.fold_left (fun acc seg -> Array.fold_left (fun acc v -> acc + ser_size v) acc seg) 0 segs
 
-(* The column blocks a chunk is written as. A row-major chunk is
-   encoded here, and so is every boxed column of a column-major one (a
-   join's output), with the same kind inference: a frame's bytes do not
-   depend on the layout its chunk was built in. Typed columns are
-   written as they are. *)
-let columns_of (chunk : Chunk.t) =
-  match chunk with Chunk.Rows rows -> Columnar.of_rows rows | Chunk.Cols c -> Columnar.encode c
-
 let ser_columns_size c =
   let n = Columnar.n_rows c in
   Array.fold_left (fun acc col -> acc + ser_col_size n col) 0 (Columnar.columns c)
@@ -171,7 +164,7 @@ let ser_columns_size c =
    row-form size — drives the frame size: a dictionary-heavy string
    column (many distinct values, so dict entries + 4-byte codes exceed
    the inline strings) serializes larger columnar than its row form. *)
-let ser_chunk_size chunk = ser_columns_size (columns_of chunk)
+let ser_chunk_size chunk = ser_columns_size (Columnar.encode chunk)
 
 let put_nulls buf n nl =
   match nl with
@@ -308,10 +301,10 @@ let write ~dir ~name ~arity chunks =
   let cols =
     Array.mapi
       (fun i chunk ->
-        if Chunk.n_rows chunk = 0 then
+        if Columnar.n_rows chunk = 0 then
           invalid_arg
             (Printf.sprintf "Chunk_file.write %s: empty chunk %d" name i);
-        columns_of chunk)
+        Columnar.encode chunk)
       chunks
   in
   let logical = Array.map Columnar.byte_size cols in
@@ -414,5 +407,4 @@ let read ?(block = fun ~col:_ load -> load ()) t i =
     if !pos <> len then corrupt where "block trailer";
     col
   in
-  Chunk.of_columnar
-    (Columnar.of_pending ~len:n_rows (Array.init t.arity (fun j () -> block ~col:j (load j))))
+  Columnar.of_pending ~len:n_rows (Array.init t.arity (fun j () -> block ~col:j (load j)))

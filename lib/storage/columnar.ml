@@ -10,10 +10,15 @@
    generic column — so every chunk of every table columnarizes, and the
    exactness of the fallback keeps digest parity trivial.
 
+   Every chunk of every table is one of these: a resident table holds
+   its rows as boxed columns ([of_rows_boxed]), an operator's output is
+   boxed columns ([of_builders]), and a chunk-file frame faults back in
+   typed.
+
    The constructors below are private to lib/storage (the lint bans them
    elsewhere, like [.rows] and [Chunk_file.]); consumers go through the
-   function API — batch kernels ([eval_cmp], [take], [column_values])
-   for the vectorized paths, [get]/[row]/[to_rows] for row compat.
+   function API — batch kernels ([eval_cmp], [take], [reader]) for the
+   vectorized paths, [get]/[row]/[to_rows] for row compat.
 
    A column may also be pending: a chunk faulted in from a chunk file
    holds, per column, the loader that reads and decodes that column's
@@ -33,8 +38,8 @@ type column =
   | CStr of { dict : string array; codes : int array; nulls : nulls }
   | CGen of Value.t array array
       (* boxed values in segments of [seg_len] (the last one shorter):
-         an operator's output, or the exact fallback for mixed-type and
-         all-NULL columns *)
+         a resident table's rows, an operator's output, or the exact
+         fallback for mixed-type and all-NULL columns *)
 
 (* A column slot: decoded, or the loader of its block. Slots are atomic
    because frames are shared across domains: publishing a decoded column
@@ -163,9 +168,10 @@ let kind_of n cell =
   done;
   !k
 
-(* The column of [n] cells read by [cell], in the representation its
-   values call for; [boxed ()] is the generic fallback's array. *)
-let column_of_cells n cell ~boxed =
+(* The boxed column [segs] of [n] cells in the representation its values
+   call for: typed when they are of one type, else [segs] itself. *)
+let encode_column n segs =
+  let cell = gen_get segs in
   let nulls = ref None in
   let null_at i =
     let b =
@@ -179,7 +185,7 @@ let column_of_cells n cell ~boxed =
     bit_set b i
   in
   match kind_of n cell with
-  | KEmpty | KGen -> CGen (boxed ())
+  | KEmpty | KGen -> CGen segs
   | KInt ->
       let a = Array.make n 0 in
       for i = 0 to n - 1 do
@@ -232,17 +238,11 @@ let column_of_cells n cell ~boxed =
 
 let columns t = Array.init (n_cols t) (column t)
 
-let of_rows rows =
+(* Rows as boxed columns, the form a resident table keeps: the segments
+   point at the rows' own values, so no cell is boxed again. *)
+let of_rows_boxed ~arity rows =
   let n = Array.length rows in
-  if n = 0 then { len = 0; cols = [||] }
-  else
-    {
-      len = n;
-      cols =
-        Array.init (Array.length rows.(0)) (fun j ->
-            let cell i = rows.(i).(j) in
-            ready (column_of_cells n cell ~boxed:(fun () -> gen_init n cell)));
-    }
+  { len = n; cols = Array.init arity (fun j -> ready (CGen (gen_init n (fun i -> rows.(i).(j))))) }
 
 let of_builders ~len builders =
   Array.iter
@@ -250,14 +250,20 @@ let of_builders ~len builders =
     builders;
   { len; cols = Array.map (fun b -> ready (CGen (built b))) builders }
 
-(* A boxed column in the representation [of_rows] would give the same
-   values; typed columns are already in theirs. *)
-let encode_column n = function
-  | CGen segs -> column_of_cells n (gen_get segs) ~boxed:(fun () -> segs)
-  | c -> c
-
+(* typed columns are already in their representation *)
 let encode t =
-  { len = t.len; cols = Array.map (fun c -> ready (encode_column t.len c)) (columns t) }
+  {
+    len = t.len;
+    cols =
+      Array.map
+        (function CGen segs -> ready (encode_column t.len segs) | c -> ready c)
+        (columns t);
+  }
+
+let of_rows rows =
+  match rows with
+  | [||] -> { len = 0; cols = [||] }
+  | _ -> encode (of_rows_boxed ~arity:(Array.length rows.(0)) rows)
 
 let of_pending ~len loaders =
   { len; cols = Array.map (fun load -> Atomic.make (Pending load)) loaders }
@@ -297,14 +303,19 @@ let column_values t j =
 (* Column [j]'s cells by ordinal, for a reader of [dense] ordinals (most
    of the chunk) or of a few: a boxed column is read in place; a typed
    one is decoded whole first when dense (one sweep, each dictionary
-   string boxed once), else boxed one cell per read. *)
+   string boxed once), else boxed one cell per read. The column is
+   matched once, here, not per read. *)
 let reader t j ~dense =
   match column t j with
-  | CGen segs -> gen_get segs
+  | CGen segs -> fun i -> gen_get segs i
   | _ when dense ->
       let vs = column_values t j in
-      Array.get vs
-  | _ -> fun i -> get t ~row:i ~col:j
+      fun i -> vs.(i)
+  | CInt (a, nl) -> fun i -> if is_null_at nl i then Value.Null else Value.Int a.(i)
+  | CFloat (a, nl) -> fun i -> if is_null_at nl i then Value.Null else Value.Float a.(i)
+  | CBool (a, nl) -> fun i -> if is_null_at nl i then Value.Null else Value.Bool a.(i)
+  | CStr { dict; codes; nulls } ->
+      fun i -> if is_null_at nulls i then Value.Null else Value.Str dict.(codes.(i))
 
 let row t i = Array.init (n_cols t) (fun j -> get t ~row:i ~col:j)
 

@@ -1,4 +1,9 @@
-(** Column-major chunk representation with batch kernels.
+(** The one chunk representation, with batch kernels.
+
+    Every table chunk is one of these: a resident table's rows are held
+    as boxed columns that share the row values ({!of_rows_boxed}), an
+    operator's output is built as boxed columns ({!of_builders}), and a
+    chunk-file frame faults back in typed.
 
     One chunk's worth of rows stored one array per column: unboxed
     [int array]/[float array]/[bool array] for homogeneous scalar
@@ -28,11 +33,13 @@ type column =
           are never re-compacted. *)
   | CGen of Value.t array array
       (** Boxed values, in segments of 32 (the last one shorter): cell
-          [i] is [segs.(i / 32).(i mod 32)]. An operator's output (see
-          {!builder}), or the exact fallback for mixed-type or all-NULL
-          columns. Segments keep every array of the column a small
-          block, promoted into the major heap's pools rather than
-          allocated there as one large block per column. *)
+          [i] is [segs.(i / 32).(i mod 32)]. A resident table's rows
+          (see {!of_rows_boxed}: the segments point at the values the
+          table was given), an operator's output (see {!builder}), or
+          the exact fallback for mixed-type or all-NULL columns.
+          Segments keep every array of the column a small block,
+          promoted into the major heap's pools rather than allocated
+          there as one large block per column. *)
 
 type t
 (** A chunk of [n_rows] rows and [n_cols] columns. A column is either
@@ -50,6 +57,12 @@ val of_rows : Value.t array array -> t
     reproduces [r] value-for-value (floats through their IEEE bits,
     strings byte-for-byte). An empty chunk has no rows and no
     columns (the arity is not preserved). *)
+
+val of_rows_boxed : arity:int -> Value.t array array -> t
+(** The chunk of these rows ([arity] cells each) as boxed columns whose
+    segments point at the rows' values: no cell is boxed again and no
+    representation is inferred. The form a resident table keeps its
+    rows in; {!encode} gives the typed form a chunk file writes. *)
 
 type builder
 (** A boxed column under construction, appended one value at a time
@@ -108,7 +121,8 @@ val reader : t -> int -> dense:bool -> int -> Value.t
     reader of most of the chunk's ordinals ([dense]) or of a few. A
     boxed column is read in place; a typed one is decoded whole first
     when [dense] (one sweep, each dictionary string boxed once), else
-    boxed one cell per read. *)
+    boxed one cell per read. The column is touched (and a pending
+    block read) here, once, so a hot loop should hoist its readers. *)
 
 val byte_size : t -> int
 (** Logical size: the sum of [Value.byte_size] over all cells, identical

@@ -18,15 +18,17 @@
    runs every query over it fully out-of-core, temps included, while a
    resident catalog in the same process stays resident.
 
-   The store also decides the chunk layout: a resident table holds the
-   row arrays it was built from (no encode on the write path of a temp
-   that is read once or twice), while a chunk-file frame always holds
-   column blocks (a fault decodes into unboxed arrays instead of one
-   boxed value per cell). Hand-built columnar chunks ([of_chunk_data])
-   stay columnar in either store. *)
+   Every chunk is a [Columnar.t]; the store decides only how its columns
+   are encoded. A resident table holds boxed columns: rows it is given
+   become segments that point at the given values
+   ([Columnar.of_rows_boxed], no cell boxed again and no encode on the
+   write path of a temp read once or twice), and an operator's boxed
+   output is kept as it is. A chunk-file frame holds typed column
+   blocks ([Columnar.encode] on the way out), so a fault decodes into
+   unboxed arrays instead of one boxed value per cell. *)
 
 type store =
-  | Resident of Chunk.t array
+  | Resident of Columnar.t array
   | Spilled of Chunk_file.t
 
 type t = {
@@ -77,19 +79,19 @@ let offsets_of_chunks chunks =
   let nc = Array.length chunks in
   let offsets = Array.make (nc + 1) 0 in
   for i = 0 to nc - 1 do
-    offsets.(i + 1) <- offsets.(i) + Chunk.n_rows chunks.(i)
+    offsets.(i + 1) <- offsets.(i) + Columnar.n_rows chunks.(i)
   done;
   offsets
 
-let of_chunk_data_array ~home ~chunk_rows ~name ~schema (chunks : Chunk.t array) =
+let of_chunk_data_array ~home ~chunk_rows ~name ~schema (chunks : Columnar.t array) =
   (* every construction path funnels through here, so degenerate inputs
      are normalized in exactly one place: zero-row chunks are dropped
      (keeping offsets strictly increasing) and can therefore never reach
      the chunk-file writer as a zero-length frame *)
   let chunks =
-    if Array.exists (fun c -> Chunk.n_rows c = 0) chunks then
+    if Array.exists (fun c -> Columnar.n_rows c = 0) chunks then
       Array.of_list
-        (List.filter (fun c -> Chunk.n_rows c > 0) (Array.to_list chunks))
+        (List.filter (fun c -> Columnar.n_rows c > 0) (Array.to_list chunks))
     else chunks
   in
   let offsets = offsets_of_chunks chunks in
@@ -114,12 +116,13 @@ let of_chunk_data ~inputs ~name ~schema chunks =
   of_chunk_data_array ~home:(home_of inputs) ~chunk_rows:(inherited_chunk_rows inputs)
     ~name ~schema (Array.of_list chunks)
 
-(* Row-chunk construction: resident tables keep the row arrays as they
-   are; a spilled table's chunk-file writer encodes them column-major,
-   so the storage, not the caller, picks the layout. *)
+(* Row-chunk construction: each batch becomes boxed columns over the
+   given values, which a resident table keeps and a spilled table's
+   chunk-file writer encodes typed. *)
 let of_chunk_array ~inputs ~chunk_rows ~name ~schema chunks =
+  let arity = Schema.arity schema in
   of_chunk_data_array ~home:(home_of inputs) ~chunk_rows ~name ~schema
-    (Array.map Chunk.of_rows chunks)
+    (Array.map (Columnar.of_rows_boxed ~arity) chunks)
 
 let create ?chunk_rows ~inputs ~name ~schema rows =
   check_arity ~name ~schema rows;
@@ -181,9 +184,9 @@ let with_scratch_home ~capacity f =
       try Sys.rmdir dir with Sys_error _ -> ())
     (fun () -> f ~dir ~pool:(Buffer_pool.create ~capacity ()))
 
-(* Row view of chunk [i]; decodes a columnar chunk, so layout-aware
-   consumers should prefer [chunk_data] / [iter_chunk_data]. *)
-let chunk t i = Chunk.rows (chunk_data t i)
+(* Row view of chunk [i], a decode: the engine reads [chunk_data] /
+   [iter_chunk_data] instead. *)
+let chunk t i = Columnar.to_rows (chunk_data t i)
 
 let chunk_offset t i = t.offsets.(i)
 
@@ -200,8 +203,7 @@ let scan_chunk_data t f =
       done
 
 let iter_chunk_data f t = scan_chunk_data t f
-let scan_chunks t f = scan_chunk_data t (fun ci c -> f ci (Chunk.rows c))
-let iter_chunks f t = scan_chunks t f
+let scan_chunks t f = scan_chunk_data t (fun ci c -> f ci (Columnar.to_rows c))
 let iter f t = scan_chunks t (fun _ rows -> Array.iter f rows)
 
 let iteri f t =
@@ -225,7 +227,7 @@ let to_rows t =
   | n -> Array.concat (List.init n (chunk t))
 
 (* chunk holding global row [i]: binary search over the offset table *)
-let chunk_of_row t i =
+let chunk_index t i =
   if i < 0 || i >= n_rows t then
     invalid_arg (Printf.sprintf "Table.row %s: index %d out of %d" t.name i (n_rows t));
   let lo = ref 0 and hi = ref (n_chunks t - 1) in
@@ -236,26 +238,20 @@ let chunk_of_row t i =
   !lo
 
 let row t i =
-  let ci = chunk_of_row t i in
-  Chunk.row (chunk_data t ci) (i - t.offsets.(ci))
+  let ci = chunk_index t i in
+  Columnar.row (chunk_data t ci) (i - t.offsets.(ci))
 
-let get t ~row:r ~col = (row t r).(col)
-
-let row_cells t i ~cols ~buf =
-  let ci = chunk_of_row t i in
-  let r = i - t.offsets.(ci) in
-  match chunk_data t ci with
-  | Chunk.Rows rows -> rows.(r)
-  | Chunk.Cols col ->
-      for k = 0 to Array.length cols - 1 do
-        let j = cols.(k) in
-        buf.(j) <- Columnar.get col ~row:r ~col:j
-      done;
-      buf
+let get t ~row:i ~col =
+  let ci = chunk_index t i in
+  Columnar.get (chunk_data t ci) ~row:(i - t.offsets.(ci)) ~col
 
 let column_values t col =
   let out = Array.make (n_rows t) Value.Null in
-  iteri (fun i r -> out.(i) <- r.(col)) t;
+  scan_chunk_data t (fun ci chunk ->
+      let cell = Columnar.reader chunk col ~dense:true and base = t.offsets.(ci) in
+      for i = 0 to Columnar.n_rows chunk - 1 do
+        out.(base + i) <- cell i
+      done);
   out
 
 let chunk_byte_size t i =
@@ -265,7 +261,7 @@ let chunk_byte_size t i =
     (* only a Resident chunk can be unmemoized: the chunk-file writer
        computes logical sizes during its serialization walk, so spilled
        tables never fault for accounting *)
-    let b = Chunk.byte_size (chunk_data t i) in
+    let b = Columnar.byte_size (chunk_data t i) in
     (* memo write is racy across domains but idempotent: both sides
        compute the same immediate int *)
     t.chunk_bytes.(i) <- b;
@@ -420,29 +416,17 @@ let digest t =
     sum_a := !sum_a + fmix l.a;
     sum_b := !sum_b + fmix l.b
   in
-  (* a spilled table's frames are column-major: hash them in place *)
+  (* cells are hashed in place, typed ones without boxing *)
   scan_chunk_data t (fun _ chunk ->
-      match chunk with
-      | Chunk.Rows rows ->
-          Array.iter
-            (fun row ->
-              l.a <- seed_a;
-              l.b <- seed_b;
-              for k = 0 to ncols - 1 do
-                feed_value l row.(cols.(k))
-              done;
-              row_done ())
-            rows
-      | Chunk.Cols col ->
-          let cs = Array.map (Columnar.column col) cols in
-          for i = 0 to Columnar.n_rows col - 1 do
-            l.a <- seed_a;
-            l.b <- seed_b;
-            for k = 0 to ncols - 1 do
-              feed_cell l cs.(k) i
-            done;
-            row_done ()
-          done);
+      let cs = Array.map (Columnar.column chunk) cols in
+      for i = 0 to Columnar.n_rows chunk - 1 do
+        l.a <- seed_a;
+        l.b <- seed_b;
+        for k = 0 to ncols - 1 do
+          feed_cell l cs.(k) i
+        done;
+        row_done ()
+      done);
   (* once per table: the column ids, the row count and the two sums *)
   let buf = Buffer.create 256 in
   List.iter

@@ -8,14 +8,16 @@
     iterating chunks in index order visits exactly the row order
     [create] was given.
 
-    The store picks the chunk layout. A resident table built from rows
-    keeps them as row arrays; a spilled table's chunks fault back in
-    column-major, one unboxed array per column ({!Columnar.t}), because
-    the {!Chunk_file} writer encodes every frame that way. Chunks built
-    columnar by an operator ({!of_chunk_data}) stay columnar in either
-    store. The row-oriented API below works on both layouts (it decodes
-    on access), while layout-aware consumers use {!chunk_data} /
-    {!iter_chunk_data} to reach the columns directly.
+    Every chunk is a {!Columnar.t}; the store picks only how its
+    columns are encoded. A resident table holds boxed columns: the rows
+    it is given become segments that point at the given values, and an
+    operator's boxed output ({!of_chunk_data}) is kept as it is. A
+    spilled table's chunks fault back in typed, one unboxed array per
+    column, because the {!Chunk_file} writer encodes every frame that
+    way. The engine reads chunks through {!chunk_data} /
+    {!iter_chunk_data}; the row views below ({!chunk}, {!row},
+    {!iter}, {!to_rows}, ...) decode, for the reference execution, the
+    workload generators and tests.
 
     Where a table lives and how it is cut travel with the data. A base
     table is resident, cut at [?chunk_rows] (default 65,536), until
@@ -88,7 +90,9 @@ val create : ?chunk_rows:int -> inputs:t list -> name:string -> schema:Schema.t 
   Value.t array array -> t
 (** Rows must match the schema arity; they are split into chunks of
     [chunk_rows] (last chunk may be short; default: the first input's
-    [chunk_rows], or 65,536 for a base table). [inputs] are the tables
+    [chunk_rows], or 65,536 for a base table), each held as boxed
+    columns over the given values ({!Columnar.of_rows_boxed}: the
+    values are shared, the row arrays are not kept). [inputs] are the tables
     the rows were computed from, [[]] for a base table: the new table
     gets the home of the first one that has one (field [home]), and is
     resident when none has. The argument is required so that every
@@ -103,59 +107,51 @@ val of_chunks : inputs:t list -> name:string -> schema:Schema.t ->
 (** Concatenation of pre-chunked row batches, in order. Batches may be
     ragged (per-chunk filter outputs) and interleaved with empty ones;
     empty batches are dropped, so the resulting offsets are strictly
-    increasing. The batch arrays are shared, not copied (unless a
-    spilled input sends the table to disk). [inputs] as for {!create}. *)
+    increasing. Each batch becomes one chunk of boxed columns over its
+    values (shared, not copied, unless a spilled input sends the table
+    to disk). [inputs] as for {!create}. *)
 
 val n_rows : t -> int
 
 val n_chunks : t -> int
 
 val chunk : t -> int -> Value.t array array
-(** The rows of one chunk (shared, do not mutate). On a spilled table
-    this faults the frame in through the buffer pool. On a columnar
-    chunk this decodes — layout-aware consumers should use
+(** The rows of one chunk, decoded (a fresh array). On a spilled table
+    this faults the frame in through the buffer pool. The engine uses
     {!chunk_data}. *)
 
-val chunk_data : t -> int -> Chunk.t
-(** One chunk in its stored layout (shared, do not mutate). Faults
-    through the buffer pool on a spilled table. *)
+val chunk_data : t -> int -> Columnar.t
+(** One chunk as stored (shared, do not mutate). Faults through the
+    buffer pool on a spilled table. *)
 
-val of_chunk_data : inputs:t list -> name:string -> schema:Schema.t -> Chunk.t list -> t
-(** Concatenation of pre-built chunks in whichever layout each already
-    has — the constructor for operator outputs that want to preserve
-    their input's layout (a columnar filter keeps its gathered columns
-    columnar) rather than decode to rows. A spilled table writes
-    row-major chunks column-major like any other. Empty chunks are
-    dropped; chunk arity is the caller's obligation. [inputs] as for
-    {!create}. *)
+val of_chunk_data : inputs:t list -> name:string -> schema:Schema.t -> Columnar.t list -> t
+(** Concatenation of pre-built chunks, kept as they are — the
+    constructor for operator outputs (a join's boxed columns, a
+    filter's gathered survivors). A spilled table writes them typed like
+    any other. Empty chunks are dropped; chunk arity is the caller's
+    obligation. [inputs] as for {!create}. *)
 
-val iter_chunk_data : (int -> Chunk.t -> unit) -> t -> unit
-(** {!iter_chunks} without the row decode: visit every chunk in its
-    stored layout. Same pinning behaviour. *)
+val iter_chunk_data : (int -> Columnar.t -> unit) -> t -> unit
+(** Visit every chunk as stored, in index order with its chunk index.
+    On a spilled table each chunk is pinned while [f] runs (released on
+    exception) — the building block for sequential operators that
+    consume whole chunks. *)
 
 val chunk_offset : t -> int -> int
 (** Global row id of the first row of the given chunk. *)
 
+val chunk_index : t -> int -> int
+(** The chunk holding global row id [i] (binary search over the chunk
+    offsets, O(log n_chunks)); its ordinal there is [i - chunk_offset t
+    (chunk_index t i)]. Index row ids ({!Index.lookup}) are global ids. *)
+
 val row : t -> int -> Value.t array
 (** Random access by global row id (binary search over the chunk offsets,
-    O(log n_chunks)). Index row ids ({!Index.lookup}) are global ids. *)
+    O(log n_chunks)), decoded into a fresh row. Index row ids
+    ({!Index.lookup}) are global ids. *)
 
 val get : t -> row:int -> col:int -> Value.t
-
-val row_cells : t -> int -> cols:int array -> buf:Value.t array -> Value.t array
-(** [row_cells t i ~cols ~buf] is row [i] (a global id) for a reader
-    of only the column positions in [cols]. A row-major chunk's row is
-    returned as it is (shared, do not mutate); from a column-major
-    chunk only those cells are decoded, into [buf] (at least as wide
-    as the table, its other slots left as they are), and [buf] is
-    returned. Faults like {!row}. For a consumer that reads a few
-    columns of many looked-up rows through one reused buffer. *)
-
-val iter_chunks : (int -> Value.t array array -> unit) -> t -> unit
-(** Visit every chunk in index order with its chunk index. On a spilled
-    table each chunk is pinned while [f] runs (released on exception)
-    — the building block for sequential operators that consume whole
-    chunks. *)
+(** One cell by global row id: only that cell's column is read. *)
 
 val iter : (Value.t array -> unit) -> t -> unit
 (** Visit every row in row order. On a spilled table the chunk being
@@ -169,12 +165,12 @@ val fold : ('a -> Value.t array -> 'a) -> 'a -> t -> 'a
 val to_seq : t -> Value.t array Seq.t
 
 val to_rows : t -> Value.t array array
-(** Flat copy of all rows (the single chunk itself when there is only
-    one). For API boundaries that need a plain array; prefer the
+(** Flat copy of all rows, decoded. For API boundaries that need a plain array; prefer the
     iterators elsewhere. *)
 
 val column_values : t -> int -> Value.t array
-(** All values of the column at the given position (in row order). *)
+(** All values of the column at the given position (in row order), read
+    chunk by chunk through {!Columnar.reader}: no row is decoded. *)
 
 val byte_size : t -> int
 (** Approximate memory footprint of the row data (Table 4 accounting).

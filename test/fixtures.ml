@@ -5,7 +5,6 @@
 module Value = Qs_storage.Value
 module Schema = Qs_storage.Schema
 module Table = Qs_storage.Table
-module Chunk = Qs_storage.Chunk
 module Columnar = Qs_storage.Columnar
 module Catalog = Qs_storage.Catalog
 module Query = Qs_query.Query
@@ -16,9 +15,9 @@ module Estimator = Qs_stats.Estimator
 module Rng = Qs_util.Rng
 
 (* A resident table over the same rows and chunk boundaries as
-   [Table.create ?chunk_rows], but with every chunk column-major: a
-   resident table built from rows is row-major, so the columnar side of
-   a layout comparison is built by hand. *)
+   [Table.create ?chunk_rows], but with every chunk in typed columns: a
+   resident table built from rows holds boxed ones, so the typed side
+   of a layout comparison is built by hand. *)
 let columnar_table ?(chunk_rows = 65_536) ~name ~schema rows =
   let n = Array.length rows in
   Table.of_chunk_data ~inputs:[] ~name ~schema
@@ -26,8 +25,7 @@ let columnar_table ?(chunk_rows = 65_536) ~name ~schema rows =
        ((n + chunk_rows - 1) / chunk_rows)
        (fun ci ->
          let start = ci * chunk_rows in
-         Chunk.of_columnar
-           (Columnar.of_rows (Array.sub rows start (min chunk_rows (n - start))))))
+         Columnar.of_rows (Array.sub rows start (min chunk_rows (n - start)))))
 
 (* --- storage: chunk size and store travel with the tables ------------ *)
 

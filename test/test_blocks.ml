@@ -13,7 +13,6 @@
 module Value = Qs_storage.Value
 module Schema = Qs_storage.Schema
 module Table = Qs_storage.Table
-module Chunk = Qs_storage.Chunk
 module Columnar = Qs_storage.Columnar
 module Chunk_file = Qs_storage.Chunk_file
 module Buffer_pool = Qs_storage.Buffer_pool
@@ -113,7 +112,7 @@ let test_blocks_round_trip () =
     kinds;
   let file, _ =
     Chunk_file.write ~dir ~name:"kinds" ~arity:(Array.length kinds)
-      (Array.map Chunk.of_rows frames)
+      (Array.map (Columnar.of_rows_boxed ~arity:(Array.length kinds)) frames)
   in
   let touched = ref [] in
   let block ~col load =
@@ -124,7 +123,7 @@ let test_blocks_round_trip () =
     (fun f rows ->
       for j = 0 to Array.length kinds - 1 do
         touched := [];
-        let c = Option.get (Chunk.columnar (Chunk_file.read ~block file f)) in
+        let c = Chunk_file.read ~block file f in
         Alcotest.(check (list int)) "the fault reads no block" [] !touched;
         let got = Columnar.column c j in
         Alcotest.(check (list int)) (Printf.sprintf "frame %d: only block %d" f j) [ j ] !touched;
@@ -140,7 +139,7 @@ let test_blocks_round_trip () =
       touched := [];
       let c = Chunk_file.read ~block file f in
       Array.iteri
-        (fun i row -> Array.iteri (fun j v -> check_value "row" v (Chunk.row c i).(j)) row)
+        (fun i row -> Array.iteri (fun j v -> check_value "row" v (Columnar.row c i).(j)) row)
         rows;
       Alcotest.(check (list int)) "every block once"
         (List.init (Array.length kinds) Fun.id)
@@ -159,7 +158,7 @@ let test_touch_reads_only_touched () =
       let tr = Span.create () in
       Buffer_pool.set_tracer bp (Some tr);
       Fun.protect ~finally:(fun () -> Buffer_pool.set_tracer bp None) @@ fun () ->
-      let c = Option.get (Chunk.columnar (Table.chunk_data tbl 0)) in
+      let c = Table.chunk_data tbl 0 in
       Alcotest.(check int) "one frame fault" 1 (frame_faults tr);
       Alcotest.(check (list (pair int int))) "no block read yet" [] (block_reads tr);
       (* each accessor reads the block of the column it touches *)
@@ -174,12 +173,10 @@ let test_touch_reads_only_touched () =
       ignore (Columnar.eval_null c ~col:9 ~want_null:true ~sel:None);
       ignore (Columnar.column_values c 2);
       (* a lookup through the table reads its cells' blocks of chunk 1 *)
-      let buf = Array.make (Array.length kinds) Value.Null in
-      let r = Table.row_cells tbl 60 ~cols:[| 1; 3 |] ~buf in
-      check_value "row_cells" rows.(60).(1) r.(1);
-      check_value "row_cells" rows.(60).(3) r.(3);
+      check_value "get" rows.(60).(1) (Table.get tbl ~row:60 ~col:1);
+      check_value "get" rows.(60).(3) (Table.get tbl ~row:60 ~col:3);
       (* hits share the decoded columns: nothing more is read *)
-      let c' = Option.get (Chunk.columnar (Table.chunk_data tbl 0)) in
+      let c' = Table.chunk_data tbl 0 in
       check_value "hit" rows.(7).(2) (Columnar.get c' ~row:7 ~col:2);
       check_value "hit" rows.(9).(8) (Columnar.get c' ~row:9 ~col:8);
       Alcotest.(check int) "two frame faults" 2 (frame_faults tr);
@@ -225,10 +222,7 @@ let test_scan_reads_only_touched () =
       Alcotest.(check (list int)) "filter + projection blocks only" [ 0; 7 ] cols;
       let want = List.filter (fun r -> Value.compare r.(0) (Value.Int 50) > 0) (Array.to_list rows) in
       Alcotest.(check int) "survivors" (List.length want) (Table.n_rows out);
-      let buf = [| Value.Null |] in
-      List.iteri
-        (fun i r -> check_value "projected cell" r.(7) (Table.row_cells out i ~cols:[| 0 |] ~buf).(0))
-        want)
+      List.iteri (fun i r -> check_value "projected cell" r.(7) (Table.get out ~row:i ~col:0)) want)
 
 (* --- two domains, one pending column -------------------------------------- *)
 
@@ -239,7 +233,7 @@ let test_two_domains_share_pending () =
         Table.spill ~dir ~pool:bp
           (Table.create ~chunk_rows:4000 ~inputs:[] ~name:"shared" ~schema:(kinds_schema "shared") rows)
       in
-      let c = Option.get (Chunk.columnar (Table.chunk_data tbl 0)) in
+      let c = Table.chunk_data tbl 0 in
       let digest vs = Digest.to_hex (Digest.string (Marshal.to_string vs [ Marshal.No_sharing ])) in
       let want j = digest (Array.map (fun r -> r.(j)) rows) in
       List.iter
@@ -322,13 +316,12 @@ let corrupt_case ~what ?(at_fault = false) ~frame ~bad_col ~good_col corrupt () 
               Alcotest.failf "%s: failure %S does not name %S" label msg what
       in
       let row = (frame * 60) + 1 in
-      let buf = Array.make 3 Value.Null in
-      let lookup col () = Table.row_cells victim row ~cols:[| col |] ~buf in
+      let lookup col () = Table.get victim ~row ~col in
       if at_fault then expect_failure "fault" (lookup good_col)
       else begin
         (* the fault and the intact column read; the bad block fails
            at its first touch, and again at the next *)
-        check_value "intact column" rows.(row).(good_col) (lookup good_col ()).(good_col);
+        check_value "intact column" rows.(row).(good_col) (lookup good_col ());
         expect_failure "first touch" (lookup bad_col);
         expect_failure "next touch" (lookup bad_col)
       end;

@@ -8,8 +8,8 @@
 module Value = Qs_storage.Value
 module Schema = Qs_storage.Schema
 module Table = Qs_storage.Table
-module Chunk = Qs_storage.Chunk
 module Chunk_file = Qs_storage.Chunk_file
+module Columnar = Qs_storage.Columnar
 module Buffer_pool = Qs_storage.Buffer_pool
 module Catalog = Qs_storage.Catalog
 module Query = Qs_query.Query
@@ -55,12 +55,12 @@ let test_chunk_file_roundtrip () =
   in
   let file, logical =
     Chunk_file.write ~dir ~name:"round trip!" ~arity:4
-      (Array.map Chunk.of_rows chunks)
+      (Array.map (Columnar.of_rows_boxed ~arity:4) chunks)
   in
   Alcotest.(check int) "frames" 3 (Chunk_file.n_frames file);
   Array.iteri
     (fun i chunk ->
-      let got = Chunk.rows (Chunk_file.read file i) in
+      let got = Columnar.to_rows (Chunk_file.read file i) in
       Alcotest.(check int) "rows" (Array.length chunk) (Array.length got);
       Array.iteri
         (fun r row ->
@@ -82,7 +82,7 @@ let test_chunk_file_roundtrip () =
   (* reads are position-independent: frame 2 then frame 0 *)
   Alcotest.(check int)
     "re-read frame 0" 2
-    (Chunk.n_rows (Chunk_file.read file 0));
+    (Columnar.n_rows (Chunk_file.read file 0));
   Alcotest.check_raises "out of range"
     (Invalid_argument
        (Printf.sprintf "Chunk_file.read %s: frame 3 of 3" (Chunk_file.path file)))
@@ -93,7 +93,8 @@ let test_chunk_file_rejects_empty () =
   (try
      ignore
        (Chunk_file.write ~dir ~name:"bad" ~arity:1
-          [| Chunk.of_rows [| [| Value.Int 1 |] |]; Chunk.of_rows [||] |]);
+          [| Columnar.of_rows_boxed ~arity:1 [| [| Value.Int 1 |] |];
+             Columnar.of_rows_boxed ~arity:1 [||] |]);
      Alcotest.fail "empty chunk accepted"
    with Invalid_argument _ -> ());
   try
@@ -125,17 +126,24 @@ let test_spilled_table_equals_resident () =
         "column_values" true
         (Table.column_values resident 1 = Table.column_values spilled 1);
       Alcotest.(check int) "byte_size" (Table.byte_size resident) (Table.byte_size spilled);
-      (* the store picks the layout: the rows stay row-major resident
-         and fault back column-major from the chunk file *)
+      (* the store picks the encoding: resident chunks are boxed columns
+         over the very values the table was given, and chunks fault
+         back typed from the chunk file *)
       for ci = 0 to Table.n_chunks resident - 1 do
-        Alcotest.(check bool)
-          (Printf.sprintf "resident chunk %d row-major" ci)
-          true
-          (Chunk.columnar (Table.chunk_data resident ci) = None);
-        Alcotest.(check bool)
-          (Printf.sprintf "spilled chunk %d column-major" ci)
-          true
-          (Chunk.columnar (Table.chunk_data spilled ci) <> None)
+        let r = Table.chunk_data resident ci and s = Table.chunk_data spilled ci in
+        let base = Table.chunk_offset resident ci in
+        for j = 0 to 1 do
+          (match Columnar.column r j with
+          | Columnar.CGen segs ->
+              for i = 0 to Columnar.n_rows r - 1 do
+                if Columnar.gen_get segs i != rows.(base + i).(j) then
+                  Alcotest.failf "resident chunk %d: cell (%d, %d) is not the given value" ci i j
+              done
+          | _ -> Alcotest.failf "resident chunk %d column %d is not boxed" ci j);
+          match Columnar.column s j with
+          | Columnar.CInt _ | Columnar.CStr _ -> ()
+          | _ -> Alcotest.failf "spilled chunk %d column %d is not typed" ci j
+        done
       done;
       (* iteration faulted well more chunks than fit in the pool *)
       let s = Buffer_pool.stats bp in

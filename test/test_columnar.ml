@@ -1,18 +1,17 @@
-(* Columnar chunk layout: exact of_rows/to_rows round-trips, Chunk_file
-   frames (always column-major, whatever the writer is handed; NaN,
-   -0.0, min_int, NUL-in-string), the frame-sizing regression for
+(* Columnar chunks: exact of_rows/to_rows round-trips, Chunk_file
+   frames (always typed, whatever the writer is handed; NaN, -0.0,
+   min_int, NUL-in-string), the frame-sizing regression for
    dictionary-heavy string columns, selection-vector kernel semantics
-   and edge cases (empty, full, ragged last chunk), layout preservation
-   through filter/project, vectorized vs row-fallback filter parity,
-   columnar aggregation parity, and ANALYZE stats parity across
-   layouts. The columnar side of each parity test is built by hand
-   ([Fixtures.columnar_table]): resident tables built from rows are
-   row-major. *)
+   and edge cases (empty, full, ragged last chunk), encoding
+   preservation through filter/project, vectorized vs row-fallback
+   filter parity, aggregation parity, and ANALYZE stats parity between
+   boxed and typed columns. The typed side of each parity test is built
+   by hand ([Fixtures.columnar_table]): resident tables built from rows
+   hold boxed columns. *)
 
 module Value = Qs_storage.Value
 module Schema = Qs_storage.Schema
 module Table = Qs_storage.Table
-module Chunk = Qs_storage.Chunk
 module Columnar = Qs_storage.Columnar
 module Chunk_file = Qs_storage.Chunk_file
 module Expr = Qs_query.Expr
@@ -50,6 +49,16 @@ let tricky_rows =
     [| Value.Null; Value.Float 1e-300; Value.Str "a\x00b"; Value.Null |];
   |]
 
+(* each column's encoding: a typed kind's letter, or "G" for boxed *)
+let kinds c =
+  List.init (Columnar.n_cols c) (fun j ->
+      match Columnar.column c j with
+      | Columnar.CInt _ -> "I"
+      | Columnar.CFloat _ -> "F"
+      | Columnar.CBool _ -> "B"
+      | Columnar.CStr _ -> "S"
+      | Columnar.CGen _ -> "G")
+
 let test_of_rows_roundtrip () =
   let c = Columnar.of_rows tricky_rows in
   Alcotest.(check int) "n_rows" 7 (Columnar.n_rows c);
@@ -76,7 +85,7 @@ let test_of_rows_roundtrip () =
   (* logical size is layout-invariant *)
   Alcotest.(check int)
     "byte_size"
-    (Chunk.byte_size (Chunk.of_rows tricky_rows))
+    (Columnar.byte_size (Columnar.of_rows_boxed ~arity:4 tricky_rows))
     (Columnar.byte_size c);
   (* empty chunk *)
   let e = Columnar.of_rows [||] in
@@ -85,30 +94,25 @@ let test_of_rows_roundtrip () =
 
 let test_chunk_file_columnar_roundtrip () =
   Table.with_scratch_home ~capacity:1 @@ fun ~dir ~pool:_ ->
-  (* the same tricky chunk handed to the writer column-major and
-     row-major, through one file *)
-  let chunks =
-    [| Chunk.of_columnar (Columnar.of_rows tricky_rows); Chunk.of_rows tricky_rows |]
-  in
+  (* the same tricky chunk handed to the writer typed and boxed, through
+     one file *)
+  let chunks = [| Columnar.of_rows tricky_rows; Columnar.of_rows_boxed ~arity:4 tricky_rows |] in
   let file, logical = Chunk_file.write ~dir ~name:"cols" ~arity:4 chunks in
   Alcotest.(check int) "frames" 2 (Chunk_file.n_frames file);
   let c0 = Chunk_file.read file 0 in
   let c1 = Chunk_file.read file 1 in
-  (* every frame comes back column-major: the writer encodes a row
-     chunk with Columnar.of_rows *)
-  Alcotest.(check bool) "frame 0 is columnar" true (Chunk.columnar c0 <> None);
-  Alcotest.(check bool) "row-input frame 1 is columnar" true
-    (Chunk.columnar c1 <> None);
-  check_cells "columnar frame" tricky_rows (Chunk.rows c0);
-  check_cells "row-input frame" tricky_rows (Chunk.rows c1);
+  (* every frame comes back typed: the writer encodes a boxed chunk *)
+  Alcotest.(check bool) "boxed-input frame 1 is typed" true (kinds c1 = kinds c0);
+  check_cells "typed frame" tricky_rows (Columnar.to_rows c0);
+  check_cells "boxed-input frame" tricky_rows (Columnar.to_rows c1);
   (* logical byte accounting is layout-invariant too *)
   Alcotest.(check int) "logical sizes equal" logical.(1) logical.(0);
   Alcotest.(check int)
-    "logical size of the row input"
-    (Chunk.byte_size (Chunk.of_rows tricky_rows))
+    "logical size of the rows"
+    (Array.fold_left (Array.fold_left (fun a v -> a + Value.byte_size v)) 0 tricky_rows)
     logical.(1);
   (* the rows input path end to end: a table built from the tricky rows
-     and spilled faults every chunk back column-major with every value
+     and spilled faults every chunk back typed with every value
      intact *)
   let schema =
     Schema.make "k"
@@ -122,10 +126,10 @@ let test_chunk_file_columnar_roundtrip () =
   Alcotest.(check int) "3 chunks" 3 (Table.n_chunks spilled);
   Table.iter_chunk_data
     (fun ci c ->
-      Alcotest.(check bool)
-        (Printf.sprintf "spilled chunk %d columnar" ci)
-        true
-        (Chunk.columnar c <> None))
+      Alcotest.(check (list string))
+        (Printf.sprintf "spilled chunk %d typed" ci)
+        (kinds (Columnar.of_rows (Table.chunk resident ci)))
+        (kinds c))
     spilled;
   check_cells "spilled table" tricky_rows (Table.to_rows spilled);
   Alcotest.(check string) "digest" (Table.digest resident) (Table.digest spilled)
@@ -137,8 +141,8 @@ let test_chunk_file_columnar_roundtrip () =
    not from the row form the writer was handed *)
 let test_frame_sizing_dict_heavy () =
   let rows = Array.init 64 (fun i -> [| Value.Str (String.make 48 'a' ^ string_of_int i) |]) in
-  let row_chunk = Chunk.of_rows rows in
-  let col_chunk = Chunk.of_columnar (Columnar.of_rows rows) in
+  let row_chunk = Columnar.of_rows_boxed ~arity:1 rows in
+  let col_chunk = Columnar.of_rows rows in
   (* tagged inline form: tag byte + 4-byte length + bytes per value *)
   let row_form =
     Array.fold_left
@@ -159,11 +163,11 @@ let test_frame_sizing_dict_heavy () =
   let small = [| [| Value.Str "x" |] |] in
   let file, _ =
     Chunk_file.write ~dir ~name:"dict" ~arity:1
-      [| Chunk.of_rows small; row_chunk; col_chunk |]
+      [| Columnar.of_rows_boxed ~arity:1 small; row_chunk; col_chunk |]
   in
-  check_cells "small frame" small (Chunk.rows (Chunk_file.read file 0));
-  check_cells "row-input dict frame" rows (Chunk.rows (Chunk_file.read file 1));
-  check_cells "dict frame" rows (Chunk.rows (Chunk_file.read file 2))
+  check_cells "small frame" small (Columnar.to_rows (Chunk_file.read file 0));
+  check_cells "row-input dict frame" rows (Columnar.to_rows (Chunk_file.read file 1));
+  check_cells "dict frame" rows (Columnar.to_rows (Chunk_file.read file 2))
 
 (* --- selection-vector kernels ------------------------------------------ *)
 
@@ -320,21 +324,20 @@ let test_filter_parity_across_layouts () =
     "full filter = identity"
     (Table.digest col_tbl)
     (Table.digest (Executor.filter_table col_tbl keep_all));
-  (* the hand-built tables really differ in layout *)
-  Alcotest.(check bool)
-    "row side is row-major" true
-    (Chunk.columnar (Table.chunk_data row_tbl 0) = None);
+  (* the hand-built tables really differ in encoding: the resident rows
+     are boxed columns, the hand-built side typed *)
+  Alcotest.(check (list string)) "row side is boxed" [ "G"; "G"; "G"; "G"; "G" ]
+    (kinds (Table.chunk_data row_tbl 0));
+  Alcotest.(check (list string)) "typed side is typed" [ "I"; "I"; "F"; "S"; "B" ]
+    (kinds (Table.chunk_data col_tbl 0));
   Alcotest.(check int) "same chunking" (Table.n_chunks row_tbl) (Table.n_chunks col_tbl);
-  (* a columnar filter output stays columnar (layout preserved, not
-     decoded to rows) *)
-  let filtered =
-    Executor.filter_table col_tbl
-      [ Expr.Cmp (Expr.Lt, Expr.col "t" "amount", Expr.vint 50) ]
-  in
-  Alcotest.(check bool)
-    "filter preserves columnar" true
-    (Table.n_chunks filtered = 0
-    || Chunk.columnar (Table.chunk_data filtered 0) <> None);
+  (* a filter gathers its survivors in the columns' own encoding: typed
+     stays typed and boxed stays boxed (nothing decoded or re-encoded) *)
+  let lt50 = [ Expr.Cmp (Expr.Lt, Expr.col "t" "amount", Expr.vint 50) ] in
+  Alcotest.(check (list string)) "filter keeps typed" [ "I"; "I"; "F"; "S"; "B" ]
+    (kinds (Table.chunk_data (Executor.filter_table col_tbl lt50) 0));
+  Alcotest.(check (list string)) "filter keeps boxed" [ "G"; "G"; "G"; "G"; "G" ]
+    (kinds (Table.chunk_data (Executor.filter_table row_tbl lt50) 0));
   (* vectorized kernels actually ran on the columnar side *)
   let v0 = Executor.vectorized_chunks () in
   ignore
@@ -351,9 +354,8 @@ let test_project_parity_across_layouts () =
   let a = Executor.project row_tbl cols in
   let b = Executor.project col_tbl cols in
   Alcotest.(check string) "project digest" (Table.digest a) (Table.digest b);
-  Alcotest.(check bool)
-    "project preserves columnar" true
-    (Chunk.columnar (Table.chunk_data b 0) <> None)
+  Alcotest.(check (list string)) "project keeps typed" [ "S"; "I" ]
+    (kinds (Table.chunk_data b 0))
 
 let test_aggregate_parity_across_layouts () =
   let group_by = [ { Expr.rel = "t"; name = "cat" } ] in
@@ -473,17 +475,19 @@ let frames_from_boxed_columns =
       let boxed rows =
         let cols = Array.init arity (fun _ -> Columnar.builder ()) in
         Array.iter (Array.iteri (fun j v -> Columnar.push cols.(j) v)) rows;
-        Chunk.of_columnar (Columnar.of_builders ~len:(Array.length rows) cols)
+        Columnar.of_builders ~len:(Array.length rows) cols
       in
       let file chunks =
         let f, logical = Chunk_file.write ~dir ~name:"f" ~arity (Array.of_list chunks) in
         (In_channel.with_open_bin (Chunk_file.path f) In_channel.input_all, logical)
       in
-      let from_rows = file (List.map Chunk.of_rows chunks) in
+      let from_rows = file (List.map Columnar.of_rows chunks) in
       let from_boxed = file (List.map boxed chunks) in
+      let from_resident = file (List.map (Columnar.of_rows_boxed ~arity) chunks) in
       if from_rows <> from_boxed then QCheck.Test.fail_report "frames differ";
+      if from_rows <> from_resident then QCheck.Test.fail_report "resident frames differ";
       Alcotest.(check int) "boxed serialized size"
-        (Chunk_file.ser_chunk_size (Chunk.of_rows (List.hd chunks)))
+        (Chunk_file.ser_chunk_size (Columnar.of_rows (List.hd chunks)))
         (Chunk_file.ser_chunk_size (boxed (List.hd chunks)));
       true)
 

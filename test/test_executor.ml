@@ -400,8 +400,7 @@ let eq_cols (r1, c1) (r2, c2) = Expr.eq (Expr.col r1 c1) (Expr.col r2 c2)
    output cells themselves (4 words a row for these 4 columns, in
    32-value segments) plus 3 minor words per output row, for a
    resident hash join and an index nested-loop join of 100,000 rows
-   each. What else is left is the probe's hash lookup (2 words a row:
-   the option [find_opt] returns); the unique index's lookup allocates
+   each. The probe's hash lookup and the unique index's lookup allocate
    nothing. Building a row per pair (5 words) puts either join over the
    bound, and its list cell (3 more) further. *)
 let test_join_output_allocation () =
@@ -429,6 +428,33 @@ let test_join_output_allocation () =
       if per_row > 7.0 then
         Alcotest.failf "%s: %.2f minor words per output row (bound 7)" what per_row)
     plans
+
+(* A hash build keeps its rows as (morsel, ordinal) references chained
+   per key and reads their cells through readers hoisted once per build
+   morsel: a build row decodes no row and allocates nothing of its own.
+   The build side is a 100,000-row join output (boxed columns, 4 wide)
+   over 1,000 keys, probed by 10 rows that keep 1,000 pairs. Bound: 1
+   minor word per build row, which covers the kept morsels' readers,
+   the hash table's buckets for its 1,000 keys and the output. A build
+   that decodes a row per build row (5 words for these 4 columns, plus
+   its closure) or keeps a list cell per row (3 words) is over it. *)
+let test_hash_build_allocation () =
+  let n = 100_000 and keys = 1_000 in
+  let a = int_table "a" [ "k"; "x" ] (Array.init n (fun i -> [| Value.Int (i mod keys); Value.Int i |])) in
+  let c = int_table "c" [ "k"; "y" ] (Array.init keys (fun i -> [| Value.Int i; Value.Int (-i) |])) in
+  let build, _ =
+    Executor.run (join Physical.Hash (scan_of c) (scan_of a) [ eq_cols ("a", "k") ("c", "k") ])
+  in
+  let build = Table.with_name build "j" in
+  let p = int_table "p" [ "k"; "z" ] (Array.init 10 (fun i -> [| Value.Int i; Value.Int i |])) in
+  let plan = join Physical.Hash (scan_of build) (scan_of p) [ eq_cols ("a", "k") ("p", "k") ] in
+  ignore (Executor.run plan);
+  let before = Gc.minor_words () in
+  let out, _ = Executor.run plan in
+  let per_row = (Gc.minor_words () -. before) /. float n in
+  Alcotest.(check int) "rows" (10 * (n / keys)) (Table.n_rows out);
+  if per_row > 1.0 then
+    Alcotest.failf "%.2f minor words per build row (bound 1)" per_row
 
 (* Joins whose inputs are column-major join outputs: probed, built,
    nested-loop outer and inner, index-NL outer, over NULL and duplicate
@@ -556,6 +582,7 @@ let suite =
     Alcotest.test_case "filter cache keyed by positions" `Quick
       test_filter_cache_keyed_by_positions;
     Alcotest.test_case "join output allocation" `Quick test_join_output_allocation;
+    Alcotest.test_case "hash build allocation" `Quick test_hash_build_allocation;
     QCheck_alcotest.to_alcotest join_outputs_match_naive;
     Alcotest.test_case "row limit at the pair count" `Quick test_row_limit_pair_count;
     Alcotest.test_case "pipelined intermediates counter" `Quick

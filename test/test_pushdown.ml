@@ -8,7 +8,7 @@
    which decode rows on demand, give the resident run's rows and stats. *)
 
 module Value = Qs_storage.Value
-module Chunk = Qs_storage.Chunk
+module Columnar = Qs_storage.Columnar
 module Table = Qs_storage.Table
 module Schema = Qs_storage.Schema
 module Catalog = Qs_storage.Catalog
@@ -229,15 +229,15 @@ let configs =
     [ "resident"; "spilled" ]
 
 (* o and i joined by hash, index-NL and NL. Spilled, their frames fault
-   in column-major, so every morsel is a sparse selection over a
-   columnar chunk: the fallback, the hash build and probe fetches, the
-   index-NL outer fetch and the NL inner buffer all decode on demand.
-   The rows and the per-node stats must equal the resident (row-major)
-   run, at every chunk size. *)
+   in typed, so every morsel is a sparse selection over a typed chunk:
+   the fallback, the hash build's and probe's cell readers, the
+   index-NL outer reads and the NL inner all decode on demand. The rows
+   and the per-node stats must equal the resident (boxed) run, at every
+   chunk size. *)
 let decode_plans ?chunk_rows ?spill () =
   let o, i, _ = hand_tables ?chunk_rows ?spill () in
   let ix = Qs_storage.Index.build i ~column:"k" ~unique:false in
-  ( Chunk.columnar (Table.chunk_data o 0) <> None,
+  ( (match Columnar.column (Table.chunk_data o 0) 0 with Columnar.CGen _ -> false | _ -> true),
     [
       ( "hash",
         join Physical.Hash (scan o o_filters) (scan i i_filters)
@@ -249,8 +249,8 @@ let decode_plans ?chunk_rows ?spill () =
     ] )
 
 let decode_results ?chunk_rows ?spill () =
-  let columnar, plans = decode_plans ?chunk_rows ?spill () in
-  ( columnar,
+  let typed, plans = decode_plans ?chunk_rows ?spill () in
+  ( typed,
     List.concat_map
       (fun (what, plan) ->
         List.map
@@ -268,8 +268,8 @@ let decode_results ?chunk_rows ?spill () =
       plans )
 
 let test_decode_on_demand () =
-  let columnar, reference = decode_results () in
-  Alcotest.(check bool) "resident chunks are row-major" false columnar;
+  let typed, reference = decode_results () in
+  Alcotest.(check bool) "resident chunks are boxed" false typed;
   List.iter
     (fun (what, n, _, _) ->
       if n = 0 then Alcotest.failf "%s: the reference run is empty" what)
@@ -277,10 +277,8 @@ let test_decode_on_demand () =
   List.iter
     (fun (store, chunk_rows) ->
       let run ?spill () =
-        let columnar, got = decode_results ~chunk_rows ?spill () in
-        Alcotest.(check bool)
-          (store ^ ": spilled chunks are columnar")
-          (store = "spilled") columnar;
+        let typed, got = decode_results ~chunk_rows ?spill () in
+        Alcotest.(check bool) (store ^ ": spilled chunks are typed") (store = "spilled") typed;
         List.iter2
           (fun (what, _, want_digest, want_stats) (_, _, digest, stats) ->
             let what = Printf.sprintf "%s (%s, chunk %d)" what store chunk_rows in

@@ -4,6 +4,7 @@ module Value = Qs_storage.Value
 module Schema = Qs_storage.Schema
 module Table = Qs_storage.Table
 module Index = Qs_storage.Index
+module Columnar = Qs_storage.Columnar
 module Catalog = Qs_storage.Catalog
 
 let sample_table () =
@@ -47,7 +48,7 @@ let test_table_arity_check () =
 let test_table_rename_shares_rows () =
   let t = sample_table () in
   let r = Table.rename t "e" in
-  Alcotest.(check bool) "chunks shared" true (Table.chunk r 0 == Table.chunk t 0);
+  Alcotest.(check bool) "chunks shared" true (Table.chunk_data r 0 == Table.chunk_data t 0);
   Alcotest.(check string) "renamed" "e" r.Table.name;
   Alcotest.(check bool) "schema requalified" true (Schema.mem r.Table.schema ~rel:"e" ~name:"id")
 
@@ -90,7 +91,12 @@ let test_table_of_chunks_ragged () =
   let t = Table.of_chunks ~inputs:[] ~name:"t" ~schema:int_schema [ c1; c2; c3 ] in
   Alcotest.(check int) "empty chunk dropped" 2 (Table.n_chunks t);
   Alcotest.(check int) "5 rows" 5 (Table.n_rows t);
-  Alcotest.(check bool) "chunk arrays shared" true (Table.chunk t 0 == c1);
+  (* a batch's values are the chunk's cells, not copies of them *)
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check bool) "cell shared" true
+        (Columnar.get (Table.chunk_data t 0) ~row:i ~col:0 == r.(0)))
+    c1;
   Alcotest.(check bool) "order preserved" true (Table.get t ~row:3 ~col:0 = Value.Int 10)
 
 let test_table_byte_size_memo () =
@@ -253,8 +259,8 @@ let test_digest_empty_tables () =
 
 (* Every value kind and every column encoding — ints with NULLs, floats
    with NaN / -0.0, dictionary strings holding NUL and \x01, bools and a
-   mixed-type column that falls back to boxed values — resident as rows
-   against spilled as column-major frames. *)
+   mixed-type column that falls back to boxed values — resident as boxed
+   columns against spilled as typed frames. *)
 let test_digest_resident_vs_spilled () =
   let rows =
     List.init 11 (fun i ->
@@ -280,10 +286,9 @@ let test_digest_resident_vs_spilled () =
       Alcotest.(check bool) "spilled" true (Table.spilled spilled);
       Table.iter_chunk_data
         (fun ci c ->
-          Alcotest.(check bool)
-            (Printf.sprintf "frame %d columnar" ci)
-            true
-            (Qs_storage.Chunk.columnar c <> None))
+          match Columnar.column c 2 with
+          | Columnar.CStr _ -> ()
+          | _ -> Alcotest.failf "frame %d: string column not dictionary-encoded" ci)
         spilled;
       Alcotest.(check string) "resident = spilled" (Table.digest resident)
         (Table.digest spilled))

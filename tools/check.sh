@@ -14,12 +14,10 @@
 #                               Expr.compile; Expr.eval / eval_scalar stay
 #                               only in the reference execution (naive.ml)
 #   6. no whole-chunk decode  — lib/exec never calls Columnar.to_rows:
-#                               a columnar morsel decodes only the rows
-#                               (and the filter only the cells) it reads
-#   7. no full-row lookup     — lib/exec never calls Table.row: the
-#                               index-NL inner decodes only the cells
-#                               its filters, residual and gather map
-#                               read (Table.row_cells, one reused buffer)
+#                               a morsel's cells are read through column
+#                               readers (and the filter reads only the
+#                               cells its residual tests)
+#   7. (folded into 11)
 #   8. no pending-block bypass — lib/ reads a Columnar column slot
 #                               (.cols.() only in Columnar's one slot
 #                               accessor, so a pending block is always
@@ -37,13 +35,16 @@
 #                               Table.set_spill only in perfbench/ and
 #                               its own definition: where a table lives
 #                               and how it is cut travel with the table
-#  11. column-major outputs   — lib/exec/executor.ml never calls
-#                               Chunk.of_rows or Table.of_chunks: joins
-#                               append kept pairs to boxed output
-#                               columns, filtered scans gather their
-#                               survivors column by column, and the sink
-#                               keeps the chunks as they arrive, so no
-#                               operator output is a row per pair
+#  11. no row views           — lib/exec outside naive.ml calls no
+#                               Table row view (Table.iter, iteri, fold,
+#                               to_seq, to_rows, chunk, row) and
+#                               lib/exec/executor.ml no Table.of_chunks:
+#                               operators read cells through column
+#                               readers and build boxed output columns
+#                               (the index-NL inner through its chunk's
+#                               readers too), so no row is decoded per
+#                               input row and no operator output is a
+#                               row per pair
 #
 # The metrics golden is not checked here: a second runtest rule in ./dune
 # regenerates BENCH.json and diffs it exactly against the committed one.
@@ -128,25 +129,12 @@ for f in lib/exec/*.ml; do
 done
 
 # --- no whole-chunk decode in the engine --------------------------------
-# A morsel over a columnar chunk hands out rows by ordinal, decoding
-# each the first time it is fetched; a sparse morsel buffers only its
-# survivors; the filter's row fallback decodes only the cells its
-# residual reads. Columnar.to_rows (every row of a 65,536-row frame)
-# stays out of lib/exec so that decode cannot creep back onto the path.
+# A morsel's cells are read through column readers, hoisted per column;
+# the filter's row fallback reads only the cells its residual tests.
+# Columnar.to_rows (every row of a 65,536-row frame) stays out of
+# lib/exec so that decode cannot creep back onto the path.
 if grep -nE 'Columnar\.to_rows' lib/exec/*.ml >&2; then
-  echo "lint: lib/exec calls Columnar.to_rows — decode only the ordinals a morsel hands out" >&2
-  status=1
-fi
-
-# --- no full-row lookup in the engine -----------------------------------
-# An index nested-loop join looks its inner rows up by row id. Table.row
-# decodes every column of a spilled frame's row into a fresh array;
-# the join reads a few of them, so it decodes just those cells into one
-# reused buffer (Table.row_cells, which hands a resident row over as it
-# is). Table.row stays out of lib/exec so the full-row decode cannot
-# come back onto the lookup path.
-if grep -nE 'Table\.row([^_A-Za-z0-9]|$)' lib/exec/*.ml >&2; then
-  echo "lint: lib/exec calls Table.row — decode only the cells read (Table.row_cells)" >&2
+  echo "lint: lib/exec calls Columnar.to_rows — read cells through Columnar.reader" >&2
   status=1
 fi
 
@@ -185,23 +173,37 @@ if grep -rnE 'set_spill' lib bin bench test examples --include='*.ml' --include=
   status=1
 fi
 
-# --- column-major operator outputs --------------------------------------
-# A join used to build a fresh row (and a list cell) for every output
-# pair and hand the rows on as a row chunk; those rows lived across
-# minor collections and were promoted, three quarters of a Cinema
-# round's allocation. Operator outputs are column-major now, and a row
-# chunk built in the executor would bring that cost back.
-if grep -nE 'Chunk\.of_rows|Table\.of_chunks([^_A-Za-z0-9]|$)' lib/exec/executor.ml >&2; then
-  echo "lint: lib/exec/executor.ml builds a row chunk — operator outputs are column-major (Columnar.of_builders, Table.of_chunk_data)" >&2
+# --- no row views in the engine ------------------------------------------
+# Every chunk is column-major. A Table row view (iter, iteri, fold,
+# to_seq, to_rows, chunk, row) decodes a fresh row per table row: the
+# index-NL inner used to decode every column of a looked-up row where it
+# reads a few (it reads them through its chunk's column readers), and
+# the semi-join, the aggregate's arithmetic arguments and the cartesian
+# product walked rows where they read a few cells. A join
+# used to build a fresh row (and a list cell) for every output pair and
+# hand the rows on as a row chunk (Table.of_chunks); those rows lived
+# across minor collections and were promoted, three quarters of a
+# Cinema round's allocation. Operators read cells through column
+# readers and build boxed output columns; the row views stay with the
+# reference execution (naive.ml), the workload generators and tests.
+for f in lib/exec/*.ml; do
+  [ "$f" = lib/exec/naive.ml ] && continue
+  if grep -nE 'Table\.(iter|iteri|fold|to_seq|to_rows|chunk|row)([^_A-Za-z0-9]|$)' "$f" >&2; then
+    echo "lint: $f calls a Table row view — read cells through Columnar.reader (Table.chunk_data / iter_chunk_data)" >&2
+    status=1
+  fi
+done
+if grep -nE 'Table\.of_chunks([^_A-Za-z0-9]|$)' lib/exec/executor.ml >&2; then
+  echo "lint: lib/exec/executor.ml builds a row chunk — operator outputs are boxed columns (Columnar.of_builders, Table.of_chunk_data)" >&2
   status=1
 fi
 
 # --- formatting + out-of-core fuzz corpus ------------------------------
 # Both already covered by `dune runtest` (which cannot re-enter dune);
 # when invoked by hand, also re-run the buffer-pool suite — it replays
-# the 200-query differential corpus fully out-of-core (column-major
-# frames) through 1- and 4-frame pools and checks digests against
-# in-memory (row-major) execution.
+# the 200-query differential corpus fully out-of-core (typed frames)
+# through 1- and 4-frame pools and checks digests against in-memory
+# (boxed) execution.
 if [ -z "${INSIDE_DUNE:-}" ]; then
   dune build @fmt || {
     echo "check: dune build @fmt failed — run 'dune fmt'" >&2

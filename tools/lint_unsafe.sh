@@ -7,9 +7,9 @@
 #      with a justification.
 #   2. Direct `.rows` record access — Table stores rows in chunks; every
 #      caller outside lib/storage must go through the chunk API
-#      (Table.chunk / iter / row / to_rows) so scans stay shardable.
-#      (`Naive.rows` and `Chunk.rows` are function calls, not field
-#      accesses, and are excluded.)
+#      (Table.chunk_data / iter_chunk_data) so scans stay shardable.
+#      (`Naive.rows` is a function call, not a field access, and is
+#      excluded.)
 #   3. Direct Chunk_file access — spilled chunks are read through the
 #      Buffer_pool (pinning, eviction, fault coalescing); a raw
 #      Chunk_file.read outside lib/storage would bypass all of it.
@@ -18,22 +18,21 @@
 #   4. Table.to_rows outside lib/exec and lib/storage — it copies every
 #      chunk of a table into one flat array, defeating both morsel
 #      pipelining and out-of-core execution on intermediates; consumers
-#      stream through Table.iter / iter_chunks instead.
+#      stream through Table.iter / iter_chunk_data instead.
 #   5. Telemetry ring-buffer mutation (ring_push / ring_snapshot)
 #      outside lib/obs — the lock-striped flight ring's striping and
 #      overwrite-oldest invariants live entirely in Telemetry; everyone
 #      else goes through Telemetry.complete / Telemetry.snapshot.
-#   6. Columnar field constructors (CInt/CFloat/CBool/CStr/CGen) or
-#      Chunk layout constructors (Chunk.Rows / Chunk.Cols) outside
-#      lib/storage — the storage picks a chunk's layout (resident
-#      tables keep row arrays, chunk-file frames fault back column-major)
-#      and the columnar invariants (dummy values in NULL slots, shared
-#      dictionaries, validity-bitset collapse) live in
-#      Columnar.of_rows/of_pending; building or matching the raw
+#   6. Columnar field constructors (CInt/CFloat/CBool/CStr/CGen)
+#      outside lib/storage — the storage picks a column's encoding
+#      (resident tables hold boxed columns, chunk-file frames fault
+#      back typed) and the columnar invariants (dummy values in NULL
+#      slots, shared dictionaries, validity-bitset collapse) live in
+#      Columnar.encode/of_pending; building or matching the raw
 #      representation elsewhere would let a consumer skip them.
-#      Everyone else uses the typed kernels (eval_cmp, take, project,
-#      column_values) and Chunk.of_rows/of_columnar/columnar, and must
-#      work on whichever layout a chunk arrives in.
+#      Everyone else uses the kernels (eval_cmp, take, project,
+#      reader) and must work on whichever encoding a column arrives
+#      in.
 #
 # Allow-list entries:
 #   lib/util/scratch.ml / .mli — only *mention* Obj in documentation
@@ -57,7 +56,7 @@ for f in $(find lib bin bench \( -name '*.ml' -o -name '*.mli' \) | sort); do
   case "$f" in
     lib/storage/*) continue ;;
   esac
-  if grep -nE '\.rows\b' "$f" | grep -vE '(Naive|Qs_exec\.Naive|Chunk|Qs_storage\.Chunk)\.rows'; then
+  if grep -nE '\.rows\b' "$f" | grep -vE '(Naive|Qs_exec\.Naive)\.rows'; then
     echo "lint: direct Table .rows access in $f — use the chunk API (see tools/lint_unsafe.sh)" >&2
     status=1
   fi
@@ -65,8 +64,8 @@ for f in $(find lib bin bench \( -name '*.ml' -o -name '*.mli' \) | sort); do
     echo "lint: direct chunk-file access in $f — spilled chunks are read through Buffer_pool/Table (see tools/lint_unsafe.sh)" >&2
     status=1
   fi
-  if grep -nE '\b(CInt|CFloat|CBool|CStr|CGen)\b|\bChunk\.(Rows|Cols)\b' "$f"; then
-    echo "lint: raw columnar constructor in $f — build/consume columns through Columnar/Chunk functions (see tools/lint_unsafe.sh)" >&2
+  if grep -nE '\b(CInt|CFloat|CBool|CStr|CGen)\b' "$f"; then
+    echo "lint: raw columnar constructor in $f — build/consume columns through Columnar functions (see tools/lint_unsafe.sh)" >&2
     status=1
   fi
   case "$f" in
@@ -86,7 +85,7 @@ for f in $(find lib bin bench \( -name '*.ml' -o -name '*.mli' \) | sort); do
   done
   [ $allowed -eq 1 ] && continue
   if grep -nE '\bto_rows\b' "$f"; then
-    echo "lint: Table.to_rows in $f flattens a table — stream with Table.iter / iter_chunks (see tools/lint_unsafe.sh)" >&2
+    echo "lint: Table.to_rows in $f flattens a table — stream with Table.iter / iter_chunk_data (see tools/lint_unsafe.sh)" >&2
     status=1
   fi
 done
