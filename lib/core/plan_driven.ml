@@ -202,21 +202,20 @@ let run policy ?selector ctx (q : Query.t) =
             ?spans:ctx.Strategy.spans ~project:q.Query.output !plan
         in
         finished_table := Some table;
-        Strategy.journal ctx ~subquery:"final"
-          ~est_rows:!plan.Physical.est_rows
-          ~actual_rows:(Table.n_rows table) ~replanned:false ~remaining:0
-          ~name:(q.Query.name ^ "/final") ~start:t0 ();
         iterations :=
-          {
-            Strategy.index = !iter_index;
-            description = "final";
-            est_rows = !plan.Physical.est_rows;
-            actual_rows = Table.n_rows table;
-            elapsed = Timer.now () -. t0;
-            mat_bytes = 0;
-            materialized = false;
-            replanned = false;
-          }
+          Strategy.step ctx ~start:t0 q
+            {
+              Strategy.index = !iter_index;
+              description = "final";
+              est_rows = !plan.Physical.est_rows;
+              actual_rows = Table.n_rows table;
+              elapsed = 0.0;
+              mat_bytes = 0;
+              materialized = false;
+              replanned = false;
+              score = None;
+              remaining = 0;
+            }
           :: !iterations
     | Some node ->
         let provides = node.Physical.rels in
@@ -258,26 +257,21 @@ let run policy ?selector ctx (q : Query.t) =
           in
           plan := Physical.replace !plan ~id:node.Physical.id ~by:scan_replacement
         end;
-        Strategy.journal ctx
-          ~subquery:(String.concat "," provides)
-          ~est_rows:node.Physical.est_rows ~actual_rows:actual ~replanned
-          ~remaining:(List.length (executable_joins !plan))
-          ~name:
-            (Printf.sprintf "%s/%s(%s)" q.Query.name policy.name
-               (String.concat "," provides))
-          ~start:t0 ();
         iterations :=
-          {
-            Strategy.index = !iter_index;
-            description =
-              Printf.sprintf "%s(%s)" policy.name (String.concat "," provides);
-            est_rows = node.Physical.est_rows;
-            actual_rows = actual;
-            elapsed = Timer.now () -. t0;
-            mat_bytes = Table.byte_size temp_tbl;
-            materialized = policy.count_all_mats || triggered;
-            replanned;
-          }
+          Strategy.step ctx ~start:t0 q
+            {
+              Strategy.index = !iter_index;
+              description =
+                Printf.sprintf "%s(%s)" policy.name (String.concat "," provides);
+              est_rows = node.Physical.est_rows;
+              actual_rows = actual;
+              elapsed = 0.0;
+              mat_bytes = Table.byte_size temp_tbl;
+              materialized = policy.count_all_mats || triggered;
+              replanned;
+              score = None;
+              remaining = List.length (executable_joins !plan);
+            }
           :: !iterations;
         Qs_util.Cancel.check ctx.Strategy.cancel;
         (match !(ctx.Strategy.deadline) with

@@ -150,35 +150,33 @@ let run config ctx (q : Query.t) =
       Executor.run ?deadline:!(ctx.Strategy.deadline) ?cancel:ctx.Strategy.cancel
         ?spans:ctx.Strategy.spans ~project:keep plan_res.Optimizer.plan
     in
-    (* the re-optimization journal: one entry (flight step + span) per
-       iteration *)
-    let journal ~actual ~replanned ~remaining_n =
-      Strategy.journal ctx ~score:chosen_score ~subquery:chosen.label
-        ~est_rows:plan_res.Optimizer.est_rows ~actual_rows:actual ~replanned
-        ~remaining:remaining_n
-        ~name:(q.Query.name ^ "/" ^ chosen.label)
-        ~start:t0 ()
-    in
     remaining := others;
-    let actual = Table.n_rows table in
+    (* the iteration's record, written once per step; a step re-plans
+       the rest exactly when it materializes a temp *)
+    let step ~materialized ~mat_bytes ~remaining =
+      let it =
+        Strategy.step ctx ~start:t0 q
+          {
+            Strategy.index = !iter_index;
+            description = chosen.label;
+            est_rows = plan_res.Optimizer.est_rows;
+            actual_rows = Table.n_rows table;
+            elapsed = 0.0;
+            mat_bytes;
+            materialized;
+            replanned = materialized;
+            score = Some chosen_score;
+            remaining;
+          }
+      in
+      iterations := it :: !iterations
+    in
     if others = [] then begin
       (* last subquery: merge with any isolated results and project *)
       let merged = Executor.cartesian ~name:q.Query.name (table :: List.rev !isolated) in
       let projected = Executor.project ~name:q.Query.name merged q.Query.output in
       final := Some projected;
-      journal ~actual ~replanned:false ~remaining_n:0;
-      iterations :=
-        {
-          Strategy.index = !iter_index;
-          description = chosen.label;
-          est_rows = plan_res.Optimizer.est_rows;
-          actual_rows = actual;
-          elapsed = Timer.now () -. t0;
-          mat_bytes = 0;
-          materialized = false;
-          replanned = false;
-        }
-        :: !iterations
+      step ~materialized:false ~mat_bytes:0 ~remaining:0
     end
     else begin
       let name = fresh_temp () in
@@ -220,20 +218,8 @@ let run config ctx (q : Query.t) =
         (* every overlapping subquery was fully covered: the temp holds
            their combined answer and nothing else references it *)
         isolated := temp_tbl :: !isolated;
-      journal ~actual ~replanned:!overlapped
-        ~remaining_n:(List.length survivors);
-      iterations :=
-        {
-          Strategy.index = !iter_index;
-          description = chosen.label;
-          est_rows = plan_res.Optimizer.est_rows;
-          actual_rows = actual;
-          elapsed = Timer.now () -. t0;
-          mat_bytes = Table.byte_size temp_tbl;
-          materialized = true;
-          replanned = true;
-        }
-        :: !iterations;
+      step ~materialized:true ~mat_bytes:(Table.byte_size temp_tbl)
+        ~remaining:(List.length survivors);
       (* the executor may only notice the deadline (or a cancellation)
          inside long joins; make sure iteration boundaries observe both *)
       Qs_util.Cancel.check ctx.Strategy.cancel;

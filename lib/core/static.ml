@@ -20,20 +20,22 @@ let run_with ~name ?allowed ~estimator_of ctx (q : Query.t) =
       ?spans:ctx.Strategy.spans ~project:q.Query.output res.Optimizer.plan
   in
   let result = Executor.project ~name:q.Query.name table q.Query.output in
-  Strategy.finished ~start ~result
-    ~iterations:
-      [
-        {
-          Strategy.index = 1;
-          description = name ^ ":" ^ q.Query.name;
-          est_rows = res.Optimizer.est_rows;
-          actual_rows = Table.n_rows table;
-          elapsed = Timer.now () -. start;
-          mat_bytes = 0;
-          materialized = false;
-          replanned = false;
-        };
-      ]
+  let it =
+    Strategy.step ctx ~start q
+      {
+        Strategy.index = 1;
+        description = name ^ ":" ^ q.Query.name;
+        est_rows = res.Optimizer.est_rows;
+        actual_rows = Table.n_rows table;
+        elapsed = 0.0;
+        mat_bytes = 0;
+        materialized = false;
+        replanned = false;
+        score = None;
+        remaining = 0;
+      }
+  in
+  Strategy.finished ~start ~result ~iterations:[ it ]
 
 let default =
   {

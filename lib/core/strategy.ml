@@ -11,7 +11,7 @@ module Table_stats = Qs_stats.Table_stats
 module Executor = Qs_exec.Executor
 module Timer = Qs_util.Timer
 
-type iteration = {
+type iteration = Qs_obs.Flight.step = {
   index : int;
   description : string;
   est_rows : float;
@@ -20,6 +20,8 @@ type iteration = {
   mat_bytes : int;
   materialized : bool;
   replanned : bool;
+  score : float option;
+  remaining : int;
 }
 
 type outcome = {
@@ -54,28 +56,31 @@ let make_ctx ?(collect_stats = true) ?(deadline = None) ?(seed = 42) ?spans
     pseudo = Hashtbl.create 8; spans; dp_memo; cancel; flight;
   }
 
-(* One re-optimization journal entry, fanned out to both sinks: the
-   always-on flight record (telemetry) and, when a tracer is attached,
-   a [reopt-step] span whose args render in profiles. Strategies call
-   this instead of hand-rolling the span. *)
-let journal ctx ?score ~subquery ~est_rows ~actual_rows ~replanned ~remaining
-    ~name ~start () =
-  Qs_obs.Flight.step ctx.flight ?score ~subquery ~est_rows ~actual_rows
-    ~replanned ~remaining ();
-  let args =
-    ("subquery", subquery)
-    :: (match score with
-       | Some s -> [ ("score", Printf.sprintf "%.6g" s) ]
-       | None -> [])
-    @ [
-        ("est_rows", Printf.sprintf "%.0f" est_rows);
-        ("actual_rows", string_of_int actual_rows);
-        ("replanned", (if replanned then "yes" else "no"));
-        ("remaining", string_of_int remaining);
-      ]
-  in
-  Qs_util.Span.add ctx.spans Qs_util.Span.Reopt_step ~args name ~start
-    ~dur:(Timer.elapsed ~since:start)
+(* The one writer of a step: the record goes to the outcome (returned),
+   to the always-on flight journal and, when a tracer is attached, to a
+   [reopt-step] span whose args render in profiles. *)
+let step ctx ~start (q : Query.t) (it : iteration) =
+  let it = { it with elapsed = Timer.elapsed ~since:start } in
+  Option.iter (fun fl -> Qs_obs.Flight.append fl it) ctx.flight;
+  (match ctx.spans with
+  | None -> ()
+  | Some _ ->
+      let args =
+        ("subquery", it.description)
+        :: (match it.score with
+           | Some s -> [ ("score", Printf.sprintf "%.6g" s) ]
+           | None -> [])
+        @ [
+            ("est_rows", Printf.sprintf "%.0f" it.est_rows);
+            ("actual_rows", string_of_int it.actual_rows);
+            ("replanned", (if it.replanned then "yes" else "no"));
+            ("remaining", string_of_int it.remaining);
+          ]
+      in
+      Qs_util.Span.add ctx.spans Qs_util.Span.Reopt_step ~args
+        (q.Query.name ^ "/" ^ it.description)
+        ~start ~dur:it.elapsed);
+  it
 
 let catalog ctx = Stats_registry.catalog ctx.registry
 

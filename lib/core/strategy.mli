@@ -16,7 +16,7 @@ module Fragment = Qs_stats.Fragment
 module Estimator = Qs_stats.Estimator
 module Stats_registry = Qs_stats.Stats_registry
 
-type iteration = {
+type iteration = Qs_obs.Flight.step = {
   index : int;
   description : string;  (** the subquery / subplan executed *)
   est_rows : float;  (** optimizer's estimate for its output *)
@@ -25,7 +25,12 @@ type iteration = {
   mat_bytes : int;  (** bytes written to a temp table (0 = pipelined) *)
   materialized : bool;  (** counted in the Table 4 frequency *)
   replanned : bool;  (** did this iteration trigger re-optimization *)
+  score : float option;  (** selection score, when the strategy ranks *)
+  remaining : int;  (** subqueries / joins left after this step *)
 }
+(** One re-optimization step: the one record of it, written once by
+    {!step}, which also puts it in the flight journal and in the
+    [reopt-step] span. *)
 
 type outcome = {
   result : Table.t;
@@ -47,10 +52,9 @@ type ctx = {
       (** outputs of already-executed non-SPJ operators, visible to SPJ
           segments as base relations (§3.3) *)
   spans : Qs_util.Span.t option;
-      (** when set, optimizer calls, executed operators and each
-          re-optimization iteration (the [reopt-step] journal: selected
-          subquery, score, est vs. actual rows, replanned or not) are
-          recorded as time-ordered spans *)
+      (** when set, optimizer calls and executed operators are recorded
+          as time-ordered spans, and {!step} adds one [reopt-step] span
+          per iteration whose args are that iteration's record *)
   dp_memo : Qs_plan.Dp_memo.t option;
       (** when set, every optimizer call threads this cross-step DP memo:
           after a re-optimization step, only subsets whose cardinality
@@ -65,8 +69,8 @@ type ctx = {
           by {!guard}: it propagates to the caller. *)
   flight : Qs_obs.Flight.t option;
       (** the serving telemetry collector for this query, when admitted
-          through a telemetry-enabled server: {!journal} appends each
-          re-optimization step to it, with or without a tracer *)
+          through a telemetry-enabled server: {!step} appends each
+          iteration's record to its journal, with or without a tracer *)
 }
 
 type t = {
@@ -79,15 +83,14 @@ val make_ctx : ?collect_stats:bool -> ?deadline:float option -> ?seed:int ->
   ?dp_memo:Qs_plan.Dp_memo.t -> ?cancel:Qs_util.Cancel.t ->
   ?flight:Qs_obs.Flight.t -> Stats_registry.t -> Estimator.t -> ctx
 
-val journal : ctx -> ?score:float -> subquery:string -> est_rows:float ->
-  actual_rows:int -> replanned:bool -> remaining:int -> name:string ->
-  start:float -> unit -> unit
-(** Record one re-optimization step in both observability sinks: append
-    a {!Qs_obs.Flight.step} to the ambient flight record (always-on
-    serving telemetry; free when no flight is attached) and emit the
-    [reopt-step] span (with [subquery] / [score] / [est_rows] /
-    [actual_rows] / [replanned] / [remaining] args) when a tracer is.
-    [name] labels the span; [dur] is stamped as [now - start]. *)
+val step : ctx -> start:float -> Query.t -> iteration -> iteration
+(** The one writer of a re-optimization step. Stamps the record's
+    [elapsed] as [now - start] (one clock read), appends the stamped
+    record to the flight journal when a flight is attached, and emits
+    the [reopt-step] span named [<query>/<description>], with the
+    record's fields as args, when a tracer is. Returns the stamped
+    record, the strategy's entry for [outcome.iterations]; the
+    [elapsed] it is given is ignored. *)
 
 val catalog : ctx -> Catalog.t
 

@@ -52,8 +52,9 @@ val vectorized_chunks : unit -> int
 (** Cumulative count of columnar chunks whose filter conjunction ran (at
     least partially) through the vectorized selection-vector kernels
     ({!Qs_storage.Columnar.eval_cmp}) instead of row-at-a-time
-    evaluation. Always 0 over resident tables built from rows; spilled
-    tables fault back columnar. *)
+    evaluation. Always 0 over resident tables, whose columns are boxed
+    (the kernels decline boxed columns); spilled tables fault back
+    typed. *)
 
 val reset_counters : unit -> unit
 
@@ -116,9 +117,8 @@ val project : ?name:string -> Table.t -> Expr.colref list -> Table.t
 val filter_table : ?deadline:float -> ?cancel:Qs_util.Cancel.t ->
   Table.t -> Expr.pred list -> Table.t
 (** Chunked scan+filter of one table, chunk by chunk in order; each
-    chunk's survivors come out column-major (a column-major chunk's
-    columns gathered, a row chunk's cells gathered into boxed
-    columns). *)
+    chunk's survivors come out as that chunk's columns gathered at the
+    surviving ordinals. *)
 
 val filter_input : ?deadline:float -> ?cancel:Qs_util.Cancel.t ->
   ?positions:int list -> Fragment.input -> Table.t

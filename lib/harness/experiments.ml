@@ -728,8 +728,8 @@ let telemetry_metrics_entry s =
 (* The deterministic columnar entry of the metrics dump: a fixed
    synthetic table (ints with NULLs, floats, dictionary-friendly
    strings) is built, filtered and aggregated sequentially resident
-   (row chunks) and spilled (column-major frames, through a pool large
-   enough to hold every frame). Chunk counts, vectorized-kernel
+   (boxed columns) and spilled (typed column-major frames, through a
+   pool large enough to hold every frame). Chunk counts, vectorized-kernel
    invocations, survivor counts, exact serialized frame sizes
    (Chunk_file.ser_chunk_size) and digest equality are integer-exact
    for a fixed corpus; no wall-clock leaks into the entry. *)

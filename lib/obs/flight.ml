@@ -19,11 +19,15 @@ let status_name = function
   | Failed _ -> "failed"
 
 type step = {
-  subquery : string;
-  score : float option;
+  index : int;
+  description : string;
   est_rows : float;
   actual_rows : int;
+  elapsed : float;
+  mat_bytes : int;
+  materialized : bool;
   replanned : bool;
+  score : float option;
   remaining : int;
 }
 
@@ -87,13 +91,8 @@ let dispatched t = t.dispatched > 0.0
 let journal t = List.rev (Atomic.get t.steps_rev)
 let n_steps t = List.length (Atomic.get t.steps_rev)
 
-let step t ?score ~subquery ~est_rows ~actual_rows ~replanned ~remaining () =
-  match t with
-  | None -> ()
-  | Some t ->
-      let s = { subquery; score; est_rows; actual_rows; replanned; remaining } in
-      (* single writer: a plain read-modify-write set is never lost *)
-      Atomic.set t.steps_rev (s :: Atomic.get t.steps_rev)
+(* single writer: a plain read-modify-write set is never lost *)
+let append t s = Atomic.set t.steps_rev (s :: Atomic.get t.steps_rev)
 
 (* --- ambient collector ------------------------------------------------- *)
 
@@ -116,30 +115,9 @@ let on_intermediate_table () =
 
 (* --- completion -------------------------------------------------------- *)
 
-(* Per-phase rollup of the flight's own span tree: total recorded time
-   and span count per category, in the fixed category order. Kept even
-   when the full tree is dropped by tail sampling. *)
-let rollup = function
-  | None -> []
-  | Some tracer ->
-      let spans = Span.spans tracer in
-      List.filter_map
-        (fun cat ->
-          let mine =
-            List.filter (fun (s : Span.span) -> s.Span.cat = cat) spans
-          in
-          if mine = [] then None
-          else
-            let total =
-              List.fold_left
-                (fun acc (s : Span.span) -> acc +. s.Span.dur)
-                0.0 mine
-            in
-            Some (Span.category_name cat, List.length mine, total))
-        Span.all_categories
-
 let finish t ~status ~row_count ~queue_wait ~exec_time ~faults ~bypasses
     ~sampled ~seq =
+  let spans = match t.tracer with Some tr -> Span.spans tr | None -> [] in
   {
     r_id = t.id;
     r_session = t.session;
@@ -152,7 +130,7 @@ let finish t ~status ~row_count ~queue_wait ~exec_time ~faults ~bypasses
     r_queue_wait = queue_wait;
     r_exec_time = exec_time;
     r_journal = journal t;
-    r_phases = rollup t.tracer;
+    r_phases = Profile.rollup spans;
     r_counters =
       {
         intermediate_tables = Atomic.get t.intermediates;
@@ -160,9 +138,6 @@ let finish t ~status ~row_count ~queue_wait ~exec_time ~faults ~bypasses
         bypasses;
       };
     r_sampled = sampled;
-    r_spans = (if sampled then match t.tracer with
-               | Some tr -> Span.spans tr
-               | None -> []
-               else []);
+    r_spans = (if sampled then spans else []);
     r_seq = seq;
   }

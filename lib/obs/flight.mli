@@ -1,19 +1,20 @@
 (** Per-query flight records for the always-on serving telemetry.
 
     A {e flight} is one admitted query's life: statement, chosen
-    strategy, plan-cache hit flag, the re-optimization journal (one
-    {!step} per strategy iteration — selected subquery, est vs. actual
-    rows, replan decision), per-phase span rollups, and executor /
-    buffer-pool counters. The live collector ({!t}) is written by the
-    one domain executing the query and read concurrently by telemetry
-    snapshots — journal and counters are atomics, so a reader always
-    sees a consistent prefix and never a torn record. On completion
+    strategy, plan-cache hit flag, the re-optimization journal (the
+    {!step} record of every strategy iteration — selected subquery,
+    score, est vs. actual rows, replan decision), per-phase span
+    rollups, and executor / buffer-pool counters. The live collector
+    ({!t}) is written by the one domain executing the query and read
+    concurrently by telemetry snapshots — journal and counters are
+    atomics, so a reader always sees a consistent prefix and never a
+    torn record. On completion
     {!finish} freezes it into an immutable {!record} for the
     {!Telemetry} ring buffer.
 
     Unlike {!Qs_util.Span} tracing, flights are recorded {e without} an
-    explicitly attached tracer: the journal flows through
-    [Qs_core.Strategy.journal], and the executor's counters through the
+    explicitly attached tracer: each step reaches the journal through
+    [Qs_core.Strategy.step], and the executor's counters through the
     domain-local ambient slot ({!with_current} /
     {!on_intermediate_table}), so the serving path is observable by
     default. *)
@@ -24,13 +25,20 @@ val status_name : status -> string
 (** ["completed"] / ["deadline"] / ["cancelled"] / ["failed"]. *)
 
 type step = {
-  subquery : string;  (** the subquery / subplan the iteration executed *)
-  score : float option;  (** selection score, when the strategy ranks *)
-  est_rows : float;
+  index : int;  (** 1-based, in execution order within one strategy run *)
+  description : string;  (** the subquery / subplan executed *)
+  est_rows : float;  (** optimizer's estimate for its output *)
   actual_rows : int;
-  replanned : bool;
+  elapsed : float;  (** seconds spent in this iteration *)
+  mat_bytes : int;  (** bytes written to a temp table (0 = pipelined) *)
+  materialized : bool;  (** counted in the Table 4 frequency *)
+  replanned : bool;  (** did this iteration trigger re-optimization *)
+  score : float option;  (** selection score, when the strategy ranks *)
   remaining : int;  (** subqueries / joins left after this step *)
 }
+(** One re-optimization iteration: the one record of a step, kept in
+    the strategy's outcome (as [Qs_core.Strategy.iteration]), in the
+    flight journal and in the arguments of its [reopt-step] span. *)
 
 type counters = {
   intermediate_tables : int;  (** temps the executor materialized *)
@@ -104,19 +112,9 @@ val journal : t -> step list
 
 val n_steps : t -> int
 
-val step :
-  t option ->
-  ?score:float ->
-  subquery:string ->
-  est_rows:float ->
-  actual_rows:int ->
-  replanned:bool ->
-  remaining:int ->
-  unit ->
-  unit
-(** Append one journal entry. [None] is free — strategy loops call this
-    unconditionally. Must only be called from the domain executing the
-    flight (single writer). *)
+val append : t -> step -> unit
+(** Append one journal entry. Must only be called from the domain
+    executing the flight (single writer). *)
 
 val with_current : t -> (unit -> 'a) -> 'a
 (** Run a thunk with the flight installed as the calling domain's
@@ -140,5 +138,5 @@ val finish :
   seq:int ->
   record
 (** Freeze the collector into an immutable record: reverses the
-    journal, rolls spans up per category, and retains the full span
-    tree iff [sampled]. *)
+    journal, rolls spans up per category ({!Profile.rollup}), and
+    retains the full span tree iff [sampled]. *)

@@ -32,27 +32,30 @@ let busy_time spans =
   ignore last_end;
   total
 
+let rollup spans =
+  List.filter_map
+    (fun cat ->
+      let these = List.filter (fun (s : Span.span) -> s.Span.cat = cat) spans in
+      if these = [] then None
+      else
+        let total =
+          List.fold_left (fun acc (s : Span.span) -> acc +. s.Span.dur) 0.0 these
+        in
+        Some (Span.category_name cat, List.length these, total))
+    Span.all_categories
+
 let summary ?(timings = true) t =
   let spans = Span.spans t in
   let buf = Buffer.create 1024 in
   (* per-category breakdown *)
   Buffer.add_string buf "spans by category:\n";
   List.iter
-    (fun cat ->
-      let these = List.filter (fun (s : Span.span) -> s.Span.cat = cat) spans in
-      if these <> [] then
-        if timings then
-          let total =
-            List.fold_left (fun acc (s : Span.span) -> acc +. s.Span.dur) 0.0 these
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "  %-12s %5d  total=%s\n" (Span.category_name cat)
-               (List.length these) (ms total))
-        else
-          Buffer.add_string buf
-            (Printf.sprintf "  %-12s %5d\n" (Span.category_name cat)
-               (List.length these)))
-    Span.all_categories;
+    (fun (name, n, total) ->
+      if timings then
+        Buffer.add_string buf
+          (Printf.sprintf "  %-12s %5d  total=%s\n" name n (ms total))
+      else Buffer.add_string buf (Printf.sprintf "  %-12s %5d\n" name n))
+    (rollup spans);
   if spans = [] then Buffer.add_string buf "  (none)\n";
   (* per-domain utilization *)
   if timings && spans <> [] then begin

@@ -13,3 +13,9 @@
 
 val summary : ?timings:bool -> Qs_util.Span.t -> string
 (** [timings] defaults to [true]. *)
+
+val rollup : Qs_util.Span.span list -> (string * int * float) list
+(** Per-category span count and summed duration ([category, spans,
+    seconds]), in {!Qs_util.Span.all_categories} order, categories with
+    no span left out: the table {!summary} prints and a flight record
+    keeps. *)

@@ -19,7 +19,6 @@ module Timer = Qs_util.Timer
 
 type config = {
   capacity : int;
-  stripes : int;
   slow_quantile : float;
   min_samples : int;
 }
@@ -27,7 +26,6 @@ type config = {
 let default_config =
   {
     capacity = 256;
-    stripes = 8;
     slow_quantile = 0.95;
     min_samples = 32;
   }
@@ -50,7 +48,8 @@ type t = {
 
 let create ?(config = default_config) () =
   let capacity = max 1 config.capacity in
-  let stripes = max 1 (min config.stripes capacity) in
+  (* 8 ring lock stripes, at most one per retained record *)
+  let stripes = min 8 capacity in
   let per_stripe = max 1 (capacity / stripes) in
   {
     config;
@@ -272,7 +271,7 @@ let render_record ?(timings = true) buf (r : Flight.record) =
       Buffer.add_string buf
         (Printf.sprintf
            "        %2d. %-24s est=%.0f actual=%d replanned=%s remaining=%d%s\n"
-           (i + 1) s.subquery s.est_rows s.actual_rows
+           (i + 1) s.description s.est_rows s.actual_rows
            (if s.replanned then "yes" else "no")
            s.remaining
            (match s.score with

@@ -27,8 +27,9 @@
     into the existing {!Metrics} JSON report for CI gating. *)
 
 type config = {
-  capacity : int;  (** total retained flight records across all stripes *)
-  stripes : int;  (** ring lock stripes; clamped into [1, capacity] *)
+  capacity : int;
+      (** total retained flight records, over 8 ring lock stripes (one
+          per record when [capacity] is below 8) *)
   slow_quantile : float;
       (** successes at or above this execution-time quantile keep full
           span trees (e.g. 0.95) *)
@@ -38,7 +39,7 @@ type config = {
 }
 
 val default_config : config
-(** 256 records over 8 stripes; slow quantile 0.95 after 32 samples. *)
+(** 256 records; slow quantile 0.95 after 32 samples. *)
 
 type t
 

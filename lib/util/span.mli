@@ -12,8 +12,8 @@
     pool workers land on that worker's track.
 
     This module lives in [Qs_util] so that [Pool] and the optimizer can
-    emit spans; the observability library re-exports it as
-    [Qs_obs.Span] next to the exporters ([Chrome_trace], [Profile]). *)
+    emit spans; the exporters ([Qs_obs.Chrome_trace], [Qs_obs.Profile])
+    read it from here. *)
 
 type category =
   | Optimize  (** one whole optimizer call (DP or greedy) *)

@@ -1,6 +1,7 @@
 (* The always-on serving flight recorder: lock-striped ring behaviour
    under concurrent writers, overwrite-oldest retention, tail-sampling
-   policy, journal capture without an attached tracer, byte-stable
+   policy, journal capture without an attached tracer (the journal is
+   each strategy's iterations, for every Fig. 11 strategy), byte-stable
    snapshot rendering, and the Prometheus exposition. *)
 
 module Telemetry = Qs_obs.Telemetry
@@ -12,6 +13,10 @@ module Estimator = Qs_stats.Estimator
 module Stats_registry = Qs_stats.Stats_registry
 module Strategy = Qs_core.Strategy
 module Querysplit = Qs_core.Querysplit
+module Driver = Qs_core.Driver
+module Logical = Qs_plan.Logical
+module Runner = Qs_harness.Runner
+module Algos = Qs_harness.Algos
 module Server = Qs_serve.Server
 module Fuzz = Qs_workload.Fuzz
 
@@ -58,7 +63,7 @@ let check_snapshot_consistent (s : Telemetry.snapshot) ~capacity =
 let test_ring_concurrent_writers () =
   let writers = 4 and per_writer = 200 in
   let config =
-    { Telemetry.default_config with Telemetry.capacity = 64; stripes = 8 }
+    { Telemetry.default_config with Telemetry.capacity = 64 }
   in
   let t = Telemetry.create ~config () in
   let capacity = Telemetry.capacity t in
@@ -93,7 +98,7 @@ let test_ring_concurrent_writers () =
 
 let test_overwrite_oldest_single_writer () =
   let config =
-    { Telemetry.default_config with Telemetry.capacity = 8; stripes = 2 }
+    { Telemetry.default_config with Telemetry.capacity = 8 }
   in
   let t = Telemetry.create ~config () in
   for i = 0 to 19 do
@@ -209,49 +214,88 @@ let test_sampled_flights_keep_span_trees () =
 
 (* --- journal capture without an attached tracer ------------------------ *)
 
-let test_journal_without_tracer () =
-  let cat = Fixtures.shop_catalog () in
-  let registry = Stats_registry.create cat in
+(* Run [run] with a fresh flight carrying its own tracer: the flight
+   journal must be the outcome's iterations, the same records in the
+   same order, and the tracer must hold one [reopt-step] span per
+   iteration. Returns the journal. *)
+let journal_of ~label run =
   let fl =
     Flight.create ~tracer:true ~id:7 ~session:"s" ~statement:"shopq"
-      ~strategy:"querysplit" ~cache_hit:false ~est_cost:1.0
+      ~strategy:label ~cache_hit:false ~est_cost:1.0
       ~submitted:(Qs_util.Timer.now ()) ()
   in
-  let ctx =
-    Strategy.make_ctx ?spans:(Flight.spans fl) ~flight:fl registry
-      Estimator.default
-  in
-  let q = Fixtures.shop_query () in
-  let outcome = (Querysplit.strategy Querysplit.default_config).Strategy.run ctx q in
+  let outcome : Strategy.outcome = run fl in
   let steps = Flight.journal fl in
-  Alcotest.(check int) "one journal entry per strategy iteration"
+  Alcotest.(check int)
+    (label ^ ": one journal entry per strategy iteration")
     (List.length outcome.Strategy.iterations)
     (List.length steps);
-  Alcotest.(check bool) "querysplit iterates" true (steps <> []);
-  List.iter
-    (fun (s : Flight.step) ->
-      Alcotest.(check bool) "journal entries carry a score" true
-        (Option.is_some s.Flight.score);
-      Alcotest.(check bool) "actual rows are observed" true
-        (s.Flight.actual_rows >= 0))
-    steps;
-  (* the remaining-subquery count is non-increasing along the journal *)
-  ignore
-    (List.fold_left
-       (fun prev (s : Flight.step) ->
-         if s.Flight.remaining > prev then
-           Alcotest.failf "remaining grew from %d to %d" prev
-             s.Flight.remaining;
-         s.Flight.remaining)
-       max_int steps);
+  Alcotest.(check bool)
+    (label ^ ": journal is the outcome's iterations") true
+    (steps = outcome.Strategy.iterations);
+  Alcotest.(check bool) (label ^ ": journals a step") true (steps <> []);
   (* the flight's own tracer saw the same steps as Reopt_step spans *)
   let reopt =
     List.filter
       (fun (sp : Span.span) -> sp.Span.cat = Span.Reopt_step)
       (Span.spans (Option.get (Flight.spans fl)))
   in
-  Alcotest.(check int) "journal and span trace agree"
-    (List.length steps) (List.length reopt)
+  Alcotest.(check int)
+    (label ^ ": journal and span trace agree")
+    (List.length steps) (List.length reopt);
+  steps
+
+let test_journal_without_tracer () =
+  let cat = Fixtures.shop_catalog () in
+  let env = Runner.make_env cat in
+  let q = Fixtures.shop_query () in
+  let ctx (algo : Runner.algo) fl =
+    Strategy.make_ctx ?spans:(Flight.spans fl) ~flight:fl env.Runner.registry
+      (algo.Runner.estimator env)
+  in
+  List.iter
+    (fun (algo : Runner.algo) ->
+      let label = algo.Runner.label in
+      let steps =
+        journal_of ~label (fun fl ->
+            algo.Runner.strategy.Strategy.run (ctx algo fl) q)
+      in
+      if label = "QuerySplit" then begin
+        List.iter
+          (fun (s : Flight.step) ->
+            Alcotest.(check bool) "journal entries carry a score" true
+              (Option.is_some s.Flight.score);
+            Alcotest.(check bool) "actual rows are observed" true
+              (s.Flight.actual_rows >= 0))
+          steps;
+        (* the remaining-subquery count is non-increasing along the
+           journal *)
+        ignore
+          (List.fold_left
+             (fun prev (s : Flight.step) ->
+               if s.Flight.remaining > prev then
+                 Alcotest.failf "remaining grew from %d to %d" prev
+                   s.Flight.remaining;
+               s.Flight.remaining)
+             max_int steps)
+      end)
+    Algos.fig11_roster;
+  (* a non-SPJ tree: every SPJ segment's steps, in evaluation order *)
+  let tree =
+    Logical.Union_all
+      {
+        name = "u";
+        inputs =
+          [
+            Logical.Spj (Fixtures.shop_query ~name:"s1" ());
+            Logical.Spj (Fixtures.shop_query ~name:"s2" ());
+          ];
+      }
+  in
+  let algo = Algos.querysplit in
+  ignore
+    (journal_of ~label:"Driver" (fun fl ->
+         Driver.run algo.Runner.strategy (ctx algo fl) tree))
 
 (* --- deterministic rendering over the serving path --------------------- *)
 

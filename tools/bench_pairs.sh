@@ -17,7 +17,8 @@
 # It also appends one line per side (one series of runs) to
 # BENCH_history.jsonl at this repository's root: the workload, the
 # side, the checkout's commit (suffixed -dirty when it has uncommitted
-# changes, "unknown" outside git), nproc, the CPU model from
+# changes; outside git, the commit `git archive` wrote into tools/COMMIT,
+# else "unknown"), nproc, the CPU model from
 # /proc/cpuinfo, the number of runs and, for every end-to-end metric,
 # the median and the interquartile range of the runs.
 # Exits 1 if any run reports "correct": false or ends without a JSON
@@ -70,7 +71,10 @@ while [ "$seed" -le "$pairs" ]; do
   seed=$((seed + 1))
 done
 
-# commit DIR: the checked-out commit, -dirty when tracked files changed
+# commit DIR: the checked-out commit, -dirty when tracked files changed.
+# Outside git it is the hash `git archive` substituted into tools/COMMIT
+# (export-subst in .gitattributes); an unsubstituted placeholder, as in
+# a plain copy of the tree, says nothing.
 commit() {
   if c=$(git -C "$1" rev-parse HEAD 2>/dev/null); then
     if [ -n "$(git -C "$1" status --porcelain --untracked-files=no 2>/dev/null)" ]; then
@@ -78,7 +82,11 @@ commit() {
     fi
     echo "$c"
   else
-    echo unknown
+    c=$(cat "$1/tools/COMMIT" 2>/dev/null || true)
+    case $c in
+      '' | *'$Format'*) echo unknown ;;
+      *) echo "$c" ;;
+    esac
   fi
 }
 

@@ -45,6 +45,13 @@
 #                               readers too), so no row is decoded per
 #                               input row and no operator output is a
 #                               row per pair
+#  12. one step writer        — a re-optimization step is written once:
+#                               only lib/core/strategy.ml (Strategy.step)
+#                               emits a Reopt_step span or appends to a
+#                               flight journal (Flight.append), and no
+#                               journal helper (a `journal` definition in
+#                               lib/core, Strategy.journal) writes a
+#                               second copy of a step
 #
 # The metrics golden is not checked here: a second runtest rule in ./dune
 # regenerates BENCH.json and diffs it exactly against the committed one.
@@ -195,6 +202,30 @@ for f in lib/exec/*.ml; do
 done
 if grep -nE 'Table\.of_chunks([^_A-Za-z0-9]|$)' lib/exec/executor.ml >&2; then
   echo "lint: lib/exec/executor.ml builds a row chunk — operator outputs are boxed columns (Columnar.of_builders, Table.of_chunk_data)" >&2
+  status=1
+fi
+
+# --- one step writer -------------------------------------------------------
+# A strategy iteration is one record (Strategy.iteration, which is
+# Flight.step). Strategy.step stamps it and is the only place that puts
+# it in the flight journal and in a reopt-step span, so the outcome, the
+# journal and the trace cannot disagree about a step (hand-written
+# copies did: replanned flags, labels, strategies missing from the
+# journal). Readers (Profile's journal, Span's own definition) may name
+# Reopt_step; nothing else in lib/, bin/ or bench/.
+if grep -rnE 'Reopt_step' lib bin bench --include='*.ml' \
+     | grep -vE '^lib/(util/span|obs/profile|core/strategy)\.ml:' >&2; then
+  echo "lint: a reopt-step span outside Strategy.step — pass the iteration's record to Strategy.step" >&2
+  status=1
+fi
+if grep -rnE 'Flight\.append' lib bin bench --include='*.ml' \
+     | grep -vE '^lib/core/strategy\.ml:' >&2; then
+  echo "lint: a flight journal append outside Strategy.step — pass the iteration's record to Strategy.step" >&2
+  status=1
+fi
+if grep -rnE '(let|and)[[:space:]]+journal([^_A-Za-z0-9]|$)|Strategy\.journal' lib/core \
+     --include='*.ml' >&2; then
+  echo "lint: a journal helper in lib/core — a step is written once, by Strategy.step" >&2
   status=1
 fi
 
